@@ -24,14 +24,10 @@ from .store import (
     StoreView,
     active_store,
     add_cache_arguments,
-    configure_store,
     default_store_scope,
-    get_store,
     open_store,
     parse_byte_size,
     reset_store,
-    resolve_store,
-    store_active,
     store_config_from_args,
     store_metric_samples,
 )
@@ -53,14 +49,10 @@ __all__ = [
     "active_store",
     "add_cache_arguments",
     "array_key",
-    "configure_store",
     "default_store_scope",
-    "get_store",
     "open_store",
     "parse_byte_size",
     "reset_store",
-    "resolve_store",
-    "store_active",
     "store_config_from_args",
     "store_metric_samples",
 ]

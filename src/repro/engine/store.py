@@ -41,9 +41,7 @@ evicted entry is a miss that recomputes — never a wrong answer.
 
 Process wiring is a single pair — :func:`open_store` installs a store
 built from a :class:`StoreConfig` (environment-backed), and
-:func:`active_store` resolves the three-state per-fit opt-in flag.  The
-former four-function surface (``configure_store`` / ``get_store`` /
-``resolve_store`` / ``store_active``) survives as deprecated shims.
+:func:`active_store` resolves the three-state per-fit opt-in flag.
 """
 
 from __future__ import annotations
@@ -72,14 +70,10 @@ __all__ = [
     "CACHE_MEMORY_ITEMS_ENV",
     "active_store",
     "add_cache_arguments",
-    "configure_store",
     "default_store_scope",
-    "get_store",
     "open_store",
     "parse_byte_size",
     "reset_store",
-    "resolve_store",
-    "store_active",
     "store_config_from_args",
     "store_metric_samples",
 ]
@@ -1295,55 +1289,6 @@ def store_config_from_args(args) -> StoreConfig | None:
     if config.disk_dir is None and config.max_bytes is None and config.memory_items is None:
         return None
     return config
-
-
-# ----------------------------------------------------------------------
-# Deprecated wiring shims (pre-PR 10 four-function surface)
-# ----------------------------------------------------------------------
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.engine.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def configure_store(
-    disk_dir: str | Path | None = None,
-    maxsize: int | dict | None = None,
-    store: ArtifactStore | None = None,
-) -> ArtifactStore:
-    """Deprecated: use :func:`open_store` with a :class:`StoreConfig`."""
-    _warn_deprecated("configure_store()", "open_store(StoreConfig(...))")
-    if store is not None:
-        return open_store(store=store)
-    return open_store(
-        StoreConfig(
-            disk_dir=disk_dir,
-            memory_items=maxsize,
-            max_bytes=parse_byte_size(os.environ.get(CACHE_MAX_BYTES_ENV) or None),
-        )
-    )
-
-
-def get_store() -> ArtifactStore:
-    """Deprecated: use ``active_store(True)``."""
-    _warn_deprecated("get_store()", "active_store(True)")
-    return active_store(True)
-
-
-def store_active() -> bool:
-    """Deprecated: use ``active_store() is not None``."""
-    _warn_deprecated("store_active()", "active_store() is not None")
-    with _process_lock:
-        installed = _process_store is not None
-    return installed or bool(os.environ.get(CACHE_DIR_ENV))
-
-
-def resolve_store(flag: bool | None = None) -> ArtifactStore | None:
-    """Deprecated: use :func:`active_store`."""
-    _warn_deprecated("resolve_store()", "active_store(flag)")
-    return active_store(flag)
 
 
 def default_store_scope(forecaster) -> bytes | None:

@@ -32,11 +32,10 @@ from .errors import InvalidRequest, ModelNotFound, QueueFull, ServingError
 from .loadgen import LoadGenerator, LoadReport, LoadSpec, WireDriver
 from .runtime import ServingRuntime
 from .scheduler import AsyncForecast, LatencyRecorder, MicroBatchScheduler
-from .service import ForecastHandle, ForecastService
+from .service import ForecastService
 
 __all__ = [
     "AsyncForecast",
-    "ForecastHandle",
     "ForecastService",
     "InvalidRequest",
     "LatencyRecorder",

@@ -256,7 +256,7 @@ class ServingRuntime:
         """Pre-populate a model's result cache through the serving path.
 
         Runs the windows through the model's own scheduler (same
-        batching, same flush ordering), so warmed entries are bitwise
+        batching, same sorted batches), so warmed entries are bitwise
         the entries live traffic would have produced.  Returns the
         number of windows now cached.
         """
@@ -373,12 +373,6 @@ class ServingRuntime:
             + sum(s["service"]["cache_hits"] for s in per_model.values()),
             "windows_computed": sum(
                 s["service"]["windows_computed"] for s in per_model.values()
-            ),
-            # Post-flush evictions that forced a recompute: real misses
-            # under a shared bounded store, surfaced so serving hit-rate
-            # dashboards don't over-report.
-            "eviction_recomputes": sum(
-                s["service"]["eviction_recomputes"] for s in per_model.values()
             ),
         }
         requests = fast_hits + sum(

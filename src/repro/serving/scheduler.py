@@ -1,15 +1,15 @@
 """Micro-batching request scheduler: concurrent callers, batched predicts.
 
-:class:`~repro.serving.ForecastService` coalesces requests only at
-explicit :meth:`~repro.serving.ForecastService.flush` points, so two
-threads asking for forecasts at the same instant each pay a full
-``predict`` call.  :class:`MicroBatchScheduler` closes that gap: callers
-from any thread :meth:`~MicroBatchScheduler.submit` window starts and
+:class:`~repro.serving.ForecastService` coalesces only the starts of
+one ``forecast`` call, so two threads asking for forecasts at the same
+instant each pay a full ``predict`` call.  :class:`MicroBatchScheduler`
+closes that gap: callers from any thread :meth:`~MicroBatchScheduler.submit` window starts and
 get a future-like :class:`AsyncForecast` back; a single background
 worker thread collects whatever arrived within a short **micro-batch
 deadline** (default 2 ms) — or dispatches early once **max_batch**
-requests are queued — and drains the batch through the service's
-cache+coalesce path in one flush.
+requests are queued — and serves the batch with one
+:meth:`~repro.serving.ForecastService.forecast` call, the service's
+cache+coalesce path.
 
 Under concurrent load the worker is busy predicting while new requests
 pile up, so batches form naturally and per-call overhead (graph setup,
@@ -23,8 +23,8 @@ is full, ``admission="block"`` makes ``submit`` wait for space
 raises :class:`QueueFull` immediately (shed load, keep latency flat).
 
 **Zero-drift contract.**  All model access happens on the worker thread
-through the owned :class:`ForecastService`, whose flush sorts and
-dedups each batch before calling the model's own ``predict`` — so every
+through the owned :class:`ForecastService`, which sorts and dedups
+each batch before calling the model's own ``predict`` — so every
 served block is bitwise a byte the caller could have produced with a
 direct ``predict`` call, and cached repeats are bitwise stable.  The
 scheduler adds concurrency and batching, never arithmetic.
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..interfaces import Forecaster
 from ..obs.metrics import LATENCY_BUCKETS, Histogram
-from ..obs.trace import TraceContext, record_span, use_trace
+from ..obs.trace import TraceContext, record_span, span
 from .errors import InvalidRequest, QueueFull
 from .service import ForecastService
 
@@ -178,7 +178,7 @@ class MicroBatchScheduler:
         Label used for the worker thread and error messages.
 
     Note: when wrapping an existing service, the service's own
-    ``max_batch_size`` still chunks each flush — the scheduler's
+    ``max_batch_size`` still chunks each batch — the scheduler's
     ``max_batch`` only controls the dispatch trigger.
     """
 
@@ -267,8 +267,10 @@ class MicroBatchScheduler:
         be rejected, shed, or delayed behind a forming micro-batch.
 
         ``trace`` threads a request's trace context through the worker:
-        the dispatch records queue-wait / batch-dispatch / cache-lookup
-        / predict child spans against it (see :mod:`repro.obs.trace`).
+        the dispatch records queue-wait / batch-dispatch child spans
+        against it, and the service's cache-lookup / predict spans too
+        if it is the batch's first traced request (see
+        :mod:`repro.obs.trace`).
         """
         start = int(start)
         if self.cache_fast_path:
@@ -370,34 +372,25 @@ class MicroBatchScheduler:
                 req.enqueued_at, dispatch_began,
                 model=self.name, start=req.start,
             )
-        # Shared batch work (cache lookup, predict, result pickup) runs
-        # once for the whole batch; the store's ambient trace context
-        # follows the *first* traced request — a batch mixing several
-        # traces attributes shared store spans to that one (documented
-        # in DESIGN.md §15).
-        ambient = traced[0].trace if traced else None
+        # The batch is one service call.  Its own spans (service.*,
+        # store.*) nest under the *first* traced request's batch_dispatch
+        # — a batch mixing several traces attributes shared work to that
+        # one (documented in DESIGN.md §15).
         try:
-            with use_trace(ambient):
-                lookup_began = time.monotonic()
-                handles = [(req, self.service.submit(req.start)) for req in batch]
-                lookup_ended = time.monotonic()
-                self.service.flush()
-                predict_ended = time.monotonic()
-                results = [(req, handle.result()) for req, handle in handles]
+            with span("scheduler.batch_dispatch",
+                      traced[0].trace if traced else None,
+                      model=self.name, batch_size=len(batch)):
+                blocks = self.service.forecast([req.start for req in batch])
             now = time.monotonic()
-            for req in traced:
-                parent = record_span(
+            for req in traced[1:]:
+                record_span(
                     "scheduler.batch_dispatch", req.trace,
                     dispatch_began, now,
                     model=self.name, batch_size=len(batch),
                 )
-                record_span("service.cache_lookup", parent,
-                            lookup_began, lookup_ended, batch_size=len(batch))
-                record_span("service.predict", parent,
-                            lookup_ended, predict_ended, batch_size=len(batch))
-            for req, value in results:
+            for req, block in zip(batch, blocks):
                 self.latency.record(now - req.enqueued_at)
-                req.future.set_result(value)
+                req.future.set_result(block)
                 served += 1
         except BaseException as exc:  # noqa: BLE001 — propagate to callers
             for req in batch:

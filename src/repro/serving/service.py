@@ -6,16 +6,15 @@ the full per-call overhead (graph setup, batch padding) every time, and
 repeated traffic for popular windows recomputes identical answers.  The
 :class:`ForecastService` sits in front of the model and fixes both:
 
-* **Coalescing** — requests accumulate via :meth:`submit` (or arrive
-  together via :meth:`forecast`); a flush deduplicates the pending
-  window starts, drops the ones already cached, and issues the rest to
-  the model as large batched ``predict`` calls.
+* **Coalescing** — one :meth:`ForecastService.forecast` call
+  deduplicates its window starts, drops the ones already cached, and
+  issues the rest to the model as large batched ``predict`` calls.
 * **Caching** — every window's ``(horizon, N_u)`` block is stored in a
   bounded LRU keyed by its start index, so repeated requests are served
   from memory.
 
 Correctness contract: the service adds zero numerical drift.  A
-cold-cache flush issues the model's own ``predict`` over the deduped,
+cold-cache call issues the model's own ``predict`` over the deduped,
 sorted window starts, so its outputs are bitwise identical to the
 caller making that predict call directly, and cached repeats are
 bitwise identical to the first computation.  Batching is only applied
@@ -38,9 +37,10 @@ import numpy as np
 
 from ..engine import LRUCache
 from ..interfaces import Forecaster
+from ..obs.trace import span
 from .errors import InvalidRequest
 
-__all__ = ["ForecastHandle", "ForecastService"]
+__all__ = ["ForecastService"]
 
 _MISSING = object()
 
@@ -50,54 +50,13 @@ _MISSING = object()
 BATCH_LOG_MAXLEN = 4096
 
 
-class ForecastHandle:
-    """Deferred result of a submitted window-start request.
-
-    ``result()`` flushes the owning service if the window has not been
-    computed yet, then returns the ``(horizon, N_u)`` forecast block.
-    """
-
-    def __init__(self, service: "ForecastService", start: int) -> None:
-        self._service = service
-        self.start = start
-
-    @property
-    def ready(self) -> bool:
-        return self.start in self._service._results
-
-    def result(self) -> np.ndarray:
-        if not self.ready:
-            self._service.flush()
-        value = self._service._results.get(self.start, _MISSING)
-        if value is _MISSING:
-            # Evicted between flush and pickup (cache smaller than the
-            # flush) — recompute just this window.  Under the service
-            # lock: a bare _pending insert could land mid-iteration of a
-            # concurrent flush's pending sweep.  The recompute is
-            # recorded as an eviction miss so hit-rate telemetry stays
-            # truthful when a shared bounded store drops entries between
-            # flush and pickup.
-            with self._service._lock:
-                self._service.eviction_recomputes += 1
-                self._service._pending[self.start] = None
-                self._service.flush()
-                value = self._service._results.get(self.start, _MISSING)
-        if value is _MISSING:
-            # Evicted *again* (adversarially small or shared cache that
-            # dropped the refetch before pickup).  Compute the window
-            # directly and hand the block back without a cache
-            # round-trip, so result() can never return None.
-            value = self._service.compute_one(self.start)
-        return value
-
-
 class ForecastService:
     """Coalesce window-start requests into batched, cached predictions.
 
-    Thread-safe: an internal reentrant lock serialises intake and
-    flushes, so a :class:`~repro.serving.MicroBatchScheduler` worker and
-    direct callers can safely share one service (direct ``forecast``
-    calls then simply serialise behind in-progress flushes).
+    Thread-safe: an internal lock serialises :meth:`forecast` calls, so
+    a :class:`~repro.serving.MicroBatchScheduler` worker and direct
+    callers can safely share one service (direct calls then simply
+    serialise behind an in-progress one).
 
     Parameters
     ----------
@@ -107,7 +66,7 @@ class ForecastService:
         Capacity of the per-window LRU result cache.
     max_batch_size:
         Upper bound on the number of windows per ``predict`` call; large
-        flushes are chunked to keep peak memory flat.
+        requests are chunked to keep peak memory flat.
     stateless_predict:
         Declare that the model's ``predict`` output for a window does not
         depend on which other windows share the batch.  Defaults to the
@@ -185,69 +144,54 @@ class ForecastService:
         self.batch_log: deque[np.ndarray] | None = None
         if log_batches:
             self.enable_batch_log()
-        # Serialises intake (pending set, counters) and flush: a
-        # scheduler worker and direct callers can safely share one
-        # service.  Reentrant so forecast() -> submit()/flush() nests,
-        # which also makes a whole forecast() call atomic against other
-        # threads' flushes.
-        self._lock = threading.RLock()
-        # Insertion-ordered pending set: O(1) membership for coalescing.
-        self._pending: dict[int, None] = {}
+        # Serialises forecast() calls: a scheduler worker and direct
+        # callers can safely share one service.
+        self._lock = threading.Lock()
         # Telemetry for benchmarks and capacity planning.
         self.requests = 0
         self.predict_calls = 0
         self.windows_computed = 0
         self.predict_seconds = 0.0
-        #: Requests answered straight from the result cache at submit time.
+        #: Requests answered straight from the result cache.
         self.cache_hits = 0
-        #: Requests folded into an already-pending window (batch dedup).
+        #: Requests folded into another request's miss (batch dedup).
         self.coalesced = 0
-        #: Windows whose flushed result was evicted before pickup and had
-        #: to be recomputed — a real cache miss under a shared bounded
-        #: store, recorded so hit-rate stats stay truthful.
-        self.eviction_recomputes = 0
 
-    # ------------------------------------------------------------------
-    # Request intake
-    # ------------------------------------------------------------------
-    def submit(self, start: int) -> ForecastHandle:
-        """Enqueue one window-start request; batched at the next flush."""
-        start = int(start)
-        with self._lock:
-            self.requests += 1
-            if start in self._results:
-                self.cache_hits += 1
-            elif start in self._pending:
-                self.coalesced += 1
-            else:
-                self._pending[start] = None
-        return ForecastHandle(self, start)
+    def forecast(self, window_starts: np.ndarray) -> np.ndarray:
+        """Batched forecasts for many (possibly duplicated) starts.
 
-    def flush(self) -> int:
-        """Run batched predictions for all pending uncached windows.
-
-        Returns the number of windows actually computed.  Pending starts
-        are deduplicated, sorted (so batch composition is reproducible
-        regardless of request arrival order), chunked to
-        ``max_batch_size`` and dispatched to the model.
+        Looks every distinct start up once, sends the sorted misses to
+        the model in ``predict`` calls of at most ``max_batch_size``
+        windows (one window per call for a stateful model), caches each
+        computed row, and assembles the ``(len(window_starts), horizon,
+        N_u)`` result in request order from the looked-up and computed
+        blocks — never from a second cache read, so a write that evicts
+        another of this call's windows cannot force a recompute.
         """
+        starts = np.asarray(window_starts, dtype=int).ravel().tolist()
+        if not starts:
+            raise InvalidRequest("forecast() needs at least one window start")
         with self._lock:
-            missing = sorted({s for s in self._pending if s not in self._results})
-            self._pending.clear()
-            if not missing:
-                return 0
-            chunk = 1 if not self.stateless_predict else self.max_batch_size
-            computed = 0
-            for begin in range(0, len(missing), chunk):
-                batch = np.asarray(missing[begin : begin + chunk], dtype=int)
-                block = self._predict_batch(batch)
-                for row, start in enumerate(batch):
-                    # Copy: caching a view would pin the whole batch block
-                    # in memory for as long as any one row stays cached.
-                    self._results.put(int(start), block[row].copy())
-                computed += len(batch)
-            self.windows_computed += computed
-            return computed
+            with span("service.cache_lookup", batch_size=len(starts)):
+                blocks = {s: self._results.get(s, _MISSING) for s in dict.fromkeys(starts)}
+            misses = sorted(s for s, block in blocks.items() if block is _MISSING)
+            hits = sum(blocks[s] is not _MISSING for s in starts)
+            self.requests += len(starts)
+            self.cache_hits += hits
+            self.coalesced += len(starts) - hits - len(misses)
+            chunk = self.max_batch_size if self.stateless_predict else 1
+            with span("service.predict", batch_size=len(starts)):
+                for begin in range(0, len(misses), chunk):
+                    batch = np.asarray(misses[begin : begin + chunk], dtype=int)
+                    rows = self._predict_batch(batch)
+                    for row, start in enumerate(batch.tolist()):
+                        # Copy: caching a view would pin the whole batch
+                        # block in memory for as long as any one row stays
+                        # cached.
+                        blocks[start] = rows[row].copy()
+                        self._results.put(start, blocks[start])
+            self.windows_computed += len(misses)
+        return np.stack([blocks[s] for s in starts], axis=0)
 
     def _predict_batch(self, batch: np.ndarray) -> np.ndarray:
         """Issue one timed, logged ``predict`` call over ``batch``."""
@@ -269,7 +213,7 @@ class ForecastService:
 
         Deliberately takes no service lock (the engine cache is itself
         thread-safe): the scheduler's cache-hit fast path must not
-        serialise behind an in-flight flush's ``predict`` call — hits
+        serialise behind an in-flight forecast's ``predict`` call — hits
         matter most exactly while the worker is busy computing.  The
         service-level request counters don't move (the caller accounts
         for the hit in its own telemetry); the LRU's internal hit/miss
@@ -279,52 +223,15 @@ class ForecastService:
         value = self._results.get(int(start), _MISSING)
         return None if value is _MISSING else value
 
-    def compute_one(self, start: int) -> np.ndarray:
-        """Compute one window directly, bypassing the cache round-trip.
-
-        The block is still written to the cache for future hits, but the
-        return value does not depend on it surviving there — the
-        eviction-proof fallback for :meth:`ForecastHandle.result`.
-        """
-        start = int(start)
-        with self._lock:
-            block = self._predict_batch(np.asarray([start], dtype=int))
-            value = block[0].copy()
-            self.windows_computed += 1
-        self._results.put(start, value)
-        return value
-
-    # ------------------------------------------------------------------
-    # Synchronous convenience API
-    # ------------------------------------------------------------------
-    def forecast(self, window_starts: np.ndarray) -> np.ndarray:
-        """Batched forecasts for many (possibly duplicated) starts.
-
-        Submits every start, flushes once, and assembles the
-        ``(len(window_starts), horizon, N_u)`` result in request order —
-        cache hits are served from memory, misses from the coalesced
-        ``predict`` calls.
-        """
-        window_starts = np.asarray(window_starts, dtype=int).ravel()
-        if window_starts.size == 0:
-            # Validate *before* touching service state: an empty request
-            # must not flush (and thus reorder) other callers' pending
-            # submissions as a side effect of raising.
-            raise InvalidRequest("forecast() needs at least one window start")
-        with self._lock:  # atomic: no interleaved flush can split the batch
-            handles = [self.submit(int(s)) for s in window_starts]
-            self.flush()
-            return np.stack([h.result() for h in handles], axis=0)
-
     @property
     def stats(self) -> dict:
         """Service counters plus the underlying result-cache stats.
 
-        Deliberately lock-free: the intake lock is held across flushes
-        (i.e. across model ``predict`` calls), and telemetry reads must
-        not block behind a slow model.  Individual counter reads are
-        atomic in CPython; a snapshot taken mid-flush may be a few
-        requests stale, which monitoring tolerates.
+        Deliberately lock-free: the lock is held across model
+        ``predict`` calls, and telemetry reads must not block behind a
+        slow model.  Individual counter reads are atomic in CPython; a
+        snapshot taken mid-forecast may be a few requests stale, which
+        monitoring tolerates.
         """
         requests = self.requests
         return {
@@ -335,6 +242,5 @@ class ForecastService:
             "cache_hits": self.cache_hits,
             "cache_hit_pct": 100.0 * self.cache_hits / requests if requests else 0.0,
             "coalesced": self.coalesced,
-            "eviction_recomputes": self.eviction_recomputes,
             "cache": self._results.stats,
         }

@@ -56,6 +56,11 @@ __all__ = ["ForecastHTTPServer", "DEFAULT_MAX_BODY_BYTES"]
 #: near this bound is a mistake or an attack.
 DEFAULT_MAX_BODY_BYTES = 1 << 20
 
+#: How often the serve loop checks for a shutdown request, and so about
+#: how long ``shutdown()`` blocks.  Kept short: new connections wake the
+#: loop at once whatever this is, so it costs only idle wake-ups.
+_POLL_INTERVAL_S = 0.02
+
 
 class _TransportCounters:
     """Thread-safe request/byte counters for ``/v1/stats``."""
@@ -399,6 +404,7 @@ class ForecastHTTPServer:
         self._started = True
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(_POLL_INTERVAL_S,),
             name=f"http[{self.worker_label}]",
             daemon=True,
         )
@@ -410,7 +416,7 @@ class ForecastHTTPServer:
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
-        self._server.serve_forever()
+        self._server.serve_forever(_POLL_INTERVAL_S)
 
     def shutdown(self) -> None:
         """Stop accepting, close the listener.  Idempotent.

@@ -1,4 +1,4 @@
-"""Store lifecycle suite: quota GC, compaction, accounting, API shims.
+"""Store lifecycle suite: quota GC, compaction, accounting, process wiring.
 
 The PR 10 contract under test: a quota-bounded disk tier stays
 bit-exact — a surviving hit returns the identical bytes, an evicted
@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    CACHE_DIR_ENV,
     ArtifactStore,
     StoreConfig,
-    active_store,
     array_key,
     open_store,
     reset_store,
@@ -271,79 +269,6 @@ class TestByteAccountingRegressions:
         assert store.max_bytes == 1024
         config = StoreConfig(disk_dir=tmp_path, max_bytes=2048)
         assert config.build().max_bytes == 2048
-
-
-class TestDeprecatedShims:
-    """The pre-PR 10 wiring functions still work, but warn."""
-
-    @pytest.fixture(autouse=True)
-    def _isolate(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        reset_store()
-        yield
-        reset_store()
-
-    def test_configure_store_warns_and_installs(self, tmp_path):
-        from repro.engine import configure_store
-
-        with pytest.deprecated_call():
-            store = configure_store(disk_dir=tmp_path)
-        assert active_store() is store
-        assert store.disk_dir == tmp_path
-
-    def test_configure_store_adopts_instance(self):
-        from repro.engine import configure_store
-
-        mine = ArtifactStore()
-        with pytest.deprecated_call():
-            assert configure_store(store=mine) is mine
-        assert active_store() is mine
-
-    def test_get_store_warns_and_matches_active(self):
-        from repro.engine import get_store
-
-        with pytest.deprecated_call():
-            store = get_store()
-        assert store is active_store()
-
-    def test_store_active_warns_and_tracks_env(self, tmp_path, monkeypatch):
-        from repro.engine import store_active
-
-        with pytest.deprecated_call():
-            assert not store_active()
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        with pytest.deprecated_call():
-            assert store_active()
-
-    def test_resolve_store_warns_and_keeps_three_state_semantics(self, tmp_path, monkeypatch):
-        from repro.engine import resolve_store
-
-        with pytest.deprecated_call():
-            assert resolve_store(False) is None
-        with pytest.deprecated_call():
-            assert resolve_store(None) is None
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        with pytest.deprecated_call():
-            assert resolve_store(None) is not None
-
-    def test_shims_shadow_nothing_in_repo(self):
-        """The deprecated functions have no remaining in-repo callers
-        (this suite aside, which exists to cover the shims)."""
-        import subprocess
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2]
-        out = subprocess.run(
-            ["grep", "-rln", "-e", r"configure_store(", "-e", r"resolve_store(",
-             "-e", r"get_store()", "-e", r"store_active()",
-             str(root / "src"), str(root / "benchmarks")],
-            capture_output=True, text=True,
-        ).stdout
-        offenders = [
-            line for line in out.splitlines()
-            if not line.endswith("engine/store.py")  # definitions themselves
-        ]
-        assert offenders == [], f"deprecated store API still called by {offenders}"
 
 
 class TestProcessStoreMetrics:

@@ -105,7 +105,7 @@ class TestBatchingTriggers:
         assert stats["service"]["cache_hits"] >= 3
 
     def test_direct_caller_shares_service_with_scheduler(self):
-        """Service intake is locked: direct forecast() + worker flushes coexist."""
+        """The service is locked: direct and worker forecast() calls coexist."""
         model = _CountingForecaster()
         service = ForecastService(model, cache_size=64)
         errors = []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import GEGANForecaster, HistoricalAverageForecaster, IGNNKForecaster
 from repro.core import STSMConfig, STSMForecaster
@@ -130,24 +132,6 @@ class TestCoalescingAndCaching:
         service.forecast(np.arange(10))
         assert [len(call) for call in model.calls] == [4, 4, 2]
 
-    def test_submit_flush_handles(self):
-        model = _CountingForecaster()
-        service = ForecastService(model)
-        handles = [service.submit(s) for s in (7, 11)]
-        assert not handles[0].ready
-        computed = service.flush()
-        assert computed == 2
-        assert handles[0].ready
-        assert handles[0].result()[0, 0] == pytest.approx(7000.0)
-        assert handles[1].result()[0, 0] == pytest.approx(11000.0)
-
-    def test_handle_result_triggers_flush(self):
-        model = _CountingForecaster()
-        service = ForecastService(model)
-        handle = service.submit(4)
-        assert handle.result()[0, 0] == pytest.approx(4000.0)
-        assert len(model.calls) == 1
-
     def test_tiny_cache_still_correct(self):
         model = _CountingForecaster()
         service = ForecastService(model, cache_size=2)
@@ -156,23 +140,26 @@ class TestCoalescingAndCaching:
         assert np.array_equal(out, expected)
 
     def test_empty_request_rejected(self):
-        service = ForecastService(_CountingForecaster())
-        with pytest.raises(ValueError):
-            service.forecast(np.array([], dtype=int))
-
-    def test_empty_request_does_not_flush_pending(self):
-        """Validation happens before intake: no predict, no premature flush."""
         model = _CountingForecaster()
         service = ForecastService(model)
-        handle = service.submit(5)
         with pytest.raises(ValueError):
             service.forecast(np.array([], dtype=int))
-        assert model.calls == []  # the pending window was not flushed
-        assert not handle.ready
-        assert handle.result()[0, 0] == pytest.approx(5000.0)
+        assert model.calls == [] and service.requests == 0
 
-    def test_handle_result_survives_adversarial_eviction(self):
-        """result() never returns None, even if every put is evicted."""
+    def test_hits_survive_evictions_by_their_own_call(self):
+        """A hit is read once and kept: the call's own cache writes can
+        evict it without forcing a recompute."""
+        model = _CountingForecaster()
+        service = ForecastService(model, cache_size=4)
+        service.forecast(np.arange(4))
+        model.calls.clear()
+        starts = np.array([0, 1, 2, 3, 10, 11, 12, 13])
+        out = service.forecast(starts)
+        assert [c.tolist() for c in model.calls] == [[10, 11, 12, 13]]
+        assert out.tobytes() == model.predict(starts).tobytes()
+
+    def test_forecast_survives_adversarial_eviction(self):
+        """Correct rows even if every put is evicted at once."""
         from repro.engine import LRUCache
 
         class _NeverStores(LRUCache):
@@ -181,32 +168,10 @@ class TestCoalescingAndCaching:
 
         model = _CountingForecaster()
         service = ForecastService(model, cache=_NeverStores(maxsize=4))
-        handle = service.submit(6)
-        value = handle.result()
-        assert value is not None
-        assert value[0, 0] == pytest.approx(6000.0)
-
-    def test_eviction_recompute_recorded_in_telemetry(self):
-        """The eviction fallback is a real miss and must be counted, not
-        silently recomputed — hit-rate stats stay truthful under a
-        shared bounded store."""
-        from repro.engine import LRUCache
-
-        class _NeverStores(LRUCache):
-            def put(self, key, value):
-                pass
-
-        model = _CountingForecaster()
-        service = ForecastService(model, cache=_NeverStores(maxsize=4))
-        service.submit(6).result()
-        assert service.eviction_recomputes == 1
-        assert service.stats["eviction_recomputes"] == 1
-
-        # The healthy path never touches the counter.
-        healthy = ForecastService(_CountingForecaster())
-        healthy.forecast(np.array([1, 2, 1]))
-        assert healthy.eviction_recomputes == 0
-        assert healthy.stats["eviction_recomputes"] == 0
+        starts = np.array([6, 2, 6])
+        out = service.forecast(starts)
+        assert [c.tolist() for c in model.calls] == [[2, 6]]
+        assert out.tobytes() == model.predict(starts).tobytes()
 
     def test_shared_cache_between_services(self):
         """Two services over one (thread-safe) cache share computed windows."""
@@ -238,6 +203,40 @@ class TestCoalescingAndCaching:
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
             ForecastService(_CountingForecaster(), max_batch_size=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    starts=st.lists(st.integers(0, 15), min_size=1, max_size=24),
+    warm_len=st.integers(0, 24),
+    cache_size=st.integers(1, 8),
+    max_batch_size=st.integers(1, 8),
+    stateless=st.booleans(),
+)
+def test_forecast_properties(starts, warm_len, cache_size, max_batch_size, stateless):
+    """forecast() computes exactly the sorted unique misses, each once,
+    in chunks of at most the batch bound, and serves the model's rows
+    in request order — whatever the cache evicts along the way."""
+    model = _CountingForecaster()
+    service = ForecastService(
+        model, cache_size=cache_size, max_batch_size=max_batch_size,
+        stateless_predict=stateless,
+    )
+    if warm_len:
+        service.forecast(starts[:warm_len])
+    cached = {s for s in set(starts) if s in service._results}
+    model.calls.clear()
+    requests = service.requests
+
+    out = service.forecast(starts)
+
+    batches = [c.tolist() for c in model.calls]
+    computed = [s for batch in batches for s in batch]
+    assert computed == sorted(set(starts) - cached)  # each miss once, sorted
+    chunk = max_batch_size if stateless else 1
+    assert all(1 <= len(batch) <= chunk for batch in batches)
+    assert service.requests - requests == len(starts)
+    assert out.tobytes() == _CountingForecaster().predict(np.array(starts)).tobytes()
 
 
 class TestEvaluatorIntegration:

@@ -322,6 +322,15 @@ class TestServerLifecycle:
             rebound = ForecastHTTPServer(runtime, port=port)
             rebound.shutdown()
 
+    def test_shutdown_does_not_wait_out_a_poll(self):
+        with ServingRuntime(deadline_ms=1.0) as runtime:
+            runtime.register("toy/a", _Affine())
+            server = ForecastHTTPServer(runtime).start()
+            time.sleep(0.05)  # let the serve loop enter its poll
+            began = time.monotonic()
+            server.shutdown()
+            assert time.monotonic() - began < 0.2
+
     def test_double_start_rejected(self):
         with ServingRuntime(deadline_ms=1.0) as runtime:
             runtime.register("toy/a", _Affine())
