@@ -5,8 +5,8 @@ Two claims, both bit-exact by construction (content-addressed caches):
 * the per-pair DTW memo makes epoch-style ``A_dtw^train`` rebuilds —
   where each fresh mask leaves most profile pairs untouched — much
   cheaper than recomputing every pair every epoch;
-* the ForecastService serves repeat window traffic from its LRU instead
-  of re-running the model.
+* the ForecastService serves repeat window traffic from its result
+  cache instead of re-running the model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from repro.core import STSMConfig, STSMForecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
-from repro.engine import PairwiseDTWCache
+from repro.engine import ArtifactStore, PairwiseDTWCache
 from repro.evaluation import forecast_window_starts
 from repro.serving import ForecastService
 from repro.temporal import build_dtw_adjacency
@@ -54,10 +54,8 @@ def test_dtw_cache_speeds_up_repeated_rebuilds(benchmark):
     _epoch_style_rebuilds(values, steps_per_day, masks)
     uncached_seconds = time.perf_counter() - began
 
-    cache = PairwiseDTWCache()
-
     def cached_run():
-        cache.clear()
+        cache = PairwiseDTWCache(ArtifactStore())  # cold memo every run
         _epoch_style_rebuilds(values, steps_per_day, masks, cache.distance_matrix)
         return cache.stats
 

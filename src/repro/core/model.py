@@ -20,9 +20,10 @@ module only contributes the STSM-specific epoch body (mask redraw,
 pseudo-observation fill, ``A_dtw^train`` rebuild, prediction +
 contrastive loss) as a :class:`repro.engine.TrainingProgram`.  Two
 engine caches make the per-epoch rebuild cheap without changing any
-numbers: a mask-keyed LRU over (pseudo-fill, normalised adjacency)
-pairs, and a per-pair DTW memo so profiles untouched by the fresh mask
-never re-run the dynamic program.
+numbers: a mask-keyed memo of the normalised adjacency, and a per-pair
+DTW memo so profiles untouched by the fresh mask never re-run the
+dynamic program.  Both are views over one artifact store — the shared
+one when opted in, else a private per-fit store.
 
 Testing (§3.5): pseudo-observations fill the unobserved columns of the
 full graph, ``A_dtw`` is rebuilt with observed→unobserved one-way edges,
@@ -42,8 +43,8 @@ from ..data.scalers import StandardScaler
 from ..data.splits import SpaceSplit
 from ..data.windows import WindowSpec, iterate_batches
 from ..engine import (
+    ArtifactStore,
     EarlyStopping,
-    LRUCache,
     PairwiseDTWCache,
     Trainer,
     TrainingProgram,
@@ -64,6 +65,15 @@ from .network import STSMNetwork
 from .pseudo import fill_pseudo_observations
 
 __all__ = ["STSMForecaster", "compute_distance_matrices"]
+
+#: Memory-tier capacities of the private store an isolated fit (no
+#: shared store) keeps its DTW pairs and masked adjacencies in.
+PRIVATE_STORE_MAXSIZE = {"dtw_pair": 65536, "mask_fill": 64}
+
+
+def _cache_store(shared: ArtifactStore | None) -> ArtifactStore:
+    """The store a fit's caches view: ``shared``, else a private one."""
+    return shared if shared is not None else ArtifactStore(maxsize=PRIVATE_STORE_MAXSIZE)
 
 
 def compute_distance_matrices(
@@ -334,32 +344,29 @@ class STSMForecaster(Forecaster):
         self.network = STSMNetwork(cfg, horizon=spec.horizon, input_length=spec.input_length)
 
         # --- engine caches (per-fit by default, shared store on opt-in) --------
-        # The store makes every DTW pair and masked adjacency computed
-        # here visible to later fits (and, with a disk tier, later
-        # processes); hits are bit-exact, so numbers never change.
-        store = active_store(cfg.cache_store)
-        self._store = store
-        self._dtw_cache = PairwiseDTWCache(store=store)
-        if store is not None:
-            # The masked adjacency is pure in (observations, distances,
-            # training period, fill/graph hyper-parameters, mask); the
-            # per-epoch lookup keys only the mask, so everything else is
-            # folded into the view's scope to stay content-addressed
-            # across fits.
-            mask_scope = array_key(
-                "mask_fill/v1",
-                scaled_full[:, observed],
-                dist_pseudo[obs_ix],
-                train_steps,
-                dataset.steps_per_day,
-                cfg.pseudo_k,
-                cfg.q_kk,
-                cfg.q_ku,
-                cfg.dtw_resolution,
-            )
-            self._mask_cache = store.view("mask_fill", scope=mask_scope)
-        else:
-            self._mask_cache = LRUCache(maxsize=64)
+        # A shared store makes every DTW pair and masked adjacency
+        # computed here visible to later fits (and, with a disk tier,
+        # later processes); hits are bit-exact, so numbers never change.
+        shared = active_store(cfg.cache_store)
+        store = _cache_store(shared)
+        self._dtw_cache = PairwiseDTWCache(store)
+        # The masked adjacency is pure in (observations, distances,
+        # training period, fill/graph hyper-parameters, mask); the
+        # per-epoch lookup keys only the mask, so everything else is
+        # folded into the view's scope to stay content-addressed across
+        # fits.
+        mask_scope = array_key(
+            "mask_fill/v1",
+            scaled_full[:, observed],
+            dist_pseudo[obs_ix],
+            train_steps,
+            dataset.steps_per_day,
+            cfg.pseudo_k,
+            cfg.q_kk,
+            cfg.q_ku,
+            cfg.dtw_resolution,
+        )
+        self._mask_cache = store.view("mask_fill", scope=mask_scope)
 
         # --- static adjacency for the original (complete) view -----------------
         a_s_train_t = Tensor(gcn_normalise(a_s_train))
@@ -440,7 +447,7 @@ class STSMForecaster(Forecaster):
             rng=rng,
             early_stopping=early_stopping,
             schedulers=[scheduler] if scheduler is not None else None,
-            store=store,
+            store=shared,
         )
         self.warm_started = False
         if warm_start_dir is not None:
@@ -452,8 +459,8 @@ class STSMForecaster(Forecaster):
 
         self._fitted = True
         self._prepare_test_graph()
-        if store is not None:
-            store.persist()  # test-graph pairs computed after the trainer's flush
+        if shared is not None:
+            shared.persist()  # test-graph pairs computed after the trainer's flush
         return FitReport(
             train_seconds=time.perf_counter() - started,
             epochs=history.epochs,
@@ -568,9 +575,9 @@ class STSMForecaster(Forecaster):
         )
         self._filled_full = filled
         if getattr(self, "_dtw_cache", None) is None:
-            # Checkpoint-restore path (no fit): a store-backed cache lets
-            # a warmed disk tier skip the test-graph dynamic programs.
-            self._dtw_cache = PairwiseDTWCache(store=active_store(cfg.cache_store))
+            # Checkpoint-restore path (no fit): a shared store lets a
+            # warmed disk tier skip the test-graph dynamic programs.
+            self._dtw_cache = PairwiseDTWCache(_cache_store(active_store(cfg.cache_store)))
         a_dtw_test = build_dtw_adjacency(
             filled,
             observed_index=observed,

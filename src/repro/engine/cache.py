@@ -8,14 +8,14 @@ across epochs most *pairs* of series do not change at all — only the
 masked columns do.  This module provides content-addressed caches that
 exploit exactly that:
 
-* :class:`LRUCache` — bounded generic memo store (also backs the serving
-  layer's per-window forecast cache);
+* :class:`LRUCache` — bounded memo store, the per-namespace memory tier
+  of :class:`~repro.engine.store.ArtifactStore`;
 * :func:`array_key` — stable content hash of numpy arrays / scalars,
   used to key cache entries by mask identity;
 * :class:`PairwiseDTWCache` — a drop-in for
   :func:`repro.temporal.dtw.dtw_distance_matrix` that memoises *per
-  series pair*, so an epoch whose mask leaves a pair of daily profiles
-  untouched never re-runs that pair's dynamic program.
+  series pair* in a store view, so an epoch whose mask leaves a pair of
+  daily profiles untouched never re-runs that pair's dynamic program.
 
 Everything cached here is bit-exact: cache hits return the same floats
 the uncached computation would have produced, so fixed-seed training
@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
@@ -62,11 +62,11 @@ class LRUCache:
     """Bounded least-recently-used memo store with hit/miss counters.
 
     Thread-safe: every operation takes an internal lock, so the serving
-    scheduler's worker thread and direct callers can share one cache
-    (get/put/``get_or_compute`` are individually atomic).  The lock is
-    uncontended in single-threaded use, so the overhead per operation is
-    a fraction of a microsecond — negligible next to the DTW dynamic
-    programs and model ``predict`` calls being memoised.
+    scheduler's worker thread and direct callers can share one store
+    (get/put are individually atomic).  The lock is uncontended in
+    single-threaded use, so the overhead per operation is a fraction of
+    a microsecond — negligible next to the DTW dynamic programs and
+    model ``predict`` calls being memoised.
     """
 
     def __init__(self, maxsize: int = 128) -> None:
@@ -102,26 +102,6 @@ class LRUCache:
             while len(self._store) > self.maxsize:
                 self._store.popitem(last=False)
 
-    def get_or_compute(self, key: Hashable, compute: Callable[[], object]):
-        """Return the cached value for ``key``, computing it on a miss.
-
-        ``compute`` runs outside the lock (it may be arbitrarily slow);
-        two threads racing on the same missing key may both compute, but
-        the store stays consistent — the first writer wins and the loser
-        adopts the stored value, so every caller sees the same object.
-        For the bit-exact caches in this repository both computations
-        produce identical floats, so which one wins is unobservable.
-        """
-        value = self.get(key, _MISSING)
-        if value is _MISSING:
-            value = compute()
-            with self._lock:  # RLock: put() re-enters safely
-                if key in self._store:
-                    self._store.move_to_end(key)
-                    return self._store[key]
-                self.put(key, value)
-        return value
-
     def clear(self) -> None:
         with self._lock:
             self._store.clear()
@@ -152,25 +132,19 @@ class PairwiseDTWCache:
     to the uncached function because the same ``_dtw_batch`` kernel
     evaluates each missing pair, independently per row.
 
-    ``store`` swaps the private per-fit LRU for a view over a shared
-    :class:`~repro.engine.store.ArtifactStore` (namespace ``dtw_pair``):
-    pair keys hash profile content, so they are valid across fits and
+    Pairs live in the ``dtw_pair`` namespace of ``store`` (an
+    :class:`~repro.engine.store.ArtifactStore`): pair keys hash profile
+    content, so over a shared store they are valid across fits and
     across processes, and sweeps over seeds or hyper-parameters reuse
-    every unchanged pair.
+    every unchanged pair.  A private store isolates one fit.
     """
 
-    def __init__(self, maxsize: int = 65536, store=None) -> None:
-        if store is not None:
-            self._cache = store.view("dtw_pair")
-        else:
-            self._cache = LRUCache(maxsize)
+    def __init__(self, store) -> None:
+        self._cache = store.view("dtw_pair")
 
     @property
     def stats(self) -> dict:
         return self._cache.stats
-
-    def clear(self) -> None:
-        self._cache.clear()
 
     def distance_matrix(
         self,

@@ -189,6 +189,8 @@ class ArtifactStore:
         compact_ratio: float = 0.5,
     ) -> None:
         if isinstance(maxsize, int):
+            if maxsize < 1:
+                raise ValueError(f"maxsize must be >= 1, got {maxsize}")
             self._maxsize: dict = {}
             self._fallback_maxsize = maxsize
         else:
@@ -961,12 +963,12 @@ class ArtifactStore:
 
 
 class StoreView:
-    """LRUCache-shaped adapter over one store namespace.
+    """Cache-shaped handle over one store namespace.
 
-    Drop-in for the places that previously owned a private
-    :class:`~repro.engine.cache.LRUCache` — the per-pair DTW cache, the
-    mask-adjacency cache, the serving result cache — so they can draw
-    from the shared store without changing their call sites.
+    Every memo in the repository is one of these — the per-pair DTW
+    cache, the mask-adjacency cache, the serving result cache.  Owners
+    without a shared store view a private memory-only store of their
+    own, so one code path serves both per-fit isolation and sharing.
 
     ``scope`` is mixed into every key: two views with different scopes
     (e.g. two served models caching ``forecast_window`` blocks by the
@@ -985,10 +987,6 @@ class StoreView:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        # Distinct keys this view has stored or retrieved (for __len__,
-        # e.g. warm-up counting); keys are 16-byte digests, so even a
-        # long-lived view's set stays small.
-        self._keys: set[bytes] = set()
 
     def _map(self, key) -> bytes:
         if isinstance(key, bytes) and not self._scope:
@@ -997,10 +995,6 @@ class StoreView:
 
     def __contains__(self, key) -> bool:
         return self._store.contains(self.namespace, self._map(key))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._keys)
 
     def get(self, key, default=None):
         # Ambient-trace instrumentation: a traced request (the scheduler
@@ -1021,7 +1015,6 @@ class StoreView:
                 self.misses += 1
                 return default
             self.hits += 1
-            self._keys.add(mapped)
         return value
 
     def put(self, key, value) -> None:
@@ -1034,8 +1027,6 @@ class StoreView:
                 "store.put", ctx, began, time.monotonic(),
                 namespace=self.namespace,
             )
-        with self._lock:
-            self._keys.add(mapped)
 
     def get_or_compute(self, key, compute):
         mapped = self._map(key)
@@ -1054,7 +1045,6 @@ class StoreView:
                 self.misses += 1
             else:
                 self.hits += 1
-            self._keys.add(mapped)
         return value
 
     def clear(self) -> None:
@@ -1069,7 +1059,6 @@ class StoreView:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "size": len(self._keys),
                 "namespace": self.namespace,
                 "store": store_stats,
             }

@@ -102,17 +102,9 @@ def evaluate_forecaster(
     extra: dict = {}
     began = time.perf_counter()
     if use_service:
-        from ..engine import default_store_scope  # local import: avoid cycle
         from ..serving import ForecastService
 
-        service_kwargs: dict = {}
-        if store is not None:
-            scope = default_store_scope(forecaster)  # hash weights once
-            if scope is not None:
-                service_kwargs = {"store": store, "store_scope": scope}
-        service = ForecastService(
-            forecaster, cache_size=max(len(starts), 1), **service_kwargs
-        )
+        service = ForecastService(forecaster, cache_size=max(len(starts), 1), store=store)
         predictions = service.forecast(starts)
         extra["service"] = service.stats
     else:

@@ -257,15 +257,17 @@ class ServingRuntime:
 
         Runs the windows through the model's own scheduler (same
         batching, same sorted batches), so warmed entries are bitwise
-        the entries live traffic would have produced.  Returns the
-        number of windows now cached.
+        the entries live traffic would have produced.  Returns how many
+        of the distinct warmed windows are still cached afterwards (a
+        cache smaller than the warm set evicts the earliest).
         """
         window_starts = np.asarray(window_starts, dtype=int).ravel()
         if window_starts.size:
             handles = [self.submit(key, int(s)) for s in window_starts]
             for handle in handles:
                 handle.result()
-        return len(self.scheduler(key).service._results)
+        results = self.scheduler(key).service._results
+        return sum(int(s) in results for s in np.unique(window_starts))
 
     # ------------------------------------------------------------------
     # Lifecycle

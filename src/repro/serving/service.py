@@ -9,8 +9,9 @@ repeated traffic for popular windows recomputes identical answers.  The
 * **Coalescing** — one :meth:`ForecastService.forecast` call
   deduplicates its window starts, drops the ones already cached, and
   issues the rest to the model as large batched ``predict`` calls.
-* **Caching** — every window's ``(horizon, N_u)`` block is stored in a
-  bounded LRU keyed by its start index, so repeated requests are served
+* **Caching** — every window's ``(horizon, N_u)`` block is stored in
+  an artifact-store view keyed by its start index (a private bounded
+  store unless a shared one is given), so repeated requests are served
   from memory.
 
 Correctness contract: the service adds zero numerical drift.  A
@@ -35,7 +36,7 @@ from collections import deque
 
 import numpy as np
 
-from ..engine import LRUCache
+from ..engine import ArtifactStore, default_store_scope
 from ..interfaces import Forecaster
 from ..obs.trace import span
 from .errors import InvalidRequest
@@ -63,7 +64,8 @@ class ForecastService:
     forecaster:
         A *fitted* forecaster (``predict`` must be callable).
     cache_size:
-        Capacity of the per-window LRU result cache.
+        Capacity of the private per-window result store (used unless a
+        shared ``store`` with a content scope is given).
     max_batch_size:
         Upper bound on the number of windows per ``predict`` call; large
         requests are chunked to keep peak memory flat.
@@ -75,24 +77,19 @@ class ForecastService:
         reseed couples outputs to batch position); when False the service
         still caches but issues one single-window ``predict`` per miss so
         cached results always equal the per-window ground truth.
-    cache:
-        Optionally share an existing :class:`~repro.engine.LRUCache`
-        (e.g. between a scheduler-fronted service and a direct one over
-        the same model).  The engine cache is thread-safe, so sharing
-        across threads is sound; when given, ``cache_size`` is ignored.
     store:
         Optionally draw the result cache from a shared
         :class:`~repro.engine.ArtifactStore` (namespace
-        ``forecast_window``) instead of a private LRU: blocks computed
-        by other services over the same model content — earlier
-        processes, warmed checkpoint bundles — are then served without
-        recomputation.  Mutually exclusive with ``cache``.
+        ``forecast_window``): blocks computed by other services over
+        the same model content — earlier processes, warmed checkpoint
+        bundles — are then served without recomputation.  The store is
+        thread-safe, so services on different threads may share it.
     store_scope:
         Content scope separating this model's windows from every other
         model's in the shared store.  Defaults to
         :func:`~repro.engine.default_store_scope` (a hash of weights,
-        config, dataset and split); required explicitly when that
-        returns ``None``.
+        config, dataset and split); when that returns ``None`` the
+        service falls back to a private store.
     log_batches:
         Record the window-start batch of every issued ``predict`` call
         in :attr:`batch_log` (a bounded deque keeping the most recent
@@ -109,7 +106,6 @@ class ForecastService:
         cache_size: int = 256,
         max_batch_size: int = 64,
         stateless_predict: bool | None = None,
-        cache: LRUCache | None = None,
         log_batches: bool = False,
         store=None,
         store_scope: bytes | None = None,
@@ -124,21 +120,13 @@ class ForecastService:
         if stateless_predict is None:
             stateless_predict = getattr(forecaster, "stateless_predict", True)
         self.stateless_predict = stateless_predict
-        if store is not None:
-            if cache is not None:
-                raise ValueError("pass either cache= or store=, not both")
+        if store is not None and store_scope is None:
+            store_scope = default_store_scope(forecaster)
             if store_scope is None:
-                from ..engine import default_store_scope  # local: avoid cycle
-
-                store_scope = default_store_scope(forecaster)
-            if store_scope is None:
-                raise ValueError(
-                    "store= needs a content scope; this forecaster has no "
-                    "snapshotable network, pass store_scope= explicitly"
-                )
-            self._results = store.view("forecast_window", scope=store_scope)
-        else:
-            self._results = cache if cache is not None else LRUCache(maxsize=cache_size)
+                store = None  # no content scope: sharing could collide
+        if store is None:
+            store = ArtifactStore(maxsize=cache_size)
+        self._results = store.view("forecast_window", scope=store_scope or b"")
         #: Window-start composition of recent predict calls, when
         #: ``log_batches`` is on (parity replay for the load benchmark).
         self.batch_log: deque[np.ndarray] | None = None
@@ -211,14 +199,14 @@ class ForecastService:
     def cached_block(self, start: int) -> np.ndarray | None:
         """Cache-only lookup: the stored block, or ``None`` on a miss.
 
-        Deliberately takes no service lock (the engine cache is itself
+        Deliberately takes no service lock (the store is itself
         thread-safe): the scheduler's cache-hit fast path must not
         serialise behind an in-flight forecast's ``predict`` call — hits
         matter most exactly while the worker is busy computing.  The
         service-level request counters don't move (the caller accounts
-        for the hit in its own telemetry); the LRU's internal hit/miss
-        counters do, so with a fast path in front each cold request
-        shows up there as one extra probe miss.
+        for the hit in its own telemetry); the view's hit/miss counters
+        do, so with a fast path in front each cold request shows up
+        there as one extra probe miss.
         """
         value = self._results.get(int(start), _MISSING)
         return None if value is _MISSING else value

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ...engine import ArtifactStore, default_store_scope
+from ...engine import ArtifactStore
 from ..runtime import ServingRuntime
 from ..service import ForecastService
 from .http_server import DEFAULT_MAX_BODY_BYTES, ForecastHTTPServer
@@ -307,21 +307,17 @@ def _build_runtime(config: ServeConfig) -> tuple[ServingRuntime, dict[str, list[
         runtime.attach_store(store)
     warmups = {}
     for key, (forecaster, warmup_starts) in bundle.items():
-        scope = default_store_scope(forecaster) if store is not None else None
-        if store is not None and scope is not None:
-            service = ForecastService(
-                forecaster,
-                max_batch_size=config.max_batch,
-                log_batches=config.log_batches,
-                store=store,
-                store_scope=scope,
-            )
-            runtime.register(key, service)
-        else:
-            # No derivable content scope (no snapshotable network):
-            # serve cold with a private cache rather than refusing to
-            # boot — a bundle must stay servable in every case.
-            runtime.register(key, forecaster)
+        # Without a bundle store, or for a model with no derivable
+        # content scope, the service serves from a private cache — a
+        # bundle must stay servable in every case.
+        service = ForecastService(
+            forecaster,
+            cache_size=config.cache_size,
+            max_batch_size=config.max_batch,
+            log_batches=config.log_batches,
+            store=store,
+        )
+        runtime.register(key, service)
         warmups[key] = warmup_starts
     return runtime, warmups
 

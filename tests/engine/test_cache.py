@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import LRUCache, PairwiseDTWCache, array_key
+from repro.engine import ArtifactStore, LRUCache, PairwiseDTWCache, array_key
 from repro.temporal.dtw import dtw_distance_matrix
 
 
@@ -47,14 +49,6 @@ class TestLRUCache:
         cache.put("c", 3)
         assert "b" not in cache
         assert "a" in cache and "c" in cache
-
-    def test_get_or_compute(self):
-        cache = LRUCache(maxsize=2)
-        calls = []
-        for _ in range(3):
-            value = cache.get_or_compute("k", lambda: calls.append(1) or 7)
-        assert value == 7
-        assert len(calls) == 1
 
     def test_maxsize_validated(self):
         with pytest.raises(ValueError):
@@ -99,35 +93,10 @@ class TestLRUCacheThreadSafety:
         stats = cache.stats
         assert stats["hits"] + stats["misses"] == 8 * 800
 
-    def test_concurrent_get_or_compute_single_winner(self):
-        """Racing misses on one key all observe the same stored value."""
-        import threading
-
-        cache = LRUCache(maxsize=4)
-        barrier = threading.Barrier(6)
-        outcomes = []
-        lock = threading.Lock()
-
-        def worker(tid: int) -> None:
-            barrier.wait()
-            value = cache.get_or_compute("k", lambda: ("value-of", tid))
-            with lock:
-                outcomes.append(value)
-
-        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(outcomes) == 6
-        # One winner: every thread adopted the first value stored.
-        assert len(set(outcomes)) == 1
-        assert cache.get("k") == outcomes[0]
-
     def test_single_thread_semantics_unchanged(self):
         cache = LRUCache(maxsize=2)
-        assert cache.get_or_compute("a", lambda: 1) == 1
-        assert cache.get_or_compute("a", lambda: 2) == 1  # cached
+        cache.put("a", 1)
+        assert cache.get("a") == 1
         cache.put("b", 2)
         cache.put("c", 3)  # evicts "a" (LRU)
         assert "a" not in cache
@@ -140,7 +109,7 @@ class TestPairwiseDTWCache:
 
     def test_self_matrix_matches_uncached(self):
         profiles = self._profiles()
-        cache = PairwiseDTWCache()
+        cache = PairwiseDTWCache(ArtifactStore())
         assert np.array_equal(
             cache.distance_matrix(profiles), dtw_distance_matrix(profiles)
         )
@@ -148,14 +117,14 @@ class TestPairwiseDTWCache:
     def test_cross_matrix_matches_uncached(self):
         obs = self._profiles(5, 16, seed=1)
         tgt = self._profiles(3, 16, seed=2)
-        cache = PairwiseDTWCache()
+        cache = PairwiseDTWCache(ArtifactStore())
         assert np.array_equal(
             cache.distance_matrix(obs, tgt), dtw_distance_matrix(obs, tgt)
         )
 
     def test_band_matches_uncached(self):
         profiles = self._profiles()
-        cache = PairwiseDTWCache()
+        cache = PairwiseDTWCache(ArtifactStore())
         assert np.array_equal(
             cache.distance_matrix(profiles, band=4),
             dtw_distance_matrix(profiles, band=4),
@@ -163,7 +132,7 @@ class TestPairwiseDTWCache:
 
     def test_band_is_part_of_the_key(self):
         profiles = self._profiles()
-        cache = PairwiseDTWCache()
+        cache = PairwiseDTWCache(ArtifactStore())
         wide = cache.distance_matrix(profiles)
         narrow = cache.distance_matrix(profiles, band=2)
         assert np.array_equal(wide, dtw_distance_matrix(profiles))
@@ -171,7 +140,7 @@ class TestPairwiseDTWCache:
 
     def test_unchanged_pairs_hit_cache(self):
         profiles = self._profiles(n=8)
-        cache = PairwiseDTWCache()
+        cache = PairwiseDTWCache(ArtifactStore())
         cache.distance_matrix(profiles)
         assert cache.stats["hits"] == 0
         # Perturb two rows: only pairs touching them should recompute.
@@ -189,12 +158,38 @@ class TestPairwiseDTWCache:
         # Cross distances reuse entries regardless of argument order.
         obs = self._profiles(4, 16, seed=3)
         tgt = self._profiles(2, 16, seed=4)
-        cache = PairwiseDTWCache()
+        cache = PairwiseDTWCache(ArtifactStore())
         first = cache.distance_matrix(obs, tgt)
         flipped = cache.distance_matrix(tgt, obs)
         assert np.array_equal(first, flipped.T)
         assert cache.stats["hits"] == first.size
 
     def test_single_series_is_zero(self):
-        cache = PairwiseDTWCache()
+        cache = PairwiseDTWCache(ArtifactStore())
         assert np.array_equal(cache.distance_matrix(np.ones((1, 8))), np.zeros((1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    n=st.integers(1, 6),
+    m=st.one_of(st.none(), st.integers(1, 4)),
+    length=st.integers(2, 10),
+    band=st.one_of(st.none(), st.integers(0, 4)),
+    seed=st.integers(0, 2**16),
+    repeats=st.integers(1, 3),
+)
+def test_memo_under_eviction_matches_uncached(capacity, n, m, length, band, seed, repeats):
+    """A DTW memo smaller than one call's pair count evicts entries
+    mid-call, yet every result stays bitwise the uncached matrix."""
+    rng = np.random.default_rng(seed)
+    # Rounded values make duplicate rows (shared pair keys) likely.
+    series = np.round(rng.normal(size=(n, length)), 1)
+    others = None if m is None else np.round(rng.normal(size=(m, length)), 1)
+    if others is not None and rng.random() < 0.5:
+        others[0] = series[0]  # one profile on both sides of the cross matrix
+    cache = PairwiseDTWCache(ArtifactStore(maxsize={"dtw_pair": capacity}))
+    expected = dtw_distance_matrix(series, others, band=band)
+    for _ in range(repeats):
+        out = cache.distance_matrix(series, others, band=band)
+        assert out.tobytes() == expected.tobytes()

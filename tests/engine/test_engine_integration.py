@@ -13,6 +13,7 @@ import pytest
 from repro.core import STSMConfig, STSMForecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
+from repro.engine import StoreConfig, open_store, reset_store
 from repro.evaluation import forecast_window_starts
 
 _FAST = dict(
@@ -62,6 +63,17 @@ class TestBitDeterminism:
         # Every epoch resolves its masked view through the caches.
         mask_stats = model._mask_cache.stats
         assert mask_stats["hits"] + mask_stats["misses"] == _FAST["epochs"]
+        assert model._dtw_cache.stats["misses"] > 0
+
+    def test_cache_store_false_isolates_from_open_store(self, setting):
+        shared = open_store(StoreConfig())
+        try:
+            model, _report = _fit(setting, cache_store=False)
+        finally:
+            reset_store()
+        assert model._mask_cache._store is not shared
+        assert model._dtw_cache._cache._store is not shared
+        assert shared.stats["namespaces"] == {}  # nothing leaked into it
         assert model._dtw_cache.stats["misses"] > 0
 
     def test_lr_schedule_changes_training(self, setting):

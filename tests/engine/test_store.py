@@ -51,6 +51,8 @@ class TestMemoryTier:
         assert store.get("dtw_pair", keys[2]) == 2.0
         totals = store.stats["totals"]
         assert totals["memory_items"] == 2
+        with pytest.raises(ValueError, match="maxsize"):
+            ArtifactStore(maxsize=0)  # rejected at construction, not first put
 
     def test_per_namespace_maxsize(self):
         store = ArtifactStore(maxsize={"mask_fill": 1})
@@ -213,14 +215,13 @@ class TestStoreView:
         view.put(_key("p"), 2.0)
         assert store.get("dtw_pair", _key("p")) == 2.0
 
-    def test_counters_and_len(self):
+    def test_counters(self):
         store = ArtifactStore()
         view = store.view("forecast_window", scope=b"m")
         assert view.get(1) is None
         view.put(1, np.ones(1))
         assert view.get(1) is not None
         assert view.stats["hits"] == 1 and view.stats["misses"] == 1
-        assert len(view) == 1
 
     def test_clear_resets_counters_not_store(self):
         store = ArtifactStore()

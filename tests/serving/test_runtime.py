@@ -120,6 +120,13 @@ class TestLifecycle:
             stats = runtime.stats("bay")
             assert stats["service"]["cache_hits"] >= 6
 
+    def test_warm_up_counts_only_windows_still_cached(self):
+        # Warming more windows than the cache holds evicts the earliest;
+        # the count reports what is cached, not what was ever touched.
+        with ServingRuntime(deadline_ms=1.0, cache_size=4) as runtime:
+            runtime.register("bay", _KeyedForecaster(10.0))
+            assert runtime.warm_up("bay", np.arange(8)) == 4
+
     def test_drain_all_models(self):
         with ServingRuntime(deadline_ms=5.0) as runtime:
             runtime.register("a", _KeyedForecaster(1.0))

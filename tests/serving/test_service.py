@@ -160,28 +160,29 @@ class TestCoalescingAndCaching:
 
     def test_forecast_survives_adversarial_eviction(self):
         """Correct rows even if every put is evicted at once."""
-        from repro.engine import LRUCache
+        from repro.engine import ArtifactStore
 
-        class _NeverStores(LRUCache):
-            def put(self, key, value):
-                pass  # adversarial cache: evicts everything instantly
+        class _NeverStores(ArtifactStore):
+            def put(self, namespace, key, value):
+                pass  # adversarial store: evicts everything instantly
 
         model = _CountingForecaster()
-        service = ForecastService(model, cache=_NeverStores(maxsize=4))
+        service = ForecastService(model, store=_NeverStores(), store_scope=b"m")
         starts = np.array([6, 2, 6])
         out = service.forecast(starts)
         assert [c.tolist() for c in model.calls] == [[2, 6]]
         assert out.tobytes() == model.predict(starts).tobytes()
 
     def test_shared_cache_between_services(self):
-        """Two services over one (thread-safe) cache share computed windows."""
-        from repro.engine import LRUCache
+        """Two services over one (thread-safe) store and one scope share
+        computed windows."""
+        from repro.engine import ArtifactStore
 
-        cache = LRUCache(maxsize=32)
+        store = ArtifactStore()
         model_a = _CountingForecaster()
         model_b = _CountingForecaster()
-        service_a = ForecastService(model_a, cache=cache)
-        service_b = ForecastService(model_b, cache=cache)
+        service_a = ForecastService(model_a, store=store, store_scope=b"shared")
+        service_b = ForecastService(model_b, store=store, store_scope=b"shared")
         first = service_a.forecast(np.array([1, 2]))
         second = service_b.forecast(np.array([2, 1]))
         assert np.array_equal(first[::-1], second)
@@ -281,21 +282,19 @@ class TestStoreBackedService:
         service_b.forecast(np.array([1]))
         assert model_a.calls and model_b.calls  # no cross-scope hit
 
-    def test_store_and_cache_mutually_exclusive(self):
-        from repro.engine import ArtifactStore, LRUCache
-
-        with pytest.raises(ValueError, match="not both"):
-            ForecastService(
-                _CountingForecaster(),
-                cache=LRUCache(maxsize=4),
-                store=ArtifactStore(),
-            )
-
-    def test_store_without_derivable_scope_rejected(self):
+    def test_store_without_derivable_scope_falls_back_to_private_store(self):
+        """No content scope: the service caches privately, never in the
+        shared store, where unscoped window keys could collide."""
         from repro.engine import ArtifactStore
 
-        with pytest.raises(ValueError, match="scope"):
-            ForecastService(_CountingForecaster(), store=ArtifactStore())
+        store = ArtifactStore()
+        model = _CountingForecaster()
+        service = ForecastService(model, cache_size=4, store=store)
+        service.forecast(np.array([1, 2]))
+        service.forecast(np.array([2, 1]))
+        assert [c.tolist() for c in model.calls] == [[1, 2]]
+        assert service.cache_hits == 2
+        assert "forecast_window" not in store.stats["namespaces"]
 
     def test_evaluator_store_path_matches_direct_metrics(self, fitted_stsm, setting):
         """run_matrix-style serving through the store changes no metric."""

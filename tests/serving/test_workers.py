@@ -251,9 +251,11 @@ class TestBundleCache:
     def test_scopeless_model_in_cached_bundle_boots_cold(self, fitted, warm_bundle_dir, monkeypatch):
         """A bundle model with no derivable content scope must still
         serve (cold, private cache) instead of crashing worker boot."""
+        import repro.serving.service as service_mod
         import repro.serving.transport.workers as workers_mod
 
-        monkeypatch.setattr(workers_mod, "default_store_scope", lambda f: None)
+        # The service owns the scope decision (and the private fallback).
+        monkeypatch.setattr(service_mod, "default_store_scope", lambda f: None)
         runtime, warmups = workers_mod._build_runtime(
             ServeConfig(checkpoint_dir=str(warm_bundle_dir))
         )
