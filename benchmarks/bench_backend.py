@@ -1,4 +1,4 @@
-"""Array-backend benchmark: ``numpy_fused`` (and ``torch``) vs ``numpy_ref``.
+"""Array-backend benchmark: ``numpy_ref`` (and ``torch``) timings.
 
 Measures the two hot paths the backend seam was built for:
 
@@ -8,10 +8,11 @@ Measures the two hot paths the backend seam was built for:
   covering the optimiser, the engine loop and the conv/graph kernels.
 
 When PyTorch is importable the ``torch`` backend is benchmarked on the
-same cases (forward+backward, batch-32, full fit) and reported as
-``speedup_torch``; the result JSON always carries a ``torch`` stanza
-recording whether torch was available on the producing machine, so the
-committed baseline is honest about what it measured.
+same cases (forward+backward, batch-32, full fit), interleaved with
+``numpy_ref``, and its ref/torch ratio per case is printed; the result
+JSON always carries a ``torch`` stanza recording whether torch was
+available on the producing machine, so the committed baseline is honest
+about what it measured.
 
 Run::
 
@@ -19,8 +20,8 @@ Run::
     PYTHONPATH=src python benchmarks/bench_backend.py --smoke    # CI smoke
 
 Writes ``BENCH_backend.json`` at the repository root (override with
-``--output``).  The committed copy records the speedup on the machine
-that produced it; the acceptance target is >= 1.3x on forward+backward.
+``--output``).  The committed copy records per-backend seconds on the
+machine that produced it; there is no speed gate.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ from repro.core.network import STSMNetwork  # noqa: E402
 from repro.data import WindowSpec, space_split, temporal_split  # noqa: E402
 from repro.data.synthetic import make_pems_bay  # noqa: E402
 from repro.nn import mse_loss  # noqa: E402
-
-BACKENDS = ("numpy_ref", "numpy_fused")
-
 
 def _torch_status() -> dict:
     """The result JSON's honesty stanza about the optional torch legs."""
@@ -143,10 +141,9 @@ def main(argv: list[str] | None = None) -> int:
         fwd_cases = {"forward_backward": dict(batch=4, steps=8, nodes=16, hidden=16, repeats=2)}
         fit_kwargs = dict(sensors=12, days=1, epochs=1, hidden=8)
     else:
-        # The headline case uses a batch-16 serving step (where the fused
-        # kernels dominate); the batch-32 training step is reported
-        # alongside it — larger batches shift more time into BLAS GEMMs,
-        # which both backends share.
+        # The headline case uses a batch-16 serving step; the batch-32
+        # training step is reported alongside it — larger batches shift
+        # more time into BLAS GEMMs.
         fwd_cases = {
             "forward_backward": dict(batch=16, steps=12, nodes=48, hidden=32, repeats=5),
             "forward_backward_b32": dict(batch=32, steps=12, nodes=48, hidden=32, repeats=5),
@@ -154,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         fit_kwargs = dict(sensors=48, days=3, epochs=3, hidden=32)
 
     torch_status = _torch_status()
-    backends = list(BACKENDS) + (["torch"] if torch_status["available"] else [])
+    backends = ["numpy_ref"] + (["torch"] if torch_status["available"] else [])
 
     results: dict = {
         "mode": "smoke" if args.smoke else "full",
@@ -189,25 +186,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"{backend:12s}  {rendered}")
 
-    ref = results["seconds"]["numpy_ref"]
-    fused = results["seconds"]["numpy_fused"]
-    results["speedup"] = {case: ref[case] / fused[case] for case in ref}
-    print("speedup       " + "   ".join(f"{case} {s:.2f}x" for case, s in results["speedup"].items()))
     if torch_status["available"]:
-        torch_seconds = results["seconds"]["torch"]
-        results["speedup_torch"] = {case: ref[case] / torch_seconds[case] for case in ref}
-        print("speedup_torch " + "   ".join(
-            f"{case} {s:.2f}x" for case, s in results["speedup_torch"].items()
+        ref, torch_seconds = results["seconds"]["numpy_ref"], results["seconds"]["torch"]
+        print("ref/torch     " + "   ".join(
+            f"{case} {ref[case] / torch_seconds[case]:.2f}x" for case in ref
         ))
 
     if args.output != "-":
         output = Path(args.output) if args.output else REPO_ROOT / "BENCH_backend.json"
         output.write_text(json.dumps(results, indent=2) + "\n")
         print(f"[wrote {output}]")
-
-    if not args.smoke and results["speedup"]["forward_backward"] < 1.3:
-        print("WARNING: forward+backward speedup below the 1.3x target", file=sys.stderr)
-        return 1
     return 0
 
 

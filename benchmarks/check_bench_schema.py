@@ -37,7 +37,6 @@ WILDCARD = "*"
 #: match.  Everything else stays strict.
 OPTIONAL_SIBLINGS: dict[tuple[str, str], str] = {
     ("$.seconds", "torch"): "numpy_ref",
-    ("$", "speedup_torch"): "speedup",
     ("$.torch", "device"): "detail",
     # bench_sweep --jobs-list N adds jobsN_* legs the committed baseline
     # (jobs 2 and 4) cannot enumerate; each must look like a jobs2 leg.

@@ -8,7 +8,7 @@ Both helpers take an optional ``backend`` (registry name or
 :class:`~repro.backend.ArrayBackend` instance): the function evaluations
 *and* the autograd replay run under that backend, so the same check
 certifies every registered backend — the parity suite runs it against
-``numpy_ref`` and ``numpy_fused`` alike.
+``numpy_ref`` and ``torch`` alike.
 """
 
 from __future__ import annotations

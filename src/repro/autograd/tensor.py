@@ -10,7 +10,8 @@ Every array operation is issued through the active
 :class:`~repro.backend.ArrayBackend` (``repro.backend.get_backend()``),
 never through numpy directly, so the whole autograd stack dispatches to
 whichever backend is selected (``numpy_ref`` reproduces the historical
-bit-exact numbers; ``numpy_fused`` trades bit-identity for speed).
+bit-exact numbers; ``torch`` trades bit-identity for a second kernel
+library and device choice).
 
 Design notes
 ------------

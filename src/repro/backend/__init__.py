@@ -2,14 +2,10 @@
 
 ``repro.autograd``, ``repro.nn`` and ``repro.optim`` issue every array
 operation through the active :class:`ArrayBackend` rather than calling
-numpy directly.  Three backends ship:
+numpy directly.  Two backends ship:
 
 * ``numpy_ref`` (default) — plain numpy, bit-identical to the
   pre-backend substrate for any fixed seed;
-* ``numpy_fused`` — same dtypes and semantics, but with single-GEMM
-  matmuls for stacked operands, memoised einsum paths, ``out=`` fused
-  elementwise kernels, strided conv scatters, and in-place optimiser
-  updates;
 * ``torch`` (optional; registered only when PyTorch is importable) —
   the protocol on ``torch.Tensor``, float64 by default for parity with
   float32 opt-in, cpu/cuda device selection, numpy-seeded RNG streams.
@@ -22,7 +18,6 @@ accelerator backend") for the protocol and how to add one.
 """
 
 from .base import ArrayBackend
-from .numpy_fused import NumpyFusedBackend
 from .numpy_ref import NumpyRefBackend
 from .registry import (
     KNOWN_OPTIONAL_BACKENDS,
@@ -41,7 +36,6 @@ __all__ = [
     "ArrayBackend",
     "BackendUnavailableError",
     "KNOWN_OPTIONAL_BACKENDS",
-    "NumpyFusedBackend",
     "NumpyRefBackend",
     "UnknownBackendError",
     "available_backends",

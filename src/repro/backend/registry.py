@@ -29,7 +29,6 @@ from typing import Callable, Iterator
 
 from ..obs.profiling import maybe_instrument_backend
 from .base import ArrayBackend
-from .numpy_fused import NumpyFusedBackend
 from .numpy_ref import NumpyRefBackend
 
 __all__ = [
@@ -200,6 +199,5 @@ def _torch_factory() -> ArrayBackend:
 
 
 register_backend("numpy_ref", NumpyRefBackend)
-register_backend("numpy_fused", NumpyFusedBackend)
 if importlib.util.find_spec("torch") is not None:
     register_backend("torch", _torch_factory)

@@ -1,7 +1,7 @@
 """Torch accelerator backend: the ArrayBackend protocol on ``torch.Tensor``.
 
-Third registered backend (after ``numpy_ref`` / ``numpy_fused``), and the
-first whose arrays are not numpy — it proves the protocol against a second
+Second registered backend (after ``numpy_ref``), and the first whose
+arrays are not numpy — it proves the protocol against a second
 tensor library and unlocks vectorised-CPU / GPU execution for the whole
 substrate (``autograd``, ``nn``, ``optim``, the engine and serving run
 unchanged on top of it).
@@ -562,7 +562,7 @@ class TorchBackend(ArrayBackend):
         return mask.to(self._torch_dtype(dtype)) / keep
 
     # ------------------------------------------------------------------
-    # Fused composites (same formulations as numpy_fused, torch kernels)
+    # Fused composites (torch kernels for the base class's composites)
     # ------------------------------------------------------------------
     def sigmoid(self, x):
         return torch.sigmoid(torch.clamp(self._tensorize(x), -60.0, 60.0))
@@ -587,8 +587,8 @@ class TorchBackend(ArrayBackend):
         return grad - soft * grad.sum(dim=axis, keepdim=True)
 
     # ------------------------------------------------------------------
-    # Dilated conv1d as per-tap strided GEMMs (numpy_fused's slab trick:
-    # each kernel tap reads/writes one contiguous slab, so the whole conv
+    # Dilated conv1d as per-tap strided GEMMs (the slab trick: each
+    # kernel tap reads/writes one contiguous slab, so the whole conv
     # is K broadcast matmuls with no gather, no column tensor, no scatter)
     # ------------------------------------------------------------------
     def conv1d_apply(self, padded, weight, dilation: int, out_len: int):

@@ -5,8 +5,8 @@ SGD is provided for the ablation/benchmark suite and for tests.
 
 Update rules execute through the active backend's ``sgd_step`` /
 ``adam_step`` composites, so a performance backend can run them fully in
-place (the ``numpy_fused`` backend updates parameters with one scratch
-buffer and no per-step allocations).
+place (the ``torch`` backend updates parameters with in-place
+``mul_``/``addcmul_``/``addcdiv_`` kernels).
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--drain-timeout-s", type=float, default=30.0)
     p.add_argument("--backend", default=None,
                    help="array backend override for every served model "
-                        "(e.g. numpy_fused, torch); default keeps each "
+                        "(numpy_ref or torch); default keeps each "
                         "checkpoint's saved backend")
     p.add_argument("--device", default=None,
                    help="device override for accelerator backends "

@@ -39,6 +39,24 @@ __all__ = ["ServingRuntime"]
 #: Swap records retained for telemetry (the counters never reset).
 _SWAP_HISTORY_MAXLEN = 64
 
+#: Scheduler counter -> its ``/metrics`` name.
+_SCHEDULER_COUNTERS = {
+    "submitted": "repro_requests_submitted_total",
+    "completed": "repro_requests_completed_total",
+    "rejected": "repro_requests_rejected_total",
+    "failed": "repro_requests_failed_total",
+    "batches": "repro_batches_total",
+    "fast_hits": "repro_fast_hits_total",
+}
+#: Service counter (a scheduler's ``stats["service"]``) -> its name.
+_SERVICE_COUNTERS = {
+    "cache_hits": "repro_cache_hits_total",
+    "windows_computed": "repro_windows_computed_total",
+    "coalesced": "repro_coalesced_total",
+    "predict_calls": "repro_predict_calls_total",
+    "predict_seconds": "repro_predict_seconds_total",
+}
+
 
 class ServingRuntime:
     """Host many fitted forecasters and route requests by model key.
@@ -176,12 +194,15 @@ class ServingRuntime:
             with self._lock:
                 self._swap_counts[key] = self._swap_counts.get(key, 0) + 1
                 retired = self._retired.setdefault(
-                    key,
-                    {k: 0 for k in ("submitted", "completed", "rejected",
-                                    "failed", "fast_hits", "batches")},
+                    key, dict.fromkeys((*_SCHEDULER_COUNTERS, *_SERVICE_COUNTERS), 0)
                 )
-                for field in retired:
+                for field in _SCHEDULER_COUNTERS:
                     retired[field] += final[field]
+                # A pre-built service handed to both schedulers keeps
+                # counting across the swap; only a retired one folds.
+                if old.service is not scheduler.service:
+                    for field in _SERVICE_COUNTERS:
+                        retired[field] += final["service"][field]
                 self._swap_history.append({
                     "model": key,
                     "swap": self._swap_counts[key],
@@ -390,8 +411,7 @@ class ServingRuntime:
             if self._swap_history:
                 retired_totals = {
                     field: sum(r[field] for r in self._retired.values())
-                    for field in ("submitted", "completed", "rejected",
-                                  "failed", "fast_hits", "batches")
+                    for field in _SCHEDULER_COUNTERS
                 }
                 result["swaps"] = {
                     "count": sum(self._swap_counts.values()),
@@ -420,39 +440,24 @@ class ServingRuntime:
         Reads the live schedulers' counter snapshots (and the attached
         store's, if any) directly — never through :meth:`stats`, which
         itself embeds this registry's output (recursion hazard).
-        Retired-scheduler counters fold in so totals stay monotone
-        across blue/green swaps.
+        Retired-scheduler and retired-service counters fold in so every
+        ``*_total`` stays monotone across blue/green swaps.
         """
         with self._lock:
             per_model = {k: s.stats for k, s in self._schedulers.items()}
             retired = {k: dict(r) for k, r in self._retired.items()}
             swap_counts = dict(self._swap_counts)
             store = self._store
-        counter_names = {
-            "submitted": "repro_requests_submitted_total",
-            "completed": "repro_requests_completed_total",
-            "rejected": "repro_requests_rejected_total",
-            "failed": "repro_requests_failed_total",
-            "batches": "repro_batches_total",
-            "fast_hits": "repro_fast_hits_total",
-        }
-        service_names = {
-            "cache_hits": "repro_cache_hits_total",
-            "windows_computed": "repro_windows_computed_total",
-            "coalesced": "repro_coalesced_total",
-            "predict_calls": "repro_predict_calls_total",
-            "predict_seconds": "repro_predict_seconds_total",
-        }
         for key, snap in per_model.items():
             folded = retired.get(key, {})
-            for field, name in counter_names.items():
+            for field, name in _SCHEDULER_COUNTERS.items():
                 yield (name, {"model": key},
                        snap[field] + folded.get(field, 0))
             yield ("repro_queue_depth", {"model": key}, snap["queue_depth"])
-            service = snap.get("service") or {}
-            for field, name in service_names.items():
-                if field in service:
-                    yield (name, {"model": key}, service[field])
+            service = snap["service"]
+            for field, name in _SERVICE_COUNTERS.items():
+                yield (name, {"model": key},
+                       service[field] + folded.get(field, 0))
         for key, count in swap_counts.items():
             yield ("repro_swaps_total", {"model": key}, count)
         if store is not None:

@@ -271,8 +271,14 @@ class MicroBatchScheduler:
         against it, and the service's cache-lookup / predict spans too
         if it is the batch's first traced request (see
         :mod:`repro.obs.trace`).
+
+        A start outside int64 raises :class:`InvalidRequest` here, at
+        the intake the wire and in-process paths share, instead of
+        failing the whole micro-batch it would have joined.
         """
         start = int(start)
+        if not -(2**63) <= start < 2**63:
+            raise InvalidRequest(f"window start {start} is outside the int64 range")
         if self.cache_fast_path:
             lookup_began = time.monotonic() if trace is not None else 0.0
             value = self.service.cached_block(start)

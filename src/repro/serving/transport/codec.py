@@ -39,6 +39,7 @@ version) on every frame body.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -140,7 +141,11 @@ def encode_array(values: np.ndarray) -> bytes:
 
 
 def decode_array(body: bytes) -> np.ndarray:
-    """Decode an ``array`` frame back to the bitwise-identical ndarray."""
+    """Decode an ``array`` frame back to the bitwise-identical ndarray.
+
+    Only numeric (bool, integer, float, complex) dtypes and non-negative
+    integer dims decode; anything else is a :class:`CodecError`.
+    """
     header, payload = decode_frame(body)
     if header["kind"] == "error":
         raise decode_error(header)
@@ -148,10 +153,14 @@ def decode_array(body: bytes) -> np.ndarray:
         raise CodecError(f"expected an array frame, got kind {header['kind']!r}")
     try:
         dtype = np.dtype(header["dtype"])
-        shape = tuple(int(n) for n in header["shape"])
+        shape = tuple(header["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CodecError(f"malformed array header: {exc}") from None
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    if dtype.kind not in "biufc":
+        raise CodecError(f"array dtype {dtype.str!r} is not numeric")
+    if not all(type(n) is int and n >= 0 for n in shape):
+        raise CodecError(f"array shape {list(shape)} needs non-negative integer dims")
+    expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
         raise CodecError(
             f"array payload is {len(payload)} bytes, header shape "

@@ -6,7 +6,8 @@ large negative offset and softmax-normalising each row — a composition
 (broadcast add -> leaky_relu -> masked softmax -> matmul) that no other
 gradient test exercised.  ``check_gradients`` takes the backend as a
 parameter, so the same finite-difference certification runs against every
-registered backend.
+registered backend (here ``numpy_ref`` and the ``twin_backend`` fixture's
+renamed copy of it).
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from repro.autograd import Tensor, check_gradients, leaky_relu, softmax
 from repro.backend import use_backend
 from repro.nn import GraphAttention, init
 
-BACKENDS = ("numpy_ref", "numpy_fused")
+BACKENDS = ("numpy_ref", "numpy_ref_twin")
+
+pytestmark = pytest.mark.usefixtures("twin_backend")
 
 
 def _attention_pipeline(offsets):

@@ -1,10 +1,11 @@
 """Device/dtype plumbing: config round-trips, cross-backend restore,
 serving-bundle backend overrides.
 
-The numpy-only legs run everywhere; the torch legs skip when torch is
-absent.  The contract under test: ``STSMConfig.device/dtype`` serialise
-and validate, checkpoints are backend-neutral (host numpy), and a model
-saved under one backend restores and predicts under another.
+The numpy-only legs run everywhere, with the ``twin_backend`` fixture's
+renamed ``numpy_ref`` as the second backend; the torch legs skip when
+torch is absent.  The contract under test: ``STSMConfig.device/dtype``
+serialise and validate, checkpoints are backend-neutral (host numpy),
+and a model saved under one backend restores and predicts under another.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ needs_torch = pytest.mark.skipif(TORCH_MISSING, reason="torch not installed")
 # ----------------------------------------------------------------------
 # Config round-trip and validation
 # ----------------------------------------------------------------------
-def test_config_device_dtype_roundtrip():
-    config = STSMConfig(backend="numpy_fused", device="cpu", dtype="float64")
+def test_config_device_dtype_roundtrip(twin_backend):
+    config = STSMConfig(backend=twin_backend, device="cpu", dtype="float64")
     config.validate()
     fields = dataclasses.asdict(config)
     assert fields["device"] == "cpu"
@@ -120,13 +121,15 @@ def _restore_regression(backend: str, checkpoint_dir):
 @pytest.mark.parametrize(
     "fit_backend, restore_backend",
     [
-        ("numpy_fused", "numpy_ref"),
-        ("numpy_ref", "numpy_fused"),
+        ("numpy_ref_twin", "numpy_ref"),
+        ("numpy_ref", "numpy_ref_twin"),
         pytest.param("torch", "numpy_ref", marks=needs_torch),
         pytest.param("numpy_ref", "torch", marks=needs_torch),
     ],
 )
-def test_checkpoint_restores_across_backends(tmp_path, fit_backend, restore_backend):
+def test_checkpoint_restores_across_backends(
+    tmp_path, twin_backend, fit_backend, restore_backend
+):
     saved = _fit_regression(fit_backend, tmp_path / "ckpt")
     assert all(isinstance(v, np.ndarray) for v in saved.values())
     restored = _restore_regression(restore_backend, tmp_path / "ckpt")
@@ -151,13 +154,13 @@ def fitted_context():
     return model, dataset, split, starts
 
 
-def test_load_forecaster_backend_override(tmp_path, fitted_context):
+def test_load_forecaster_backend_override(tmp_path, twin_backend, fitted_context):
     model, dataset, split, starts = fitted_context
     path = save_forecaster(model, tmp_path / "model.npz")
     baseline = model.predict(starts)
 
-    loaded = load_forecaster(path, dataset, split, backend="numpy_fused")
-    assert loaded.config.backend == "numpy_fused"
+    loaded = load_forecaster(path, dataset, split, backend=twin_backend)
+    assert loaded.config.backend == twin_backend
     np.testing.assert_allclose(loaded.predict(starts), baseline, rtol=1e-6, atol=1e-8)
 
     # The saved checkpoint itself is untouched by the override.
@@ -174,6 +177,28 @@ def test_load_forecaster_rejects_bad_override(tmp_path, fitted_context):
         load_forecaster(path, dataset, split, dtype="float16")
 
 
+def test_retired_numpy_fused_name_is_unknown_but_loads_with_override(
+    tmp_path, fitted_context
+):
+    from repro.backend import UnknownBackendError, resolve_backend
+
+    with pytest.raises(UnknownBackendError, match="numpy_ref"):
+        resolve_backend("numpy_fused")
+    # A checkpoint saved under the deleted backend restores through the
+    # ordinary backend override.
+    model, dataset, split, starts = fitted_context
+    saved_config = model.config
+    model.config = saved_config.replace(backend="numpy_fused")
+    try:
+        path = save_forecaster(model, tmp_path / "model.npz")
+    finally:
+        model.config = saved_config
+    loaded = load_forecaster(path, dataset, split, backend="numpy_ref")
+    np.testing.assert_allclose(
+        loaded.predict(starts), model.predict(starts), rtol=1e-6, atol=1e-8
+    )
+
+
 @needs_torch
 def test_load_forecaster_torch_override_predicts(tmp_path, fitted_context):
     model, dataset, split, starts = fitted_context
@@ -185,7 +210,7 @@ def test_load_forecaster_torch_override_predicts(tmp_path, fitted_context):
     np.testing.assert_allclose(loaded.predict(starts), baseline, rtol=1e-6, atol=1e-8)
 
 
-def test_bundle_load_with_backend_override(tmp_path, fitted_context):
+def test_bundle_load_with_backend_override(tmp_path, twin_backend, fitted_context):
     from repro.serving.transport import BundleEntry, load_bundle, save_bundle
 
     model, _dataset, _split, starts = fitted_context
@@ -196,9 +221,9 @@ def test_bundle_load_with_backend_override(tmp_path, fitted_context):
                                   warmup_starts=[int(starts[0])])},
     )
     baseline = model.predict(starts)
-    models = load_bundle(tmp_path / "bundle", backend="numpy_fused")
+    models = load_bundle(tmp_path / "bundle", backend=twin_backend)
     forecaster, warmups = models["stsm/demo"]
-    assert forecaster.config.backend == "numpy_fused"
+    assert forecaster.config.backend == twin_backend
     assert warmups == [int(starts[0])]
     np.testing.assert_allclose(forecaster.predict(starts), baseline, rtol=1e-6, atol=1e-8)
 
@@ -206,9 +231,9 @@ def test_bundle_load_with_backend_override(tmp_path, fitted_context):
 def test_serve_config_carries_backend_fields():
     from repro.serving.transport import ServeConfig
 
-    config = ServeConfig(checkpoint_dir="/tmp/x", backend="numpy_fused",
+    config = ServeConfig(checkpoint_dir="/tmp/x", backend="numpy_ref",
                          device="cpu", dtype="float64")
     fields = dataclasses.asdict(config)
-    assert fields["backend"] == "numpy_fused"
+    assert fields["backend"] == "numpy_ref"
     assert fields["device"] == "cpu"
     assert fields["dtype"] == "float64"

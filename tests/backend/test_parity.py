@@ -9,9 +9,9 @@ backend bug).
 The backend list is discovered from the registry, so optional backends
 (torch) are covered automatically when their library is installed and
 reported as explicit skips when it is not.  Per-backend tolerances:
-``numpy_fused`` reorders float64 numpy kernels (last-ulps noise only);
 ``torch`` runs a second BLAS/kernel library in float64, which earns a
-slightly looser — still float64-noise-level — bound.
+slightly looser — still float64-noise-level — bound than the strict
+default (last-ulps noise only) any other backend is held to.
 """
 
 from __future__ import annotations
@@ -41,15 +41,10 @@ from repro.autograd import (
 )
 from repro.backend import KNOWN_OPTIONAL_BACKENDS, available_backends, use_backend
 
-BACKENDS = ("numpy_ref", "numpy_fused")
-
 #: (rtol, atol) per non-reference backend; anything discovered but not
 #: listed here gets the strict default.
-TOLERANCES = {
-    "numpy_fused": (1e-9, 1e-11),
-    "torch": (1e-7, 1e-9),
-}
-RTOL, ATOL = TOLERANCES["numpy_fused"]
+TOLERANCES = {"torch": (1e-7, 1e-9)}
+RTOL, ATOL = 1e-9, 1e-11
 
 
 def _parity_backends():

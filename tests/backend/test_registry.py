@@ -1,4 +1,9 @@
-"""Backend registry behaviour: selection, scoping, env var, config."""
+"""Backend registry behaviour: selection, scoping, env var, config.
+
+The "other backend" in these tests is the ``twin_backend`` fixture's
+renamed ``numpy_ref`` (see ``tests/conftest.py``), so every seam runs on
+machines without torch.
+"""
 
 from __future__ import annotations
 
@@ -11,11 +16,9 @@ import pytest
 
 from repro.backend import (
     ArrayBackend,
-    NumpyFusedBackend,
     NumpyRefBackend,
     available_backends,
     get_backend,
-    register_backend,
     set_backend,
     use_backend,
 )
@@ -30,10 +33,10 @@ def ref_active():
     set_backend(previous)
 
 
-def test_both_backends_registered():
+def test_both_backends_registered(twin_backend):
     names = available_backends()
     assert "numpy_ref" in names
-    assert "numpy_fused" in names
+    assert twin_backend in names
 
 
 @pytest.mark.skipif(
@@ -44,21 +47,21 @@ def test_default_backend_is_ref():
     assert get_backend().name == "numpy_ref"
 
 
-def test_set_backend_returns_previous_and_switches(ref_active):
-    previous = set_backend("numpy_fused")
+def test_set_backend_returns_previous_and_switches(ref_active, twin_backend):
+    previous = set_backend(twin_backend)
     try:
         assert previous.name == "numpy_ref"
-        assert get_backend().name == "numpy_fused"
+        assert get_backend().name == twin_backend
     finally:
         set_backend(previous)
     assert get_backend().name == "numpy_ref"
 
 
-def test_use_backend_scopes_and_restores(ref_active):
+def test_use_backend_scopes_and_restores(ref_active, twin_backend):
     assert get_backend().name == "numpy_ref"
-    with use_backend("numpy_fused") as backend:
-        assert backend.name == "numpy_fused"
-        assert get_backend().name == "numpy_fused"
+    with use_backend(twin_backend) as backend:
+        assert backend.name == twin_backend
+        assert get_backend().name == twin_backend
     assert get_backend().name == "numpy_ref"
 
 
@@ -67,9 +70,9 @@ def test_use_backend_none_is_noop():
         assert backend is get_backend()
 
 
-def test_use_backend_restores_on_error(ref_active):
+def test_use_backend_restores_on_error(ref_active, twin_backend):
     with pytest.raises(RuntimeError):
-        with use_backend("numpy_fused"):
+        with use_backend(twin_backend):
             raise RuntimeError("boom")
     assert get_backend().name == "numpy_ref"
 
@@ -105,67 +108,65 @@ def test_uninstalled_optional_backend_raises_actionable_error():
     assert KNOWN_OPTIONAL_BACKENDS["torch"] in str(excinfo.value)
 
 
-def test_backend_available_for_registered_and_unknown_names():
+def test_backend_available_for_registered_and_unknown_names(twin_backend):
     from repro.backend import backend_available
 
     assert backend_available("numpy_ref")
-    assert backend_available("numpy_fused")
+    assert backend_available(twin_backend)
     assert not backend_available("not_a_backend")
 
 
-def test_resolve_backend_triples():
+def test_resolve_backend_triples(twin_backend):
     from repro.backend import resolve_backend
 
     assert resolve_backend(None) is None
     assert resolve_backend(None, None, None) is None
-    assert resolve_backend("numpy_fused").name == "numpy_fused"
+    assert resolve_backend(twin_backend).name == twin_backend
     assert resolve_backend(None, "cpu", "float64") is get_backend()
     with pytest.raises(ValueError, match="host cpu only"):
         resolve_backend("numpy_ref", device="cuda")
     with pytest.raises(ValueError, match="float64 only"):
-        resolve_backend("numpy_fused", dtype="float32")
+        resolve_backend(twin_backend, dtype="float32")
     with pytest.raises(KeyError, match="unknown backend"):
         resolve_backend("not_a_backend")
 
 
-def test_register_custom_backend():
-    class Custom(NumpyRefBackend):
-        name = "custom_test"
-
-    register_backend("custom_test", Custom)
-    try:
-        assert "custom_test" in available_backends()
-        with use_backend("custom_test") as backend:
-            assert isinstance(backend, Custom)
-            assert isinstance(backend, ArrayBackend)
-    finally:
-        from repro.backend import registry
-
-        registry._FACTORIES.pop("custom_test", None)
-        registry._INSTANCES.pop("custom_test", None)
+def test_register_custom_backend(twin_backend):
+    with use_backend(twin_backend) as backend:
+        assert isinstance(backend, NumpyRefBackend)
+        assert isinstance(backend, ArrayBackend)
+        assert type(backend) is not NumpyRefBackend
 
 
-def test_env_var_selects_backend():
-    code = "from repro.backend import get_backend; print(get_backend().name)"
+def test_env_var_selects_backend(twin_backend):
+    # The child registers the same renamed backend before its first
+    # get_backend(), which is when REPRO_BACKEND is read.
+    code = (
+        "from repro.backend import NumpyRefBackend, get_backend, register_backend\n"
+        f"class Twin(NumpyRefBackend): name = {twin_backend!r}\n"
+        f"register_backend({twin_backend!r}, Twin)\n"
+        "print(get_backend().name)"
+    )
     env = dict(os.environ)
-    env["REPRO_BACKEND"] = "numpy_fused"
+    env["REPRO_BACKEND"] = twin_backend
     src = os.path.abspath("src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "numpy_fused"
+    assert out.stdout.strip() == twin_backend
 
 
-def test_config_threads_backend():
-    config = STSMConfig(backend="numpy_fused")
+def test_config_threads_backend(twin_backend):
+    config = STSMConfig(backend=twin_backend)
     config.validate()
     with pytest.raises(ValueError, match="unknown backend"):
         STSMConfig(backend="nope").validate()
 
 
-def test_backends_share_numpy_rng_streams():
-    ref, fused = NumpyRefBackend(), NumpyFusedBackend()
-    a = ref.random(ref.default_rng(7), (4, 3))
-    b = fused.random(fused.default_rng(7), (4, 3))
-    np.testing.assert_array_equal(a, b)
+def test_backends_share_numpy_rng_streams(twin_backend):
+    expected = np.random.default_rng(7).random((4, 3))
+    for name in ("numpy_ref", twin_backend):
+        with use_backend(name) as backend:
+            drawn = backend.random(backend.default_rng(7), (4, 3))
+        np.testing.assert_array_equal(drawn, expected)

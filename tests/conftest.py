@@ -1,10 +1,13 @@
-"""Shared fixtures: small deterministic datasets and splits."""
+"""Shared fixtures: small deterministic datasets and splits, and a
+second registered array backend."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.backend import NumpyRefBackend, register_backend
+from repro.backend import registry as backend_registry
 from repro.data import WindowSpec, space_split
 from repro.data.synthetic import make_airq, make_melbourne, make_pems_bay
 
@@ -40,3 +43,24 @@ def tiny_split(tiny_traffic):
 @pytest.fixture(scope="session")
 def tiny_spec():
     return WindowSpec(input_length=8, horizon=8)
+
+
+#: Name under which ``twin_backend`` registers its second backend.
+TWIN_BACKEND = "numpy_ref_twin"
+
+
+class NumpyRefTwin(NumpyRefBackend):
+    """``numpy_ref`` under another name: a backend other than the default
+    that every machine has, so set/use/resolve, cross-backend restore and
+    config round-trips stay covered without torch installed."""
+
+    name = TWIN_BACKEND
+
+
+@pytest.fixture()
+def twin_backend():
+    """Register :class:`NumpyRefTwin` for one test, then remove it."""
+    register_backend(TWIN_BACKEND, NumpyRefTwin)
+    yield TWIN_BACKEND
+    backend_registry._FACTORIES.pop(TWIN_BACKEND, None)
+    backend_registry._INSTANCES.pop(TWIN_BACKEND, None)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.serving import InvalidRequest, ModelNotFound, QueueFull, ServingError
 from repro.serving.transport import codec
@@ -124,6 +128,19 @@ class TestArrayFrames:
         with pytest.raises(CodecError, match="expected an array frame"):
             codec.decode_array(codec.encode_request([1]))
 
+    @pytest.mark.parametrize("dtype,shape,match", [
+        ("|O", [1], "not numeric"),
+        ("<f8", [-1, -1], "non-negative integer dims"),
+        ("<f8", [True], "non-negative integer dims"),
+        ("<f8", [1.0], "non-negative integer dims"),
+    ])
+    def test_unservable_header_is_codec_error(self, dtype, shape, match):
+        body = codec.encode_frame(
+            {"kind": "array", "dtype": dtype, "shape": shape}, b"\x00" * 8
+        )
+        with pytest.raises(CodecError, match=match):
+            codec.decode_array(body)
+
 
 class TestRequestFrames:
     @pytest.mark.parametrize("starts", [[0], [5, 2, 5], list(range(100)), [-3]])
@@ -205,3 +222,79 @@ class TestTaxonomy:
     def test_model_not_found_renders_plainly(self):
         # KeyError.__str__ would repr-quote the message.
         assert str(ModelNotFound("unknown model key 'x'")) == "unknown model key 'x'"
+
+
+# ----------------------------------------------------------------------
+# Properties: bitwise round-trips and typed failures on corrupted frames
+# ----------------------------------------------------------------------
+NUMERIC_DTYPES = (
+    hnp.boolean_dtypes()
+    | hnp.integer_dtypes(endianness="?")
+    | hnp.unsigned_integer_dtypes(endianness="?")
+    | hnp.floating_dtypes(endianness="?")
+    | hnp.complex_number_dtypes(endianness="?")
+)
+
+
+@st.composite
+def raw_arrays(draw):
+    """Numeric arrays of any shape (0-size included) built from arbitrary
+    bytes, so every float bit pattern — NaN payloads too — can appear."""
+    dtype = draw(NUMERIC_DTYPES)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    size = math.prod(shape) * dtype.itemsize
+    raw = draw(st.binary(min_size=size, max_size=size))
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+request_starts = st.lists(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=6
+)
+
+
+def _decodes_or_serving_error(decode, body: bytes) -> None:
+    try:
+        decode(body)
+    except ServingError:
+        pass
+
+
+def _corruptions(body: bytes, mask: int):
+    """Every strict prefix of ``body`` and every single-byte XOR flip."""
+    for cut in range(len(body)):
+        yield body[:cut]
+    for index in range(len(body)):
+        flipped = bytearray(body)
+        flipped[index] ^= mask
+        yield bytes(flipped)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(values=raw_arrays())
+    def test_array_round_trip_is_bitwise(self, values):
+        decoded = codec.decode_array(codec.encode_array(values))
+        assert decoded.dtype == values.dtype.newbyteorder("<")
+        assert decoded.shape == values.shape
+        # The payload is little-endian: a big-endian input's elements
+        # arrive byte-swapped, never re-interpreted.
+        swapped = values.dtype.byteorder == ">"
+        assert decoded.tobytes() == (values.byteswap() if swapped else values).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=raw_arrays(), mask=st.integers(min_value=1, max_value=255))
+    # "<f8" -> "<O8": one flipped byte declares an object dtype.
+    @example(values=np.zeros(2), mask=ord("f") ^ ord("O"))
+    def test_corrupted_array_frame_decodes_or_raises_serving_error(self, values, mask):
+        for body in _corruptions(codec.encode_array(values), mask):
+            _decodes_or_serving_error(codec.decode_array, body)
+
+    @settings(max_examples=30, deadline=None)
+    @given(starts=request_starts, traced=st.booleans(),
+           mask=st.integers(min_value=1, max_value=255))
+    def test_corrupted_request_frame_decodes_or_raises_serving_error(
+        self, starts, traced, mask
+    ):
+        trace = {"id": "ab" * 8, "span": "cd" * 4} if traced else None
+        for body in _corruptions(codec.encode_request(starts, trace=trace), mask):
+            _decodes_or_serving_error(codec.decode_request_meta, body)

@@ -289,6 +289,17 @@ class TestStats:
         assert stats["throughput_rps"] is None
 
 
+def _total_samples(runtime: ServingRuntime) -> dict[str, float]:
+    """Every ``*_total`` sample of a ``/metrics`` scrape, by series."""
+    samples = {}
+    for line in runtime.metrics.render().splitlines():
+        if line and not line.startswith("#"):
+            series, value = line.rsplit(" ", 1)
+            if series.split("{")[0].endswith("_total"):
+                samples[series] = float(value)
+    return samples
+
+
 class TestBlueGreenSwap:
     def test_replace_swaps_atomically(self):
         with ServingRuntime(deadline_ms=1.0) as runtime:
@@ -330,6 +341,21 @@ class TestBlueGreenSwap:
             assert record["drain_seconds"] >= 0
             # The live scheduler's counters started over.
             assert stats["models"]["bay"]["submitted"] == 0
+
+    def test_metric_totals_never_decrease_across_swap(self):
+        """Regression: service counters (cache hits, predict calls...)
+        used to be read raw from the live service and reset on a swap."""
+        with ServingRuntime(deadline_ms=1.0) as runtime:
+            runtime.register("m", _KeyedForecaster(1.0))
+            runtime.forecast("m", np.arange(4))
+            runtime.forecast("m", np.arange(4))  # all cache hits
+            before = _total_samples(runtime)
+            runtime.register("m", _KeyedForecaster(2.0), replace=True)
+            after = _total_samples(runtime)
+        assert before['repro_cache_hits_total{model="m"}'] > 0
+        assert before['repro_predict_calls_total{model="m"}'] > 0
+        for series, value in before.items():
+            assert after[series] >= value, series
 
     def test_concurrent_submits_survive_swap(self):
         """Regression: a submit racing the swap (old scheduler's intake

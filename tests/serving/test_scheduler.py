@@ -13,7 +13,13 @@ from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
 from repro.evaluation import forecast_window_starts
 from repro.interfaces import FitReport, Forecaster
-from repro.serving import LoadGenerator, LoadSpec, MicroBatchScheduler, QueueFull
+from repro.serving import (
+    InvalidRequest,
+    LoadGenerator,
+    LoadSpec,
+    MicroBatchScheduler,
+    QueueFull,
+)
 from repro.serving.service import ForecastService
 
 
@@ -60,6 +66,19 @@ class _FaultyForecaster(_CountingForecaster):
         if 13 in np.asarray(window_starts, dtype=int):
             raise RuntimeError("poisoned window")
         return super().predict(window_starts)
+
+
+class TestIntake:
+    def test_overflowing_start_rejected_without_failing_its_batch(self):
+        """Regression: a start outside int64 used to be accepted and then
+        fail every request of the micro-batch it joined."""
+        model = _CountingForecaster()
+        with MicroBatchScheduler(model, deadline_ms=200.0) as scheduler:
+            good = scheduler.submit(5)
+            with pytest.raises(InvalidRequest, match="int64"):
+                scheduler.submit(10**30)
+            assert good.result(timeout=10)[0, 0] == pytest.approx(5000.0)
+            assert scheduler.stats["failed"] == 0
 
 
 class TestBatchingTriggers:

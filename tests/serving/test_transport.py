@@ -124,6 +124,20 @@ class TestErrorMapping:
         with pytest.raises(ModelNotFound, match="unknown model key"):
             client.forecast_one("toy/missing", 0)
 
+    def test_overflowing_start_is_invalid_request(self, served):
+        _runtime, server, client = served
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        conn.request("POST", "/v1/forecast/toy/a",
+                     body=codec.encode_frame({"kind": "forecast", "starts": [10**30]}),
+                     headers={"Content-Type": codec.CONTENT_TYPE})
+        response = conn.getresponse()
+        body = response.read()
+        conn.close()
+        assert response.status == 400
+        with pytest.raises(InvalidRequest, match="int64"):
+            codec.decode_array(body)
+        assert client.forecast_one("toy/a", 2)[0, 0] == pytest.approx(2000.0)
+
     def test_garbage_body_raises_codec_error(self, served):
         _runtime, server, _client = served
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
