@@ -282,7 +282,7 @@ def run_wire_inprocess(
             runtime.drain()
             stats = runtime.stats(MODEL_KEY)
             batch_log = [b.copy() for b in runtime.scheduler(MODEL_KEY).service.batch_log]
-            transport = server.counters.snapshot()
+            transport = server.transport_stats()
     parity = _wire_parity(report, _replay_candidates(model, batch_log))
     summary = report.summary()
     summary["transport"] = transport

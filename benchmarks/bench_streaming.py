@@ -17,8 +17,10 @@ model key without pause.  Three hard gates:
   bitwise one of the blocks obtained by replaying the deployed
   services' logged batch compositions through those references;
 * **no drops** — across every swap, zero client errors, zero
-  failed/rejected requests, and accepted == completed over the retired
-  and live scheduler counters combined;
+  failed/rejected requests, and accepted == completed in the runtime's
+  ``stats()["totals"]`` (the model's counters run on across swaps);
+  the ``/metrics`` scrapes taken before the first swap and after the
+  last must show no duplicated series and no decreasing ``*_total``;
 * **warm speedup** (full mode) — the mean warm incremental refit must
   beat a cold from-scratch fit (full training budget, private cold
   caches) on the same window by ``WARM_SPEEDUP_TARGET``; both sides are
@@ -80,6 +82,26 @@ MODEL_KEY = "stsm/pems-bay"
 
 def _state_bytes(model) -> dict[str, bytes]:
     return {k: v.tobytes() for k, v in model.network.state_dict().items()}
+
+
+def check_scrapes(before: str, after: str) -> bool:
+    """No duplicated series in either ``/metrics`` scrape, and no
+    ``*_total`` sample lower after the swaps than before them."""
+    samples = []
+    for text in (before, after):
+        lines = [
+            line.rsplit(" ", 1) for line in text.splitlines()
+            if line and not line.startswith("#")
+        ]
+        series = {name: float(value) for name, value in lines}
+        if len(series) != len(lines):
+            return False
+        samples.append(series)
+    return all(
+        samples[1].get(name, -1.0) >= value
+        for name, value in samples[0].items()
+        if name.split("{")[0].endswith("_total")
+    )
 
 
 def run_live(args, *, dataset, split, spec, config, policy, checkpoint_root):
@@ -153,6 +175,8 @@ def run_live(args, *, dataset, split, spec, config, policy, checkpoint_root):
                             f"{bridge.deploys[-1]['refit_lag_seconds']:.2f}s]"
                         )
                         if index == 0:
+                            with ForecastClient("127.0.0.1", server.port) as client:
+                                scrape_before = client.metrics_text()
                             # Traffic starts the moment a model is live and
                             # runs uninterrupted across every later swap.
                             for thread in threads:
@@ -183,7 +207,8 @@ def run_live(args, *, dataset, split, spec, config, policy, checkpoint_root):
             runtime.drain()
             with ForecastClient("127.0.0.1", server.port) as client:
                 wire_stats = client.stats()
-            transport = server.counters.snapshot()
+                scrape_after = client.metrics_text()
+            transport = server.transport_stats()
         stats = runtime.stats()
 
     return {
@@ -198,6 +223,7 @@ def run_live(args, *, dataset, split, spec, config, policy, checkpoint_root):
         "runtime_stats": stats,
         "wire_stats": wire_stats,
         "transport": transport,
+        "scrapes_ok": check_scrapes(scrape_before, scrape_after),
     }
 
 
@@ -335,16 +361,12 @@ def main(argv: list[str] | None = None) -> int:
             # Gate 2: no request dropped or errored across the swaps.
             # ----------------------------------------------------------
             stats = live["runtime_stats"]
-            retired = stats["swaps"]["retired"]
             totals = stats["totals"]
             no_drop = {
                 "client_errors": len(live["errors"]),
                 "served_blocks": served_checked,
                 "swaps": stats["swaps"]["count"],
-                "submitted": retired["submitted"] + totals["submitted"],
-                "completed": retired["completed"] + totals["completed"],
-                "failed": retired["failed"] + totals["failed"],
-                "rejected": retired["rejected"] + totals["rejected"],
+                **{key: totals[key] for key in ("submitted", "completed", "failed", "rejected")},
             }
             no_drop["ok"] = (
                 not live["errors"]
@@ -353,11 +375,13 @@ def main(argv: list[str] | None = None) -> int:
                 and no_drop["failed"] == 0
                 and no_drop["rejected"] == 0
                 and no_drop["submitted"] == no_drop["completed"]
+                and live["scrapes_ok"]
             )
             print(
                 f"no-drop    ok={no_drop['ok']}  swaps={no_drop['swaps']}  "
                 f"submitted={no_drop['submitted']}  completed={no_drop['completed']}  "
-                f"failed={no_drop['failed']}  rejected={no_drop['rejected']}"
+                f"failed={no_drop['failed']}  rejected={no_drop['rejected']}  "
+                f"/metrics monotone, no duplicates={live['scrapes_ok']}"
             )
 
             # ----------------------------------------------------------
@@ -444,7 +468,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     if not no_drop["ok"]:
-        print("ERROR: requests dropped or errored across a swap", file=sys.stderr)
+        print("ERROR: requests dropped or errored across a swap, or /metrics "
+              "duplicated a series or went backwards", file=sys.stderr)
         return 1
     if not (results["stats_on_wire"]["streaming"] and results["stats_on_wire"]["store"]):
         print("ERROR: streaming/store telemetry missing from GET /v1/stats",

@@ -51,6 +51,7 @@ import json
 import os
 import threading
 import time
+import types
 import warnings
 import zipfile
 from collections import OrderedDict
@@ -73,6 +74,7 @@ __all__ = [
     "default_store_scope",
     "open_store",
     "parse_byte_size",
+    "publish_store",
     "reset_store",
     "store_config_from_args",
     "store_metric_samples",
@@ -1074,9 +1076,10 @@ def store_metric_samples(store: ArtifactStore):
     """``repro_store_*`` metric samples for one store.
 
     The single producer behind every scrape surface: the process obs
-    registry (registered by :func:`open_store`) and the serving
-    runtime's stats collector both yield from here, so hit/byte
-    counters and lifecycle telemetry stay name-identical everywhere.
+    registry (published by :func:`open_store`) and a serving runtime's
+    registry (published by ``ServingRuntime.attach_store``) both yield
+    from here, so hit/byte counters and lifecycle telemetry stay
+    name-identical everywhere.
     """
     stats = store.stats
     for namespace, ns_stats in stats.get("namespaces", {}).items():
@@ -1107,13 +1110,16 @@ def store_metric_samples(store: ArtifactStore):
         )
 
 
-def _register_store_collector(store: ArtifactStore) -> None:
-    # Replace-by-source: re-opening the store re-points the collector,
-    # so the registry always scrapes the live process store.
+def publish_store(store: ArtifactStore, registry=None) -> None:
+    """Publish ``store``'s samples on ``registry`` (default: the process
+    one), replacing the store it published before.  The collector is a
+    bound method, so one store published on two registries rendered
+    together compares equal and renders once."""
     from ..obs.metrics import global_registry
 
-    global_registry().register_collector(
-        _STORE_COLLECTOR_SOURCE, lambda: store_metric_samples(store)
+    registry = registry if registry is not None else global_registry()
+    registry.register_collector(
+        _STORE_COLLECTOR_SOURCE, types.MethodType(store_metric_samples, store)
     )
 
 
@@ -1176,7 +1182,7 @@ def open_store(
 
     ``config=None`` opens from the environment
     (:meth:`StoreConfig.from_env`); pass ``store=`` to adopt an
-    already-built instance.  Registers the ``repro_store_*`` collector
+    already-built instance.  Publishes the ``repro_store_*`` collector
     on the process obs registry, so lifecycle telemetry is scrapeable
     wherever metrics are.
     """
@@ -1185,7 +1191,7 @@ def open_store(
         if store is None:
             store = (config if config is not None else StoreConfig.from_env()).build()
         _process_store = store
-        _register_store_collector(store)
+        publish_store(store)
         return store
 
 
@@ -1206,7 +1212,7 @@ def active_store(flag: bool | None = None) -> ArtifactStore | None:
     with _process_lock:
         if _process_store is None and (flag or os.environ.get(CACHE_DIR_ENV)):
             _process_store = StoreConfig.from_env().build()
-            _register_store_collector(_process_store)
+            publish_store(_process_store)
         return _process_store
 
 

@@ -190,7 +190,7 @@ def run(
                                 wire_report = generator.run(
                                     driver, collect_results=False
                                 )
-                            wire_transport = server.counters.snapshot()
+                            wire_transport = server.transport_stats()
                     wire_summary = wire_report.summary()
                     row.update(latency_columns(wire_summary, prefix="Wire "))
                     row["_serve_wire"] = {

@@ -3,8 +3,8 @@
 Three pieces, one opt-in switch (``REPRO_OBS=1``):
 
 * :mod:`repro.obs.metrics` — thread-safe :class:`MetricsRegistry`
-  (counters / gauges / fixed-bucket histograms with p50/p95/p99) plus
-  scrape-time collectors; rendered by :func:`render_prometheus` on the
+  (counters / gauges / fixed-bucket histograms with p50/p95/p99, always
+  on) plus scrape-time collectors for computed snapshots; rendered by :func:`render_prometheus` on the
   HTTP server's ``GET /metrics`` and embedded as the ``metrics``
   section of :meth:`~repro.serving.ServingRuntime.stats`.
 * :mod:`repro.obs.trace` — span-based request tracing: trace ids

@@ -7,14 +7,15 @@ read) sees the whole system.  Two publication styles coexist:
 * **Instruments** — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` families created through the registry.  Hot paths
   mutate them directly; each family fans out into per-label-set
-  children (``family.labels(model="stsm/pems-bay").inc()``).
+  children (``family.labels(model="stsm/pems-bay").inc()``).  Every
+  serving, transport and streaming count is one of these: the owner's
+  ``stats()`` reads the same children ``/metrics`` renders.
 * **Collectors** — callables registered with
   :meth:`MetricsRegistry.register_collector` that return samples at
-  *scrape time*.  Existing hand-rolled counters (scheduler stats,
-  service cache counters, store per-namespace stats, transport byte
-  counts) publish through collectors, so migrating them onto the
-  registry costs the serving hot path nothing: the counters they
-  already maintain are merely read when someone scrapes.
+  *scrape time*.  They serve only *computed snapshots* — state the
+  owner derives on demand rather than counts it keeps — which today
+  means the artifact store's per-namespace and lifecycle stats.  A
+  collector reachable from several rendered registries renders once.
 
 Naming scheme (see DESIGN.md §15): every metric is
 ``repro_<subsystem>_<quantity>[_total|_seconds|_bytes]`` with label
@@ -123,7 +124,8 @@ class _Family:
     def _make_child(self):
         raise NotImplementedError
 
-    def _items(self) -> list[tuple[tuple, object]]:
+    def children(self) -> list[tuple[tuple, object]]:
+        """``(label values, child)`` for every child created so far."""
         with self._lock:
             return list(self._children.items())
 
@@ -330,10 +332,9 @@ class MetricsRegistry:
     name with different meanings is a bug worth failing on).
 
     Collectors are keyed by source name with **replace** semantics: a
-    re-registered source (a runtime rebuilt in a test, a swapped
-    bridge) overwrites its predecessor instead of double-reporting.  A
-    collector that raises is skipped and its error surfaced in
-    :meth:`as_dict` under ``collector_errors`` — a scrape must never
+    re-registered source (a re-opened process store) overwrites its
+    predecessor instead of double-reporting.  A collector that raises is
+    skipped and its error surfaced in :meth:`as_dict` under ``collector_errors`` — a scrape must never
     fail because one subsystem is mid-teardown.
     """
 
@@ -379,9 +380,14 @@ class MetricsRegistry:
         with self._lock:
             return self._collectors.pop(source, None) is not None
 
-    def _collect_samples(self) -> tuple[dict[str, list[Sample]], dict[str, str]]:
+    def _collect_samples(self, skip: list | None = None) -> tuple[dict, dict]:
+        """Run the collectors not equal to one in ``skip``; ``skip``
+        gains those run."""
         with self._lock:
-            collectors = list(self._collectors.items())
+            collectors = [(s, fn) for s, fn in self._collectors.items()
+                          if fn not in (skip or ())]
+        if skip is not None:
+            skip.extend(fn for _source, fn in collectors)
         collected: dict[str, list[Sample]] = {}
         errors: dict[str, str] = {}
         for source, fn in collectors:
@@ -401,7 +407,7 @@ class MetricsRegistry:
             families = list(self._families.values())
         out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
         for family in families:
-            for key, child in family._items():
+            for key, child in family.children():
                 label = _format_labels(family.labelnames, key)
                 full = family.name + label
                 if isinstance(family, Counter):
@@ -434,16 +440,18 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
     Instruments render with HELP/TYPE headers; histogram families emit
     cumulative ``_bucket`` lines (``le`` in seconds, ``+Inf`` last),
     ``_sum`` and ``_count``.  Collector samples render untyped, grouped
-    by metric name.  Duplicate names across registries render in
-    registry order (Prometheus tolerates repeated groups on scrape).
+    by metric name.  A collector registered on several of the rendered
+    registries (one store published both process-wide and on a runtime)
+    renders once, from the first registry holding it.
     """
     lines: list[str] = []
     seen_untyped: dict[str, list[str]] = {}
+    rendered_collectors: list = []
     for registry in registries:
         with registry._lock:
             families = list(registry._families.values())
         for family in families:
-            items = family._items()
+            items = family.children()
             if not items:
                 continue
             if family.help:
@@ -467,7 +475,7 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
                     lines.append(f"{family.name}_bucket{le} {cumulative}")
                     lines.append(f"{family.name}_sum{label} {_render_value(total)}")
                     lines.append(f"{family.name}_count{label} {count}")
-        collected, _errors = registry._collect_samples()
+        collected, _errors = registry._collect_samples(rendered_collectors)
         for samples in collected.values():
             for name, labels, value in samples:
                 label = _format_labels(

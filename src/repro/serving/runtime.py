@@ -17,7 +17,11 @@ scheduler down.
 ``stats()`` aggregates per-model serving telemetry — throughput,
 p50/p95/p99 latency, queue depth, batch shape, cache-hit rate — plus a
 ``totals`` rollup, ready for the load benchmark's report and the timing
-tables.
+tables.  Its counts are read from the runtime's :attr:`~ServingRuntime.metrics`
+registry — the children ``GET /metrics`` renders — which every hosted
+scheduler counts into under ``model=<key>``.  A blue/green swap's
+replacement counts into the same children, so each model's counters
+run on across swaps and never decrease.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import time
 import numpy as np
 
 from ..interfaces import Forecaster
-from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from ..engine.store import publish_store
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext
 from .errors import InvalidRequest, ModelNotFound, ServingError
 from .scheduler import AsyncForecast, MicroBatchScheduler
@@ -38,24 +43,6 @@ __all__ = ["ServingRuntime"]
 
 #: Swap records retained for telemetry (the counters never reset).
 _SWAP_HISTORY_MAXLEN = 64
-
-#: Scheduler counter -> its ``/metrics`` name.
-_SCHEDULER_COUNTERS = {
-    "submitted": "repro_requests_submitted_total",
-    "completed": "repro_requests_completed_total",
-    "rejected": "repro_requests_rejected_total",
-    "failed": "repro_requests_failed_total",
-    "batches": "repro_batches_total",
-    "fast_hits": "repro_fast_hits_total",
-}
-#: Service counter (a scheduler's ``stats["service"]``) -> its name.
-_SERVICE_COUNTERS = {
-    "cache_hits": "repro_cache_hits_total",
-    "windows_computed": "repro_windows_computed_total",
-    "coalesced": "repro_coalesced_total",
-    "predict_calls": "repro_predict_calls_total",
-    "predict_seconds": "repro_predict_seconds_total",
-}
 
 
 class ServingRuntime:
@@ -96,32 +83,23 @@ class ServingRuntime:
         # barrier; a shutdown would fail requests the drain promised to
         # serve), so both raise while this is non-zero.
         self._draining = 0
-        # Blue/green swap telemetry: per-key swap counts, bounded swap
-        # records, and the final counters of every retired scheduler
-        # (folded per key so "every submitted request completed" stays
-        # checkable across swaps — a live scheduler's stats start over).
-        self._swap_counts: dict[str, int] = {}
+        # Per-runtime metrics registry: every scheduler (and its
+        # service) counts into it under model=<key>, the HTTP server
+        # under worker=<label>, the streaming bridge under its key.
+        # Rendered by GET /metrics and embedded as the `metrics`
+        # section of stats().
+        self.metrics = MetricsRegistry()
+        # Blue/green swap telemetry: per-key swap counts and bounded
+        # swap records.
+        self._swaps = self.metrics.counter(
+            "repro_swaps_total", "Blue/green swaps completed", ("model",)
+        )
         self._swap_history: list[dict] = []
-        self._retired: dict[str, dict] = {}
         # Extra /v1/stats sections: an attached ArtifactStore surfaces
         # cache telemetry, named providers (e.g. the streaming bridge's
         # refit-lag stats) contribute their own top-level sections.
         self._store = None
         self._stats_sources: dict[str, object] = {}
-        # Per-runtime metrics registry: hand-rolled scheduler/service/
-        # store counters publish through a scrape-time collector (zero
-        # hot-path cost); per-model latency histograms are real
-        # registry instruments the schedulers record into.  Rendered by
-        # the HTTP server's GET /metrics and embedded as the `metrics`
-        # section of stats().
-        self.metrics = MetricsRegistry()
-        self.metrics.register_collector("runtime", self._metric_samples)
-        self._latency_family = self.metrics.histogram(
-            "repro_request_latency_seconds",
-            "End-to-end scheduler latency per served request",
-            ("model",),
-            buckets=LATENCY_BUCKETS,
-        )
 
     # ------------------------------------------------------------------
     # Registration and lookup
@@ -145,10 +123,9 @@ class ServingRuntime:
         races the swap and reaches the old scheduler after its intake
         closed is transparently resubmitted to the new one by
         :meth:`submit`, so no request is ever dropped across a swap.
-        The retired scheduler's final counters are folded into the
-        ``swaps`` telemetry section (a fresh scheduler's stats start
-        over).  ``replace=True`` with no existing registration is an
-        ordinary register.
+        Both schedulers count into the key's metric children, so the
+        model's counters run on across the swap.  ``replace=True`` with
+        no existing registration is an ordinary register.
         """
         key = str(key)
         with self._lock:
@@ -171,15 +148,8 @@ class ServingRuntime:
                 # per-model override should reach (and fail) the
                 # scheduler's incompatibility check.
                 settings.pop("cache_size", None)
-            # The latency histogram child is keyed by model, not by
-            # scheduler instance: a blue/green swap's replacement
-            # scheduler records into the same child, so histogram
-            # counts stay monotone across swaps (Prometheus semantics).
             scheduler = MicroBatchScheduler(
-                forecaster,
-                name=f"serve[{key}]",
-                latency_histogram=self._latency_family.labels(model=key),
-                **settings,
+                forecaster, name=key, metrics=self.metrics, **settings
             )
             # The atomic swap: from here on submit() routes to the new
             # scheduler.  The old one still owes every request it
@@ -190,26 +160,14 @@ class ServingRuntime:
             drain_started = time.monotonic()
             old.shutdown(drain=True, timeout=drain_timeout)
             drain_seconds = time.monotonic() - drain_started
-            final = old.stats
+            swaps = self._swaps.labels(model=key)
             with self._lock:
-                self._swap_counts[key] = self._swap_counts.get(key, 0) + 1
-                retired = self._retired.setdefault(
-                    key, dict.fromkeys((*_SCHEDULER_COUNTERS, *_SERVICE_COUNTERS), 0)
-                )
-                for field in _SCHEDULER_COUNTERS:
-                    retired[field] += final[field]
-                # A pre-built service handed to both schedulers keeps
-                # counting across the swap; only a retired one folds.
-                if old.service is not scheduler.service:
-                    for field in _SERVICE_COUNTERS:
-                        retired[field] += final["service"][field]
+                swaps.inc()
                 self._swap_history.append({
                     "model": key,
-                    "swap": self._swap_counts[key],
+                    "swap": int(swaps.value),
                     "at": time.time(),
                     "drain_seconds": drain_seconds,
-                    "retired_completed": final["completed"],
-                    "retired_failed": final["failed"],
                 })
                 del self._swap_history[:-_SWAP_HISTORY_MAXLEN]
         return scheduler
@@ -347,11 +305,13 @@ class ServingRuntime:
 
         The attached store's per-namespace stats (entries, bytes,
         hit/miss counters) appear under a ``store`` key in :meth:`stats`
-        — and therefore on the wire at ``GET /v1/stats`` — so serving
-        and cache telemetry land in one place.
+        — and therefore on the wire at ``GET /v1/stats`` — and its
+        ``repro_store_*`` samples on :attr:`metrics`, so serving and
+        cache telemetry land in one place.
         """
         with self._lock:
             self._store = store
+        publish_store(store, self.metrics)
 
     def add_stats_source(self, name: str, provider) -> None:
         """Register a callable contributing a named :meth:`stats` section.
@@ -370,8 +330,8 @@ class ServingRuntime:
         """Serving telemetry for one model, or all models plus totals.
 
         The full (keyless) form carries optional sections beyond
-        ``models``/``totals``: ``swaps`` (blue/green swap history and
-        retired-scheduler counters) once a replace has happened,
+        ``models``/``totals``: ``swaps`` (blue/green swap counts and
+        history) once a replace has happened,
         ``store`` when an artifact store is attached, plus one section
         per :meth:`add_stats_source` provider.
         """
@@ -408,17 +368,16 @@ class ServingRuntime:
         with self._lock:
             store = self._store
             sources = dict(self._stats_sources)
-            if self._swap_history:
-                retired_totals = {
-                    field: sum(r[field] for r in self._retired.values())
-                    for field in _SCHEDULER_COUNTERS
-                }
-                result["swaps"] = {
-                    "count": sum(self._swap_counts.values()),
-                    "by_model": dict(self._swap_counts),
-                    "retired": retired_totals,
-                    "history": [dict(r) for r in self._swap_history],
-                }
+            history = [dict(r) for r in self._swap_history]
+        if history:
+            by_model = {
+                labels[0]: int(child.value) for labels, child in self._swaps.children()
+            }
+            result["swaps"] = {
+                "count": sum(by_model.values()),
+                "by_model": by_model,
+                "history": history,
+            }
         if store is not None:
             # A wedged store (corrupt manifest, dead disk) must degrade
             # to an error stanza, not take /v1/stats down with it.
@@ -433,40 +392,3 @@ class ServingRuntime:
                 result[name] = {"error": f"{type(error).__name__}: {error}"}
         result["metrics"] = self.metrics.as_dict()
         return result
-
-    def _metric_samples(self):
-        """Scrape-time samples for the ``runtime`` collector.
-
-        Reads the live schedulers' counter snapshots (and the attached
-        store's, if any) directly — never through :meth:`stats`, which
-        itself embeds this registry's output (recursion hazard).
-        Retired-scheduler and retired-service counters fold in so every
-        ``*_total`` stays monotone across blue/green swaps.
-        """
-        with self._lock:
-            per_model = {k: s.stats for k, s in self._schedulers.items()}
-            retired = {k: dict(r) for k, r in self._retired.items()}
-            swap_counts = dict(self._swap_counts)
-            store = self._store
-        for key, snap in per_model.items():
-            folded = retired.get(key, {})
-            for field, name in _SCHEDULER_COUNTERS.items():
-                yield (name, {"model": key},
-                       snap[field] + folded.get(field, 0))
-            yield ("repro_queue_depth", {"model": key}, snap["queue_depth"])
-            service = snap["service"]
-            for field, name in _SERVICE_COUNTERS.items():
-                yield (name, {"model": key},
-                       service[field] + folded.get(field, 0))
-        for key, count in swap_counts.items():
-            yield ("repro_swaps_total", {"model": key}, count)
-        if store is not None:
-            # One shared producer for every repro_store_* surface (hit
-            # and byte counters plus PR 10 lifecycle telemetry) — the
-            # process registry's collector yields the same names.
-            from ..engine.store import store_metric_samples
-
-            try:
-                yield from store_metric_samples(store)
-            except Exception:  # noqa: BLE001 — scrape must not fail
-                pass

@@ -40,12 +40,22 @@ from concurrent.futures import Future
 import numpy as np
 
 from ..interfaces import Forecaster
-from ..obs.metrics import LATENCY_BUCKETS, Histogram
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceContext, record_span, span
 from .errors import InvalidRequest, QueueFull
 from .service import ForecastService
 
 __all__ = ["AsyncForecast", "LatencyRecorder", "MicroBatchScheduler", "QueueFull"]
+
+#: The scheduler's counters: ``stats`` key -> (metric name, help).
+_COUNTERS = {
+    "submitted": ("repro_requests_submitted_total", "Requests accepted"),
+    "completed": ("repro_requests_completed_total", "Requests served"),
+    "rejected": ("repro_requests_rejected_total", "Requests refused at admission"),
+    "failed": ("repro_requests_failed_total", "Accepted requests that failed"),
+    "batches": ("repro_batches_total", "Micro-batches dispatched"),
+    "fast_hits": ("repro_fast_hits_total", "Requests served by the cache fast path"),
+}
 
 
 class AsyncForecast:
@@ -79,22 +89,13 @@ class LatencyRecorder:
     (p50 <= p95 <= p99 always).  Appends come from the scheduler worker
     thread and, when the cache-hit fast path is on, from submitter
     threads too; the histogram child's internal lock keeps counts
-    exact.
-
-    The ``histogram`` parameter lets a caller aim recordings at a
-    registry-owned family child (the runtime labels one per model so
-    ``GET /metrics`` exposes real latency buckets); by default the
-    recorder owns a private anonymous histogram.
+    exact.  ``histogram`` is a registry-owned family child (the
+    scheduler passes its model's), so ``GET /metrics`` exposes the
+    same buckets.
     """
 
-    def __init__(self, histogram=None) -> None:
-        self._hist = (
-            histogram
-            if histogram is not None
-            else Histogram(
-                "request_latency_seconds", "", buckets=LATENCY_BUCKETS
-            ).labels()
-        )
+    def __init__(self, histogram) -> None:
+        self._hist = histogram
 
     @property
     def count(self) -> int:
@@ -142,8 +143,9 @@ class MicroBatchScheduler:
     ----------
     forecaster:
         A fitted :class:`~repro.interfaces.Forecaster`, or an existing
-        :class:`ForecastService` to drain through (its cache and
-        counters are then shared with whoever else holds it).
+        :class:`ForecastService` to drain through (its cache is then
+        shared with whoever else holds it; its counters move to this
+        scheduler's registry and label).
     deadline_ms:
         Micro-batch window: how long the worker holds the first queued
         request open for companions before dispatching.  Smaller bounds
@@ -175,7 +177,14 @@ class MicroBatchScheduler:
         cache-hot serving.  Bytes are unchanged either way: a hit is the
         block the first computation cached.
     name:
-        Label used for the worker thread and error messages.
+        The ``model`` label of the scheduler's metrics and spans; also
+        names the worker thread and appears in error messages.
+    metrics:
+        The :class:`~repro.obs.metrics.MetricsRegistry` that every count
+        (the service's too), the latency histogram and the queue-depth
+        gauge go to, as children labelled ``model=name`` (default: a
+        private registry).  Two schedulers of one name on one registry
+        — a blue/green swap's two sides — share one monotone series.
 
     Note: when wrapping an existing service, the service's own
     ``max_batch_size`` still chunks each batch — the scheduler's
@@ -194,7 +203,7 @@ class MicroBatchScheduler:
         log_batches: bool = False,
         cache_fast_path: bool = False,
         name: str = "scheduler",
-        latency_histogram=None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if deadline_ms < 0:
             raise ValueError(f"deadline_ms must be >= 0, got {deadline_ms}")
@@ -220,6 +229,8 @@ class MicroBatchScheduler:
                 max_batch_size=max_batch,
                 log_batches=log_batches,
             )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.service.count_into(self.metrics, name)
         self.deadline_s = deadline_ms / 1e3
         self.max_batch = max_batch
         self.max_queue = max_queue
@@ -232,21 +243,29 @@ class MicroBatchScheduler:
         self._in_flight = 0  # submitted but not yet completed/failed
         self._closed = False
 
-        # Telemetry (mutated under self._cond, except latency appends
-        # which only the worker thread performs).
-        self.submitted = 0
-        self.completed = 0
-        self.rejected = 0
-        self.failed = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.fast_hits = 0
+        # Telemetry.  Counters are incremented under self._cond so one
+        # scheduler's stats snapshot is consistent; batch shape and
+        # peaks describe this scheduler alone.
+        self._counters = {
+            field: self.metrics.counter(metric, help, ("model",)).labels(model=name)
+            for field, (metric, help) in _COUNTERS.items()
+        }
+        self._queue_depth = self.metrics.gauge(
+            "repro_queue_depth", "Requests queued, not yet dispatched", ("model",)
+        ).labels(model=name)
+        self.latency = LatencyRecorder(self.metrics.histogram(
+            "repro_request_latency_seconds",
+            "End-to-end scheduler latency per served request",
+            ("model",),
+        ).labels(model=name))
+        self._dispatched = 0
+        self._batched_requests = 0
         self.peak_queue_depth = 0
         self.max_batch_observed = 0
-        # latency_histogram: optionally a registry-owned histogram child
-        # (the runtime labels one per model for /metrics exposition).
-        self.latency = LatencyRecorder(histogram=latency_histogram)
+        # Throughput window: this scheduler's first submit to its last
+        # completion, over the completions the series gained meanwhile.
         self._first_submit_at: float | None = None
+        self._completed_at_first_submit = 0
         self._last_complete_at: float | None = None
 
         self._worker = threading.Thread(
@@ -288,11 +307,9 @@ class MicroBatchScheduler:
                 with self._cond:
                     if self._closed:
                         raise RuntimeError(f"{self.name} is shut down")
-                    self.submitted += 1
-                    self.completed += 1
-                    self.fast_hits += 1
-                    if self._first_submit_at is None:
-                        self._first_submit_at = time.monotonic()
+                    self._mark_first_submit(time.monotonic())
+                    for field in ("submitted", "completed", "fast_hits"):
+                        self._counters[field].inc()
                     self._last_complete_at = time.monotonic()
                 self.latency.record(0.0)
                 if trace is not None:
@@ -308,7 +325,7 @@ class MicroBatchScheduler:
                 raise RuntimeError(f"{self.name} is shut down")
             while len(self._queue) >= self.max_queue:
                 if self.admission == "reject":
-                    self.rejected += 1
+                    self._counters["rejected"].inc()
                     raise QueueFull(
                         f"{self.name} queue is at capacity "
                         f"({self.max_queue}); request for window {start} rejected"
@@ -317,15 +334,21 @@ class MicroBatchScheduler:
                 if self._closed:
                     raise RuntimeError(f"{self.name} is shut down")
             now = time.monotonic()
-            if self._first_submit_at is None:
-                self._first_submit_at = now
+            self._mark_first_submit(now)
             self._queue.append(_Request(start, future, now, trace))
-            self.submitted += 1
+            self._counters["submitted"].inc()
             self._in_flight += 1
+            self._queue_depth.set(len(self._queue))
             if len(self._queue) > self.peak_queue_depth:
                 self.peak_queue_depth = len(self._queue)
             self._cond.notify_all()
         return AsyncForecast(start, future)
+
+    def _mark_first_submit(self, now: float) -> None:
+        """Open the throughput window (caller holds ``self._cond``)."""
+        if self._first_submit_at is None:
+            self._first_submit_at = now
+            self._completed_at_first_submit = self._counters["completed"].value
 
     def forecast(self, window_starts: np.ndarray) -> np.ndarray:
         """Submit many starts and block for the stacked results.
@@ -361,6 +384,7 @@ class MicroBatchScheduler:
                     self._cond.wait(remaining)
                 take = min(len(self._queue), self.max_batch)
                 batch = [self._queue.popleft() for _ in range(take)]
+                self._queue_depth.set(len(self._queue))
                 # Space freed: wake submitters blocked on admission.
                 self._cond.notify_all()
             if batch:
@@ -405,10 +429,11 @@ class MicroBatchScheduler:
         finally:
             with self._cond:
                 self._in_flight -= len(batch)
-                self.completed += served
-                self.failed += len(batch) - served
-                self.batches += 1
-                self.batched_requests += len(batch)
+                self._counters["completed"].inc(served)
+                self._counters["failed"].inc(len(batch) - served)
+                self._counters["batches"].inc()
+                self._dispatched += 1
+                self._batched_requests += len(batch)
                 if len(batch) > self.max_batch_observed:
                     self.max_batch_observed = len(batch)
                 if served:
@@ -438,8 +463,9 @@ class MicroBatchScheduler:
                 if not drain:
                     abandoned = list(self._queue)
                     self._queue.clear()
+                    self._queue_depth.set(0)
                     self._in_flight -= len(abandoned)
-                    self.failed += len(abandoned)
+                    self._counters["failed"].inc(len(abandoned))
                     for req in abandoned:
                         req.future.set_exception(
                             RuntimeError(f"{self.name} shut down before serving window {req.start}")
@@ -465,27 +491,31 @@ class MicroBatchScheduler:
 
     @property
     def throughput_rps(self) -> float | None:
-        """Completed requests per second, first submit → last completion."""
+        """Completed requests per second, first submit → last completion.
+
+        The model's ``completed`` series outlives a blue/green swap, so
+        the count is the completions it gained since this scheduler's
+        first submit — the same window the elapsed time covers.
+        """
         with self._cond:
             if self._first_submit_at is None or self._last_complete_at is None:
                 return None
             elapsed = self._last_complete_at - self._first_submit_at
             if elapsed <= 0:
                 return None
-            return self.completed / elapsed
+            completed = self._counters["completed"].value
+            return (completed - self._completed_at_first_submit) / elapsed
 
     @property
     def stats(self) -> dict:
         with self._cond:
             snapshot = {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "rejected": self.rejected,
-                "failed": self.failed,
-                "batches": self.batches,
-                "fast_hits": self.fast_hits,
+                field: int(child.value) for field, child in self._counters.items()
+            }
+            snapshot.update({
                 "avg_batch_size": (
-                    self.batched_requests / self.batches if self.batches else 0.0
+                    self._batched_requests / self._dispatched
+                    if self._dispatched else 0.0
                 ),
                 "max_batch_observed": self.max_batch_observed,
                 "queue_depth": len(self._queue),
@@ -493,7 +523,7 @@ class MicroBatchScheduler:
                 # Condition's default lock is an RLock, so the property
                 # can re-enter it.
                 "throughput_rps": self.throughput_rps,
-            }
+            })
         snapshot["latency"] = self.latency.summary()
         snapshot["service"] = self.service.stats
         return snapshot

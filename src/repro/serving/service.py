@@ -38,12 +38,22 @@ import numpy as np
 
 from ..engine import ArtifactStore, default_store_scope
 from ..interfaces import Forecaster
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span
 from .errors import InvalidRequest
 
 __all__ = ["ForecastService"]
 
 _MISSING = object()
+
+#: The service's counters: ``stats`` key -> (metric name, help).
+_COUNTERS = {
+    "predict_calls": ("repro_predict_calls_total", "Model predict calls"),
+    "windows_computed": ("repro_windows_computed_total", "Windows predicted"),
+    "predict_seconds": ("repro_predict_seconds_total", "Seconds in model predict"),
+    "cache_hits": ("repro_cache_hits_total", "Requests served from the cache"),
+    "coalesced": ("repro_coalesced_total", "Requests deduped into another's miss"),
+}
 
 #: Bound on the batch-composition log: parity replay certification
 #: (bench_serving_load) is only sound for runs issuing fewer predict
@@ -135,15 +145,17 @@ class ForecastService:
         # Serialises forecast() calls: a scheduler worker and direct
         # callers can safely share one service.
         self._lock = threading.Lock()
-        # Telemetry for benchmarks and capacity planning.
-        self.requests = 0
-        self.predict_calls = 0
-        self.windows_computed = 0
-        self.predict_seconds = 0.0
-        #: Requests answered straight from the result cache.
-        self.cache_hits = 0
-        #: Requests folded into another request's miss (batch dedup).
-        self.coalesced = 0
+        # Telemetry for benchmarks and capacity planning: a private
+        # registry until a scheduler hosts the service.
+        self.count_into(MetricsRegistry(), "service")
+
+    def count_into(self, registry: MetricsRegistry, model: str) -> None:
+        """Count from now on into ``registry``'s children labelled ``model``
+        (a hosting scheduler's); earlier counts stay where they were."""
+        self._counters = {
+            field: registry.counter(name, help, ("model",)).labels(model=model)
+            for field, (name, help) in _COUNTERS.items()
+        }
 
     def forecast(self, window_starts: np.ndarray) -> np.ndarray:
         """Batched forecasts for many (possibly duplicated) starts.
@@ -164,9 +176,8 @@ class ForecastService:
                 blocks = {s: self._results.get(s, _MISSING) for s in dict.fromkeys(starts)}
             misses = sorted(s for s, block in blocks.items() if block is _MISSING)
             hits = sum(blocks[s] is not _MISSING for s in starts)
-            self.requests += len(starts)
-            self.cache_hits += hits
-            self.coalesced += len(starts) - hits - len(misses)
+            self._counters["cache_hits"].inc(hits)
+            self._counters["coalesced"].inc(len(starts) - hits - len(misses))
             chunk = self.max_batch_size if self.stateless_predict else 1
             with span("service.predict", batch_size=len(starts)):
                 for begin in range(0, len(misses), chunk):
@@ -178,15 +189,15 @@ class ForecastService:
                         # cached.
                         blocks[start] = rows[row].copy()
                         self._results.put(start, blocks[start])
-            self.windows_computed += len(misses)
+            self._counters["windows_computed"].inc(len(misses))
         return np.stack([blocks[s] for s in starts], axis=0)
 
     def _predict_batch(self, batch: np.ndarray) -> np.ndarray:
         """Issue one timed, logged ``predict`` call over ``batch``."""
         began = time.perf_counter()
         block = self.forecaster.predict(batch)
-        self.predict_seconds += time.perf_counter() - began
-        self.predict_calls += 1
+        self._counters["predict_seconds"].inc(time.perf_counter() - began)
+        self._counters["predict_calls"].inc()
         if self.batch_log is not None:
             self.batch_log.append(batch.copy())
         return block
@@ -215,20 +226,19 @@ class ForecastService:
     def stats(self) -> dict:
         """Service counters plus the underlying result-cache stats.
 
-        Deliberately lock-free: the lock is held across model
-        ``predict`` calls, and telemetry reads must not block behind a
-        slow model.  Individual counter reads are atomic in CPython; a
-        snapshot taken mid-forecast may be a few requests stale, which
+        Every request is a cache hit, a coalesced duplicate or a
+        computed window, so ``requests`` is their sum.  Deliberately
+        free of the service lock: it is held across model ``predict``
+        calls, and telemetry reads must not block behind a slow model.
+        A snapshot taken mid-forecast may be a few requests stale, which
         monitoring tolerates.
         """
-        requests = self.requests
+        counts = {field: int(child.value) for field, child in self._counters.items()}
+        counts["predict_seconds"] = self._counters["predict_seconds"].value
+        requests = counts["cache_hits"] + counts["coalesced"] + counts["windows_computed"]
         return {
             "requests": requests,
-            "predict_calls": self.predict_calls,
-            "windows_computed": self.windows_computed,
-            "predict_seconds": self.predict_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_hit_pct": 100.0 * self.cache_hits / requests if requests else 0.0,
-            "coalesced": self.coalesced,
+            **counts,
+            "cache_hit_pct": 100.0 * counts["cache_hits"] / requests if requests else 0.0,
             "cache": self._results.stats,
         }

@@ -154,7 +154,9 @@ def decode_array(body: bytes) -> np.ndarray:
     try:
         dtype = np.dtype(header["dtype"])
         shape = tuple(header["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+    # numpy parses a comma-string dtype ("<i1,1") with ast.literal_eval,
+    # so a corrupted one can raise SyntaxError.
+    except (KeyError, TypeError, ValueError, SyntaxError) as exc:
         raise CodecError(f"malformed array header: {exc}") from None
     if dtype.kind not in "biufc":
         raise CodecError(f"array dtype {dtype.str!r} is not numeric")

@@ -62,31 +62,13 @@ DEFAULT_MAX_BODY_BYTES = 1 << 20
 _POLL_INTERVAL_S = 0.02
 
 
-class _TransportCounters:
-    """Thread-safe request/byte counters for ``/v1/stats``."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.errors = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-
-    def account(self, *, bytes_in: int, bytes_out: int, error: bool) -> None:
-        with self._lock:
-            self.requests += 1
-            self.errors += int(error)
-            self.bytes_in += bytes_in
-            self.bytes_out += bytes_out
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "errors": self.errors,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-            }
+#: Transport counters: ``/v1/stats`` key -> (metric name, help).
+_COUNTERS = {
+    "requests": ("repro_transport_requests_total", "HTTP responses written"),
+    "errors": ("repro_transport_errors_total", "HTTP responses with status >= 400"),
+    "bytes_in": ("repro_transport_bytes_in_total", "Request body bytes read"),
+    "bytes_out": ("repro_transport_bytes_out_total", "Response body bytes written"),
+}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -116,9 +98,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-        self.app.counters.account(
-            bytes_in=bytes_in, bytes_out=len(body), error=status >= 400
-        )
+        counters = self.app._counters
+        counters["requests"].inc()
+        if status >= 400:
+            counters["errors"].inc()
+        counters["bytes_in"].inc(bytes_in)
+        counters["bytes_out"].inc(len(body))
 
     def _send_json(self, status: int, payload: dict) -> None:
         self._send(status, "application/json", json.dumps(payload).encode("utf-8"))
@@ -153,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {
                 "worker": app.worker_label,
                 "ready": app.ready,
-                "transport": app.counters.snapshot(),
+                "transport": app.transport_stats(),
                 "runtime": app.runtime.stats(),
             })
         elif path == "/metrics":
@@ -346,7 +331,6 @@ class ForecastHTTPServer:
         result_timeout_s: float | None = 60.0,
         reuse_port: bool = False,
         worker_label: str = "worker-0",
-        counters: _TransportCounters | None = None,
     ) -> None:
         if max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
@@ -354,28 +338,24 @@ class ForecastHTTPServer:
         self.max_body_bytes = max_body_bytes
         self.result_timeout_s = result_timeout_s
         self.worker_label = worker_label
-        # Shareable so a worker's public listener and its private
-        # control listener report one combined transport view.
-        self.counters = counters if counters is not None else _TransportCounters()
-        # Publish the transport counters on the runtime's /metrics
-        # scrape; keyed by worker label so a re-created server (or a
-        # second listener sharing the counters) replaces, not duplicates.
-        runtime.metrics.register_collector(
-            f"transport[{worker_label}]", self._transport_samples
-        )
+        # The runtime registry's children labelled with this worker, so
+        # every listener of one worker (public and control port) counts
+        # into one series.
+        self._counters = {
+            field: runtime.metrics.counter(name, help, ("worker",)).labels(
+                worker=worker_label
+            )
+            for field, (name, help) in _COUNTERS.items()
+        }
         self._ready = threading.Event()
         self._server = _Server((host, port), self, reuse_port)
         self._thread: threading.Thread | None = None
         self._started = False
         self._closed = False
 
-    def _transport_samples(self):
-        snapshot = self.counters.snapshot()
-        labels = {"worker": self.worker_label}
-        yield ("repro_transport_requests_total", labels, snapshot["requests"])
-        yield ("repro_transport_errors_total", labels, snapshot["errors"])
-        yield ("repro_transport_bytes_in_total", labels, snapshot["bytes_in"])
-        yield ("repro_transport_bytes_out_total", labels, snapshot["bytes_out"])
+    def transport_stats(self) -> dict:
+        """This worker's request, error and byte counts (``/v1/stats``)."""
+        return {field: int(child.value) for field, child in self._counters.items()}
 
     # ------------------------------------------------------------------
     @property

@@ -350,13 +350,13 @@ def run_worker(
         worker_label=label,
     )
     # Private per-worker port: stats/batch-log introspection that must
-    # reach *this* worker, not whichever one the kernel picks next.
-    # Shares the public listener's counters so its /v1/stats reports the
-    # worker's real traffic.
+    # reach *this* worker, not whichever one the kernel picks next.  Same
+    # runtime and worker label as the public listener, so both count into
+    # one transport series and its /v1/stats reports the worker's real
+    # traffic.
     control = ForecastHTTPServer(
         runtime, config.host, 0,
         max_body_bytes=config.max_body_bytes, worker_label=label,
-        counters=server.counters,
     )
     stop = stop_event if stop_event is not None else threading.Event()
     if threading.current_thread() is threading.main_thread():

@@ -26,7 +26,10 @@ scheduler's drain happens after new traffic is already being served by
 the new model).  Per-deploy lag, fit/swap breakdowns and drain times
 are published as the ``streaming`` section of
 :meth:`ServingRuntime.stats` — and therefore on the wire at
-``GET /v1/stats``.
+``GET /v1/stats``.  Deploy and swap counts and the last and worst lag
+are instruments on the runtime's registry labelled ``model=<key>``,
+set by :meth:`LiveSwapBridge.deploy`; the section reads the counts
+back from them.
 """
 
 from __future__ import annotations
@@ -86,10 +89,24 @@ class LiveSwapBridge:
         self.register_options = dict(register_options or {})
         self.deploys: list[dict] = []
         self.service: ForecastService | None = None
+        metrics = runtime.metrics
+        self._deploys = metrics.counter(
+            "repro_stream_deploys_total", "Refreshed models put live", ("model",)
+        ).labels(model=self.key)
+        self._swaps = metrics.counter(
+            "repro_stream_swaps_total", "Deploys that blue/green swapped", ("model",)
+        ).labels(model=self.key)
+        self._lag = metrics.gauge(
+            "repro_stream_refit_lag_seconds",
+            "Data arrival to model live, last refit", ("model",),
+        )
+        self._lag_max = metrics.gauge(
+            "repro_stream_refit_lag_max_seconds",
+            "Data arrival to model live, worst refit", ("model",),
+        )
         if store is not None:
             runtime.attach_store(store)
         runtime.add_stats_source("streaming", self.stats)
-        runtime.metrics.register_collector("streaming", self._metric_samples)
 
     def build_service(self, forecaster) -> ForecastService:
         """Wrap a fitted forecaster the way :meth:`deploy` serves it."""
@@ -142,16 +159,23 @@ class LiveSwapBridge:
             "live_at": time.time(),
             "swap_seconds": live_at - swap_started,
         }
+        self._deploys.inc()
+        if swap:
+            self._swaps.inc()
         if record is not None:
+            # Full lag: trigger-window data arrival -> model live.
+            lag = live_at - record.data_ready_monotonic
             entry.update(
                 refit_index=record.index,
                 window=[record.window_start, record.window_end],
                 fit_seconds=record.fit_seconds,
                 warm_started=record.warm_started,
-                # Full lag: trigger-window data arrival -> model live.
-                refit_lag_seconds=live_at - record.data_ready_monotonic,
+                refit_lag_seconds=lag,
                 fit_lag_seconds=record.fit_lag_seconds,
             )
+            self._lag.labels(model=self.key).set(lag)
+            worst = self._lag_max.labels(model=self.key)
+            worst.set(max(worst.value, lag))
         self.deploys.append(entry)
         return service
 
@@ -167,8 +191,8 @@ class LiveSwapBridge:
         ]
         section = {
             "model": self.key,
-            "deploys": len(self.deploys),
-            "swaps": sum(1 for d in self.deploys if d["swap"]),
+            "deploys": int(self._deploys.value),
+            "swaps": int(self._swaps.value),
             "history": [dict(d) for d in self.deploys],
         }
         if lags:
@@ -178,18 +202,3 @@ class LiveSwapBridge:
                 "max_seconds": max(lags),
             }
         return section
-
-    def _metric_samples(self):
-        """Scrape-time samples for the runtime's ``streaming`` collector."""
-        deploys = list(self.deploys)
-        labels = {"model": self.key}
-        yield ("repro_stream_deploys_total", labels, len(deploys))
-        yield ("repro_stream_swaps_total", labels,
-               sum(1 for d in deploys if d["swap"]))
-        lags = [
-            d["refit_lag_seconds"] for d in deploys
-            if "refit_lag_seconds" in d
-        ]
-        if lags:
-            yield ("repro_stream_refit_lag_seconds", labels, lags[-1])
-            yield ("repro_stream_refit_lag_max_seconds", labels, max(lags))

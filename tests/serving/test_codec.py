@@ -133,6 +133,8 @@ class TestArrayFrames:
         ("<f8", [-1, -1], "non-negative integer dims"),
         ("<f8", [True], "non-negative integer dims"),
         ("<f8", [1.0], "non-negative integer dims"),
+        # numpy's comma-string parser raises SyntaxError on this one.
+        ("|,1", [1], "malformed array header"),
     ])
     def test_unservable_header_is_codec_error(self, dtype, shape, match):
         body = codec.encode_frame(
@@ -285,6 +287,8 @@ class TestProperties:
     @given(values=raw_arrays(), mask=st.integers(min_value=1, max_value=255))
     # "<f8" -> "<O8": one flipped byte declares an object dtype.
     @example(values=np.zeros(2), mask=ord("f") ^ ord("O"))
+    # One flipped byte turns the int8 header's dtype into "|,1".
+    @example(values=np.zeros((), dtype=np.int8), mask=69)
     def test_corrupted_array_frame_decodes_or_raises_serving_error(self, values, mask):
         for body in _corruptions(codec.encode_array(values), mask):
             _decodes_or_serving_error(codec.decode_array, body)

@@ -86,6 +86,29 @@ class TestEndToEndTrace:
         # Store probes run inside the batch scope, under the ambient ctx.
         assert by_name["store.get"]["trace"] == client_span["trace"]
 
+    def test_scheduler_spans_and_metrics_share_one_model_value(self, traced_server):
+        runtime, _server, client, recorder = traced_server
+        client.forecast_one("toy", 13)  # queued: queue_wait + batch_dispatch
+        spans = [
+            s for s in recorder.spans(client.last_trace_id)
+            if s["name"].startswith("scheduler.")
+        ]
+        assert {s["name"] for s in spans} == {
+            "scheduler.queue_wait", "scheduler.batch_dispatch"
+        }
+        assert {s["attrs"]["model"] for s in spans} == {"toy"}
+        runtime.register("hot", _Affine(), cache_fast_path=True)
+        client.forecast_one("hot", 13)
+        client.forecast_one("hot", 13)  # cache hit on the submitting thread
+        fast = [
+            s for s in recorder.spans(client.last_trace_id)
+            if s["name"] == "scheduler.cache_fast_path"
+        ]
+        assert [s["attrs"]["model"] for s in fast] == ["hot"]
+        rendered = runtime.metrics.render()
+        assert 'repro_requests_completed_total{model="toy"}' in rendered
+        assert 'repro_fast_hits_total{model="hot"} 1' in rendered
+
     def test_wire_trace_arrives_via_traces_endpoint(self, traced_server):
         _runtime, _server, client, recorder = traced_server
         client.forecast("toy", [1, 2, 3])
@@ -141,8 +164,8 @@ class TestMetricsSurfaces:
         assert "repro_request_latency_seconds{model=\"toy\"}" in (
             metrics["histograms"]
         )
-        runtime_samples = metrics["collected"]["runtime"]
-        assert runtime_samples['repro_requests_completed_total{model="toy"}'] >= 1
+        counters = metrics["counters"]
+        assert counters['repro_requests_completed_total{model="toy"}'] >= 1
 
     def test_metrics_is_a_reserved_stats_section(self, traced_server):
         runtime, _server, _client, _recorder = traced_server

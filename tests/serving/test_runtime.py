@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -321,7 +322,7 @@ class TestBlueGreenSwap:
             with pytest.raises(ValueError, match="replace=True"):
                 runtime.register("bay", _KeyedForecaster(2.0))
 
-    def test_swap_drains_old_scheduler_and_folds_counters(self):
+    def test_swap_drains_old_scheduler_and_keeps_counting(self):
         with ServingRuntime(deadline_ms=1.0) as runtime:
             runtime.register("bay", _KeyedForecaster(1.0))
             handles = [runtime.submit("bay", s) for s in range(6)]
@@ -334,13 +335,14 @@ class TestBlueGreenSwap:
             swaps = stats["swaps"]
             assert swaps["count"] == 1
             assert swaps["by_model"] == {"bay": 1}
-            assert swaps["retired"]["completed"] == 6
-            assert swaps["retired"]["failed"] == 0
             record = swaps["history"][-1]
             assert record["model"] == "bay"
             assert record["drain_seconds"] >= 0
-            # The live scheduler's counters started over.
-            assert stats["models"]["bay"]["submitted"] == 0
+            # The model's counters run on across the swap: the live
+            # scheduler reads the series the old one counted into.
+            bay = stats["models"]["bay"]
+            assert bay["submitted"] == bay["completed"] == 6
+            assert bay["failed"] == 0
 
     def test_metric_totals_never_decrease_across_swap(self):
         """Regression: service counters (cache hits, predict calls...)
@@ -357,39 +359,61 @@ class TestBlueGreenSwap:
         for series, value in before.items():
             assert after[series] >= value, series
 
+    def test_throughput_counts_only_the_window_it_covers(self):
+        """The completed series runs on across a swap; a fresh
+        scheduler's throughput divides only its own window's count."""
+        with ServingRuntime(deadline_ms=1.0) as runtime:
+            runtime.register("m", _KeyedForecaster(1.0))
+            runtime.forecast("m", np.arange(40))
+            runtime.register("m", _KeyedForecaster(2.0), replace=True)
+            runtime.forecast("m", np.arange(100, 104))
+            assert runtime.drain("m", timeout=10.0)
+            scheduler = runtime.scheduler("m")
+            window = scheduler._last_complete_at - scheduler._first_submit_at
+            assert scheduler.stats["completed"] == 44
+            assert scheduler.throughput_rps * window == pytest.approx(4)
+
     def test_concurrent_submits_survive_swap(self):
         """Regression: a submit racing the swap (old scheduler's intake
-        already closed) is transparently resubmitted, never dropped."""
-        with ServingRuntime(deadline_ms=0.5, max_queue=4096) as runtime:
-            runtime.register("bay", _SlowForecaster(0.002))
-            errors: list[Exception] = []
-            stop = threading.Event()
+        already closed) is transparently resubmitted, never dropped.
+        Both sides of each swap count into one series concurrently, so
+        a short switch interval makes a lost update show."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingRuntime(deadline_ms=0.5, max_queue=4096) as runtime:
+                runtime.register("bay", _SlowForecaster(0.002))
+                errors: list[Exception] = []
+                served = [0] * 4
+                stop = threading.Event()
 
-            def hammer() -> None:
-                i = 0
-                while not stop.is_set():
-                    try:
-                        runtime.submit("bay", i).result()
-                    except Exception as error:  # noqa: BLE001
-                        errors.append(error)
-                        return
-                    i += 1
+                def hammer(worker: int) -> None:
+                    while not stop.is_set():
+                        try:
+                            runtime.submit("bay", served[worker]).result()
+                        except Exception as error:  # noqa: BLE001
+                            errors.append(error)
+                            return
+                        served[worker] += 1
 
-            threads = [threading.Thread(target=hammer) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for _ in range(4):
-                time.sleep(0.03)
-                runtime.register("bay", _SlowForecaster(0.002), replace=True)
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert not errors, f"swap dropped a request: {errors[:3]}"
-            stats = runtime.stats()
-            retired, live = stats["swaps"]["retired"], stats["totals"]
-            assert retired["failed"] == 0 and live["failed"] == 0
-            assert (retired["submitted"] + live["submitted"]
-                    == retired["completed"] + live["completed"])
+                threads = [
+                    threading.Thread(target=hammer, args=(w,)) for w in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for _ in range(4):
+                    time.sleep(0.03)
+                    runtime.register("bay", _SlowForecaster(0.002), replace=True)
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, f"swap dropped a request: {errors[:3]}"
+                totals = runtime.stats()["totals"]
+                assert totals["failed"] == 0
+                assert totals["submitted"] == totals["completed"] == sum(served)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_queue_full_is_not_retried_as_a_swap(self):
         with ServingRuntime(deadline_ms=50.0, max_queue=1,
@@ -417,6 +441,29 @@ class TestStatsSections:
             section = runtime.stats()["store"]
             assert section["namespaces"]["dtw_pair"]["memory_items"] == 1
             assert section["namespaces"]["dtw_pair"]["memory_bytes"] == 24
+
+    def test_store_published_twice_renders_once(self):
+        """Regression: a store attached to a runtime and also opened as
+        the process store rendered every repro_store_* series twice."""
+        from repro.engine import ArtifactStore, open_store, reset_store
+        from repro.obs.metrics import global_registry, render_prometheus
+
+        store = ArtifactStore()
+        store.put("dtw_pair", b"k", np.arange(3.0))
+        try:
+            with ServingRuntime(deadline_ms=1.0) as runtime:
+                runtime.attach_store(store)
+                open_store(store=store)
+                text = render_prometheus(runtime.metrics, global_registry())
+        finally:
+            reset_store()
+        series = [
+            line.rsplit(" ", 1)[0]
+            for line in text.splitlines()
+            if line.startswith("repro_store_")
+        ]
+        assert 'repro_store_hits_total{namespace="dtw_pair"}' in series
+        assert len(series) == len(set(series))
 
     def test_named_provider_section_and_errors(self):
         with ServingRuntime(deadline_ms=1.0) as runtime:

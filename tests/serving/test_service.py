@@ -99,7 +99,7 @@ class TestBitwiseParity:
         )
         assert np.array_equal(batched, sequential)
         # One predict call per distinct window, not one big batch.
-        assert service.predict_calls == len(starts)
+        assert service.stats["predict_calls"] == len(starts)
 
 
 class TestCoalescingAndCaching:
@@ -144,7 +144,7 @@ class TestCoalescingAndCaching:
         service = ForecastService(model)
         with pytest.raises(ValueError):
             service.forecast(np.array([], dtype=int))
-        assert model.calls == [] and service.requests == 0
+        assert model.calls == [] and service.stats["requests"] == 0
 
     def test_hits_survive_evictions_by_their_own_call(self):
         """A hit is read once and kept: the call's own cache writes can
@@ -187,7 +187,7 @@ class TestCoalescingAndCaching:
         second = service_b.forecast(np.array([2, 1]))
         assert np.array_equal(first[::-1], second)
         assert model_a.calls and not model_b.calls  # b served from shared cache
-        assert service_b.cache_hits == 2
+        assert service_b.stats["cache_hits"] == 2
 
     def test_batch_log_records_predict_compositions(self):
         model = _CountingForecaster()
@@ -227,7 +227,7 @@ def test_forecast_properties(starts, warm_len, cache_size, max_batch_size, state
         service.forecast(starts[:warm_len])
     cached = {s for s in set(starts) if s in service._results}
     model.calls.clear()
-    requests = service.requests
+    requests = service.stats["requests"]
 
     out = service.forecast(starts)
 
@@ -236,7 +236,7 @@ def test_forecast_properties(starts, warm_len, cache_size, max_batch_size, state
     assert computed == sorted(set(starts) - cached)  # each miss once, sorted
     chunk = max_batch_size if stateless else 1
     assert all(1 <= len(batch) <= chunk for batch in batches)
-    assert service.requests - requests == len(starts)
+    assert service.stats["requests"] - requests == len(starts)
     assert out.tobytes() == _CountingForecaster().predict(np.array(starts)).tobytes()
 
 
@@ -267,8 +267,8 @@ class TestStoreBackedService:
         second = ForecastService(fitted_stsm, store=store)
         again = second.forecast(starts)
         assert again.tobytes() == blocks.tobytes()
-        assert second.windows_computed == 0  # everything came from the store
-        assert second.cache_hits == len(starts)
+        assert second.stats["windows_computed"] == 0  # everything came from the store
+        assert second.stats["cache_hits"] == len(starts)
 
     def test_store_scopes_isolate_models(self):
         from repro.engine import ArtifactStore
@@ -293,7 +293,7 @@ class TestStoreBackedService:
         service.forecast(np.array([1, 2]))
         service.forecast(np.array([2, 1]))
         assert [c.tolist() for c in model.calls] == [[1, 2]]
-        assert service.cache_hits == 2
+        assert service.stats["cache_hits"] == 2
         assert "forecast_window" not in store.stats["namespaces"]
 
     def test_evaluator_store_path_matches_direct_metrics(self, fitted_stsm, setting):

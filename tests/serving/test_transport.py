@@ -269,6 +269,27 @@ class TestIntrospection:
         assert "toy/a" in stats["runtime"]["models"]
         assert stats["runtime"]["totals"]["completed"] >= 1
 
+    def test_listeners_of_one_worker_share_one_transport_series(self, served):
+        """A worker's public and control listeners (same runtime, same
+        label) count into the same registry children."""
+        runtime, server, client = served
+        with ForecastHTTPServer(runtime).start() as control:
+            control.set_ready()
+            with ForecastClient("127.0.0.1", control.port) as other:
+                other.forecast_one("toy/a", 1)
+            client.forecast_one("toy/a", 2)
+            # A response is counted just after its bytes are written.
+            deadline = time.monotonic() + 5.0
+            while (server.transport_stats()["requests"] < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            assert server.transport_stats()["requests"] == 2
+            assert control.transport_stats() == server.transport_stats()
+            assert (
+                'repro_transport_requests_total{worker="worker-0"} 2'
+                in runtime.metrics.render()
+            )
+
     def test_batch_log_round_trip(self, served):
         runtime, _server, client = served
         client.forecast("toy/a", [4, 9])

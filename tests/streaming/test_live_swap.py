@@ -83,7 +83,8 @@ class TestNoDropAcrossSwaps:
     def test_concurrent_load_survives_repeated_swaps(self):
         """The acceptance gate: continuous concurrent traffic across
         several blue/green swaps — zero failed, zero rejected, every
-        accepted request answered (live + retired counters)."""
+        accepted request answered (the model's counters run on across
+        every swap)."""
         with ServingRuntime(deadline_ms=0.5, max_queue=4096) as runtime:
             bridge = LiveSwapBridge(runtime, "live")
             bridge.deploy(_ScaledModel(0.0, delay_s=0.002))
@@ -116,11 +117,7 @@ class TestNoDropAcrossSwaps:
             assert not errors, f"request dropped/errored across a swap: {errors[:3]}"
             assert served[0] > 0
             stats = runtime.stats()
-            retired = stats["swaps"]["retired"]
-            live = stats["totals"]
+            totals = stats["totals"]
             assert stats["swaps"]["count"] == 5
-            assert retired["failed"] == 0 and live["failed"] == 0
-            assert retired["rejected"] == 0 and live["rejected"] == 0
-            total_submitted = retired["submitted"] + live["submitted"]
-            total_completed = retired["completed"] + live["completed"]
-            assert total_submitted == total_completed == served[0]
+            assert totals["failed"] == 0 and totals["rejected"] == 0
+            assert totals["submitted"] == totals["completed"] == served[0]
