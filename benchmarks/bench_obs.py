@@ -102,7 +102,6 @@ def run_leg(
     spec: LoadSpec,
     *,
     obs_on: bool,
-    deadline_ms: float,
     max_batch: int,
     probe_start: int | None,
 ) -> tuple[dict, list, dict | None]:
@@ -125,9 +124,7 @@ def run_leg(
     )
     probe = None
     try:
-        with ServingRuntime(
-            deadline_ms=deadline_ms, max_batch=max_batch, max_queue=4096
-        ) as runtime:
+        with ServingRuntime(max_batch=max_batch, max_queue=4096) as runtime:
             runtime.attach_store(store)
             runtime.register(MODEL_KEY, service)
             with ForecastHTTPServer(runtime).start() as server:
@@ -204,8 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="interleaved repeats per mode; medians are "
                              "compared (default: 3 full, 1 smoke)")
-    parser.add_argument("--deadline-ms", type=float, default=2.0,
-                        help="scheduler micro-batch deadline")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="scheduler max batch trigger")
     parser.add_argument("--zipf", type=float, default=1.1,
@@ -256,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{threads} threads x {requests} requests]")
                 summary, results, probe = run_leg(
                     model, load_pool, spec, obs_on=obs_on,
-                    deadline_ms=args.deadline_ms, max_batch=args.max_batch,
+                    max_batch=args.max_batch,
                     probe_start=probe_start if obs_on else None,
                 )
                 legs[mode].append(summary)
@@ -315,7 +310,6 @@ def main(argv: list[str] | None = None) -> int:
             "repeats": repeats,
             "pool_size": len(load_pool),
             "zipf_exponent": args.zipf,
-            "deadline_ms": args.deadline_ms,
             "max_batch": args.max_batch,
             "seed": args.seed,
             "fit": fit_kwargs,

@@ -8,7 +8,7 @@ same fitted STSM model:
   thread calls ``model.predict([start])`` directly under a lock (models
   do not declare ``thread_safe_predict``), no batching, no cache;
 * **scheduler** — a :class:`~repro.serving.MicroBatchScheduler`
-  (micro-batch deadline + max-batch trigger, bounded queue) draining
+  (dispatch-when-free worker, max-batch cap, bounded queue) draining
   through the cached/coalescing :class:`~repro.serving.ForecastService`.
 
 Both legs must serve **bitwise direct-predict bytes**: the unbatched leg
@@ -157,12 +157,11 @@ def run_unbatched(model, pool: np.ndarray, spec: LoadSpec) -> tuple[dict, bool]:
 
 
 def run_scheduled(
-    model, pool: np.ndarray, spec: LoadSpec, *, deadline_ms: float, max_batch: int
+    model, pool: np.ndarray, spec: LoadSpec, *, max_batch: int
 ) -> tuple[dict, bool]:
     """Micro-batched serving; parity certified by batch-log replay."""
     with MicroBatchScheduler(
         model,
-        deadline_ms=deadline_ms,
         max_batch=max_batch,
         max_queue=4096,
         cache_size=max(256, len(pool)),
@@ -211,14 +210,14 @@ def run_scheduled(
     return summary, parity
 
 
-def run_multi_model(models: dict, spec: LoadSpec, *, deadline_ms: float) -> dict:
+def run_multi_model(models: dict, spec: LoadSpec) -> dict:
     """Mixed routed traffic across several hosted models."""
     pool = [
         (key, int(start))
         for key, (_model, starts) in sorted(models.items())
         for start in starts[:16]
     ]
-    with ServingRuntime(deadline_ms=deadline_ms, max_queue=4096) as runtime:
+    with ServingRuntime(max_queue=4096) as runtime:
         for key, (model, _starts) in models.items():
             runtime.register(key, model)
         report = LoadGenerator(pool, spec).run(
@@ -267,11 +266,11 @@ def _wire_parity(report, candidates: dict[int, list[np.ndarray]]) -> bool:
 
 
 def run_wire_inprocess(
-    model, pool: np.ndarray, spec: LoadSpec, *, deadline_ms: float, max_batch: int
+    model, pool: np.ndarray, spec: LoadSpec, *, max_batch: int
 ) -> tuple[dict, bool]:
     """HTTP serving from an in-process server thread; replay-certified."""
     with ServingRuntime(
-        deadline_ms=deadline_ms, max_batch=max_batch, max_queue=4096,
+        max_batch=max_batch, max_queue=4096,
         cache_size=max(256, len(pool)), log_batches=True,
     ) as runtime:
         runtime.register(MODEL_KEY, model)
@@ -294,8 +293,7 @@ def run_wire_inprocess(
 
 
 def _start_worker_fleet(bundle_dir: Path, state_dir: Path, workers: int, *,
-                        deadline_ms: float, max_batch: int,
-                        fast_path: bool = False, timeout_s: float = 300.0):
+                        max_batch: int, fast_path: bool = False, timeout_s: float = 300.0):
     """Launch ``python -m repro.serving serve`` and wait for readiness.
 
     Returns ``(process, worker_infos)`` — infos carry the shared public
@@ -310,7 +308,7 @@ def _start_worker_fleet(bundle_dir: Path, state_dir: Path, workers: int, *,
     argv = [sys.executable, "-m", "repro.serving", "serve",
             "--checkpoint-dir", str(bundle_dir), "--port", "0",
             "--workers", str(workers), "--state-dir", str(state_dir),
-            "--deadline-ms", str(deadline_ms), "--max-batch", str(max_batch)]
+            "--max-batch", str(max_batch)]
     if fast_path:
         argv.append("--fast-path")
     process = subprocess.Popen(
@@ -336,7 +334,7 @@ def _start_worker_fleet(bundle_dir: Path, state_dir: Path, workers: int, *,
 
 def run_wire_fleet(
     replay_model, bundle_dir: Path, pool: np.ndarray, spec: LoadSpec, *,
-    workers: int, deadline_ms: float, max_batch: int, fast_path: bool = False,
+    workers: int, max_batch: int, fast_path: bool = False,
 ) -> tuple[dict, bool]:
     """HTTP serving from ``workers`` processes behind one SO_REUSEPORT port.
 
@@ -349,7 +347,7 @@ def run_wire_fleet(
     state_dir.mkdir(exist_ok=True)
     process, infos = _start_worker_fleet(
         bundle_dir, state_dir, workers,
-        deadline_ms=deadline_ms, max_batch=max_batch, fast_path=fast_path,
+        max_batch=max_batch, fast_path=fast_path,
     )
     try:
         port = infos[0]["port"]
@@ -397,8 +395,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="client threads (default: 8 full, 4 smoke)")
     parser.add_argument("--requests", type=int, default=None,
                         help="requests per thread (default: 150 full, 20 smoke)")
-    parser.add_argument("--deadline-ms", type=float, default=2.0,
-                        help="scheduler micro-batch deadline")
     parser.add_argument("--max-batch", type=int, default=64,
                         help="scheduler max batch trigger")
     parser.add_argument("--zipf", type=float, default=1.1,
@@ -453,9 +449,9 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"[unbatched leg: {threads} threads x {requests} requests]")
     unbatched, unbatched_parity = run_unbatched(model, pool, spec)
-    print(f"[scheduler leg: deadline {args.deadline_ms} ms, max_batch {args.max_batch}]")
+    print(f"[scheduler leg: max_batch {args.max_batch}]")
     scheduled, scheduled_parity = run_scheduled(
-        model, pool, spec, deadline_ms=args.deadline_ms, max_batch=args.max_batch
+        model, pool, spec, max_batch=args.max_batch
     )
 
     speedup = scheduled["throughput_rps"] / unbatched["throughput_rps"]
@@ -489,7 +485,6 @@ def main(argv: list[str] | None = None) -> int:
                 zipf_exponent=args.zipf,
                 seed=args.seed + 7,
             ),
-            deadline_ms=args.deadline_ms,
         )
         print(
             f"multi      {multi['throughput_rps']:9.0f} req/s across "
@@ -520,8 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"[wire leg: in-process HTTP server, {inproc_threads} client threads]")
         inproc, inproc_parity = run_wire_inprocess(
-            model, pool, inproc_spec,
-            deadline_ms=args.deadline_ms, max_batch=args.max_batch,
+            model, pool, inproc_spec, max_batch=args.max_batch,
         )
         lat = inproc["latency"]
         print(
@@ -559,8 +553,8 @@ def main(argv: list[str] | None = None) -> int:
                     for _ in range(wire_repeats):
                         summary, parity = run_wire_fleet(
                             replay_model, bundle_dir, pool, wire_spec,
-                            workers=workers, deadline_ms=args.deadline_ms,
-                            max_batch=args.max_batch, fast_path=fast_path,
+                            workers=workers, max_batch=args.max_batch,
+                            fast_path=fast_path,
                         )
                         runs.append(summary)
                         parity_all = parity_all and parity
@@ -642,7 +636,6 @@ def main(argv: list[str] | None = None) -> int:
             "requests_per_thread": requests,
             "pool_size": int(len(pool)),
             "zipf_exponent": args.zipf,
-            "deadline_ms": args.deadline_ms,
             "max_batch": args.max_batch,
             "seed": args.seed,
             "fit": fit_kwargs,

@@ -131,7 +131,7 @@ def run_live(args, *, dataset, split, spec, config, policy, checkpoint_root):
     stop = threading.Event()
 
     with ServingRuntime(
-        deadline_ms=args.deadline_ms, max_queue=4096, cache_size=max(256, len(pool))
+        max_queue=4096, cache_size=max(256, len(pool))
     ) as runtime:
         bridge = LiveSwapBridge(runtime, MODEL_KEY, store=store, log_batches=True)
         with ForecastHTTPServer(runtime).start() as server:
@@ -271,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--interval-s", type=float, default=None,
                         help="simulated-clock seconds per feed row "
                              "(default: 0.005 full, 0.002 smoke)")
-    parser.add_argument("--deadline-ms", type=float, default=2.0,
-                        help="serving micro-batch deadline")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default=None,
                         help="result JSON path (default: "
@@ -429,7 +427,6 @@ def main(argv: list[str] | None = None) -> int:
                     "cold_epochs": cold_epochs,
                     "hidden": hidden,
                     "interval_s": args.interval_s,
-                    "deadline_ms": args.deadline_ms,
                     "threads": args.threads,
                 },
                 "replay": live["replayer"].stats,

@@ -82,7 +82,7 @@ def main() -> int:
         #    process; in-process keeps the example self-contained.)
         # --------------------------------------------------------------
         restored, warmup = load_bundle(bundle_dir)["stsm/pems-bay"]
-        with ServingRuntime(deadline_ms=2.0, log_batches=True) as runtime:
+        with ServingRuntime(log_batches=True) as runtime:
             runtime.register("stsm/pems-bay", restored)
             with ForecastHTTPServer(runtime).start() as server:
                 runtime.warm_up("stsm/pems-bay", np.asarray(warmup))

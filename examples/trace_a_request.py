@@ -61,7 +61,7 @@ def main() -> int:
         # (artifact-store probes show up as store.get / store.put spans).
         store = ArtifactStore()
         service = ForecastService(model, store=store)
-        with ServingRuntime(deadline_ms=2.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.attach_store(store)
             runtime.register("stsm/pems-bay", service)
             with ForecastHTTPServer(runtime).start() as server:
@@ -98,8 +98,8 @@ def main() -> int:
                           f"lines); a few:")
                     for line in lines[:6]:
                         print(f"      {line}")
-                    collected = runtime.stats()["metrics"]["collected"]["runtime"]
-                    completed = collected[
+                    counters = runtime.stats()["metrics"]["counters"]
+                    completed = counters[
                         'repro_requests_completed_total{model="stsm/pems-bay"}'
                     ]
                     print(f"      stats()['metrics'] agrees: "

@@ -72,8 +72,6 @@ def main(argv: list[str] | None = None) -> int:
                              "traffic from this many concurrent client threads "
                              "through the micro-batching scheduler and report "
                              "throughput + p50/p95/p99 latency")
-    parser.add_argument("--serve-deadline-ms", type=float, default=2.0,
-                        help="micro-batch deadline for --serve-concurrency")
     parser.add_argument("--serve-wire", action="store_true",
                         help="with --serve-concurrency: replay the same "
                              "concurrent traffic over an in-process HTTP "
@@ -117,11 +115,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.serve_concurrency > 0:
         kwargs["use_service"] = True  # the concurrent replay rides on the service
         kwargs["serve_concurrency"] = args.serve_concurrency
-        kwargs["serve_deadline_ms"] = args.serve_deadline_ms
     if args.serve_wire:
         kwargs["use_service"] = True
         kwargs["serve_wire"] = True
-        kwargs.setdefault("serve_deadline_ms", args.serve_deadline_ms)
     # Drop optional kwargs the experiment's signature does not accept
     # (e.g. --service on a datasets-only experiment) instead of probing
     # with TypeError retries, which would both re-run expensive fits and
@@ -134,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if not accepts_any:
             for key in ("use_service", "datasets", "serve_concurrency",
-                        "serve_deadline_ms", "serve_wire"):
+                        "serve_wire"):
                 if key in kwargs and key not in parameters:
                     kwargs.pop(key)
                     print(f"[note: {args.experiment} does not take --{key.replace('_', '-')}; ignored]")

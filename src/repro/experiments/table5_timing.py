@@ -60,7 +60,6 @@ def run(
     seed: int = 0,
     use_service: bool = False,
     serve_concurrency: int = 0,
-    serve_deadline_ms: float = 2.0,
     serve_wire: bool = False,
 ) -> dict:
     """Measure wall-clock train/test time per model per dataset."""
@@ -149,9 +148,7 @@ def run(
                 # Context manager: a predict failure mid-replay must not
                 # leak the worker thread.
                 with MicroBatchScheduler(
-                    service,
-                    deadline_ms=serve_deadline_ms,
-                    name=f"table5[{model_name}]",
+                    service, name=f"table5[{model_name}]"
                 ) as scheduler:
                     report = generator.run(
                         lambda s: scheduler.submit(s).result(), collect_results=False
@@ -181,7 +178,7 @@ def run(
                     # own kept-alive connection.  The Wire-prefixed
                     # columns land next to the scheduler's, so one row
                     # reads direct / service / scheduler / HTTP.
-                    with ServingRuntime(deadline_ms=serve_deadline_ms) as runtime:
+                    with ServingRuntime() as runtime:
                         runtime.register(model_name, service)
                         with ForecastHTTPServer(runtime).start() as server:
                             server.set_ready()

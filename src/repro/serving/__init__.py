@@ -7,9 +7,10 @@ Four bricks toward the production system the ROADMAP aims at:
   into batched ``predict`` calls, and LRU-caches per-window results so
   repeated traffic never recomputes.
 * :class:`MicroBatchScheduler` — accepts requests from many threads,
-  micro-batches them (deadline + max-batch triggers) behind a bounded
-  admission-controlled queue, and drains through the service on one
-  background worker so concurrent callers batch with each other.
+  batches them behind a bounded admission-controlled queue, and drains
+  through the service on one background worker that dispatches whatever
+  is queued as soon as it is free, so concurrent callers batch with
+  each other.
 * :class:`ServingRuntime` — hosts many named fitted models (one
   scheduler each), routes requests by model key, and aggregates
   per-model latency/throughput/cache telemetry.

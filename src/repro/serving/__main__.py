@@ -32,8 +32,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes behind SO_REUSEPORT "
                         "(1 = single process, per-connection threads)")
-    p.add_argument("--deadline-ms", type=float, default=2.0,
-                   help="per-model micro-batch deadline")
     p.add_argument("--max-batch", type=int, default=64)
     p.add_argument("--max-queue", type=int, default=1024)
     p.add_argument("--admission", choices=("block", "reject"), default="block")
@@ -43,8 +41,8 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="skip manifest warm-up windows (serve cold)")
     p.add_argument("--fast-path", action="store_true",
                    help="serve cache hits on the handler thread (no "
-                        "micro-batch queue hop) — the high-fan-in "
-                        "throughput optimisation")
+                        "handoff to the scheduler worker) — the "
+                        "high-fan-in throughput optimisation")
     p.add_argument("--state-dir", default=None,
                    help="where worker-<i>.json state files go "
                         "(default: the checkpoint dir)")
@@ -104,7 +102,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        deadline_ms=args.deadline_ms,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         admission=args.admission,

@@ -9,7 +9,7 @@ cannot head-of-line-block another's), and requests route by key.
 
 Lifecycle per model: ``register`` (builds the scheduler, model must be
 fitted) → optional ``warm_up`` (pre-populates the result cache through
-the real serving path) → traffic via ``submit``/``forecast`` →
+the real serving path) → traffic via ``submit_many``/``forecast`` →
 ``drain`` (barrier: all accepted requests served) → runtime-wide
 ``shutdown``.  The runtime is a context manager; exiting shuts every
 scheduler down.
@@ -57,7 +57,6 @@ class ServingRuntime:
     def __init__(
         self,
         *,
-        deadline_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 1024,
         admission: str = "block",
@@ -66,7 +65,6 @@ class ServingRuntime:
         cache_fast_path: bool = False,
     ) -> None:
         self._defaults = {
-            "deadline_ms": deadline_ms,
             "max_batch": max_batch,
             "max_queue": max_queue,
             "admission": admission,
@@ -122,7 +120,7 @@ class ServingRuntime:
         is served by the old model — and shut down.  A request that
         races the swap and reaches the old scheduler after its intake
         closed is transparently resubmitted to the new one by
-        :meth:`submit`, so no request is ever dropped across a swap.
+        :meth:`submit_many`, so no request is ever dropped across a swap.
         Both schedulers count into the key's metric children, so the
         model's counters run on across the swap.  ``replace=True`` with
         no existing registration is an ordinary register.
@@ -199,22 +197,27 @@ class ServingRuntime:
     def submit(
         self, key: str, start: int, trace: TraceContext | None = None
     ) -> AsyncForecast:
-        """Route one window-start request to the model hosted as ``key``.
+        """Route one window-start request (see :meth:`submit_many`)."""
+        return self.submit_many(key, [start], trace)[0]
 
-        ``trace`` (optional) is the request's trace context; the
-        scheduler records queue-wait/dispatch/cache/predict spans
-        under it when set.
+    def submit_many(
+        self, key: str, starts, trace: TraceContext | None = None
+    ) -> list[AsyncForecast]:
+        """Route window starts to the model hosted as ``key`` in one
+        intake step (:meth:`MicroBatchScheduler.submit_many`).
 
-        Swap-safe: a submit that races a ``register(..., replace=True)``
-        and reaches the outgoing scheduler after its intake closed is
-        retried against whichever scheduler the key routes to now, so a
-        blue/green swap can never drop a request.  A genuine shutdown
-        (the closed scheduler is still the registered one) re-raises.
+        Swap-safe: a call that races ``register(..., replace=True)`` and
+        reaches the outgoing scheduler after its intake closed is refused
+        whole and retried against whichever scheduler the key routes to
+        now, so a blue/green swap can never drop a request.  A genuine
+        shutdown (the closed scheduler is still the registered one)
+        re-raises.
         """
+        starts = list(starts)
         while True:
             scheduler = self.scheduler(key)
             try:
-                return scheduler.submit(start, trace=trace)
+                return scheduler.submit_many(starts, trace=trace)
             except RuntimeError as error:
                 if isinstance(error, ServingError):
                     raise  # QueueFull etc. — admission policy, not a swap
@@ -228,7 +231,7 @@ class ServingRuntime:
         window_starts = np.asarray(window_starts, dtype=int).ravel()
         if window_starts.size == 0:
             raise InvalidRequest("forecast() needs at least one window start")
-        handles = [self.submit(key, int(s)) for s in window_starts]
+        handles = self.submit_many(key, window_starts)
         return np.stack([h.result() for h in handles], axis=0)
 
     def warm_up(self, key: str, window_starts: np.ndarray) -> int:
@@ -241,10 +244,8 @@ class ServingRuntime:
         cache smaller than the warm set evicts the earliest).
         """
         window_starts = np.asarray(window_starts, dtype=int).ravel()
-        if window_starts.size:
-            handles = [self.submit(key, int(s)) for s in window_starts]
-            for handle in handles:
-                handle.result()
+        for handle in self.submit_many(key, window_starts):
+            handle.result()
         results = self.scheduler(key).service._results
         return sum(int(s) in results for s in np.unique(window_starts))
 

@@ -3,24 +3,26 @@
 :class:`~repro.serving.ForecastService` coalesces only the starts of
 one ``forecast`` call, so two threads asking for forecasts at the same
 instant each pay a full ``predict`` call.  :class:`MicroBatchScheduler`
-closes that gap: callers from any thread :meth:`~MicroBatchScheduler.submit` window starts and
-get a future-like :class:`AsyncForecast` back; a single background
-worker thread collects whatever arrived within a short **micro-batch
-deadline** (default 2 ms) — or dispatches early once **max_batch**
-requests are queued — and serves the batch with one
+closes that gap: callers from any thread
+:meth:`~MicroBatchScheduler.submit_many` window starts and get
+future-like :class:`AsyncForecast` handles back; a single background
+worker thread dispatches whatever is queued, up to **max_batch**
+requests, the moment it is free, and serves the batch with one
 :meth:`~repro.serving.ForecastService.forecast` call, the service's
 cache+coalesce path.
 
-Under concurrent load the worker is busy predicting while new requests
-pile up, so batches form naturally and per-call overhead (graph setup,
-batch padding, python dispatch) is amortised across the batch; the
-deadline only matters when the system is idle, where it bounds the
-latency a lone request pays waiting for company.
+**Dispatch when free.**  There is no batching timer: a lone request
+on an idle scheduler is dispatched at once, while under load new
+requests pile up as the worker predicts, so batches form on their own
+and per-call overhead is amortised across them.  One caller's windows
+stay together because :meth:`~MicroBatchScheduler.submit_many` appends
+a call's starts under one lock hold — a call of at most ``max_batch``
+starts to an idle scheduler is exactly one batch.
 
-**Admission control.**  The queue is bounded (``max_queue``).  When it
-is full, ``admission="block"`` makes ``submit`` wait for space
-(backpressure propagates to callers), while ``admission="reject"``
-raises :class:`QueueFull` immediately (shed load, keep latency flat).
+**Admission control.**  The queue is bounded (``max_queue``).
+``admission="reject"`` refuses a call that does not fit as a whole
+with :class:`QueueFull`, enqueuing nothing; ``"block"`` enqueues what
+fits and waits for space for the rest (backpressure).
 
 **Zero-drift contract.**  All model access happens on the worker thread
 through the owned :class:`ForecastService`, which sorts and dedups
@@ -146,20 +148,18 @@ class MicroBatchScheduler:
         :class:`ForecastService` to drain through (its cache is then
         shared with whoever else holds it; its counters move to this
         scheduler's registry and label).
-    deadline_ms:
-        Micro-batch window: how long the worker holds the first queued
-        request open for companions before dispatching.  Smaller bounds
-        idle-system latency; larger grows batches under light load.
     max_batch:
-        Dispatch immediately once this many requests are queued (also
-        the service's per-``predict`` chunk bound when the scheduler
+        The most requests one dispatch takes off the queue (also the
+        service's per-``predict`` chunk bound when the scheduler
         constructs the service itself).
     max_queue:
         Bound on queued (not yet dispatched) requests — the admission
         control limit.
     admission:
-        ``"block"`` (default) parks ``submit`` callers until the queue
-        has space; ``"reject"`` raises :class:`QueueFull` instead.
+        ``"block"`` (default) parks a call until the queue has space for
+        the rest of it; ``"reject"`` refuses a call that does not fit as
+        a whole with :class:`QueueFull`, counting each of its starts as
+        ``rejected``.
     cache_size:
         Result-cache capacity when the scheduler builds its own service.
         Passing it together with an existing service is an error (the
@@ -171,11 +171,11 @@ class MicroBatchScheduler:
     cache_fast_path:
         Serve result-cache hits directly on the submitting thread —
         zero queue hops, no worker-thread round trip, no admission wait.
-        Off by default (the queue path preserves strict micro-batch
-        telemetry semantics); the wire transport turns it on, where the
-        two thread handoffs the queue costs per request dominate
-        cache-hot serving.  Bytes are unchanged either way: a hit is the
-        block the first computation cached.
+        Off by default (every request then shows up in the batch
+        telemetry); under high fan-in the two thread handoffs the queue
+        costs per request dominate cache-hot serving, and this removes
+        them.  Bytes are unchanged either way: a hit is the block the
+        first computation cached.
     name:
         The ``model`` label of the scheduler's metrics and spans; also
         names the worker thread and appears in error messages.
@@ -188,14 +188,13 @@ class MicroBatchScheduler:
 
     Note: when wrapping an existing service, the service's own
     ``max_batch_size`` still chunks each batch — the scheduler's
-    ``max_batch`` only controls the dispatch trigger.
+    ``max_batch`` only bounds what one dispatch takes.
     """
 
     def __init__(
         self,
         forecaster: Forecaster | ForecastService,
         *,
-        deadline_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 1024,
         admission: str = "block",
@@ -205,8 +204,6 @@ class MicroBatchScheduler:
         name: str = "scheduler",
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if deadline_ms < 0:
-            raise ValueError(f"deadline_ms must be >= 0, got {deadline_ms}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
@@ -231,7 +228,6 @@ class MicroBatchScheduler:
             )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.service.count_into(self.metrics, name)
-        self.deadline_s = deadline_ms / 1e3
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.admission = admission
@@ -240,8 +236,12 @@ class MicroBatchScheduler:
 
         self._cond = threading.Condition()
         self._queue: deque[_Request] = deque()
-        self._in_flight = 0  # submitted but not yet completed/failed
+        # Accepted but not yet completed/failed: queued requests plus a
+        # blocked call's not-yet-queued rest.
+        self._in_flight = 0
         self._closed = False
+        # shutdown(drain=False): fail what is unserved instead of serving it.
+        self._abandoned = False
 
         # Telemetry.  Counters are incremented under self._cond so one
         # scheduler's stats snapshot is consistent; batch shape and
@@ -278,71 +278,80 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     def submit(self, start: int,
                trace: TraceContext | None = None) -> AsyncForecast:
-        """Enqueue one window-start request from any thread.
+        """Enqueue one window-start request: ``submit_many([start])[0]``."""
+        return self.submit_many([start], trace)[0]
 
-        With :attr:`cache_fast_path` on, a request whose window is
-        already in the result cache is answered on this thread with a
-        pre-resolved handle — it never touches the queue, so it cannot
-        be rejected, shed, or delayed behind a forming micro-batch.
+    def submit_many(self, starts,
+                    trace: TraceContext | None = None) -> list[AsyncForecast]:
+        """Enqueue window starts from any thread in one step; one handle each.
 
-        ``trace`` threads a request's trace context through the worker:
-        the dispatch records queue-wait / batch-dispatch child spans
-        against it, and the service's cache-lookup / predict spans too
-        if it is the batch's first traced request (see
-        :mod:`repro.obs.trace`).
-
-        A start outside int64 raises :class:`InvalidRequest` here, at
-        the intake the wire and in-process paths share, instead of
-        failing the whole micro-batch it would have joined.
+        Every start is checked first, so one outside int64 raises
+        :class:`InvalidRequest` with nothing enqueued.  Fast-path hits
+        (:attr:`cache_fast_path`) get pre-resolved handles on this
+        thread; the rest are appended under one lock hold with one
+        wake-up, subject to the ``admission`` policy.  ``trace`` threads
+        the requests' trace context through the worker's queue-wait /
+        batch-dispatch spans (see :mod:`repro.obs.trace`).
         """
-        start = int(start)
-        if not -(2**63) <= start < 2**63:
-            raise InvalidRequest(f"window start {start} is outside the int64 range")
-        if self.cache_fast_path:
-            lookup_began = time.monotonic() if trace is not None else 0.0
-            value = self.service.cached_block(start)
-            if value is not None:
-                fast: Future = Future()
-                fast.set_result(value)
-                with self._cond:
-                    if self._closed:
-                        raise RuntimeError(f"{self.name} is shut down")
-                    self._mark_first_submit(time.monotonic())
-                    for field in ("submitted", "completed", "fast_hits"):
-                        self._counters[field].inc()
-                    self._last_complete_at = time.monotonic()
-                self.latency.record(0.0)
-                if trace is not None:
-                    record_span(
-                        "scheduler.cache_fast_path", trace,
-                        lookup_began, time.monotonic(),
-                        model=self.name, start=start,
-                    )
-                return AsyncForecast(start, fast)
-        future: Future = Future()
+        starts = [int(start) for start in starts]
+        for start in starts:
+            if not -(2**63) <= start < 2**63:
+                raise InvalidRequest(f"window start {start} is outside the int64 range")
+        futures = [Future() for _ in starts]
+        queued: list[int] = []
+        fast: list[tuple[int, float, float]] = []  # (start, lookup began, ended)
+        for i, start in enumerate(starts):
+            if self.cache_fast_path:
+                began = time.monotonic()
+                value = self.service.cached_block(start)
+                if value is not None:
+                    futures[i].set_result(value)
+                    fast.append((start, began, time.monotonic()))
+                    continue
+            queued.append(i)
         with self._cond:
             if self._closed:
                 raise RuntimeError(f"{self.name} is shut down")
-            while len(self._queue) >= self.max_queue:
-                if self.admission == "reject":
-                    self._counters["rejected"].inc()
-                    raise QueueFull(
-                        f"{self.name} queue is at capacity "
-                        f"({self.max_queue}); request for window {start} rejected"
-                    )
-                self._cond.wait()
-                if self._closed:
-                    raise RuntimeError(f"{self.name} is shut down")
+            if (self.admission == "reject"
+                    and len(self._queue) + len(queued) > self.max_queue):
+                self._counters["rejected"].inc(len(starts))
+                raise QueueFull(
+                    f"{self.name} queue is at capacity ({self.max_queue}); "
+                    f"request for {len(starts)} window(s) rejected"
+                )
             now = time.monotonic()
             self._mark_first_submit(now)
-            self._queue.append(_Request(start, future, now, trace))
-            self._counters["submitted"].inc()
-            self._in_flight += 1
+            self._counters["submitted"].inc(len(starts))
+            if fast:
+                self._counters["completed"].inc(len(fast))
+                self._counters["fast_hits"].inc(len(fast))
+                self._last_complete_at = now
+            self._in_flight += len(queued)
+            for n, i in enumerate(queued):
+                while len(self._queue) >= self.max_queue and not self._abandoned:
+                    # "block": let the worker take what is queued so far.
+                    self.peak_queue_depth = self.max_queue
+                    self._queue_depth.set(self.max_queue)
+                    self._cond.notify_all()
+                    self._cond.wait()
+                if self._abandoned:
+                    self._fail_unserved(
+                        [_Request(starts[j], futures[j], now) for j in queued[n:]]
+                    )
+                    break
+                self._queue.append(
+                    _Request(starts[i], futures[i], time.monotonic(), trace)
+                )
             self._queue_depth.set(len(self._queue))
             if len(self._queue) > self.peak_queue_depth:
                 self.peak_queue_depth = len(self._queue)
             self._cond.notify_all()
-        return AsyncForecast(start, future)
+        for start, began, ended in fast:
+            self.latency.record(ended - began)
+            if trace is not None:
+                record_span("scheduler.cache_fast_path", trace, began, ended,
+                            model=self.name, start=start)
+        return [AsyncForecast(start, future) for start, future in zip(starts, futures)]
 
     def _mark_first_submit(self, now: float) -> None:
         """Open the throughput window (caller holds ``self._cond``)."""
@@ -354,13 +363,14 @@ class MicroBatchScheduler:
         """Submit many starts and block for the stacked results.
 
         Convenience for synchronous callers: all requests enter the
-        queue before the first result is awaited, so they micro-batch
-        with each other (and with any other thread's traffic).
+        queue in one :meth:`submit_many` step before the first result is
+        awaited, so they batch with each other (and with any other
+        thread's traffic).
         """
         window_starts = np.asarray(window_starts, dtype=int).ravel()
         if window_starts.size == 0:
             raise InvalidRequest("forecast() needs at least one window start")
-        handles = [self.submit(int(s)) for s in window_starts]
+        handles = self.submit_many(window_starts)
         return np.stack([h.result() for h in handles], axis=0)
 
     # ------------------------------------------------------------------
@@ -369,26 +379,18 @@ class MicroBatchScheduler:
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._queue and not self._closed:
+                # A closed scheduler still serves a blocked call's rest:
+                # it is accepted (in flight) but not queued yet.
+                while not self._queue and not (self._closed and self._in_flight == 0):
                     self._cond.wait()
-                if self._closed and not self._queue:
+                if not self._queue:
                     return
-                # Micro-batch window: hold the batch open until the
-                # oldest request's deadline passes or it fills up.
-                # Shutdown flushes immediately.
-                deadline = self._queue[0].enqueued_at + self.deadline_s
-                while len(self._queue) < self.max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
                 take = min(len(self._queue), self.max_batch)
                 batch = [self._queue.popleft() for _ in range(take)]
                 self._queue_depth.set(len(self._queue))
                 # Space freed: wake submitters blocked on admission.
                 self._cond.notify_all()
-            if batch:
-                self._dispatch(batch)
+            self._dispatch(batch)
 
     def _dispatch(self, batch: list[_Request]) -> None:
         served = 0
@@ -452,28 +454,33 @@ class MicroBatchScheduler:
         """Stop the scheduler.  Idempotent.
 
         ``drain=True`` (default) closes intake, serves everything
-        already queued, then joins the worker.  ``drain=False`` fails
-        all still-queued requests with ``RuntimeError`` and returns as
-        soon as the worker exits (a batch already being predicted still
-        completes).
+        already accepted (a blocked call's not-yet-queued rest too), then
+        joins the worker.  ``drain=False`` fails all accepted, unserved
+        requests with ``RuntimeError`` and returns as soon as the worker
+        exits (a batch already being predicted still completes).
         """
         with self._cond:
             if not self._closed:
                 self._closed = True
                 if not drain:
-                    abandoned = list(self._queue)
+                    self._abandoned = True
+                    self._fail_unserved(list(self._queue))
                     self._queue.clear()
                     self._queue_depth.set(0)
-                    self._in_flight -= len(abandoned)
-                    self._counters["failed"].inc(len(abandoned))
-                    for req in abandoned:
-                        req.future.set_exception(
-                            RuntimeError(f"{self.name} shut down before serving window {req.start}")
-                        )
             self._cond.notify_all()
         if drain:
             self.drain(timeout)
         self._worker.join(timeout)
+
+    def _fail_unserved(self, requests: list[_Request]) -> None:
+        """Fail accepted requests that will never be served (caller holds
+        ``self._cond``)."""
+        self._in_flight -= len(requests)
+        self._counters["failed"].inc(len(requests))
+        for req in requests:
+            req.future.set_exception(
+                RuntimeError(f"{self.name} shut down before serving window {req.start}")
+            )
 
     def __enter__(self) -> "MicroBatchScheduler":
         return self

@@ -247,11 +247,10 @@ class _Handler(BaseHTTPRequestHandler):
                     wire_trace["id"], mint_span_id()
                 )
                 server_began = time.monotonic()
-            # Submit all handles before awaiting any, so one wire request's
-            # windows micro-batch together (and with concurrent requests).
-            handles = [
-                app.runtime.submit(model, s, trace=server_ctx) for s in starts
-            ]
+            # One intake step before awaiting any handle, so one wire
+            # request's windows batch together (and with concurrent
+            # requests), and a refused request enqueues nothing.
+            handles = app.runtime.submit_many(model, starts, trace=server_ctx)
             blocks = [h.result(app.result_timeout_s) for h in handles]
             values = blocks[0] if single else np.stack(blocks, axis=0)
             status, payload = 200, codec.encode_array(values)

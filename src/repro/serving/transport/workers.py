@@ -225,16 +225,16 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     workers: int = 1
-    deadline_ms: float = 2.0
     max_batch: int = 64
     max_queue: int = 1024
     admission: str = "block"
     cache_size: int = 1024
     log_batches: bool = True
     #: Opt-in: serve result-cache hits on the handler thread (no queue
-    #: hop).  Recovers a large share of single-worker throughput under
-    #: high fan-in (see BENCH_transport.json); off by default to match
-    #: the runtime's strict micro-batch semantics.
+    #: hop, so no handoff to and from the scheduler worker).  Recovers a
+    #: large share of single-worker throughput under high fan-in (see
+    #: BENCH_transport.json); off by default so every request shows up
+    #: in the scheduler's batch telemetry.
     cache_fast_path: bool = False
     warm_up: bool = True
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
@@ -293,7 +293,6 @@ def _build_runtime(config: ServeConfig) -> tuple[ServingRuntime, dict[str, list[
         else None
     )
     runtime = ServingRuntime(
-        deadline_ms=config.deadline_ms,
         max_batch=config.max_batch,
         max_queue=config.max_queue,
         admission=config.admission,

@@ -135,7 +135,7 @@ def _cmd_serve_live(args: argparse.Namespace) -> int:
     # Cache flags (or env) opt into a persistent, quota-bounded tier;
     # the default stays a private in-memory store for this run.
     store = cache_config.build() if cache_config is not None else ArtifactStore()
-    runtime = ServingRuntime(deadline_ms=1.0)
+    runtime = ServingRuntime()
     bridge = LiveSwapBridge(runtime, key, store=store)
     scheduler = RefitScheduler(buffer, config, split, spec, policy,
                                checkpoint_root, store=store)

@@ -12,7 +12,7 @@ running :class:`~repro.serving.ServingRuntime` under a fixed model key:
    accepted is served (by the old model) before it shuts down;
 3. a submit that races the swap and hits the old scheduler after its
    intake closed is transparently resubmitted by
-   :meth:`~repro.serving.ServingRuntime.submit`.
+   :meth:`~repro.serving.ServingRuntime.submit_many`.
 
 No request is dropped or errored by a swap; requests in flight at swap
 time are answered by whichever model's scheduler accepted them, which

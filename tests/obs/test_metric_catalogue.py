@@ -92,7 +92,7 @@ def test_scrape_renders_exactly_the_runtime_and_store_rows(tmp_path, monkeypatch
     monkeypatch.setattr(http_server, "global_registry", MetricsRegistry)
     store = ArtifactStore(disk_dir=tmp_path / "cache", max_bytes=1 << 20)
     store.put("dtw_pair", b"k", np.arange(3.0))
-    with ServingRuntime(deadline_ms=1.0) as runtime:
+    with ServingRuntime() as runtime:
         runtime.attach_store(store)
         bridge = LiveSwapBridge(runtime, "toy", store=store)
         bridge.deploy(_Affine(), _record(0))

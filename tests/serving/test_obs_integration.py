@@ -42,7 +42,7 @@ def traced_server():
     store = ArtifactStore()
     service = ForecastService(_Affine(), store=store, store_scope=b"obs-test")
     try:
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.attach_store(store)
             runtime.register("toy", service)
             with ForecastHTTPServer(runtime).start() as server:
@@ -188,7 +188,7 @@ class TestObsOffIsInert:
         recorder = get_recorder()
         recorder.clear()
         try:
-            with ServingRuntime(deadline_ms=1.0) as runtime:
+            with ServingRuntime() as runtime:
                 runtime.register("toy", _Affine())
                 with ForecastHTTPServer(runtime).start() as server:
                     server.set_ready()

@@ -60,7 +60,7 @@ class _SlowForecaster(Forecaster):
 
 class TestRouting:
     def test_requests_route_by_model_key(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("bay", _KeyedForecaster(1000.0))
             runtime.register("mel", _KeyedForecaster(7.0))
             assert runtime.models == ["bay", "mel"]
@@ -91,7 +91,7 @@ class TestRouting:
         from repro.serving import ForecastService
 
         service = ForecastService(_KeyedForecaster(5.0), cache_size=8)
-        with ServingRuntime(deadline_ms=1.0, cache_size=128) as runtime:
+        with ServingRuntime(cache_size=128) as runtime:
             scheduler = runtime.register("bay", service)
             assert scheduler.service is service
             assert runtime.forecast("bay", np.array([2]))[0, 0, 0] == pytest.approx(10.0)
@@ -113,7 +113,7 @@ class TestRouting:
 
 class TestLifecycle:
     def test_warm_up_populates_cache_through_serving_path(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("bay", _KeyedForecaster(10.0))
             cached = runtime.warm_up("bay", np.arange(6))
             assert cached == 6
@@ -124,12 +124,12 @@ class TestLifecycle:
     def test_warm_up_counts_only_windows_still_cached(self):
         # Warming more windows than the cache holds evicts the earliest;
         # the count reports what is cached, not what was ever touched.
-        with ServingRuntime(deadline_ms=1.0, cache_size=4) as runtime:
+        with ServingRuntime(cache_size=4) as runtime:
             runtime.register("bay", _KeyedForecaster(10.0))
             assert runtime.warm_up("bay", np.arange(8)) == 4
 
     def test_drain_all_models(self):
-        with ServingRuntime(deadline_ms=5.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
             runtime.register("b", _KeyedForecaster(2.0))
             handles = [runtime.submit("a", s) for s in range(4)]
@@ -138,7 +138,7 @@ class TestLifecycle:
             assert all(h.done() for h in handles)
 
     def test_shutdown_stops_all_models_and_register(self):
-        runtime = ServingRuntime(deadline_ms=1.0)
+        runtime = ServingRuntime()
         runtime.register("a", _KeyedForecaster(1.0))
         runtime.shutdown()
         with pytest.raises(RuntimeError):
@@ -147,7 +147,7 @@ class TestLifecycle:
             runtime.register("b", _KeyedForecaster(2.0))
 
     def test_context_manager_shuts_down(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
         with pytest.raises(RuntimeError):
             runtime.submit("a", 0)
@@ -188,7 +188,7 @@ class TestDrainLifecycleRace:
 
     def _draining_runtime(self):
         model = _GatedForecaster()
-        runtime = ServingRuntime(deadline_ms=0.0, max_batch=1)
+        runtime = ServingRuntime(max_batch=1)
         runtime.register("gated", model)
         handle = runtime.submit("gated", 0)
         assert model.entered.wait(5.0)  # the batch is being predicted
@@ -237,7 +237,7 @@ class TestDrainLifecycleRace:
 
     def test_concurrent_drains_are_allowed(self):
         model = _GatedForecaster()
-        runtime = ServingRuntime(deadline_ms=0.0, max_batch=1)
+        runtime = ServingRuntime(max_batch=1)
         runtime.register("gated", model)
         runtime.submit("gated", 0)
         assert model.entered.wait(5.0)
@@ -257,7 +257,7 @@ class TestDrainLifecycleRace:
 
 class TestStats:
     def test_per_model_and_total_telemetry(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
             runtime.register("b", _KeyedForecaster(2.0))
             pool = [("a", s) for s in range(5)] + [("b", s) for s in range(5)]
@@ -282,7 +282,7 @@ class TestStats:
             assert s["queue_depth"] == 0  # drained
 
     def test_empty_scheduler_latency_summary(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
             stats = runtime.stats("a")
         assert stats["latency"]["count"] == 0
@@ -303,7 +303,7 @@ def _total_samples(runtime: ServingRuntime) -> dict[str, float]:
 
 class TestBlueGreenSwap:
     def test_replace_swaps_atomically(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("bay", _KeyedForecaster(1.0))
             assert runtime.forecast("bay", np.array([5]))[0, 0, 0] == pytest.approx(5.0)
             runtime.register("bay", _KeyedForecaster(100.0), replace=True)
@@ -311,7 +311,7 @@ class TestBlueGreenSwap:
             assert runtime.models == ["bay"]
 
     def test_replace_without_existing_is_plain_register(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("bay", _KeyedForecaster(2.0), replace=True)
             assert runtime.forecast("bay", np.array([3]))[0, 0, 0] == pytest.approx(6.0)
             assert "swaps" not in runtime.stats()
@@ -323,7 +323,7 @@ class TestBlueGreenSwap:
                 runtime.register("bay", _KeyedForecaster(2.0))
 
     def test_swap_drains_old_scheduler_and_keeps_counting(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("bay", _KeyedForecaster(1.0))
             handles = [runtime.submit("bay", s) for s in range(6)]
             runtime.register("bay", _KeyedForecaster(10.0), replace=True)
@@ -347,7 +347,7 @@ class TestBlueGreenSwap:
     def test_metric_totals_never_decrease_across_swap(self):
         """Regression: service counters (cache hits, predict calls...)
         used to be read raw from the live service and reset on a swap."""
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("m", _KeyedForecaster(1.0))
             runtime.forecast("m", np.arange(4))
             runtime.forecast("m", np.arange(4))  # all cache hits
@@ -362,7 +362,7 @@ class TestBlueGreenSwap:
     def test_throughput_counts_only_the_window_it_covers(self):
         """The completed series runs on across a swap; a fresh
         scheduler's throughput divides only its own window's count."""
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("m", _KeyedForecaster(1.0))
             runtime.forecast("m", np.arange(40))
             runtime.register("m", _KeyedForecaster(2.0), replace=True)
@@ -381,7 +381,7 @@ class TestBlueGreenSwap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ServingRuntime(deadline_ms=0.5, max_queue=4096) as runtime:
+            with ServingRuntime(max_queue=4096) as runtime:
                 runtime.register("bay", _SlowForecaster(0.002))
                 errors: list[Exception] = []
                 served = [0] * 4
@@ -416,7 +416,7 @@ class TestBlueGreenSwap:
             sys.setswitchinterval(interval)
 
     def test_queue_full_is_not_retried_as_a_swap(self):
-        with ServingRuntime(deadline_ms=50.0, max_queue=1,
+        with ServingRuntime(max_queue=1,
                             admission="reject") as runtime:
             from repro.serving import QueueFull
 
@@ -434,7 +434,7 @@ class TestStatsSections:
 
         store = ArtifactStore()
         store.put("dtw_pair", b"k", np.arange(3.0))
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
             assert "store" not in runtime.stats()
             runtime.attach_store(store)
@@ -451,7 +451,7 @@ class TestStatsSections:
         store = ArtifactStore()
         store.put("dtw_pair", b"k", np.arange(3.0))
         try:
-            with ServingRuntime(deadline_ms=1.0) as runtime:
+            with ServingRuntime() as runtime:
                 runtime.attach_store(store)
                 open_store(store=store)
                 text = render_prometheus(runtime.metrics, global_registry())
@@ -466,7 +466,7 @@ class TestStatsSections:
         assert len(series) == len(set(series))
 
     def test_named_provider_section_and_errors(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
             runtime.add_stats_source("streaming", lambda: {"deploys": 3})
             assert runtime.stats()["streaming"] == {"deploys": 3}
@@ -491,7 +491,7 @@ class TestStatsSections:
             def stats(self):
                 raise OSError("disk gone")
 
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
             runtime.attach_store(_BrokenStore())
             stats = runtime.stats()
@@ -501,7 +501,7 @@ class TestStatsSections:
             assert "metrics" in stats
 
     def test_raising_provider_does_not_hide_later_sections(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
 
             def broken():

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import IGNNKForecaster
 from repro.data import WindowSpec, space_split, temporal_split
@@ -73,50 +74,56 @@ class TestIntake:
         """Regression: a start outside int64 used to be accepted and then
         fail every request of the micro-batch it joined."""
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=200.0) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             good = scheduler.submit(5)
             with pytest.raises(InvalidRequest, match="int64"):
                 scheduler.submit(10**30)
             assert good.result(timeout=10)[0, 0] == pytest.approx(5000.0)
             assert scheduler.stats["failed"] == 0
 
+    def test_overflowing_start_refuses_the_whole_call(self):
+        model = _CountingForecaster()
+        with MicroBatchScheduler(model) as scheduler:
+            with pytest.raises(InvalidRequest, match="int64"):
+                scheduler.submit_many([1, 2, -(10**30)])
+            assert scheduler.stats["submitted"] == 0
+        assert model.calls == []
+
 
 class TestBatchingTriggers:
     def test_forecast_matches_direct_predict(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=1.0) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             out = scheduler.forecast(np.array([5, 3, 5, 9]))
         expected = _CountingForecaster().predict(np.array([5, 3, 5, 9]))
         assert np.array_equal(out, expected)
 
-    def test_max_batch_dispatches_before_deadline(self):
+    def test_max_batch_caps_batches(self):
         model = _CountingForecaster()
-        # Deadline far beyond the test timeout: only the max-batch
-        # trigger can dispatch this batch promptly.
-        with MicroBatchScheduler(model, deadline_ms=60_000.0, max_batch=4) as scheduler:
-            handles = [scheduler.submit(s) for s in (4, 1, 3, 2)]
+        with MicroBatchScheduler(model, max_batch=4, log_batches=True) as scheduler:
+            handles = scheduler.submit_many([9, 4, 1, 3, 2, 8, 7, 6, 5, 0])
             results = [h.result(timeout=10) for h in handles]
-            assert results[0][0, 0] == pytest.approx(4000.0)
+            assert results[0][0, 0] == pytest.approx(9000.0)
             stats = scheduler.stats
-        assert stats["batches"] == 1
+        # One intake step queued all ten; each dispatch took at most four.
+        assert [len(b) for b in scheduler.service.batch_log] == [4, 4, 2]
+        assert stats["batches"] == 3
         assert stats["max_batch_observed"] == 4
-        # The one predict call saw the dedup-sorted batch.
-        assert model.calls[0].tolist() == [1, 2, 3, 4]
+        # Each predict call saw its dedup-sorted batch.
+        assert model.calls[0].tolist() == [1, 3, 4, 9]
 
-    def test_deadline_dispatches_partial_batch(self):
+    def test_lone_request_on_idle_scheduler_is_one_batch(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=20.0, max_batch=64) as scheduler:
-            began = time.perf_counter()
+        with MicroBatchScheduler(model, max_batch=64) as scheduler:
             value = scheduler.submit(7).result(timeout=10)
-            elapsed = time.perf_counter() - began
+            stats = scheduler.stats
         assert value[0, 0] == pytest.approx(7000.0)
-        # One lone request is held at most ~deadline before dispatch.
-        assert elapsed < 5.0
+        assert stats["batches"] == 1
         assert model.calls[0].tolist() == [7]
 
     def test_repeat_traffic_hits_cache(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=1.0) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             scheduler.forecast(np.array([1, 2, 3]))
             scheduler.forecast(np.array([3, 2, 1]))
             stats = scheduler.stats
@@ -137,7 +144,7 @@ class TestBatchingTriggers:
             except BaseException as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
-        with MicroBatchScheduler(service, deadline_ms=1.0) as scheduler:
+        with MicroBatchScheduler(service) as scheduler:
             thread = threading.Thread(target=direct_caller)
             thread.start()
             for i in range(60):
@@ -151,7 +158,7 @@ class TestBatchingTriggers:
         model = _CountingForecaster()
         service = ForecastService(model, cache_size=32)
         service.forecast(np.array([1, 2]))  # warm directly
-        with MicroBatchScheduler(service, deadline_ms=1.0) as scheduler:
+        with MicroBatchScheduler(service) as scheduler:
             assert scheduler.service is service
             scheduler.forecast(np.array([1, 2]))
             stats = scheduler.stats
@@ -165,7 +172,7 @@ class TestBatchingTriggers:
         with pytest.raises(ValueError, match="cache_size"):
             MicroBatchScheduler(service, cache_size=16)
         # log_batches=True enables the parity log on the wrapped service.
-        with MicroBatchScheduler(service, deadline_ms=1.0, log_batches=True) as scheduler:
+        with MicroBatchScheduler(service, log_batches=True) as scheduler:
             scheduler.forecast(np.array([1, 2]))
         assert [b.tolist() for b in service.batch_log] == [[1, 2]]
 
@@ -174,7 +181,7 @@ class TestAdmissionControl:
     def test_reject_policy_raises_queue_full(self):
         model = _GatedForecaster()
         scheduler = MicroBatchScheduler(
-            model, deadline_ms=0.0, max_batch=1, max_queue=2, admission="reject"
+            model, max_batch=1, max_queue=2, admission="reject"
         )
         try:
             first = scheduler.submit(1)  # worker takes it and blocks in predict
@@ -193,7 +200,7 @@ class TestAdmissionControl:
     def test_block_policy_applies_backpressure(self):
         model = _GatedForecaster()
         scheduler = MicroBatchScheduler(
-            model, deadline_ms=0.0, max_batch=1, max_queue=1, admission="block"
+            model, max_batch=1, max_queue=1, admission="block"
         )
         try:
             first = scheduler.submit(1)
@@ -217,19 +224,50 @@ class TestAdmissionControl:
             model.release.set()
             scheduler.shutdown()
 
+    def test_reject_refuses_a_call_that_does_not_fit_whole(self):
+        model = _GatedForecaster()
+        scheduler = MicroBatchScheduler(
+            model, max_batch=1, max_queue=3, admission="reject"
+        )
+        try:
+            first = scheduler.submit(1)
+            assert model.entered.wait(timeout=10)
+            queued = scheduler.submit_many([2, 3])  # one slot left
+            with pytest.raises(QueueFull):
+                scheduler.submit_many([4, 5])
+            stats = scheduler.stats
+            assert stats["rejected"] == 2  # counted per refused start
+            assert stats["submitted"] == 3
+            assert stats["queue_depth"] == 2  # nothing of the refused call
+            model.release.set()
+            assert [h.result(timeout=10)[0, 0] for h in [first, *queued]] == [
+                1000.0, 2000.0, 3000.0,
+            ]
+        finally:
+            model.release.set()
+            scheduler.shutdown()
+
+    def test_block_call_larger_than_the_queue_completes(self):
+        model = _CountingForecaster()
+        with MicroBatchScheduler(model, max_batch=2, max_queue=3,
+                                 admission="block") as scheduler:
+            out = scheduler.forecast(np.arange(10))
+            stats = scheduler.stats
+        assert np.array_equal(out, _CountingForecaster().predict(np.arange(10)))
+        assert stats["submitted"] == stats["completed"] == 10
+        assert stats["peak_queue_depth"] <= 3
+
     def test_invalid_parameters_rejected(self):
         model = _CountingForecaster()
         with pytest.raises(ValueError):
             MicroBatchScheduler(model, admission="drop")
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(model, deadline_ms=-1.0)
         with pytest.raises(ValueError):
             MicroBatchScheduler(model, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatchScheduler(model, max_queue=0)
 
     def test_empty_forecast_rejected(self):
-        with MicroBatchScheduler(_CountingForecaster(), deadline_ms=1.0) as scheduler:
+        with MicroBatchScheduler(_CountingForecaster()) as scheduler:
             with pytest.raises(ValueError):
                 scheduler.forecast(np.array([], dtype=int))
 
@@ -237,7 +275,7 @@ class TestAdmissionControl:
 class TestLifecycle:
     def test_shutdown_drains_queued_requests(self):
         model = _CountingForecaster()
-        scheduler = MicroBatchScheduler(model, deadline_ms=50.0)
+        scheduler = MicroBatchScheduler(model)
         handles = [scheduler.submit(s) for s in range(6)]
         scheduler.shutdown()  # drain=True: everything queued is served
         assert all(h.done() for h in handles)
@@ -246,13 +284,13 @@ class TestLifecycle:
             scheduler.submit(7)
 
     def test_shutdown_is_idempotent(self):
-        scheduler = MicroBatchScheduler(_CountingForecaster(), deadline_ms=1.0)
+        scheduler = MicroBatchScheduler(_CountingForecaster())
         scheduler.shutdown()
         scheduler.shutdown()
 
     def test_shutdown_without_drain_fails_queued(self):
         model = _GatedForecaster()
-        scheduler = MicroBatchScheduler(model, deadline_ms=0.0, max_batch=1)
+        scheduler = MicroBatchScheduler(model, max_batch=1)
         in_flight = scheduler.submit(1)
         assert model.entered.wait(timeout=10)
         queued = scheduler.submit(2)
@@ -263,16 +301,64 @@ class TestLifecycle:
         model.release.set()
         assert in_flight.result(timeout=10)[0, 0] == pytest.approx(1000.0)
 
+    @staticmethod
+    def _blocked_call(model):
+        """A scheduler whose worker is busy and whose one-slot queue holds
+        the first start of a three-start call blocked on the rest."""
+        scheduler = MicroBatchScheduler(model, max_batch=1, max_queue=1)
+        first = scheduler.submit(0)
+        assert model.entered.wait(timeout=10)
+        handles = []
+        caller = threading.Thread(
+            target=lambda: handles.extend(scheduler.submit_many([1, 2, 3])),
+            daemon=True,
+        )
+        caller.start()
+        while scheduler.stats["submitted"] < 4:  # admitted, then blocked
+            caller.join(timeout=0.01)
+        return scheduler, first, caller, handles
+
+    def test_shutdown_serves_a_blocked_call_rest(self):
+        model = _GatedForecaster()
+        scheduler, first, caller, handles = self._blocked_call(model)
+        closer = threading.Thread(target=scheduler.shutdown, daemon=True)
+        closer.start()
+        while not scheduler._closed:  # intake closed mid-call
+            closer.join(timeout=0.01)
+        model.release.set()
+        closer.join(timeout=10)
+        caller.join(timeout=10)
+        assert [h.result(timeout=10)[0, 0] for h in [first, *handles]] == [
+            0.0, 1000.0, 2000.0, 3000.0,
+        ]
+        stats = scheduler.stats
+        assert stats["submitted"] == stats["completed"] == 4
+
+    def test_shutdown_without_drain_fails_a_blocked_call_rest(self):
+        model = _GatedForecaster()
+        scheduler, first, caller, handles = self._blocked_call(model)
+        scheduler.shutdown(drain=False, timeout=0.5)
+        caller.join(timeout=10)
+        assert len(handles) == 3
+        for handle in handles:
+            with pytest.raises(RuntimeError, match="shut down before serving"):
+                handle.result(timeout=10)
+        model.release.set()
+        assert first.result(timeout=10)[0, 0] == pytest.approx(0.0)
+        assert scheduler.drain(timeout=10)
+        stats = scheduler.stats
+        assert (stats["completed"], stats["failed"]) == (1, 3)
+
     def test_drain_is_a_completion_barrier(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=5.0) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             handles = [scheduler.submit(s) for s in range(8)]
             assert scheduler.drain(timeout=10)
             assert all(h.done() for h in handles)
 
     def test_predict_error_fails_batch_but_not_scheduler(self):
         model = _FaultyForecaster()
-        with MicroBatchScheduler(model, deadline_ms=1.0) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             poisoned = scheduler.submit(13)
             with pytest.raises(RuntimeError, match="poisoned"):
                 poisoned.result(timeout=10)
@@ -290,7 +376,7 @@ class TestConcurrentParity:
         reference = {
             s: _CountingForecaster().predict(np.asarray([s]))[0] for s in range(12)
         }
-        with MicroBatchScheduler(model, deadline_ms=1.0, max_batch=16) as scheduler:
+        with MicroBatchScheduler(model, max_batch=16) as scheduler:
             spec = LoadSpec(num_threads=8, requests_per_thread=60, zipf_exponent=1.1, seed=3)
             report = LoadGenerator(list(range(12)), spec).run(
                 lambda s: scheduler.submit(s).result()
@@ -318,7 +404,7 @@ class TestConcurrentParity:
         # test_service), so serial per-window calls are the bitwise
         # reference for any batching the scheduler performs.
         reference = {int(s): model.predict(np.asarray([s]))[0] for s in starts}
-        with MicroBatchScheduler(model, deadline_ms=2.0) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             load = LoadSpec(num_threads=8, requests_per_thread=25, zipf_exponent=1.2, seed=5)
             report = LoadGenerator([int(s) for s in starts], load).run(
                 lambda s: scheduler.submit(s).result()
@@ -333,8 +419,7 @@ class TestCacheFastPath:
 
     def test_hit_skips_queue_and_predict(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=1.0,
-                                 cache_fast_path=True) as scheduler:
+        with MicroBatchScheduler(model, cache_fast_path=True) as scheduler:
             cold = scheduler.submit(7).result()
             calls_after_cold = len(model.calls)
             handle = scheduler.submit(7)
@@ -350,7 +435,7 @@ class TestCacheFastPath:
     def test_fast_hit_bypasses_admission_control(self):
         """A hit must be servable even while the queue is full."""
         model = _GatedForecaster()
-        with MicroBatchScheduler(model, deadline_ms=0.0, max_batch=1,
+        with MicroBatchScheduler(model, max_batch=1,
                                  max_queue=1, admission="reject",
                                  cache_fast_path=True) as scheduler:
             model.release.set()
@@ -368,9 +453,21 @@ class TestCacheFastPath:
             in_flight.result(10.0)
             queued.result(10.0)
 
+    def test_fast_hits_record_measured_latency(self):
+        model = _CountingForecaster()
+        with MicroBatchScheduler(model, cache_fast_path=True) as scheduler:
+            scheduler.submit(7).result(timeout=10)
+            before = scheduler.latency.histogram.summary()
+            for _ in range(5):
+                assert scheduler.submit(7).done()
+            after = scheduler.latency.histogram.summary()
+        assert after["count"] - before["count"] == 5
+        mean_s = (after["sum"] - before["sum"]) / 5
+        assert 0.0 < mean_s < 1.0
+
     def test_off_by_default(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=1.0) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             scheduler.submit(7).result()
             scheduler.submit(7).result()
             assert scheduler.stats["fast_hits"] == 0
@@ -378,19 +475,17 @@ class TestCacheFastPath:
 
     def test_bytes_identical_to_queue_path(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, deadline_ms=1.0) as queued:
+        with MicroBatchScheduler(model) as queued:
             via_queue = [queued.submit(s).result() for s in (1, 2, 1, 2)]
         model2 = _CountingForecaster()
-        with MicroBatchScheduler(model2, deadline_ms=1.0,
-                                 cache_fast_path=True) as fast:
+        with MicroBatchScheduler(model2, cache_fast_path=True) as fast:
             via_fast = [fast.submit(s).result() for s in (1, 2, 1, 2)]
         for a, b in zip(via_queue, via_fast):
             assert np.array_equal(a, b)
 
     def test_shutdown_refuses_fast_hits_too(self):
         model = _CountingForecaster()
-        scheduler = MicroBatchScheduler(model, deadline_ms=1.0,
-                                        cache_fast_path=True)
+        scheduler = MicroBatchScheduler(model, cache_fast_path=True)
         scheduler.submit(7).result()
         scheduler.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
@@ -399,7 +494,7 @@ class TestCacheFastPath:
     def test_runtime_totals_fold_fast_hits(self):
         from repro.serving import ServingRuntime
 
-        with ServingRuntime(deadline_ms=1.0, cache_fast_path=True) as runtime:
+        with ServingRuntime(cache_fast_path=True) as runtime:
             runtime.register("a", _CountingForecaster())
             for _ in range(3):
                 runtime.forecast("a", np.array([5]))
@@ -407,3 +502,64 @@ class TestCacheFastPath:
             assert stats["totals"]["fast_hits"] == 2
             assert stats["totals"]["cache_hits"] == 2
             assert stats["totals"]["cache_hit_pct"] == pytest.approx(100 * 2 / 3)
+
+
+class TestSubmitManyProperties:
+    """Generated interleavings of multi-start calls from many threads."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        calls=st.lists(
+            st.lists(
+                st.lists(st.integers(0, 30), min_size=1, max_size=12),
+                min_size=1, max_size=4,
+            ),
+            min_size=2, max_size=4,
+        ),
+        max_queue=st.sampled_from([4, 64]),
+        fast_path=st.booleans(),
+    )
+    def test_interleaved_calls_are_bitwise_direct_predict(
+        self, calls, max_queue, fast_path
+    ):
+        reference = _CountingForecaster()
+        errors: list[BaseException] = []
+        with MicroBatchScheduler(
+            _CountingForecaster(), max_batch=4, max_queue=max_queue,
+            admission="block", cache_fast_path=fast_path,
+        ) as scheduler:
+
+            def caller(thread_calls):
+                try:
+                    for starts in thread_calls:
+                        handles = scheduler.submit_many(starts)
+                        blocks = [h.result(timeout=10) for h in handles]
+                        assert np.array_equal(
+                            np.stack(blocks), reference.predict(np.asarray(starts))
+                        )
+                except BaseException as exc:  # noqa: BLE001 — surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller, args=(c,)) for c in calls]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert scheduler.drain(timeout=10)
+            stats = scheduler.stats
+        assert not errors, errors[:3]
+        assert stats["submitted"] == stats["completed"] == sum(
+            len(starts) for thread_calls in calls for starts in thread_calls
+        )
+        assert stats["failed"] == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(starts=st.lists(st.integers(0, 10**6), min_size=1, max_size=8,
+                           unique=True))
+    def test_call_within_max_batch_is_one_batch(self, starts):
+        with MicroBatchScheduler(_CountingForecaster(), max_batch=8,
+                                 log_batches=True) as scheduler:
+            for handle in scheduler.submit_many(starts):
+                handle.result(timeout=10)
+            log = [batch.tolist() for batch in scheduler.service.batch_log]
+        assert log == [sorted(starts)]

@@ -12,6 +12,7 @@ Two invariants of the blue/green swap, read from telemetry alone:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -20,8 +21,7 @@ from repro.interfaces import FitReport, Forecaster
 from repro.serving import QueueFull, ServingRuntime
 
 MODEL = "m"
-#: Small enough that a burst overflows it while the worker holds the
-#: first request open for its micro-batch deadline.
+#: Small enough that a burst of ``10 * MAX_QUEUE`` starts never fits.
 MAX_QUEUE = 2
 
 
@@ -53,7 +53,7 @@ class SwapDrainMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.runtime = ServingRuntime(
-            deadline_ms=5.0, max_queue=MAX_QUEUE, admission="reject"
+            max_queue=MAX_QUEUE, admission="reject"
         )
         self.scale = 1.0
         self.runtime.register(MODEL, _Scaled(self.scale))
@@ -80,11 +80,12 @@ class SwapDrainMachine(RuleBasedStateMachine):
 
     @rule()
     def overflow(self):
-        # The worker holds the first queued request open for the
-        # deadline, so a burst past the queue bound is refused.
-        for start in range(10 * MAX_QUEUE):
-            if not self._submit(1000 + start):
-                break
+        # One call larger than the queue bound is refused as a whole,
+        # every one of its starts counted as rejected.
+        starts = [1000 + start for start in range(10 * MAX_QUEUE)]
+        with pytest.raises(QueueFull):
+            self.runtime.submit_many(MODEL, starts)
+        self.rejected += len(starts)
 
     @rule()
     def drain(self):

@@ -66,7 +66,7 @@ class _Gated(Forecaster):
 @pytest.fixture()
 def served():
     """A ready two-model server plus a client wired to it."""
-    with ServingRuntime(deadline_ms=1.0, log_batches=True) as runtime:
+    with ServingRuntime(log_batches=True) as runtime:
         runtime.register("toy/a", _Affine(1000.0))
         runtime.register("toy/b", _Affine(7.0))
         with ForecastHTTPServer(runtime).start() as server:
@@ -188,7 +188,7 @@ class TestErrorMapping:
                               _Affine(1000.0).predict(np.array([5]))[0])
 
     def test_oversized_body_rejected(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("toy/a", _Affine())
             with ForecastHTTPServer(runtime, max_body_bytes=64).start() as server:
                 server.set_ready()
@@ -198,7 +198,7 @@ class TestErrorMapping:
 
     def test_queue_full_maps_over_wire(self):
         model = _Gated()
-        with ServingRuntime(deadline_ms=0.0, max_batch=1, max_queue=1,
+        with ServingRuntime(max_batch=1, max_queue=1,
                             admission="reject") as runtime:
             scheduler = runtime.register("gated", model)
             with ForecastHTTPServer(runtime).start() as server:
@@ -216,6 +216,34 @@ class TestErrorMapping:
                 in_flight.result(10.0)
                 queued.result(10.0)
 
+    def test_rejected_many_request_enqueues_nothing(self):
+        """A refused /v1/forecast_many queues none of its windows: none
+        are predicted, and none count as submitted."""
+        model = _Gated()
+        with ServingRuntime(max_batch=1, max_queue=2, admission="reject",
+                            log_batches=True) as runtime:
+            scheduler = runtime.register("gated", model)
+            with ForecastHTTPServer(runtime).start() as server:
+                server.set_ready()
+                in_flight = scheduler.submit(0)
+                assert model.entered.wait(5.0)
+                queued = scheduler.submit(1)  # one request already queued
+                before = scheduler.stats
+                with ForecastClient("127.0.0.1", server.port,
+                                    retries=0) as client:
+                    with pytest.raises(QueueFull):
+                        client.forecast("gated", [10, 11, 12])
+                after = scheduler.stats
+                model.release.set()
+                in_flight.result(10.0)
+                queued.result(10.0)
+                assert runtime.drain("gated", timeout=10.0)
+                logged = {int(s) for batch in scheduler.service.batch_log
+                          for s in batch}
+        assert after["submitted"] == before["submitted"]
+        assert after["rejected"] == before["rejected"] + 3
+        assert logged == {0, 1}
+
     def test_unknown_path_is_json_404(self, served):
         _runtime, server, _client = served
         conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
@@ -228,7 +256,7 @@ class TestErrorMapping:
 
 class TestReadinessGating:
     def test_forecasts_refused_until_ready(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("toy/a", _Affine())
             with ForecastHTTPServer(runtime).start() as server:
                 with ForecastClient("127.0.0.1", server.port,
@@ -243,7 +271,7 @@ class TestReadinessGating:
 
     def test_retry_rides_out_warmup(self):
         """A 503 not_ready answer is retried until the worker flips ready."""
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("toy/a", _Affine())
             with ForecastHTTPServer(runtime).start() as server:
                 flipper = threading.Timer(0.15, server.set_ready)
@@ -301,7 +329,7 @@ class TestIntrospection:
         assert [b.tolist() for b in log] == [b.tolist() for b in local]
 
     def test_batch_log_404_when_logging_off(self):
-        with ServingRuntime(deadline_ms=1.0, log_batches=False) as runtime:
+        with ServingRuntime(log_batches=False) as runtime:
             runtime.register("toy/a", _Affine())
             with ForecastHTTPServer(runtime).start() as server:
                 server.set_ready()
@@ -347,7 +375,7 @@ class TestWireLoadGeneration:
 
 class TestServerLifecycle:
     def test_shutdown_idempotent_and_port_released(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("toy/a", _Affine())
             server = ForecastHTTPServer(runtime).start()
             port = server.port
@@ -358,7 +386,7 @@ class TestServerLifecycle:
             rebound.shutdown()
 
     def test_shutdown_does_not_wait_out_a_poll(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("toy/a", _Affine())
             server = ForecastHTTPServer(runtime).start()
             time.sleep(0.05)  # let the serve loop enter its poll
@@ -367,7 +395,7 @@ class TestServerLifecycle:
             assert time.monotonic() - began < 0.2
 
     def test_double_start_rejected(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("toy/a", _Affine())
             with ForecastHTTPServer(runtime).start() as server:
                 with pytest.raises(RuntimeError, match="already started"):
@@ -375,7 +403,7 @@ class TestServerLifecycle:
 
 
 def test_client_connection_error_after_shutdown():
-    with ServingRuntime(deadline_ms=1.0) as runtime:
+    with ServingRuntime() as runtime:
         runtime.register("toy/a", _Affine())
         server = ForecastHTTPServer(runtime).start()
         server.set_ready()

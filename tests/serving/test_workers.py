@@ -104,7 +104,6 @@ class TestWorker:
         model, starts = fitted
         config = ServeConfig(
             checkpoint_dir=str(bundle_dir), port=0, state_dir=str(tmp_path),
-            deadline_ms=1.0,
         )
         stop = threading.Event()
         worker = threading.Thread(

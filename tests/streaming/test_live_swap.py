@@ -44,7 +44,7 @@ def _record(index: int) -> RefitRecord:
 
 class TestDeploy:
     def test_first_deploy_registers_then_swaps(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             bridge = LiveSwapBridge(runtime, "live")
             bridge.deploy(_ScaledModel(1000.0))
             assert bridge.live
@@ -54,7 +54,7 @@ class TestDeploy:
             assert [d["swap"] for d in bridge.deploys] == [False, True]
 
     def test_streaming_section_reaches_runtime_stats(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             bridge = LiveSwapBridge(runtime, "live")
             bridge.deploy(_ScaledModel(1.0), record=_record(0))
             bridge.deploy(_ScaledModel(2.0), record=_record(1))
@@ -69,7 +69,7 @@ class TestDeploy:
             assert stats["swaps"]["count"] == 1  # runtime's own swap ledger
 
     def test_refit_breakdown_recorded_per_deploy(self):
-        with ServingRuntime(deadline_ms=1.0) as runtime:
+        with ServingRuntime() as runtime:
             bridge = LiveSwapBridge(runtime, "live")
             bridge.deploy(_ScaledModel(1.0), record=_record(0))
             entry = bridge.deploys[0]
@@ -85,7 +85,7 @@ class TestNoDropAcrossSwaps:
         several blue/green swaps — zero failed, zero rejected, every
         accepted request answered (the model's counters run on across
         every swap)."""
-        with ServingRuntime(deadline_ms=0.5, max_queue=4096) as runtime:
+        with ServingRuntime(max_queue=4096) as runtime:
             bridge = LiveSwapBridge(runtime, "live")
             bridge.deploy(_ScaledModel(0.0, delay_s=0.002))
             errors: list[Exception] = []
