@@ -13,11 +13,26 @@ artifact kind —
 * ``forecast_window`` — served per-window forecast blocks.
 
 Two tiers: a bounded-memory LRU per namespace, plus an optional disk
-tier (sharded ``.npz`` segments and a JSON manifest under a cache
-directory, typically ``$REPRO_CACHE_DIR``) so artifacts survive across
-processes.  Disk writes are atomic (temp file + ``os.replace``) and
-loads are corruption-tolerant: an unreadable segment or manifest
-degrades to a cache miss, never a crash.
+tier of immutable ``seg-*.npz`` segments under a cache directory
+(typically ``$REPRO_CACHE_DIR``) so artifacts survive across processes.
+Every segment records its own namespace and keys, so the directory
+listing is the index: there is no manifest.  Disk writes are atomic
+(temp file + ``os.replace``) and loads are corruption-tolerant: an
+unreadable segment degrades to a cache miss, never a crash.
+
+Processes share one directory without coordinating, under three rules:
+
+* **One live copy.** Among the segments that hold a key, the one with
+  the greatest filename serves it, in every process.  When that segment
+  goes away, the key falls back to the next-greatest holder.  All
+  processes agree on which copy is dead, so two collectors can never
+  each delete the other's copy.
+* **Unique, time-ordered names.** ``seg-{time_ns}-{pid}-{token}-{ns}.npz``
+  is never reused after its file is deleted, so a process with a stale
+  index cannot delete a newer file by name, and (with a wall clock that
+  does not step back) the greatest name is the newest copy.
+* **The file mtime is the LRU stamp.** A writable store touches a
+  segment on every disk hit; eviction order is ``(mtime, name)``.
 
 Bit-exactness contract: the store never transforms values.  A hit —
 memory or disk — returns exactly the floats the uncached computation
@@ -30,14 +45,14 @@ input that determines the artifact, so changed data or hyper-parameters
 simply miss.  Stale entries are only ever evicted (memory LRU) or left
 unreferenced on disk; a cache directory can always be deleted wholesale.
 
-Lifecycle (PR 10): the disk tier is no longer append-only.  A byte
-quota (``max_bytes`` / ``--cache-max-bytes`` / ``$REPRO_CACHE_MAX_BYTES``)
-is enforced at :meth:`ArtifactStore.persist` time and on demand via
-:meth:`ArtifactStore.gc`, which first compacts sparse segments (live
-payload ratio below ``compact_ratio`` → rewritten dense) and then
-evicts whole least-recently-used segments until the tier fits.  The
-bit-exact contract survives: a surviving hit is byte-identical, an
-evicted entry is a miss that recomputes — never a wrong answer.
+Lifecycle: a byte quota (``max_bytes`` / ``--cache-max-bytes`` /
+``$REPRO_CACHE_MAX_BYTES``) is enforced at :meth:`ArtifactStore.persist`
+time and on demand via :meth:`ArtifactStore.gc`, which first compacts
+sparse segments (less than half of the payload bytes live → rewritten
+dense) and then evicts whole least-recently-used segments until the
+tier fits.  The bit-exact contract survives: a surviving hit is
+byte-identical, an evicted entry is a miss that recomputes — never a
+wrong answer.
 
 Process wiring is a single pair — :func:`open_store` installs a store
 built from a :class:`StoreConfig` (environment-backed), and
@@ -47,8 +62,9 @@ built from a :class:`StoreConfig` (environment-backed), and
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import os
+import secrets
 import threading
 import time
 import types
@@ -58,6 +74,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from ..obs.trace import current_trace, record_span
 from .cache import LRUCache, array_key
@@ -90,13 +107,22 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 #: Memory-tier per-namespace entry capacity (``--cache-memory-items``).
 CACHE_MEMORY_ITEMS_ENV = "REPRO_CACHE_MEMORY_ITEMS"
 
-MANIFEST_NAME = "store-manifest.json"
-_FORMAT_VERSION = 1
 _MISSING = object()
+_SEGMENT_GLOB = "seg-*.npz"
 _SCALAR_KEYS = "__scalar_keys__"
 _SCALAR_VALUES = "__scalar_values__"
 _NAMESPACE_KEY = "__namespace__"
 _ARRAY_PREFIX = "a:"
+_NPY_HEADER_READERS = {
+    (1, 0): npy_format.read_array_header_1_0,
+    (2, 0): npy_format.read_array_header_2_0,
+}
+#: gc() rewrites a segment dense when less than this share of its
+#: payload bytes is live (the rest superseded by greater-named copies).
+_COMPACT_RATIO = 0.5
+#: Decoded segments kept in memory (a segment is loaded whole on its
+#: first hit — entries written together are usually requested together).
+_MAX_LOADED_SEGMENTS = 8
 
 #: Default per-namespace memory-tier capacities.  ``dtw_pair`` entries
 #: are single floats so the tier can afford to be deep; adjacency and
@@ -150,29 +176,22 @@ class ArtifactStore:
         :data:`DEFAULT_MAXSIZE` / 4096).
     disk_dir:
         Optional disk-tier directory.  Created on first ``persist()``;
-        an existing directory's manifest and segments are indexed
-        immediately so earlier processes' artifacts are visible.
-    max_loaded_segments:
-        How many disk segments to keep decoded in memory (a segment is
-        loaded whole on its first hit — entries written together are
-        usually requested together).
+        an existing directory's segments are indexed immediately so
+        earlier processes' artifacts are visible.
     read_only:
         Serve from the disk tier without ever writing back: ``put``
         still populates the memory tier, but nothing is queued for
-        ``persist()`` (which becomes a no-op).  The mode for long-lived
-        serving workers over a bundle's exported cache — without it,
-        every freshly computed block would accumulate in the dirty
-        buffer forever, since nothing in the serving path persists.
+        ``persist()`` (which becomes a no-op) and disk hits leave the
+        segments' LRU stamps alone.  The mode for long-lived serving
+        workers over a bundle's exported cache — without it, every
+        freshly computed block would accumulate in the dirty buffer
+        forever, since nothing in the serving path persists.
         Read-only stores refuse :meth:`gc` outright.
     max_bytes:
         Optional disk-tier byte quota.  When set, every ``persist()``
         ends with a :meth:`gc` pass that evicts whole least-recently-
         used segments until the indexed segment files fit the quota.
         Accepts ``parse_byte_size`` strings (``"512M"``).
-    compact_ratio:
-        Live-payload threshold below which :meth:`gc` rewrites a sparse
-        segment dense (``0.5`` → segments less than half live get
-        compacted).  ``0`` disables compaction.
 
     Keys are ``bytes`` (16-byte :func:`array_key` digests); values are
     ``float`` or ``np.ndarray``.  Anything else is a ``TypeError`` at
@@ -185,10 +204,8 @@ class ArtifactStore:
         maxsize: int | dict | None = None,
         disk_dir: str | Path | None = None,
         *,
-        max_loaded_segments: int = 8,
         read_only: bool = False,
         max_bytes: int | str | None = None,
-        compact_ratio: float = 0.5,
     ) -> None:
         if isinstance(maxsize, int):
             if maxsize < 1:
@@ -201,29 +218,21 @@ class ArtifactStore:
                 self._maxsize.update(maxsize)
             self._fallback_maxsize = _FALLBACK_MAXSIZE
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self.max_loaded_segments = max_loaded_segments
         self.read_only = read_only
         self.max_bytes = parse_byte_size(max_bytes)
-        self.compact_ratio = float(compact_ratio)
         self._lock = threading.RLock()
         self._tiers: dict[str, LRUCache] = {}
-        # Disk index: (namespace, hex key) -> segment filename.
+        # Indexed segment files: filename -> {(ns, hex key): payload
+        # bytes}, dead duplicates included.  An unreadable file is
+        # indexed empty, so it still counts against the quota.
+        self._segments: dict[str, dict[tuple[str, str], int]] = {}
+        # Derived from _segments by the live-copy rule: (ns, hex key) ->
+        # the greatest-named segment that holds it.
         self._disk_index: dict[tuple[str, str], str] = {}
         # Decoded segments, LRU-bounded: filename -> {(ns, hex): value}.
         self._loaded: OrderedDict[str, dict] = OrderedDict()
         # Entries written since the last persist(): (ns, key) -> value.
         self._dirty: dict[tuple[str, bytes], object] = {}
-        # Lifecycle metadata stamped at put() time for dirty entries and
-        # recovered from the manifest for disk entries:
-        # (ns, hex key) -> {"created_at": float, "bytes": int}.  Absent
-        # for entries persisted by pre-metadata writers (old manifests
-        # stay readable; their entries just carry no accounting).
-        self._entry_meta: dict[tuple[str, str], dict] = {}
-        # Last-touched stamps per segment (GC eviction order): updated
-        # on every disk hit and persisted into the manifest as the
-        # segment's "last_used", so LRU order survives across processes.
-        self._segment_touched: dict[str, float] = {}
-        self._segment_counter = 0
         # Telemetry, per namespace.
         self._hits: dict[str, int] = {}
         self._disk_hits: dict[str, int] = {}
@@ -241,7 +250,7 @@ class ArtifactStore:
         }
         if self.disk_dir is not None and self.disk_dir.exists():
             with self._lock:
-                self._load_disk_index()
+                self._sync_index()
 
     # ------------------------------------------------------------------
     # Core get/put
@@ -284,15 +293,6 @@ class ArtifactStore:
             self._tier(namespace).put(key, value)
             if self.disk_dir is not None and not self.read_only:
                 self._dirty[(namespace, key)] = value
-                # Stamp lifecycle metadata at put() time — persist()
-                # writes it into the manifest so later processes can do
-                # age/size accounting (GC, quotas) without decoding
-                # segments.  First write wins: a re-put of an existing
-                # content key is the same artifact, not a new one.
-                self._entry_meta.setdefault(
-                    (namespace, key.hex()),
-                    {"created_at": time.time(), "bytes": _payload_bytes(value)},
-                )
 
     def get_or_compute(self, namespace: str, key: bytes, compute):
         """Atomic-enough get-or-put: ``compute`` runs outside the lock.
@@ -324,210 +324,180 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def _disk_get(self, namespace: str, key: bytes):
         entry = (namespace, key.hex())
-        segment = self._disk_index.get(entry)
-        if segment is None:
-            return _MISSING
-        decoded = self._loaded.get(segment)
+        # A segment that turns out vanished or corrupt is dropped from
+        # the index, which hands the key to its next-greatest holder.
+        while (segment := self._disk_index.get(entry)) is not None:
+            decoded = self._decoded(segment)
+            if decoded is None:
+                continue
+            if not self.read_only:
+                now = time.time_ns()
+                try:
+                    os.utime(self.disk_dir / segment, ns=(now, now))
+                except OSError:
+                    pass  # evicted meanwhile: the decoded copy still serves
+            return decoded[entry]
+        return _MISSING
+
+    def _decoded(self, filename: str) -> dict | None:
+        """One segment's entries, decoded whole and LRU-cached."""
+        decoded = self._loaded.get(filename)
+        if decoded is not None:
+            self._loaded.move_to_end(filename)
+            return decoded
+        decoded = self._read_segment(filename, decode=True)
         if decoded is None:
-            decoded = self._load_segment(segment)
-            if decoded is None:  # corrupt or vanished: index already scrubbed
-                return _MISSING
-            self._loaded[segment] = decoded
-            while len(self._loaded) > self.max_loaded_segments:
-                self._loaded.popitem(last=False)
-        else:
-            self._loaded.move_to_end(segment)
-        self._segment_touched[segment] = time.time()
-        return decoded.get(entry, _MISSING)
+            return None
+        self._loaded[filename] = decoded
+        while len(self._loaded) > _MAX_LOADED_SEGMENTS:
+            self._loaded.popitem(last=False)
+        return decoded
 
-    def _scrub_segment(self, filename: str) -> list[tuple[str, str]]:
-        """Forget one segment everywhere it is tracked; returns its entries.
+    def _read_segment(self, filename: str, *, decode: bool) -> dict | None:
+        """Read one segment: ``{(ns, hex): value}``, or payload sizes.
 
-        Index, per-entry metadata, decoded-segment LRU and touch stamps
-        all go together — dropping the index alone would leave
-        ``stats()`` byte accounting counting entries that can no longer
-        be served.
+        With ``decode=False`` array members contribute the payload size
+        from their npy header and are never decoded.  A vanished file
+        is dropped from the index silently (another process's gc()); an
+        unreadable one warns, counts in ``corrupt_segments`` and stays
+        indexed with no entries.
         """
-        entries = [e for e, seg in self._disk_index.items() if seg == filename]
-        for entry in entries:
-            del self._disk_index[entry]
-            self._entry_meta.pop(entry, None)
-        self._loaded.pop(filename, None)
-        self._segment_touched.pop(filename, None)
-        return entries
-
-    def _load_segment(self, filename: str):
-        """Decode one segment; corruption or disappearance scrubs it."""
         path = self.disk_dir / filename
+        entries: dict[tuple[str, str], object] = {}
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                namespace = None
-                if _NAMESPACE_KEY in archive.files:
-                    namespace = bytes(archive[_NAMESPACE_KEY]).decode("utf-8")
-                decoded: dict[tuple[str, str], object] = {}
-                if _SCALAR_KEYS in archive.files:
-                    for hexkey, value in zip(
-                        archive[_SCALAR_KEYS], archive[_SCALAR_VALUES]
-                    ):
-                        decoded[(namespace, str(hexkey))] = float(value)
-                for member in archive.files:
+            with zipfile.ZipFile(path) as archive:
+
+                def read(member):
+                    with archive.open(member + ".npy") as handle:
+                        return npy_format.read_array(handle, allow_pickle=False)
+
+                def payload_bytes(member):
+                    with archive.open(member + ".npy") as handle:
+                        version = npy_format.read_magic(handle)
+                        shape, _fortran, dtype = _NPY_HEADER_READERS[version](handle)
+                    return math.prod(shape) * dtype.itemsize
+
+                members = [name.removesuffix(".npy") for name in archive.namelist()]
+                namespace = bytes(read(_NAMESPACE_KEY)).decode("utf-8")
+                if _SCALAR_KEYS in members:
+                    keys = read(_SCALAR_KEYS)
+                    values = read(_SCALAR_VALUES).tolist() if decode else [8] * len(keys)
+                    for hexkey, value in zip(keys, values):
+                        entries[(namespace, str(hexkey))] = value
+                for member in members:
                     if member.startswith(_ARRAY_PREFIX):
-                        decoded[(namespace, member[len(_ARRAY_PREFIX):])] = archive[member]
-                return decoded
+                        entries[(namespace, member[len(_ARRAY_PREFIX):])] = (
+                            read(member) if decode else payload_bytes(member)
+                        )
         except FileNotFoundError:
-            # Evicted by another process's gc() between our index build
-            # and this read: a plain miss (the caller recomputes), not
-            # corruption — no warning, no corrupt_segments bump.
-            self._scrub_segment(filename)
+            self._forget([filename])
             return None
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as error:
             warnings.warn(f"dropping unreadable cache segment {path}: {error}")
             self.corrupt_segments += 1
-            self._scrub_segment(filename)
+            self._forget([filename])
+            self._segments[filename] = {}
             return None
+        return entries
 
-    def _load_disk_index(self) -> None:
-        """Index the manifest (or scan segments when it is unusable)."""
-        manifest_path = self.disk_dir / MANIFEST_NAME
-        segments: dict[str, list[str]] | None = None
-        if manifest_path.exists():
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                if manifest.get("format_version") == _FORMAT_VERSION:
-                    segments = {}
-                    for name, spec in manifest.get("segments", {}).items():
-                        namespace = spec["namespace"]
-                        segments[name] = [(namespace, hexkey) for hexkey in spec["keys"]]
-                        # Optional per-segment last-touch stamp (GC LRU
-                        # order across processes); max-merged so a local
-                        # fresher touch is never aged backwards.
-                        touched = spec.get("last_used")
-                        if isinstance(touched, (int, float)):
-                            self._segment_touched[name] = max(
-                                self._segment_touched.get(name, 0.0), float(touched)
-                            )
-                        # Optional per-entry lifecycle metadata (absent
-                        # from manifests written before it existed).
-                        for hexkey, meta in (spec.get("entries") or {}).items():
-                            if isinstance(meta, dict):
-                                self._entry_meta.setdefault((namespace, hexkey), meta)
-            except (OSError, ValueError, KeyError, TypeError) as error:
-                warnings.warn(f"unreadable cache manifest {manifest_path}: {error}")
-        if segments is None:
-            segments = {}
-        # Index every on-disk segment the manifest does not list — it
-        # carries its own namespace and keys, so the manifest is an
-        # optimisation, not the source of truth.  This covers a missing
-        # or corrupt manifest entirely, and heals the race where two
-        # processes persist concurrently and the slower writer's
-        # read-merge-replace loses the faster one's manifest entries
-        # (the segment files themselves are never clobbered).
-        for path in sorted(self.disk_dir.glob("seg-*.npz")):
-            if path.name in segments:
-                continue
-            decoded = self._load_segment(path.name)
-            if decoded is not None:
-                segments[path.name] = list(decoded.keys())
-                # A rescued segment carries no manifest metadata; its
-                # file mtime is the best available creation stamp.
-                try:
-                    rescued_at = path.stat().st_mtime
-                except OSError:
-                    rescued_at = time.time()
-                for entry, value in decoded.items():
-                    self._entry_meta.setdefault(
-                        entry,
-                        {"created_at": rescued_at, "bytes": _payload_bytes(value)},
-                    )
-                self._loaded[path.name] = decoded
-                while len(self._loaded) > self.max_loaded_segments:
-                    self._loaded.popitem(last=False)
-        for filename, entries in segments.items():
-            if not (self.disk_dir / filename).exists():
-                continue
-            for namespace, hexkey in entries:
-                self._disk_index[(namespace, hexkey)] = filename
+    def _index_segment(self, filename: str, sizes: dict[tuple[str, str], int]) -> None:
+        self._segments[filename] = sizes
+        for entry in sizes:
+            live = self._disk_index.get(entry)
+            if live is None or filename > live:
+                self._disk_index[entry] = filename
+
+    def _forget(self, filenames) -> None:
+        """Drop segments from the index; their live keys fall back to
+        the next-greatest holder, or leave the index when none is left."""
+        orphans: set[tuple[str, str]] = set()
+        for filename in filenames:
+            self._loaded.pop(filename, None)
+            for entry in self._segments.pop(filename, {}):
+                if self._disk_index.get(entry) == filename:
+                    del self._disk_index[entry]
+                    orphans.add(entry)
+        for filename in sorted(self._segments, reverse=True):
+            if not orphans:
+                break
+            held = orphans.intersection(self._segments[filename])
+            for entry in held:
+                self._disk_index[entry] = filename
+            orphans -= held
+
+    def _sync_index(self) -> None:
+        """Make the index match the directory: drop vanished segments,
+        index the ones not seen before (headers only)."""
+        on_disk = {path.name for path in self.disk_dir.glob(_SEGMENT_GLOB)}
+        self._forget([name for name in self._segments if name not in on_disk])
+        for filename in sorted(on_disk.difference(self._segments)):
+            sizes = self._read_segment(filename, decode=False)
+            if sizes is not None:
+                self._index_segment(filename, sizes)
 
     def refresh_disk_index(self) -> int:
         """Re-index the disk tier to pick up concurrent writers' segments.
 
-        The disk index is built once when the store is created; a store
-        that lives while *other processes* persist into the same
-        directory (the parallel sweep executor's workers all share one
+        The disk index is built when the store is created; a store that
+        lives while *other processes* persist into the same directory
+        (the parallel sweep executor's workers all share one
         ``$REPRO_CACHE_DIR``) will not see their segments until this is
-        called.  Cheap when the concurrent-writer manifest merge kept
-        the manifest complete (one JSON read); unlisted segments are
-        decoded and rescued exactly as at construction time.  Segments
-        another process's :meth:`gc` deleted are pruned first — their
-        metadata leaves the byte accounting with them.  Returns the net
-        change in indexed entries (negative when a concurrent GC
-        removed more than new writers added).
+        called.  One directory listing: segments another process's
+        :meth:`gc` deleted are dropped, and only segments not indexed
+        before are opened (their npy headers, not their arrays).
+        Returns the net change in indexed entries (negative when a
+        concurrent GC removed more than new writers added).
         """
         with self._lock:
             if self.disk_dir is None or not self.disk_dir.exists():
                 return 0
             before = len(self._disk_index)
-            for filename in set(self._disk_index.values()):
-                if not (self.disk_dir / filename).exists():
-                    self._scrub_segment(filename)
-            self._load_disk_index()
+            self._sync_index()
             return len(self._disk_index) - before
 
     def persist(self) -> int:
         """Flush queued entries to new disk segments; returns entry count.
 
-        Atomic per file: segments and the manifest are staged next to
-        their final name and ``os.replace``d, so a crashed writer leaves
-        at worst a ``.tmp`` straggler, never a half-written archive.
-        Concurrent writers from other processes are tolerated: the
-        manifest is re-read and their segment entries carried over, and
-        even when two overlapping persists race the read-merge-replace
-        (last replace wins), nothing is lost — segment files are never
-        clobbered, and ``_load_disk_index`` re-indexes any on-disk
-        segment the manifest fails to mention.  No-op without a disk
-        tier, in ``read_only`` mode, or with nothing dirty.
+        Atomic per file: each segment is staged next to its final name
+        and ``os.replace``d, so a crashed writer leaves at worst a
+        ``.tmp`` straggler, never a half-written archive.  Segment names
+        are unique, so concurrent writers from other processes never
+        clobber each other.  No-op without a disk tier, in
+        ``read_only`` mode, or with nothing dirty.
 
         When ``max_bytes`` is configured, persisting ends with a
         :meth:`gc` pass so the tier never outgrows its quota between
-        explicit collections.
+        explicit collections — also when nothing was dirty, since an
+        earlier unbounded writer may have left the tier over budget.
         """
         with self._lock:
-            if self.disk_dir is None:
+            if self.disk_dir is None or self.read_only:
                 return 0
-            if not self._dirty:
-                # Nothing to flush, but a quota-bearing store still owes
-                # the tier an enforcement pass: an earlier unbounded
-                # writer may have left it over budget.
-                if self.max_bytes is not None and not self.read_only:
-                    self.gc()
-                return 0
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            by_namespace: dict[str, dict[bytes, object]] = {}
-            for (namespace, key), value in self._dirty.items():
-                by_namespace.setdefault(namespace, {})[key] = value
-            written = 0
-            new_segments: dict[str, dict] = {}
-            for namespace, entries in sorted(by_namespace.items()):
-                filename, spec = self._write_segment_file(namespace, entries)
-                new_segments[filename] = spec
-                written += len(entries)
-            self._write_manifest(new_segments)
-            self._dirty.clear()
-            if self.max_bytes is not None and not self.read_only:
+            written = len(self._dirty)
+            if self._dirty:
+                self.disk_dir.mkdir(parents=True, exist_ok=True)
+                by_namespace: dict[str, dict[bytes, object]] = {}
+                for (namespace, key), value in self._dirty.items():
+                    by_namespace.setdefault(namespace, {})[key] = value
+                for namespace, entries in sorted(by_namespace.items()):
+                    self._write_segment(namespace, entries)
+                self._dirty.clear()
+            if self.max_bytes is not None:
                 self.gc()
             return written
 
-    def _write_segment_file(
-        self, namespace: str, entries: dict[bytes, object]
-    ) -> tuple[str, dict]:
-        """Stage-and-replace one ``.npz`` segment; index its entries.
+    def _write_segment(
+        self, namespace: str, entries: dict[bytes, object], mtime_ns: int | None = None
+    ) -> str:
+        """Stage-and-replace one ``.npz`` segment and index it.
 
-        Returns ``(filename, manifest_spec)``.  Shared by ``persist()``
-        (dirty entries) and compaction (live entries rewritten dense);
-        the spec carries each entry's put()-time metadata so created_at
-        stamps survive rewrites.
+        Shared by ``persist()`` (dirty entries) and compaction (live
+        entries rewritten dense, stamped with ``mtime_ns``).
         """
-        filename = self._next_segment_name(namespace)
+        slug = "".join(c if c.isalnum() or c in "-_" else "_" for c in namespace)
+        filename = (
+            f"seg-{time.time_ns():020d}-{os.getpid()}-{secrets.token_hex(4)}-{slug}.npz"
+        )
         scalar_keys, scalar_values, payload = [], [], {}
         for key, value in entries.items():
             if isinstance(value, float):
@@ -544,95 +514,20 @@ class ArtifactStore:
         staging = self.disk_dir / (filename + ".tmp")
         with open(staging, "wb") as handle:
             np.savez(handle, **payload)
+        if mtime_ns:
+            os.utime(staging, ns=(mtime_ns, mtime_ns))
         os.replace(staging, self.disk_dir / filename)
-        hexkeys = [key.hex() for key in entries]
-        now = time.time()
-        spec = {
-            "namespace": namespace,
-            "keys": hexkeys,
-            # Freshly written counts as freshly used for LRU purposes.
-            "last_used": now,
-            # Per-entry lifecycle metadata (created_at + payload
-            # bytes), stamped at put() time.  Readers that
-            # predate it ignore the extra field, so the format
-            # version stays 1.
-            "entries": {
-                hexkey: self._entry_meta[(namespace, hexkey)]
-                for hexkey in hexkeys
-                if (namespace, hexkey) in self._entry_meta
-            },
-        }
-        self._segment_touched[filename] = now
-        for hexkey in hexkeys:
-            self._disk_index[(namespace, hexkey)] = filename
-        return filename, spec
-
-    def _next_segment_name(self, namespace: str) -> str:
-        slug = "".join(c if c.isalnum() or c in "-_" else "_" for c in namespace)
-        while True:
-            self._segment_counter += 1
-            name = f"seg-{os.getpid()}-{self._segment_counter:06d}-{slug}.npz"
-            if not (self.disk_dir / name).exists():
-                return name
-
-    def _write_manifest(
-        self, new_segments: dict[str, dict], drop: set | frozenset = frozenset()
-    ) -> None:
-        manifest_path = self.disk_dir / MANIFEST_NAME
-        segments: dict[str, dict] = {}
-        if manifest_path.exists():  # merge concurrent writers' entries
-            try:
-                existing = json.loads(manifest_path.read_text())
-                if existing.get("format_version") == _FORMAT_VERSION:
-                    segments = {
-                        name: spec
-                        for name, spec in existing.get("segments", {}).items()
-                        if name not in drop and (self.disk_dir / name).exists()
-                    }
-            except (OSError, ValueError, KeyError, TypeError):
-                pass  # rebuilt below from what we know
-        # Re-record every indexed entry whose segment the on-disk
-        # manifest no longer (fully) lists — per segment, merging keys,
-        # so a rescued multi-key segment is written back whole.  Only
-        # segments whose file still exists: re-recording one a
-        # concurrent gc() just deleted would resurrect a ghost that
-        # every later reader pays a failed open() for.
-        known = {name: set(spec["keys"]) for name, spec in segments.items()}
-        alive: dict[str, bool] = {}
-        for (namespace, hexkey), filename in self._disk_index.items():
-            if filename in new_segments or filename in drop:
-                continue
-            if filename not in known:
-                exists = alive.get(filename)
-                if exists is None:
-                    exists = alive[filename] = (self.disk_dir / filename).exists()
-                if not exists:
-                    continue
-            spec = segments.setdefault(filename, {"namespace": namespace, "keys": []})
-            keys = known.setdefault(filename, set())
-            if hexkey not in keys:
-                keys.add(hexkey)
-                spec["keys"].append(hexkey)
-                meta = self._entry_meta.get((namespace, hexkey))
-                if meta is not None:
-                    spec.setdefault("entries", {})[hexkey] = meta
-        # Carry our freshest touch stamps into every surviving spec so
-        # cross-process LRU order reflects actual use, not write time.
-        for name, spec in segments.items():
-            touched = self._segment_touched.get(name)
-            if touched is not None and touched > float(spec.get("last_used") or 0.0):
-                spec["last_used"] = touched
-        segments.update(new_segments)
-        manifest = {"format_version": _FORMAT_VERSION, "segments": segments}
-        staging = manifest_path.with_suffix(".json.tmp")
-        staging.write_text(json.dumps(manifest) + "\n")
-        os.replace(staging, manifest_path)
+        self._index_segment(
+            filename,
+            {(namespace, key.hex()): _payload_bytes(value) for key, value in entries.items()},
+        )
+        return filename
 
     def export(self, directory: str | Path) -> int:
         """Write the store's *entire* contents as a fresh disk tier.
 
         Used to embed warmed cache contents in serving bundles: the
-        target directory gets its own segments + manifest, readable by
+        target directory gets its own segments, readable by
         ``ArtifactStore(disk_dir=...)`` in any later process.  Returns
         the number of entries exported.
         """
@@ -641,7 +536,7 @@ class ArtifactStore:
             for namespace, tier in self._tiers.items():
                 for key, value in tier.items():
                     target.put(namespace, key, value)
-            for (namespace, hexkey), _segment in list(self._disk_index.items()):
+            for namespace, hexkey in list(self._disk_index):
                 key = bytes.fromhex(hexkey)
                 value = self._disk_get(namespace, key)
                 if value is not _MISSING:
@@ -652,59 +547,34 @@ class ArtifactStore:
     # Lifecycle: compaction + quota-bounded GC
     # ------------------------------------------------------------------
     def disk_usage(self) -> int:
-        """Actual on-disk bytes of indexed segment files (the quota unit)."""
+        """On-disk bytes of every indexed segment file (the quota unit)."""
         with self._lock:
-            return sum(self._segment_sizes().values())
+            return sum(size for size, _mtime in self._segment_stats().values())
 
-    def _segment_sizes(self) -> dict[str, int]:
-        """File sizes of every indexed segment (missing files count 0)."""
-        sizes: dict[str, int] = {}
+    def _segment_stats(self) -> dict[str, tuple[int, int]]:
+        """``(size, mtime_ns)`` per indexed segment (missing files: 0, 0)."""
+        stats: dict[str, tuple[int, int]] = {}
         if self.disk_dir is None:
-            return sizes
-        for filename in set(self._disk_index.values()):
+            return stats
+        for filename in self._segments:
             try:
-                sizes[filename] = (self.disk_dir / filename).stat().st_size
+                stat = (self.disk_dir / filename).stat()
+                stats[filename] = (stat.st_size, stat.st_mtime_ns)
             except OSError:
-                sizes[filename] = 0
-        return sizes
-
-    def _entries_by_segment(self) -> dict[str, list[tuple[str, str]]]:
-        grouped: dict[str, list[tuple[str, str]]] = {}
-        for entry, filename in self._disk_index.items():
-            grouped.setdefault(filename, []).append(entry)
-        return grouped
-
-    def _segment_rank(self, filename: str, entries: list[tuple[str, str]]) -> float:
-        """Eviction order key: last-touched, else newest created_at, else mtime."""
-        touched = self._segment_touched.get(filename)
-        if touched is not None:
-            return touched
-        stamps = [
-            float((self._entry_meta.get(entry) or {}).get("created_at") or 0.0)
-            for entry in entries
-        ]
-        best = max(stamps, default=0.0)
-        if best:
-            return best
-        try:
-            return (self.disk_dir / filename).stat().st_mtime
-        except OSError:
-            return 0.0
+                stats[filename] = (0, 0)
+        return stats
 
     def gc(self, target_bytes: int | None = None) -> dict:
         """Bound the disk tier: compact sparse segments, then evict cold ones.
 
         ``target_bytes`` defaults to the configured quota
         (``max_bytes``); with neither set only compaction runs.
-        Eviction removes whole segments, coldest first (last-touched
-        stamps, falling back to manifest ``created_at``, then file
-        mtime), until the indexed segment files fit the target.  Each
-        removal is atomic — the file is unlinked and the manifest
-        rewritten via tmp + ``os.replace`` — and concurrent-reader
-        safe: a reader holding a stale index sees a plain miss and
-        recomputes, never a partial or wrong value.  Only segments this
-        store has indexed are touched, so a concurrent writer's
-        fresh, not-yet-indexed segments are never collected.
+        Eviction removes whole segments, coldest first by ``(mtime,
+        name)``, until the indexed segment files fit the target.  A
+        reader holding a stale index sees a plain miss on a removed
+        segment and recomputes, never a partial or wrong value.  Only
+        segments this store has indexed are touched, so a concurrent
+        writer's fresh, not-yet-indexed segments are never collected.
 
         Raises ``RuntimeError`` on a read-only store: a serving worker
         over a bundle's cache must never mutate it.
@@ -725,164 +595,92 @@ class ArtifactStore:
             }
             if self.disk_dir is None or not self.disk_dir.exists():
                 return summary
-            before = sum(self._segment_sizes().values())
-            summary["disk_bytes_before"] = before
-            if self.compact_ratio > 0:
-                compacted = self._compact_locked(self.compact_ratio)
-                summary.update(compacted)
+            summary["disk_bytes_before"] = self.disk_usage()
+            summary.update(self._compact_locked())
             target = summary["target_bytes"]
             if target is not None:
                 summary.update(self._evict_locked(int(target)))
-            summary["disk_bytes_after"] = sum(self._segment_sizes().values())
+            summary["disk_bytes_after"] = self.disk_usage()
             self._lifecycle["gc_runs"] += 1
             return summary
 
+    def _unlink(self, filenames: list[str]) -> None:
+        for filename in filenames:
+            try:
+                (self.disk_dir / filename).unlink()
+            except OSError:
+                pass  # already gone (concurrent gc)
+        self._forget(filenames)
+
     def _evict_locked(self, target: int) -> dict:
-        """Unlink cold indexed segments until the tier fits ``target``."""
-        grouped = self._entries_by_segment()
-        sizes = self._segment_sizes()
-        total = sum(sizes.values())
-        evicted_segments = evicted_entries = evicted_bytes = 0
-        dropped: set[str] = set()
-        order = sorted(
-            sizes, key=lambda name: (self._segment_rank(name, grouped[name]), name)
-        )
-        for filename in order:
+        """Unlink the coldest indexed segments until the tier fits ``target``."""
+        stats = self._segment_stats()
+        total = sum(size for size, _mtime in stats.values())
+        victims: list[str] = []
+        for filename in sorted(stats, key=lambda name: (stats[name][1], name)):
             if total <= target:
                 break
-            entries = self._scrub_segment(filename)
-            try:
-                (self.disk_dir / filename).unlink()
-            except OSError:
-                pass  # already gone (concurrent gc) — scrub still counts
-            total -= sizes[filename]
-            evicted_segments += 1
-            evicted_entries += len(entries)
-            evicted_bytes += sizes[filename]
-            dropped.add(filename)
-        if dropped:
-            self._write_manifest({}, drop=dropped)
-            self._lifecycle["evicted_segments"] += evicted_segments
-            self._lifecycle["evicted_entries"] += evicted_entries
-            self._lifecycle["evicted_bytes"] += evicted_bytes
-        return {
-            "evicted_segments": evicted_segments,
-            "evicted_entries": evicted_entries,
-            "evicted_bytes": evicted_bytes,
+            victims.append(filename)
+            total -= stats[filename][0]
+        before = len(self._disk_index)
+        self._unlink(victims)
+        result = {
+            "evicted_segments": len(victims),
+            "evicted_entries": before - len(self._disk_index),
+            "evicted_bytes": sum(stats[name][0] for name in victims),
         }
+        for field, value in result.items():
+            self._lifecycle[field] += value
+        return result
 
-    def _compact_locked(self, min_live_ratio: float) -> dict:
+    def _compact_locked(self) -> dict:
         """Rewrite sparse segments dense (live entries only, bit-exact).
 
-        A segment is sparse when the payload bytes of its *live* entries
-        (the ones this store's index still maps to it) fall below
-        ``min_live_ratio`` of the payload bytes the manifest records for
-        it — duplicates superseded by other segments are the dead
-        weight.  The ratio falls back to entry counts when metadata is
-        missing.  New dense segments are written and indexed *before*
-        the sparse sources are unlinked, so a crash mid-compaction
-        leaves duplicates, never losses.  A segment any of whose
-        recorded keys this store has never indexed is left alone — its
-        liveness is unknowable (it may be a concurrent writer's fresh
-        persist, newer than our index).  Conversely a segment whose
-        *every* key is indexed in some other segment is safely
-        removable even with zero live entries: content addressing
-        guarantees the surviving copies are bit-identical.
+        A segment is sparse when its live payload bytes — entries for
+        which it is the greatest-named holder — fall below
+        :data:`_COMPACT_RATIO` of its payload bytes.  The dead entries
+        have greater-named copies, which every process treats as live,
+        so no other collector deletes them as dead in turn.  The live
+        entries are written to a new segment, stamped with the newest
+        source mtime, *before* the sparse sources are unlinked, so a
+        crash mid-compaction leaves duplicates, never losses.
         """
         result = {"compacted_segments": 0, "compacted_entries": 0, "reclaimed_bytes": 0}
-        manifest_path = self.disk_dir / MANIFEST_NAME
-        recorded: dict[str, dict] = {}
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            if manifest.get("format_version") == _FORMAT_VERSION:
-                recorded = manifest.get("segments", {})
-        except (OSError, ValueError, KeyError, TypeError):
-            return result  # no manifest, no dead-entry knowledge
-        grouped = self._entries_by_segment()
-        sparse: list[str] = []
-        for filename, spec in recorded.items():
-            namespace = spec.get("namespace")
-            keys = spec.get("keys") or []
-            if not keys or any((namespace, hexkey) not in self._disk_index for hexkey in keys):
-                continue  # unknown liveness — hands off
-            live = grouped.get(filename, [])
-            if len(live) >= len(keys):
-                continue  # fully live — dense already
-            total_b = live_b = 0.0
-            have_meta = True
-            for hexkey in keys:
-                meta = self._entry_meta.get((namespace, hexkey))
-                if meta is None:
-                    have_meta = False
-                    break
-                total_b += float(meta.get("bytes") or 0.0)
-            if have_meta and total_b > 0:
-                for entry in live:
-                    live_b += float((self._entry_meta.get(entry) or {}).get("bytes") or 0.0)
-                ratio = live_b / total_b
-            else:
-                ratio = len(live) / len(keys)
-            if ratio < min_live_ratio:
-                sparse.append(filename)
+        sparse: dict[str, list[tuple[str, str]]] = {}
+        for filename, sizes in self._segments.items():
+            live = [entry for entry in sizes if self._disk_index.get(entry) == filename]
+            live_bytes = sum(sizes[entry] for entry in live)
+            if not sizes or live_bytes < _COMPACT_RATIO * sum(sizes.values()):
+                sparse[filename] = live
         if not sparse:
             return result
-        # Stat the sources directly: a fully-dead segment is not in the
-        # index, so _segment_sizes() would not account for it.
-        sizes: dict[str, int] = {}
-        for filename in sparse:
-            try:
-                sizes[filename] = (self.disk_dir / filename).stat().st_size
-            except OSError:
-                sizes[filename] = 0
+        stats = self._segment_stats()
         moved: dict[str, dict[bytes, object]] = {}
-        compacted: list[str] = []
-        stamp = 0.0
-        for filename in sparse:
-            live = grouped.get(filename, [])
-            if live:  # fully-dead segments need no decode — just removal
-                decoded = self._loaded.get(filename)
-                if decoded is None:
-                    decoded = self._load_segment(filename)
-                if decoded is None:
-                    continue  # corrupt/vanished: already scrubbed
-                for entry in live:
-                    if entry not in decoded or self._disk_index.get(entry) != filename:
-                        continue
-                    namespace, hexkey = entry
-                    moved.setdefault(namespace, {})[bytes.fromhex(hexkey)] = decoded[entry]
-                stamp = max(stamp, self._segment_rank(filename, live))
-            compacted.append(filename)
-        if not compacted:
-            return result
-        new_segments: dict[str, dict] = {}
-        for namespace, entries in sorted(moved.items()):
-            filename, spec = self._write_segment_file(namespace, entries)
-            # Compaction is maintenance, not use: the dense segment
-            # inherits its sources' coldness instead of jumping to the
-            # front of the LRU order.
-            if stamp:
-                spec["last_used"] = stamp
-                self._segment_touched[filename] = stamp
-            new_segments[filename] = spec
-            result["compacted_entries"] += len(entries)
-        reclaimed = 0
-        for filename in compacted:
-            self._loaded.pop(filename, None)
-            self._segment_touched.pop(filename, None)
-            try:
-                (self.disk_dir / filename).unlink()
-            except OSError:
-                pass
-            reclaimed += sizes.get(filename, 0)
-        new_files = {
-            name: (self.disk_dir / name).stat().st_size for name in new_segments
-        }
-        self._write_manifest(new_segments, drop=set(compacted))
-        result["compacted_segments"] = len(compacted)
-        result["reclaimed_bytes"] = max(0, reclaimed - sum(new_files.values()))
-        self._lifecycle["compacted_segments"] += result["compacted_segments"]
-        self._lifecycle["compacted_entries"] += result["compacted_entries"]
-        self._lifecycle["reclaimed_bytes"] += result["reclaimed_bytes"]
+        mtime_ns = 0
+        for filename, live in sparse.items():
+            if not live:
+                continue  # all duplicates (or unreadable): removal only
+            decoded = self._decoded(filename)
+            if decoded is None:
+                return result  # the index moved under us; the next gc() retries
+            for namespace, hexkey in live:
+                moved.setdefault(namespace, {})[bytes.fromhex(hexkey)] = decoded[
+                    (namespace, hexkey)
+                ]
+            mtime_ns = max(mtime_ns, stats[filename][1])
+        written = [
+            self._write_segment(namespace, entries, mtime_ns)
+            for namespace, entries in sorted(moved.items())
+        ]
+        self._unlink(list(sparse))
+        new_bytes = sum((self.disk_dir / name).stat().st_size for name in written)
+        result["compacted_segments"] = len(sparse)
+        result["compacted_entries"] = sum(len(entries) for entries in moved.values())
+        result["reclaimed_bytes"] = max(
+            0, sum(stats[name][0] for name in sparse) - new_bytes
+        )
+        for field, value in result.items():
+            self._lifecycle[field] += value
         return result
 
     # ------------------------------------------------------------------
@@ -903,22 +701,20 @@ class ArtifactStore:
     def stats(self) -> dict:
         """Per-namespace and total hit/miss/size/byte counters.
 
-        ``memory_bytes`` is exact (computed from the live memory tier);
-        ``disk_bytes`` sums the manifest's per-entry metadata and
-        therefore under-counts directories written by pre-metadata
-        versions (their entries carry no size records).
+        ``memory_bytes`` and ``disk_bytes`` are payload bytes (a float
+        counts 8): exact for the live memory tier, and over the indexed
+        keys' live copies for the disk tier.
         """
         with self._lock:
             namespaces = {}
             disk_items: dict[str, int] = {}
             disk_bytes: dict[str, int] = {}
-            for namespace, hexkey in self._disk_index:
+            for entry, filename in self._disk_index.items():
+                namespace = entry[0]
                 disk_items[namespace] = disk_items.get(namespace, 0) + 1
-                meta = self._entry_meta.get((namespace, hexkey))
-                if meta is not None:
-                    disk_bytes[namespace] = (
-                        disk_bytes.get(namespace, 0) + int(meta.get("bytes") or 0)
-                    )
+                disk_bytes[namespace] = (
+                    disk_bytes.get(namespace, 0) + self._segments[filename][entry]
+                )
             for namespace in sorted(set(self._tiers) | set(disk_items)):
                 tier = self._tiers.get(namespace)
                 memory_bytes = (
@@ -945,10 +741,10 @@ class ArtifactStore:
             totals["dirty"] = len(self._dirty)
             totals["corrupt_segments"] = self.corrupt_segments
             # Lifecycle stanza: cumulative GC/compaction counters plus
-            # the live quota position (actual indexed file bytes, which
-            # include npz container overhead the per-entry payload
-            # accounting above does not).
-            disk_file_bytes = sum(self._segment_sizes().values())
+            # the live quota position (actual segment file bytes, which
+            # include dead duplicates and npz container overhead the
+            # payload accounting above does not).
+            disk_file_bytes = self.disk_usage()
             lifecycle = dict(self._lifecycle)
             lifecycle["disk_file_bytes"] = disk_file_bytes
             lifecycle["quota_bytes"] = self.max_bytes
@@ -1140,9 +936,6 @@ class StoreConfig:
     disk_dir: str | Path | None = None
     max_bytes: int | None = None
     memory_items: int | dict | None = None
-    max_loaded_segments: int = 8
-    read_only: bool = False
-    compact_ratio: float = 0.5
 
     @classmethod
     def from_env(cls, **overrides) -> "StoreConfig":
@@ -1164,10 +957,7 @@ class StoreConfig:
         return ArtifactStore(
             maxsize=self.memory_items,
             disk_dir=self.disk_dir,
-            max_loaded_segments=self.max_loaded_segments,
-            read_only=self.read_only,
             max_bytes=self.max_bytes,
-            compact_ratio=self.compact_ratio,
         )
 
 

@@ -25,9 +25,10 @@ state):
 * the parent's :class:`~repro.engine.ArtifactStore` disk tier (if any)
   is re-opened in each worker via ``open_store``, so all workers
   share one ``$REPRO_CACHE_DIR``-style directory: fits persist their DTW
-  pairs and masked adjacencies as they finish (the PR 5 concurrent-
-  writer manifest merge makes this safe), and every cell refreshes its
-  disk index first so workers reuse *each other's* artifacts mid-sweep;
+  pairs and masked adjacencies as they finish (segment names are
+  unique, so concurrent writers never clobber each other), and every
+  cell refreshes its disk index first so workers reuse *each other's*
+  artifacts mid-sweep;
 * ``REPRO_SWEEP_JOBS`` is pinned to ``1`` inside workers so a cell that
   itself calls ``run_matrix`` can never fork a nested pool.
 
@@ -205,7 +206,6 @@ def _parent_specs(store) -> tuple[dict | None, dict | None]:
             # tier stays bounded even mid-sweep (their persist-time gc
             # only evicts segments they have indexed themselves).
             "max_bytes": store.max_bytes,
-            "compact_ratio": store.compact_ratio,
         }
     return backend_spec, store_spec
 
@@ -234,7 +234,6 @@ def _init_worker(backend_spec: dict | None, store_spec: dict | None) -> None:
             StoreConfig(
                 disk_dir=store_spec["disk_dir"],
                 max_bytes=store_spec.get("max_bytes"),
-                compact_ratio=store_spec.get("compact_ratio", 0.5),
             )
         )
 
@@ -254,7 +253,8 @@ def _run_cell(payload: dict) -> dict:
         if store is not None and store.disk_dir is not None:
             # Pick up segments other workers persisted since our index
             # was built, so concurrent cells reuse each other's DTW
-            # pairs and masked adjacencies (cheap: one manifest read).
+            # pairs and masked adjacencies (cheap: one directory listing
+            # plus the headers of segments not indexed yet).
             store.refresh_disk_index()
         began = time.perf_counter()
         result = evaluate_cell(

@@ -276,6 +276,6 @@ def run_matrix(
     if store is not None and use_service:
         # Flush served windows; fits persist themselves (Trainer flushes
         # at fit end), so a service-less sweep has nothing new to write
-        # and skips the redundant manifest round-trip entirely.
+        # and skips the redundant persist entirely.
         store.persist()
     return out

@@ -380,7 +380,7 @@ class ServingRuntime:
                 "history": history,
             }
         if store is not None:
-            # A wedged store (corrupt manifest, dead disk) must degrade
+            # A wedged store (dead disk) must degrade
             # to an error stanza, not take /v1/stats down with it.
             try:
                 result["store"] = store.stats

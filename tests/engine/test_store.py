@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import threading
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.engine import (
     parse_byte_size,
     reset_store,
 )
-from repro.engine.store import MANIFEST_NAME
 
 
 def _key(*parts) -> bytes:
@@ -144,37 +142,21 @@ class TestDiskTier:
         segment = next(tmp_path.glob("seg-*dtw_pair*.npz"))
         segment.write_bytes(b"\x00garbage\x00")
 
-        fresh = ArtifactStore(disk_dir=tmp_path)
+        # Corruption is found when the segment is indexed, at construction.
         with pytest.warns(UserWarning, match="unreadable cache segment"):
+            fresh = ArtifactStore(disk_dir=tmp_path)
             assert fresh.get("dtw_pair", _key(1)) is None
         # Sibling namespace's segment is untouched.
         assert np.array_equal(fresh.get("mask_fill", _key(2)), np.ones(2))
         assert fresh.corrupt_segments == 1
 
-    def test_corrupted_manifest_rescans_segments(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("dtw_pair", _key(1), 5.0)
-        store.persist()
-        (tmp_path / MANIFEST_NAME).write_text("{not json")
-        with pytest.warns(UserWarning, match="unreadable cache manifest"):
-            fresh = ArtifactStore(disk_dir=tmp_path)
-        assert fresh.get("dtw_pair", _key(1)) == 5.0
-
-    def test_missing_manifest_rescans_segments(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("dtw_pair", _key(1), 5.0)
-        store.persist()
-        (tmp_path / MANIFEST_NAME).unlink()
-        fresh = ArtifactStore(disk_dir=tmp_path)
-        assert fresh.get("dtw_pair", _key(1)) == 5.0
-
-    def test_manifest_merges_concurrent_writers(self, tmp_path):
+    def test_concurrent_writers_keep_each_others_keys(self, tmp_path):
         a = ArtifactStore(disk_dir=tmp_path)
         b = ArtifactStore(disk_dir=tmp_path)
         a.put("dtw_pair", _key("a"), 1.0)
         b.put("dtw_pair", _key("b"), 2.0)
         a.persist()
-        b.persist()  # must not clobber a's manifest entries
+        b.persist()  # must not clobber a's entries
         fresh = ArtifactStore(disk_dir=tmp_path)
         assert fresh.get("dtw_pair", _key("a")) == 1.0
         assert fresh.get("dtw_pair", _key("b")) == 2.0
@@ -184,8 +166,10 @@ class TestDiskTier:
         store.put("dtw_pair", _key(1), 5.0)
         store.persist()
         assert not list(tmp_path.glob("*.tmp"))
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert manifest["format_version"] == 1
+        # The directory is the index: segments only, no manifest.
+        assert [path.name for path in tmp_path.iterdir()] == [
+            path.name for path in tmp_path.glob("seg-*.npz")
+        ]
 
     def test_export_full_contents(self, tmp_path):
         source = ArtifactStore(disk_dir=tmp_path / "src")
@@ -311,26 +295,6 @@ class TestReviewRegressions:
         # Memory tier still serves the freshly computed blocks.
         assert serving.get("forecast_window", _key("new", 3)) is not None
 
-    def test_unlisted_segment_survives_lost_manifest_merge(self, tmp_path):
-        """Two processes racing persist(): the loser's manifest replace
-        may drop the winner's entries, but the index rescan re-finds the
-        winner's segment from disk."""
-        a = ArtifactStore(disk_dir=tmp_path)
-        b = ArtifactStore(disk_dir=tmp_path)
-        a.put("dtw_pair", _key("a"), 1.0)
-        a.persist()
-        # Simulate b's stale read-merge-replace clobbering a's entry.
-        b.put("dtw_pair", _key("b"), 2.0)
-        b.persist()
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        a_segment = next(s for s in manifest["segments"] if "dtw_pair" in s)
-        del manifest["segments"][a_segment]
-        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-
-        fresh = ArtifactStore(disk_dir=tmp_path)
-        assert fresh.get("dtw_pair", _key("a")) == 1.0
-        assert fresh.get("dtw_pair", _key("b")) == 2.0
-
     def test_view_get_or_compute_single_store_probe(self):
         """One view-level miss must record exactly one store-level miss."""
         store = ArtifactStore()
@@ -341,32 +305,6 @@ class TestReviewRegressions:
         view.get_or_compute(_key("m"), lambda: np.ones(2))
         stats = store.stats["namespaces"]["mask_fill"]
         assert stats["misses"] == 1 and stats["hits"] == 1
-
-    def test_manifest_rebuild_keeps_all_keys_of_rescued_segment(self, tmp_path):
-        """A rescued multi-key segment must be written back into the
-        manifest whole, not truncated to its first key."""
-        a = ArtifactStore(disk_dir=tmp_path)
-        for i in range(3):
-            a.put("dtw_pair", _key("a", i), float(i))
-        a.persist()
-        # Lose a's manifest entry (the concurrent-replace race).
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        manifest["segments"] = {}
-        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-
-        healer = ArtifactStore(disk_dir=tmp_path)  # rescans a's segment
-        healer.put("dtw_pair", _key("b"), 9.0)
-        healer.persist()  # rewrites the manifest — must list all of a's keys
-
-        trusting = ArtifactStore(disk_dir=tmp_path)
-        rebuilt = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        a_segment = next(
-            spec for spec in rebuilt["segments"].values()
-            if len(spec["keys"]) > 1 or _key("a", 0).hex() in spec["keys"]
-        )
-        assert len(a_segment["keys"]) == 3
-        for i in range(3):
-            assert trusting.get("dtw_pair", _key("a", i)) == float(i)
 
     def test_scope_ignores_cache_store_flag(self):
         """cache_store is metric-neutral and must not partition scopes."""
@@ -412,80 +350,6 @@ class TestReviewRegressions:
         STSMConfig(cache_store=False).validate()  # real booleans fine
 
 
-class TestManifestEntryMetadata:
-    """Disk-manifest lifecycle metadata: created_at + payload bytes."""
-
-    def test_manifest_records_created_at_and_bytes(self, tmp_path):
-        import time
-
-        before = time.time()
-        store = ArtifactStore(disk_dir=tmp_path)
-        value = np.arange(6.0).reshape(2, 3)
-        store.put("dtw_pair", _key("a"), value)
-        store.persist()
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert manifest["format_version"] == 1  # readers stay compatible
-        (spec,) = manifest["segments"].values()
-        (meta,) = spec["entries"].values()
-        assert before <= meta["created_at"] <= time.time()
-        assert meta["bytes"] == value.nbytes
-
-    def test_metadata_survives_reload_into_stats(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("dtw_pair", _key("a"), np.arange(3.0))  # 24 bytes
-        store.persist()
-        fresh = ArtifactStore(disk_dir=tmp_path)
-        ns = fresh.stats["namespaces"]["dtw_pair"]
-        assert ns["disk_items"] == 1
-        assert ns["disk_bytes"] == 24
-
-    def test_created_at_is_first_write_time(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("dtw_pair", _key("a"), np.arange(3.0))
-        first = store._entry_meta[("dtw_pair", _key("a").hex())]["created_at"]
-        store.put("dtw_pair", _key("a"), np.arange(3.0))
-        assert store._entry_meta[("dtw_pair", _key("a").hex())]["created_at"] == first
-
-    def test_old_manifest_without_entries_still_loads(self, tmp_path):
-        """Backward compatibility: manifests written before the metadata
-        existed (no "entries" key) index and serve bitwise."""
-        store = ArtifactStore(disk_dir=tmp_path)
-        value = np.arange(5.0)
-        store.put("dtw_pair", _key("a"), value)
-        store.persist()
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        for spec in manifest["segments"].values():
-            spec.pop("entries")
-        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        fresh = ArtifactStore(disk_dir=tmp_path)
-        assert fresh.get("dtw_pair", _key("a")).tobytes() == value.tobytes()
-        ns = fresh.stats["namespaces"]["dtw_pair"]
-        assert ns["disk_items"] == 1  # indexed even without metadata
-
-    def test_rescued_segment_gets_stamped_metadata(self, tmp_path):
-        store = ArtifactStore(disk_dir=tmp_path)
-        store.put("dtw_pair", _key("a"), np.arange(4.0))  # 32 bytes
-        store.persist()
-        (tmp_path / MANIFEST_NAME).unlink()
-        fresh = ArtifactStore(disk_dir=tmp_path)
-        ns = fresh.stats["namespaces"]["dtw_pair"]
-        assert ns["disk_items"] == 1
-        assert ns["disk_bytes"] == 32
-
-    def test_repersist_carries_metadata_forward(self, tmp_path):
-        first = ArtifactStore(disk_dir=tmp_path)
-        first.put("dtw_pair", _key("a"), np.arange(3.0))
-        first.persist()
-        original = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        second = ArtifactStore(disk_dir=tmp_path)
-        second.put("mask_fill", _key("b"), np.ones(2))
-        second.persist()
-        merged = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert len(merged["segments"]) == 2
-        for name, spec in original["segments"].items():
-            assert merged["segments"][name]["entries"] == spec["entries"]
-
-
 class TestByteStats:
     def test_memory_bytes_are_exact(self):
         store = ArtifactStore()
@@ -504,6 +368,15 @@ class TestByteStats:
         totals = store.stats["totals"]
         assert totals["memory_bytes"] == 24 + 128
         assert totals["disk_bytes"] == 24 + 128
+
+    def test_metadata_survives_reload_into_stats(self, tmp_path):
+        store = ArtifactStore(disk_dir=tmp_path)
+        store.put("dtw_pair", _key("a"), np.arange(3.0))  # 24 bytes
+        store.persist()
+        fresh = ArtifactStore(disk_dir=tmp_path)
+        ns = fresh.stats["namespaces"]["dtw_pair"]
+        assert ns["disk_items"] == 1
+        assert ns["disk_bytes"] == 24
 
 
 class TestConcurrentStats:

@@ -8,6 +8,7 @@ GC see hit-or-miss, never corruption.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -22,7 +23,6 @@ from repro.engine import (
     reset_store,
     store_metric_samples,
 )
-from repro.engine.store import MANIFEST_NAME
 
 
 def _key(*parts) -> bytes:
@@ -133,7 +133,7 @@ class TestConcurrentReaders:
         for i, value in values.items():
             writer.put("mask_fill", _key("c", i), value)
             writer.persist()
-        reader = ArtifactStore(disk_dir=tmp_path, max_loaded_segments=1)
+        reader = ArtifactStore(disk_dir=tmp_path)
         failures: list[str] = []
         stop = threading.Event()
 
@@ -216,6 +216,39 @@ class TestCompaction:
         fresh = ArtifactStore(disk_dir=tmp_path)
         assert fresh.stats["totals"]["disk_items"] == 10
 
+    def test_two_collectors_never_delete_each_others_copy(self, tmp_path):
+        # Both handles must agree which copy of k is live; otherwise each
+        # gc() compacts away the copy the other one thinks is live.
+        a = ArtifactStore(disk_dir=tmp_path)
+        b = ArtifactStore(disk_dir=tmp_path)
+        a.put("dtw_pair", _key("k"), 1.5)
+        a.persist()
+        a.refresh_disk_index()
+        b.refresh_disk_index()
+        b.put("dtw_pair", _key("k"), 1.5)
+        b.persist()
+        a.gc()
+        b.gc()
+        assert ArtifactStore(disk_dir=tmp_path).get("dtw_pair", _key("k")) == 1.5
+
+    def test_dense_segment_inherits_the_newest_source_mtime(self, tmp_path):
+        first = ArtifactStore(disk_dir=tmp_path)
+        for i in range(4):
+            first.put("mask_fill", _key("m", i), np.full((8, 8), float(i)))
+        first.persist()
+        (source,) = tmp_path.glob("seg-*.npz")
+        stamp = source.stat().st_mtime_ns - 3600 * 10**9  # an hour-old LRU stamp
+        os.utime(source, ns=(stamp, stamp))
+        second = ArtifactStore(disk_dir=tmp_path)
+        for i in range(3):  # supersede 3 of 4: the source goes sparse
+            second.put("mask_fill", _key("m", i), np.full((8, 8), float(i)))
+        second.persist()
+        assert second.gc()["compacted_entries"] == 1
+        dense = [path for path in tmp_path.glob("seg-*.npz") if path != source]
+        assert not source.exists()
+        # Compaction is maintenance, not use: no jump to the LRU front.
+        assert stamp in {path.stat().st_mtime_ns for path in dense}
+
     def test_compaction_counts_in_stats_and_metrics(self, tmp_path):
         a = ArtifactStore(disk_dir=tmp_path)
         _fill(a, 2, persist_each=False, tag="m")
@@ -249,20 +282,32 @@ class TestByteAccountingRegressions:
         assert totals["disk_items"] == 0
         assert totals["disk_bytes"] == 0  # meta scrubbed with the index
 
-    def test_manifest_rewrite_never_resurrects_deleted_segments(self, tmp_path):
+    def test_stale_handle_persist_and_refresh_index_only_existing_files(self, tmp_path):
         writer = ArtifactStore(disk_dir=tmp_path)
         _fill(writer, 2)
         victim = ArtifactStore(disk_dir=tmp_path)
         writer.gc(target_bytes=0)
-        # ``victim`` still indexes the dead segments; its next persist
-        # must not write them back into the manifest.
+        # ``victim`` still indexes the deleted segments; after its next
+        # persist and refresh it must index exactly the files on disk.
         victim.put("mask_fill", _key("fresh"), np.ones(4))
         victim.persist()
-        import json
+        victim.refresh_disk_index()
+        on_disk = sorted(path.name for path in tmp_path.glob("seg-*.npz"))
+        assert sorted(victim._segments) == on_disk
+        assert victim.stats["totals"]["disk_items"] == 1
 
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        for name in manifest["segments"]:
-            assert (tmp_path / name).exists()
+    def test_disk_usage_counts_dead_duplicates(self, tmp_path):
+        values = [np.full((64, 64), float(i)) for i in range(4)]
+        a = ArtifactStore(disk_dir=tmp_path)
+        b = ArtifactStore(disk_dir=tmp_path)
+        for store in (a, b):
+            for i, value in enumerate(values):
+                store.put("mask_fill", _key("dup", i), value)
+            store.persist()
+        b.refresh_disk_index()
+        on_disk = sum(path.stat().st_size for path in tmp_path.glob("seg-*.npz"))
+        assert b.disk_usage() == on_disk
+        assert b.stats["totals"]["lifecycle"]["disk_file_bytes"] == on_disk
 
     def test_quota_accepts_byte_size_strings(self, tmp_path):
         store = ArtifactStore(disk_dir=tmp_path, max_bytes="1K")

@@ -7,7 +7,11 @@ must be bitwise the value the key names.  Checked after every step:
 
 * every hit is bitwise equal to the model value;
 * after ``gc(target)``, ``disk_usage() <= target``;
-* ``stats`` ``disk_items`` equals the number of indexed entries.
+* ``stats`` ``disk_items`` equals the number of indexed entries;
+* no persisted key goes missing unless a gc with a byte target has run
+  since it was persisted;
+* after a refresh, ``disk_usage()`` equals the bytes of the segment
+  files in the directory.
 """
 
 from __future__ import annotations
@@ -63,11 +67,16 @@ class TwoHandleStoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.directory = Path(tempfile.mkdtemp(prefix="store-properties-"))
         self.stores = [ArtifactStore(disk_dir=self.directory) for _ in range(2)]
+        # Entries put since each handle's last persist, and entries that
+        # must be on disk: persisted since the last gc with a byte target.
+        self.pending: list[set] = [set(), set()]
+        self.persisted: set = set()
 
     @rule(handle=handles, entry=entries)
     def put(self, handle, entry):
         namespace, index = entry
         self.stores[handle].put(namespace, _key(index), _value(namespace, index))
+        self.pending[handle].add(entry)
 
     @rule(handle=handles, entry=entries)
     def get(self, handle, entry):
@@ -79,10 +88,15 @@ class TwoHandleStoreMachine(RuleBasedStateMachine):
     @rule(handle=handles)
     def persist(self, handle):
         self.stores[handle].persist()
+        self.persisted |= self.pending[handle]
+        self.pending[handle].clear()
 
     @rule(handle=handles)
     def refresh(self, handle):
-        self.stores[handle].refresh_disk_index()
+        store = self.stores[handle]
+        store.refresh_disk_index()
+        on_disk = sum(path.stat().st_size for path in self.directory.glob("seg-*.npz"))
+        assert store.disk_usage() == on_disk
 
     @rule(handle=handles, fraction=st.none() | st.sampled_from([0.0, 0.3, 0.6, 0.9]))
     def gc(self, handle, fraction):
@@ -91,6 +105,7 @@ class TwoHandleStoreMachine(RuleBasedStateMachine):
         store.gc(target_bytes=target)
         if target is not None:
             assert store.disk_usage() <= target
+            self.persisted.clear()
 
     @rule(handle=handles)
     def clear_memory(self, handle):
@@ -99,17 +114,26 @@ class TwoHandleStoreMachine(RuleBasedStateMachine):
     @rule(handle=handles)
     def reopen(self, handle):
         self.stores[handle] = ArtifactStore(disk_dir=self.directory)
+        self.pending[handle].clear()  # unpersisted puts die with the handle
 
     @invariant()
     def disk_items_count_the_index(self):
         for store in self.stores:
             assert store.stats["totals"]["disk_items"] == len(store._disk_index)
 
+    @invariant()
+    def persisted_keys_stay_on_disk(self):
+        fresh = ArtifactStore(disk_dir=self.directory, read_only=True)
+        for namespace, index in self.persisted:
+            got = fresh.get(namespace, _key(index))
+            assert got is not None, (namespace, index)
+            assert _bitwise_equal(got, _value(namespace, index))
+
     def teardown(self):
         shutil.rmtree(self.directory, ignore_errors=True)
 
 
 TwoHandleStoreMachine.TestCase.settings = settings(
-    max_examples=20, stateful_step_count=20, deadline=None
+    max_examples=40, stateful_step_count=25, deadline=None
 )
 TestTwoHandleStore = TwoHandleStoreMachine.TestCase
