@@ -307,14 +307,11 @@ class RefitScheduler:
             # A long-running deployment must not grow the tier without
             # bound: flush this refit's artifacts and let the quota
             # (when configured) collect cold segments.  persist() runs
-            # the gc pass itself; a refit that computed nothing new
-            # still gets an explicit one.
+            # the gc pass itself, also when nothing new was computed.
             gc_began = time.monotonic()
             lifecycle = self.store.stats["totals"]["lifecycle"]
             before_evicted = lifecycle["evicted_segments"]
             persisted = self.store.persist()
-            if persisted == 0 and self.store.max_bytes is not None:
-                self.store.gc()
             lifecycle = self.store.stats["totals"]["lifecycle"]
             evicted = lifecycle["evicted_segments"] - before_evicted
             if root is not None:
@@ -322,6 +319,7 @@ class RefitScheduler:
                     "refit.gc", root, gc_began, time.monotonic(),
                     persisted=persisted, evicted_segments=evicted,
                 )
+        if root is not None:
             recorder.record({
                 "trace": root.trace_id,
                 "span": root.span_id,

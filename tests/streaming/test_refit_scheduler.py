@@ -119,6 +119,24 @@ class TestTriggers:
         assert all(r["fit_lag_seconds"] >= 0 for r in stats["refits"])
 
 
+class TestStoreMaintenance:
+    def test_idle_refit_with_quota_collects_once(
+        self, feed_dataset, feed_split, feed_spec, feed_config, tmp_path
+    ):
+        # The fit keeps its caches private, so the refit leaves nothing
+        # dirty: its persist() is the quota's only gc pass.
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        store = ArtifactStore(disk_dir=cache_dir, max_bytes="1M")
+        scheduler = RefitScheduler(
+            _filled_buffer(feed_dataset), feed_config.replace(cache_store=False),
+            feed_split, feed_spec, POLICY, tmp_path / "checkpoints", store=store,
+        )
+        assert scheduler.run_once(timeout=0) is not None
+        assert scheduler.records[0].store_entries_persisted == 0
+        assert store.stats["totals"]["lifecycle"]["gc_runs"] == 1
+
+
 class TestBitwiseParity:
     def test_two_rolling_refits_match_from_scratch_bitwise(
         self, feed_dataset, feed_split, feed_spec, feed_config, tmp_path
