@@ -146,6 +146,7 @@ def parse_byte_size(text: str | int | None) -> int | None:
     unset env vars stay unset), decimal magnitudes (``"1.5G"``) and an
     optional trailing ``B`` (``"512MB"``).  The parser for every quota
     surface — ``--cache-max-bytes`` and ``$REPRO_CACHE_MAX_BYTES``.
+    Negative, infinite and unparseable sizes raise ``ValueError``.
     """
     if text is None or isinstance(text, int):
         return text
@@ -158,7 +159,7 @@ def parse_byte_size(text: str | int | None) -> int | None:
         cleaned = cleaned[:-1]
     try:
         value = int(float(cleaned) * factor) if cleaned else None
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: "inf", "1e400"
         value = None
     if value is None or value < 0:
         raise ValueError(f"unparseable byte size {text!r} (want e.g. 1048576, 512M, 1.5G)")

@@ -276,6 +276,9 @@ class TestProcessStore:
             parse_byte_size("lots")
         with pytest.raises(ValueError):
             parse_byte_size("-1")
+        for infinite in ("inf", "1e400", "-inf", "1e400M"):
+            with pytest.raises(ValueError):
+                parse_byte_size(infinite)
 
 
 class TestReviewRegressions:

@@ -63,6 +63,13 @@ class TestCLI:
         with pytest.raises(KeyError):
             cli_main(["tableXX", "--scale", "bench"])
 
+    @pytest.mark.parametrize("size", ["inf", "1e400"])
+    def test_infinite_cache_quota_is_a_usage_error(self, size, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["list", "--cache-max-bytes", size])
+        assert excinfo.value.code == 2
+        assert "--cache-max-bytes" in capsys.readouterr().err
+
 
 class TestPackageSurface:
     def test_version(self):
