@@ -43,7 +43,8 @@ CI sweep-cache mode (the ``sweep-cache`` workflow job)::
 runs a 2-seed mini-sweep through the real ``run_matrix`` path twice
 against one cache directory; the ``second`` phase exits non-zero unless
 the store recorded hits *and* the sweep metrics are bit-identical to the
-first run's.
+first run's.  Under ``$REPRO_CACHE_MAX_BYTES`` either phase also exits
+non-zero when the segment files in the directory exceed the quota.
 """
 
 from __future__ import annotations
@@ -110,6 +111,15 @@ def _metrics_of(run: dict) -> tuple:
     return (run["history"], run["best_val_rmse"], run["predictions_sha256"])
 
 
+def _segment_file_bytes(directory) -> int:
+    """Bytes of the segment files in a cache directory.
+
+    Quota gates measure the directory, not the store's own
+    ``disk_usage()``, so an accounting bug in the store cannot pass them.
+    """
+    return sum(path.stat().st_size for path in Path(directory).glob("seg-*.npz"))
+
+
 def run_benchmark(args: argparse.Namespace) -> int:
     if args.smoke:
         shape = dict(sensors=16, days=1, epochs=1, hidden=8, stride=8, resolution=24)
@@ -128,7 +138,7 @@ def run_benchmark(args: argparse.Namespace) -> int:
     store = open_store(StoreConfig(disk_dir=cache_dir))
     warm = [_fit_once(seed, True, shape) for seed in seeds]
     store.persist()
-    unbounded_bytes = store.disk_usage()
+    unbounded_bytes = _segment_file_bytes(cache_dir)
     warm_stats = store.stats["totals"]
 
     # Cold start: a brand-new process would see only the disk tier.
@@ -147,7 +157,7 @@ def run_benchmark(args: argparse.Namespace) -> int:
     bounded = [_fit_once(seed, True, shape) for seed in seeds]
     quota_seconds = time.perf_counter() - quota_began
     quota_store.persist()  # quota store: persist() enforces the cap itself
-    quota_bytes_after = quota_store.disk_usage()
+    quota_bytes_after = _segment_file_bytes(quota_dir)
     quota_stats = quota_store.stats["totals"]
     reset_store()
 
@@ -303,6 +313,14 @@ def run_ci_sweep(args: argparse.Namespace) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[{args.ci_sweep}] metrics: {json.dumps(metrics)}")
     print(f"[{args.ci_sweep}] store: {json.dumps(stats)}")
+
+    if store.max_bytes is not None:
+        disk_bytes = _segment_file_bytes(store.disk_dir)
+        print(f"[{args.ci_sweep}] disk: {disk_bytes}/{store.max_bytes} bytes of segments")
+        if disk_bytes > store.max_bytes:
+            print(f"ERROR: segment files ({disk_bytes} bytes) exceed the "
+                  f"{store.max_bytes}-byte quota", file=sys.stderr)
+            return 1
 
     if args.ci_sweep == "second":
         # Memory hits alone would be vacuous (the sweep's own fits hit
