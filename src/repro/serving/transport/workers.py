@@ -59,7 +59,7 @@ __all__ = [
     "reuse_port_supported",
 ]
 
-MANIFEST_NAME = "manifest.json"
+BUNDLE_MANIFEST_FILE = "manifest.json"
 _MANIFEST_VERSION = 1
 _CACHE_SUBDIR = "cache"
 
@@ -134,7 +134,7 @@ def save_bundle(
             },
             "warmup_starts": [int(s) for s in entry.warmup_starts],
         }
-    path = directory / MANIFEST_NAME
+    path = directory / BUNDLE_MANIFEST_FILE
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
 
@@ -157,9 +157,9 @@ def load_bundle(
     from ...data.synthetic import make_dataset
 
     directory = Path(directory)
-    path = directory / MANIFEST_NAME
+    path = directory / BUNDLE_MANIFEST_FILE
     if not path.exists():
-        raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
+        raise FileNotFoundError(f"no {BUNDLE_MANIFEST_FILE} in {directory}")
     manifest = json.loads(path.read_text())
     if manifest.get("format_version") != _MANIFEST_VERSION:
         raise ValueError(
@@ -205,7 +205,7 @@ def bundle_cache_dir(directory: str | Path) -> Path | None:
     directory = Path(directory)
     candidate = directory / _CACHE_SUBDIR
     try:
-        manifest = json.loads((directory / MANIFEST_NAME).read_text())
+        manifest = json.loads((directory / BUNDLE_MANIFEST_FILE).read_text())
         configured = manifest.get("cache", {}).get("dir")
         if configured:
             candidate = directory / configured
