@@ -293,7 +293,7 @@ def run_wire_inprocess(
 
 
 def _start_worker_fleet(bundle_dir: Path, state_dir: Path, workers: int, *,
-                        max_batch: int, fast_path: bool = False, timeout_s: float = 300.0):
+                        max_batch: int, timeout_s: float = 300.0):
     """Launch ``python -m repro.serving serve`` and wait for readiness.
 
     Returns ``(process, worker_infos)`` — infos carry the shared public
@@ -309,8 +309,6 @@ def _start_worker_fleet(bundle_dir: Path, state_dir: Path, workers: int, *,
             "--checkpoint-dir", str(bundle_dir), "--port", "0",
             "--workers", str(workers), "--state-dir", str(state_dir),
             "--max-batch", str(max_batch)]
-    if fast_path:
-        argv.append("--fast-path")
     process = subprocess.Popen(
         argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
@@ -334,7 +332,7 @@ def _start_worker_fleet(bundle_dir: Path, state_dir: Path, workers: int, *,
 
 def run_wire_fleet(
     replay_model, bundle_dir: Path, pool: np.ndarray, spec: LoadSpec, *,
-    workers: int, max_batch: int, fast_path: bool = False,
+    workers: int, max_batch: int,
 ) -> tuple[dict, bool]:
     """HTTP serving from ``workers`` processes behind one SO_REUSEPORT port.
 
@@ -343,11 +341,10 @@ def run_wire_fleet(
     restore of the same checkpoint, so identical weights — and every
     client-received block must match one replay block bitwise.
     """
-    state_dir = bundle_dir / f"state-{workers}w{'-fp' if fast_path else ''}"
+    state_dir = bundle_dir / f"state-{workers}w"
     state_dir.mkdir(exist_ok=True)
     process, infos = _start_worker_fleet(
-        bundle_dir, state_dir, workers,
-        max_batch=max_batch, fast_path=fast_path,
+        bundle_dir, state_dir, workers, max_batch=max_batch,
     )
     try:
         port = infos[0]["port"]
@@ -544,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
                 # workers load, so replayed bytes are their bytes.
                 replay_model, _ = load_bundle(bundle_dir)[MODEL_KEY]
 
-                def fleet_leg(label: str, workers: int, fast_path: bool):
+                def fleet_leg(label: str, workers: int):
                     """Median-of-repeats fleet run (closed-loop wire
                     serving is bistable in its queueing regime; one draw
                     is not a number)."""
@@ -554,7 +551,6 @@ def main(argv: list[str] | None = None) -> int:
                         summary, parity = run_wire_fleet(
                             replay_model, bundle_dir, pool, wire_spec,
                             workers=workers, max_batch=args.max_batch,
-                            fast_path=fast_path,
                         )
                         runs.append(summary)
                         parity_all = parity_all and parity
@@ -576,23 +572,11 @@ def main(argv: list[str] | None = None) -> int:
                 for n in (1, args.wire_workers):
                     print(f"[wire leg: {n} worker process(es) behind "
                           f"SO_REUSEPORT, {wire_repeats} repeat(s)]")
-                    legs[n], parity_n = fleet_leg(f"{n}w", n, False)
+                    legs[n], parity_n = fleet_leg(f"{n}w", n)
                     wire["parity"][f"workers_{n}"] = parity_n
                     wire_parity_ok = wire_parity_ok and parity_n
-                # Extra leg: the opt-in cache-hit fast path on one
-                # worker — how much single-worker fan-in throughput the
-                # queue-hop elimination recovers.
-                print(f"[wire leg: 1 worker process with --fast-path, "
-                      f"{wire_repeats} repeat(s)]")
-                fast_leg, fast_parity = fleet_leg("1w+fp", 1, True)
-                wire["parity"]["single_worker_fast_path"] = fast_parity
-                wire_parity_ok = wire_parity_ok and fast_parity
             wire["single_worker"] = legs[1]
             wire["multi_worker"] = legs[args.wire_workers]
-            wire["single_worker_fast_path"] = fast_leg
-            wire["fast_path_gain"] = (
-                fast_leg["throughput_rps"] / legs[1]["throughput_rps"]
-            )
             wire_speedup = (
                 legs[args.wire_workers]["throughput_rps"] / legs[1]["throughput_rps"]
             )
@@ -618,8 +602,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{wire['machine_cpus']} CPU(s), "
                 + (f"target {target}x" if target is not None
                    else "gate informational on 1 CPU")
-                + f")   fast-path gain {wire['fast_path_gain']:.2f}x   "
-                f"http-vs-scheduler overhead "
+                + f")   http-vs-scheduler overhead "
                 f"{wire['vs_inprocess_scheduler']['wire_overhead_factor']:.2f}x"
             )
 

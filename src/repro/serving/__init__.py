@@ -7,10 +7,11 @@ Four bricks toward the production system the ROADMAP aims at:
   into batched ``predict`` calls, and LRU-caches per-window results so
   repeated traffic never recomputes.
 * :class:`MicroBatchScheduler` — accepts requests from many threads,
-  batches them behind a bounded admission-controlled queue, and drains
-  through the service on one background worker that dispatches whatever
-  is queued as soon as it is free, so concurrent callers batch with
-  each other.
+  answers result-cache hits at once on the caller's thread, and batches
+  the misses behind a bounded admission-controlled queue that drains
+  through the service on one background worker, which dispatches
+  whatever is queued as soon as it is free, so concurrent callers batch
+  with each other.
 * :class:`ServingRuntime` — hosts many named fitted models (one
   scheduler each), routes requests by model key, and aggregates
   per-model latency/throughput/cache telemetry.
@@ -32,14 +33,13 @@ the wire (:class:`~repro.serving.loadgen.WireDriver`).
 from .errors import InvalidRequest, ModelNotFound, QueueFull, ServingError
 from .loadgen import LoadGenerator, LoadReport, LoadSpec, WireDriver
 from .runtime import ServingRuntime
-from .scheduler import AsyncForecast, LatencyRecorder, MicroBatchScheduler
+from .scheduler import AsyncForecast, MicroBatchScheduler
 from .service import ForecastService
 
 __all__ = [
     "AsyncForecast",
     "ForecastService",
     "InvalidRequest",
-    "LatencyRecorder",
     "LoadGenerator",
     "LoadReport",
     "LoadSpec",

@@ -39,10 +39,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="per-model result-cache capacity")
     p.add_argument("--no-warm-up", action="store_true",
                    help="skip manifest warm-up windows (serve cold)")
-    p.add_argument("--fast-path", action="store_true",
-                   help="serve cache hits on the handler thread (no "
-                        "handoff to the scheduler worker) — the "
-                        "high-fan-in throughput optimisation")
     p.add_argument("--state-dir", default=None,
                    help="where worker-<i>.json state files go "
                         "(default: the checkpoint dir)")
@@ -106,7 +102,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         admission=args.admission,
         cache_size=args.cache_size,
-        cache_fast_path=args.fast_path,
         warm_up=not args.no_warm_up,
         drain_timeout_s=args.drain_timeout_s,
         state_dir=args.state_dir,

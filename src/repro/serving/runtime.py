@@ -62,7 +62,6 @@ class ServingRuntime:
         admission: str = "block",
         cache_size: int | None = None,
         log_batches: bool = False,
-        cache_fast_path: bool = False,
     ) -> None:
         self._defaults = {
             "max_batch": max_batch,
@@ -70,7 +69,6 @@ class ServingRuntime:
             "admission": admission,
             "cache_size": cache_size,
             "log_batches": log_batches,
-            "cache_fast_path": cache_fast_path,
         }
         self._schedulers: dict[str, MicroBatchScheduler] = {}
         self._lock = threading.Lock()
@@ -340,7 +338,6 @@ class ServingRuntime:
             return self.scheduler(key).stats
         with self._lock:
             per_model = {k: s.stats for k, s in self._schedulers.items()}
-        fast_hits = sum(s["fast_hits"] for s in per_model.values())
         totals = {
             "models": len(per_model),
             "submitted": sum(s["submitted"] for s in per_model.values()),
@@ -348,20 +345,13 @@ class ServingRuntime:
             "rejected": sum(s["rejected"] for s in per_model.values()),
             "failed": sum(s["failed"] for s in per_model.values()),
             "batches": sum(s["batches"] for s in per_model.values()),
-            "fast_hits": fast_hits,
             "queue_depth": sum(s["queue_depth"] for s in per_model.values()),
-            # Fast-path hits never reach the service's counters, so the
-            # rollup adds them to both the hit count and the request
-            # denominator to keep the hit rate meaningful.
-            "cache_hits": fast_hits
-            + sum(s["service"]["cache_hits"] for s in per_model.values()),
+            "cache_hits": sum(s["service"]["cache_hits"] for s in per_model.values()),
             "windows_computed": sum(
                 s["service"]["windows_computed"] for s in per_model.values()
             ),
         }
-        requests = fast_hits + sum(
-            s["service"]["requests"] for s in per_model.values()
-        )
+        requests = sum(s["service"]["requests"] for s in per_model.values())
         totals["cache_hit_pct"] = (
             100.0 * totals["cache_hits"] / requests if requests else 0.0
         )

@@ -5,24 +5,27 @@ one ``forecast`` call, so two threads asking for forecasts at the same
 instant each pay a full ``predict`` call.  :class:`MicroBatchScheduler`
 closes that gap: callers from any thread
 :meth:`~MicroBatchScheduler.submit_many` window starts and get
-future-like :class:`AsyncForecast` handles back; a single background
-worker thread dispatches whatever is queued, up to **max_batch**
+future-like :class:`AsyncForecast` handles back.  Result-cache hits
+are answered at once on the calling thread — no queue hop, no handoff
+to and from the worker, no admission wait — and a single background
+worker thread dispatches the queued misses, up to **max_batch**
 requests, the moment it is free, and serves the batch with one
 :meth:`~repro.serving.ForecastService.forecast` call, the service's
 cache+coalesce path.
 
-**Dispatch when free.**  There is no batching timer: a lone request
-on an idle scheduler is dispatched at once, while under load new
+**Dispatch when free.**  There is no batching timer: a lone miss on
+an idle scheduler is dispatched at once, while under load new
 requests pile up as the worker predicts, so batches form on their own
 and per-call overhead is amortised across them.  One caller's windows
 stay together because :meth:`~MicroBatchScheduler.submit_many` appends
-a call's starts under one lock hold — a call of at most ``max_batch``
-starts to an idle scheduler is exactly one batch.
+a call's misses under one lock hold — a call of at most ``max_batch``
+starts to an idle scheduler is at most one batch.
 
-**Admission control.**  The queue is bounded (``max_queue``).
-``admission="reject"`` refuses a call that does not fit as a whole
-with :class:`QueueFull`, enqueuing nothing; ``"block"`` enqueues what
-fits and waits for space for the rest (backpressure).
+**Admission control.**  The queue is bounded (``max_queue``) and
+holds misses only.  ``admission="reject"`` refuses a call whose misses
+do not fit as a whole with :class:`QueueFull`, enqueuing and counting
+nothing but the refusal; ``"block"`` enqueues what fits and waits for
+space for the rest (backpressure).
 
 **Zero-drift contract.**  All model access happens on the worker thread
 through the owned :class:`ForecastService`, which sorts and dedups
@@ -43,11 +46,11 @@ import numpy as np
 
 from ..interfaces import Forecaster
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import TraceContext, record_span, span
+from ..obs.trace import TraceContext, record_span, span, use_trace
 from .errors import InvalidRequest, QueueFull
 from .service import ForecastService
 
-__all__ = ["AsyncForecast", "LatencyRecorder", "MicroBatchScheduler", "QueueFull"]
+__all__ = ["AsyncForecast", "MicroBatchScheduler", "QueueFull"]
 
 #: The scheduler's counters: ``stats`` key -> (metric name, help).
 _COUNTERS = {
@@ -56,7 +59,6 @@ _COUNTERS = {
     "rejected": ("repro_requests_rejected_total", "Requests refused at admission"),
     "failed": ("repro_requests_failed_total", "Accepted requests that failed"),
     "batches": ("repro_batches_total", "Micro-batches dispatched"),
-    "fast_hits": ("repro_fast_hits_total", "Requests served by the cache fast path"),
 }
 
 
@@ -76,55 +78,6 @@ class AsyncForecast:
 
     def result(self, timeout: float | None = None) -> np.ndarray:
         return self._future.result(timeout)
-
-
-class LatencyRecorder:
-    """Fixed-bucket latency histogram with percentile readout.
-
-    Built on the shared :class:`~repro.obs.metrics.Histogram` type
-    (bucket bounds: :data:`~repro.obs.metrics.LATENCY_BUCKETS` —
-    exponential 100 µs → 10 s, +inf overflow), so every recorded
-    latency costs O(1) memory and the recorder never grows with load.
-    ``count``/``mean``/``max`` are exact; p50/p95/p99 are estimated by
-    linear interpolation inside the bucket holding the quantile rank —
-    resolution is one bucket width, monotone by construction
-    (p50 <= p95 <= p99 always).  Appends come from the scheduler worker
-    thread and, when the cache-hit fast path is on, from submitter
-    threads too; the histogram child's internal lock keeps counts
-    exact.  ``histogram`` is a registry-owned family child (the
-    scheduler passes its model's), so ``GET /metrics`` exposes the
-    same buckets.
-    """
-
-    def __init__(self, histogram) -> None:
-        self._hist = histogram
-
-    @property
-    def count(self) -> int:
-        return self._hist.count
-
-    @property
-    def histogram(self):
-        """The underlying histogram child (bucket exposition hooks)."""
-        return self._hist
-
-    def record(self, seconds: float) -> None:
-        self._hist.observe(seconds)
-
-    def summary(self) -> dict:
-        """Latency percentiles in milliseconds (the shared summary shape)."""
-        stats = self._hist.summary()
-        if stats["count"] == 0:
-            return {"count": 0, "p50_ms": None, "p95_ms": None, "p99_ms": None,
-                    "mean_ms": None, "max_ms": None}
-        return {
-            "count": stats["count"],
-            "p50_ms": 1e3 * stats["p50"],
-            "p95_ms": 1e3 * stats["p95"],
-            "p99_ms": 1e3 * stats["p99"],
-            "mean_ms": 1e3 * stats["mean"],
-            "max_ms": 1e3 * stats["max"],
-        }
 
 
 class _Request:
@@ -153,13 +106,13 @@ class MicroBatchScheduler:
         service's per-``predict`` chunk bound when the scheduler
         constructs the service itself).
     max_queue:
-        Bound on queued (not yet dispatched) requests — the admission
+        Bound on queued (not yet dispatched) misses — the admission
         control limit.
     admission:
         ``"block"`` (default) parks a call until the queue has space for
-        the rest of it; ``"reject"`` refuses a call that does not fit as
-        a whole with :class:`QueueFull`, counting each of its starts as
-        ``rejected``.
+        the rest of its misses; ``"reject"`` refuses a call whose misses
+        do not fit as a whole with :class:`QueueFull`, counting each of
+        its starts as ``rejected``.
     cache_size:
         Result-cache capacity when the scheduler builds its own service.
         Passing it together with an existing service is an error (the
@@ -168,14 +121,6 @@ class MicroBatchScheduler:
         Parity-replay support: ``True`` enables the service's
         ``batch_log`` — also on an existing service that was built
         without one (never disables an already-active log).
-    cache_fast_path:
-        Serve result-cache hits directly on the submitting thread —
-        zero queue hops, no worker-thread round trip, no admission wait.
-        Off by default (every request then shows up in the batch
-        telemetry); under high fan-in the two thread handoffs the queue
-        costs per request dominate cache-hot serving, and this removes
-        them.  Bytes are unchanged either way: a hit is the block the
-        first computation cached.
     name:
         The ``model`` label of the scheduler's metrics and spans; also
         names the worker thread and appears in error messages.
@@ -200,7 +145,6 @@ class MicroBatchScheduler:
         admission: str = "block",
         cache_size: int | None = None,
         log_batches: bool = False,
-        cache_fast_path: bool = False,
         name: str = "scheduler",
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -231,7 +175,6 @@ class MicroBatchScheduler:
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.admission = admission
-        self.cache_fast_path = cache_fast_path
         self.name = name
 
         self._cond = threading.Condition()
@@ -253,11 +196,11 @@ class MicroBatchScheduler:
         self._queue_depth = self.metrics.gauge(
             "repro_queue_depth", "Requests queued, not yet dispatched", ("model",)
         ).labels(model=name)
-        self.latency = LatencyRecorder(self.metrics.histogram(
+        self.latency = self.metrics.histogram(
             "repro_request_latency_seconds",
             "End-to-end scheduler latency per served request",
             ("model",),
-        ).labels(model=name))
+        ).labels(model=name)
         self._dispatched = 0
         self._batched_requests = 0
         self.peak_queue_depth = 0
@@ -283,32 +226,33 @@ class MicroBatchScheduler:
 
     def submit_many(self, starts,
                     trace: TraceContext | None = None) -> list[AsyncForecast]:
-        """Enqueue window starts from any thread in one step; one handle each.
+        """Submit window starts from any thread in one step; one handle each.
 
         Every start is checked first, so one outside int64 raises
-        :class:`InvalidRequest` with nothing enqueued.  Fast-path hits
-        (:attr:`cache_fast_path`) get pre-resolved handles on this
-        thread; the rest are appended under one lock hold with one
-        wake-up, subject to the ``admission`` policy.  ``trace`` threads
-        the requests' trace context through the worker's queue-wait /
-        batch-dispatch spans (see :mod:`repro.obs.trace`).
+        :class:`InvalidRequest` with nothing enqueued.  Every start is
+        then looked up in the result cache on this thread, under
+        ``trace``: hits get pre-resolved handles and count in the
+        service's ``cache_hits``; misses are appended under one lock
+        hold with one wake-up, subject to the ``admission`` policy, and
+        carry ``trace`` into the worker's spans.  A refused call counts
+        nothing but the refusal.
         """
         starts = [int(start) for start in starts]
         for start in starts:
             if not -(2**63) <= start < 2**63:
                 raise InvalidRequest(f"window start {start} is outside the int64 range")
+        began = time.monotonic()
+        with use_trace(trace):
+            hits = self.service.lookup(starts)
+        lookup_s = time.monotonic() - began
         futures = [Future() for _ in starts]
         queued: list[int] = []
-        fast: list[tuple[int, float, float]] = []  # (start, lookup began, ended)
         for i, start in enumerate(starts):
-            if self.cache_fast_path:
-                began = time.monotonic()
-                value = self.service.cached_block(start)
-                if value is not None:
-                    futures[i].set_result(value)
-                    fast.append((start, began, time.monotonic()))
-                    continue
-            queued.append(i)
+            if start in hits:
+                futures[i].set_result(hits[start])
+            else:
+                queued.append(i)
+        served = len(starts) - len(queued)
         with self._cond:
             if self._closed:
                 raise RuntimeError(f"{self.name} is shut down")
@@ -322,9 +266,9 @@ class MicroBatchScheduler:
             now = time.monotonic()
             self._mark_first_submit(now)
             self._counters["submitted"].inc(len(starts))
-            if fast:
-                self._counters["completed"].inc(len(fast))
-                self._counters["fast_hits"].inc(len(fast))
+            if served:
+                self.service.count_hits(served)
+                self._counters["completed"].inc(served)
                 self._last_complete_at = now
             self._in_flight += len(queued)
             for n, i in enumerate(queued):
@@ -346,11 +290,8 @@ class MicroBatchScheduler:
             if len(self._queue) > self.peak_queue_depth:
                 self.peak_queue_depth = len(self._queue)
             self._cond.notify_all()
-        for start, began, ended in fast:
-            self.latency.record(ended - began)
-            if trace is not None:
-                record_span("scheduler.cache_fast_path", trace, began, ended,
-                            model=self.name, start=start)
+        for _ in range(served):
+            self.latency.observe(lookup_s)
         return [AsyncForecast(start, future) for start, future in zip(starts, futures)]
 
     def _mark_first_submit(self, now: float) -> None:
@@ -421,7 +362,7 @@ class MicroBatchScheduler:
                     model=self.name, batch_size=len(batch),
                 )
             for req, block in zip(batch, blocks):
-                self.latency.record(now - req.enqueued_at)
+                self.latency.observe(now - req.enqueued_at)
                 req.future.set_result(block)
                 served += 1
         except BaseException as exc:  # noqa: BLE001 — propagate to callers
@@ -531,6 +472,10 @@ class MicroBatchScheduler:
                 # can re-enter it.
                 "throughput_rps": self.throughput_rps,
             })
-        snapshot["latency"] = self.latency.summary()
+        latency = self.latency.summary()
+        snapshot["latency"] = {"count": latency["count"]} | {
+            f"{key}_ms": None if latency[key] is None else 1e3 * latency[key]
+            for key in ("p50", "p95", "p99", "mean", "max")
+        }
         snapshot["service"] = self.service.stats
         return snapshot

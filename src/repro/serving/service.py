@@ -172,11 +172,10 @@ class ForecastService:
         if not starts:
             raise InvalidRequest("forecast() needs at least one window start")
         with self._lock:
-            with span("service.cache_lookup", batch_size=len(starts)):
-                blocks = {s: self._results.get(s, _MISSING) for s in dict.fromkeys(starts)}
-            misses = sorted(s for s, block in blocks.items() if block is _MISSING)
-            hits = sum(blocks[s] is not _MISSING for s in starts)
-            self._counters["cache_hits"].inc(hits)
+            blocks = self.lookup(starts)
+            misses = sorted(s for s in dict.fromkeys(starts) if s not in blocks)
+            hits = sum(s in blocks for s in starts)
+            self.count_hits(hits)
             self._counters["coalesced"].inc(len(starts) - hits - len(misses))
             chunk = self.max_batch_size if self.stateless_predict else 1
             with span("service.predict", batch_size=len(starts)):
@@ -207,20 +206,23 @@ class ForecastService:
         if self.batch_log is None:
             self.batch_log = deque(maxlen=BATCH_LOG_MAXLEN)
 
-    def cached_block(self, start: int) -> np.ndarray | None:
-        """Cache-only lookup: the stored block, or ``None`` on a miss.
+    def lookup(self, starts) -> dict[int, np.ndarray]:
+        """Cache-only lookup: ``{start: block}`` for the distinct cached starts.
 
-        Deliberately takes no service lock (the store is itself
-        thread-safe): the scheduler's cache-hit fast path must not
-        serialise behind an in-flight forecast's ``predict`` call — hits
-        matter most exactly while the worker is busy computing.  The
-        service-level request counters don't move (the caller accounts
-        for the hit in its own telemetry); the view's hit/miss counters
-        do, so with a fast path in front each cold request shows up
-        there as one extra probe miss.
+        Takes no service lock (the store is itself thread-safe): the
+        scheduler answers hits on the caller's thread with this, and must
+        not wait behind an in-flight ``predict``.  Request counters don't
+        move (a caller serving the hits reports them with
+        :meth:`count_hits`), but the view's raw probe counters do, so a
+        cold window looked up here and then queued counts two misses.
         """
-        value = self._results.get(int(start), _MISSING)
-        return None if value is _MISSING else value
+        with span("service.cache_lookup", batch_size=len(starts)):
+            blocks = {s: self._results.get(s, _MISSING) for s in dict.fromkeys(starts)}
+        return {s: block for s, block in blocks.items() if block is not _MISSING}
+
+    def count_hits(self, count: int) -> None:
+        """Count ``count`` requests served from :meth:`lookup`'s blocks."""
+        self._counters["cache_hits"].inc(count)
 
     @property
     def stats(self) -> dict:

@@ -230,12 +230,6 @@ class ServeConfig:
     admission: str = "block"
     cache_size: int = 1024
     log_batches: bool = True
-    #: Opt-in: serve result-cache hits on the handler thread (no queue
-    #: hop, so no handoff to and from the scheduler worker).  Recovers a
-    #: large share of single-worker throughput under high fan-in (see
-    #: BENCH_transport.json); off by default so every request shows up
-    #: in the scheduler's batch telemetry.
-    cache_fast_path: bool = False
     warm_up: bool = True
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     drain_timeout_s: float = 30.0
@@ -298,7 +292,6 @@ def _build_runtime(config: ServeConfig) -> tuple[ServingRuntime, dict[str, list[
         admission=config.admission,
         cache_size=config.cache_size,
         log_batches=config.log_batches,
-        cache_fast_path=config.cache_fast_path,
     )
     if store is not None:
         # Cache telemetry on /v1/stats: the bundle store's per-namespace

@@ -97,17 +97,15 @@ class TestEndToEndTrace:
             "scheduler.queue_wait", "scheduler.batch_dispatch"
         }
         assert {s["attrs"]["model"] for s in spans} == {"toy"}
-        runtime.register("hot", _Affine(), cache_fast_path=True)
+        runtime.register("hot", _Affine())
         client.forecast_one("hot", 13)
         client.forecast_one("hot", 13)  # cache hit on the submitting thread
-        fast = [
-            s for s in recorder.spans(client.last_trace_id)
-            if s["name"] == "scheduler.cache_fast_path"
-        ]
-        assert [s["attrs"]["model"] for s in fast] == ["hot"]
+        hit = recorder.spans(client.last_trace_id)
+        assert not [s for s in hit if s["name"].startswith("scheduler.")]
+        assert [s["attrs"]["hit"] for s in hit if s["name"] == "store.get"] == [True]
         rendered = runtime.metrics.render()
         assert 'repro_requests_completed_total{model="toy"}' in rendered
-        assert 'repro_fast_hits_total{model="hot"} 1' in rendered
+        assert 'repro_cache_hits_total{model="hot"} 1' in rendered
 
     def test_wire_trace_arrives_via_traces_endpoint(self, traced_server):
         _runtime, _server, client, recorder = traced_server

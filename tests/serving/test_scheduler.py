@@ -69,6 +69,11 @@ class _FaultyForecaster(_CountingForecaster):
         return super().predict(window_starts)
 
 
+def _service_counts(scheduler: MicroBatchScheduler) -> dict:
+    """The service's request counters, without the store view's probes."""
+    return {k: v for k, v in scheduler.service.stats.items() if k != "cache"}
+
+
 class TestIntake:
     def test_overflowing_start_rejected_without_failing_its_batch(self):
         """Regression: a start outside int64 used to be accepted and then
@@ -230,15 +235,23 @@ class TestAdmissionControl:
             model, max_batch=1, max_queue=3, admission="reject"
         )
         try:
+            model.release.set()
+            scheduler.service.forecast([9])  # cached, bypassing the scheduler
+            model.release.clear()
+            model.entered.clear()
             first = scheduler.submit(1)
             assert model.entered.wait(timeout=10)
             queued = scheduler.submit_many([2, 3])  # one slot left
+            counts_before = _service_counts(scheduler)
             with pytest.raises(QueueFull):
                 scheduler.submit_many([4, 5])
+            with pytest.raises(QueueFull):
+                scheduler.submit_many([9, 4, 5])  # a cached start is no exception
             stats = scheduler.stats
-            assert stats["rejected"] == 2  # counted per refused start
+            assert stats["rejected"] == 5  # counted per refused start
             assert stats["submitted"] == 3
-            assert stats["queue_depth"] == 2  # nothing of the refused call
+            assert stats["queue_depth"] == 2  # nothing of the refused calls
+            assert _service_counts(scheduler) == counts_before
             model.release.set()
             assert [h.result(timeout=10)[0, 0] for h in [first, *queued]] == [
                 1000.0, 2000.0, 3000.0,
@@ -415,11 +428,11 @@ class TestConcurrentParity:
 
 
 class TestCacheFastPath:
-    """Opt-in cache-hit fast path: hits served on the submitting thread."""
+    """Cache hits are served on the submitting thread."""
 
     def test_hit_skips_queue_and_predict(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, cache_fast_path=True) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             cold = scheduler.submit(7).result()
             calls_after_cold = len(model.calls)
             handle = scheduler.submit(7)
@@ -428,16 +441,16 @@ class TestCacheFastPath:
             assert np.array_equal(hot, cold)
             assert len(model.calls) == calls_after_cold  # no new predict
             stats = scheduler.stats
-            assert stats["fast_hits"] == 1
+            assert stats["service"]["cache_hits"] == 1
             assert stats["completed"] == 2
             assert stats["submitted"] == 2
+            assert stats["batches"] == 1
 
     def test_fast_hit_bypasses_admission_control(self):
         """A hit must be servable even while the queue is full."""
         model = _GatedForecaster()
         with MicroBatchScheduler(model, max_batch=1,
-                                 max_queue=1, admission="reject",
-                                 cache_fast_path=True) as scheduler:
+                                 max_queue=1, admission="reject") as scheduler:
             model.release.set()
             warm = scheduler.submit(3).result()  # cached now
             scheduler.drain()
@@ -455,37 +468,19 @@ class TestCacheFastPath:
 
     def test_fast_hits_record_measured_latency(self):
         model = _CountingForecaster()
-        with MicroBatchScheduler(model, cache_fast_path=True) as scheduler:
+        with MicroBatchScheduler(model) as scheduler:
             scheduler.submit(7).result(timeout=10)
-            before = scheduler.latency.histogram.summary()
+            before = scheduler.latency.summary()
             for _ in range(5):
                 assert scheduler.submit(7).done()
-            after = scheduler.latency.histogram.summary()
+            after = scheduler.latency.summary()
         assert after["count"] - before["count"] == 5
         mean_s = (after["sum"] - before["sum"]) / 5
         assert 0.0 < mean_s < 1.0
 
-    def test_off_by_default(self):
-        model = _CountingForecaster()
-        with MicroBatchScheduler(model) as scheduler:
-            scheduler.submit(7).result()
-            scheduler.submit(7).result()
-            assert scheduler.stats["fast_hits"] == 0
-            assert scheduler.stats["service"]["cache_hits"] == 1
-
-    def test_bytes_identical_to_queue_path(self):
-        model = _CountingForecaster()
-        with MicroBatchScheduler(model) as queued:
-            via_queue = [queued.submit(s).result() for s in (1, 2, 1, 2)]
-        model2 = _CountingForecaster()
-        with MicroBatchScheduler(model2, cache_fast_path=True) as fast:
-            via_fast = [fast.submit(s).result() for s in (1, 2, 1, 2)]
-        for a, b in zip(via_queue, via_fast):
-            assert np.array_equal(a, b)
-
     def test_shutdown_refuses_fast_hits_too(self):
         model = _CountingForecaster()
-        scheduler = MicroBatchScheduler(model, cache_fast_path=True)
+        scheduler = MicroBatchScheduler(model)
         scheduler.submit(7).result()
         scheduler.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
@@ -494,12 +489,11 @@ class TestCacheFastPath:
     def test_runtime_totals_fold_fast_hits(self):
         from repro.serving import ServingRuntime
 
-        with ServingRuntime(cache_fast_path=True) as runtime:
+        with ServingRuntime() as runtime:
             runtime.register("a", _CountingForecaster())
             for _ in range(3):
                 runtime.forecast("a", np.array([5]))
             stats = runtime.stats()
-            assert stats["totals"]["fast_hits"] == 2
             assert stats["totals"]["cache_hits"] == 2
             assert stats["totals"]["cache_hit_pct"] == pytest.approx(100 * 2 / 3)
 
@@ -517,16 +511,13 @@ class TestSubmitManyProperties:
             min_size=2, max_size=4,
         ),
         max_queue=st.sampled_from([4, 64]),
-        fast_path=st.booleans(),
     )
-    def test_interleaved_calls_are_bitwise_direct_predict(
-        self, calls, max_queue, fast_path
-    ):
+    def test_interleaved_calls_are_bitwise_direct_predict(self, calls, max_queue):
         reference = _CountingForecaster()
         errors: list[BaseException] = []
         with MicroBatchScheduler(
             _CountingForecaster(), max_batch=4, max_queue=max_queue,
-            admission="block", cache_fast_path=fast_path,
+            admission="block",
         ) as scheduler:
 
             def caller(thread_calls):
@@ -552,6 +543,12 @@ class TestSubmitManyProperties:
             len(starts) for thread_calls in calls for starts in thread_calls
         )
         assert stats["failed"] == 0
+        # Every served request is counted once by the service, whether it
+        # was answered inline or through the queue.
+        service = stats["service"]
+        assert service["requests"] == stats["completed"]
+        assert (service["cache_hits"] + service["coalesced"]
+                + service["windows_computed"]) == service["requests"]
 
     @settings(max_examples=25, deadline=None)
     @given(starts=st.lists(st.integers(0, 10**6), min_size=1, max_size=8,
