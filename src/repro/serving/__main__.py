@@ -22,6 +22,14 @@ import sys
 from ..engine import add_cache_arguments
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1 (else a usage error)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_serve(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("serve", help="serve a checkpoint bundle over HTTP")
     p.add_argument("--checkpoint-dir", required=True,
@@ -29,13 +37,13 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="public port (0 picks an ephemeral one)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=positive_int, default=1,
                    help="worker processes behind SO_REUSEPORT "
                         "(1 = single process, per-connection threads)")
-    p.add_argument("--max-batch", type=int, default=64)
-    p.add_argument("--max-queue", type=int, default=1024)
+    p.add_argument("--max-batch", type=positive_int, default=64)
+    p.add_argument("--max-queue", type=positive_int, default=1024)
     p.add_argument("--admission", choices=("block", "reject"), default="block")
-    p.add_argument("--cache-size", type=int, default=1024,
+    p.add_argument("--cache-size", type=positive_int, default=1024,
                    help="per-model result-cache capacity")
     p.add_argument("--no-warm-up", action="store_true",
                    help="skip manifest warm-up windows (serve cold)")

@@ -70,6 +70,18 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "--cache-max-bytes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--max-batch", "--max-queue", "--cache-size"]
+    )
+    def test_serve_non_positive_size_is_a_usage_error(self, flag, value, capsys):
+        from repro.serving.__main__ import main as serving_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            serving_main(["serve", "--checkpoint-dir", "no-bundle", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestPackageSurface:
     def test_version(self):
