@@ -279,7 +279,7 @@ def _mini_sweep() -> dict:
     for seed in (0, 1):
         out = run_matrix(
             dataset, "pems-bay", ["STSM"], scale,
-            splits=splits, seed=seed, use_service=True,
+            splits=splits, seed=seed,
         )
         entry = out["STSM"]
         metrics[f"seed{seed}"] = {

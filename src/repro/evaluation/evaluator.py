@@ -67,30 +67,12 @@ def evaluate_forecaster(
     train_fraction: float = 0.7,
     test_stride: int | None = None,
     max_test_windows: int | None = 64,
-    use_service: bool = False,
-    store=None,
 ) -> EvaluationResult:
     """Fit and evaluate one model on one dataset/split.
 
     ``max_test_windows`` caps the number of evaluated windows (spread
     evenly over the test period) so reduced-scale benchmark runs stay
     fast; pass ``None`` to use every window.
-
-    ``use_service`` routes the test predictions through a
-    :class:`~repro.serving.ForecastService` (coalesced batches +
-    per-window LRU cache) instead of one direct ``predict`` call; the
-    service's counters land in ``result.extra["service"]``.  For
-    stateless models the outputs (and hence metrics) are identical
-    either way; for stateful ones (GE-GAN) the service issues
-    per-window ``predict`` calls, which draw different noise than one
-    batched call, so its metrics differ between the two paths.
-
-    ``store`` (with ``use_service``) draws the per-window result cache
-    from a shared :class:`~repro.engine.ArtifactStore`: repeated sweeps
-    over the same fitted model content serve their test windows from
-    the store (bit-exact hits, so metrics are unchanged).  Models with
-    no derivable content scope (naive baselines) silently keep a
-    private cache.
     """
     split.validate(dataset.num_locations)
     train_ix, _test_ix = temporal_split(dataset.num_steps, train_fraction)
@@ -99,16 +81,8 @@ def evaluate_forecaster(
     starts = forecast_window_starts(
         dataset, spec, train_fraction, stride=test_stride, max_windows=max_test_windows
     )
-    extra: dict = {}
     began = time.perf_counter()
-    if use_service:
-        from ..serving import ForecastService
-
-        service = ForecastService(forecaster, cache_size=max(len(starts), 1), store=store)
-        predictions = service.forecast(starts)
-        extra["service"] = service.stats
-    else:
-        predictions = forecaster.predict(starts)
+    predictions = forecaster.predict(starts)
     test_seconds = time.perf_counter() - began
 
     truth = np.stack(
@@ -130,7 +104,6 @@ def evaluate_forecaster(
         fit_report=fit_report,
         test_seconds=test_seconds,
         num_windows=len(starts),
-        extra=extra,
     )
 
 

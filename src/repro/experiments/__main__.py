@@ -18,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from ..data.synthetic import DATASET_MAKERS
 from .registry import EXPERIMENTS, run_experiment
 
 
@@ -42,10 +43,13 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Reproduce one of the paper's tables/figures.",
     )
-    parser.add_argument("experiment", help="experiment id, or 'list' to enumerate")
+    parser.add_argument("experiment", choices=["list", *sorted(EXPERIMENTS)],
+                        metavar="experiment",
+                        help="experiment id, or 'list' to enumerate")
     parser.add_argument("--scale", default="small", choices=("bench", "small", "paper"))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--datasets", nargs="*", default=None,
+                        choices=sorted(DATASET_MAKERS),
                         help="dataset keys (experiments that accept them)")
     parser.add_argument("--output", default=None,
                         help="write the result rows as JSON to this path")
@@ -64,19 +68,6 @@ def main(argv: list[str] | None = None) -> int:
                              "means all CPU cores (default: $REPRO_SWEEP_JOBS "
                              "or serial).  Parallel metrics are bit-identical "
                              "to serial — see repro.experiments.parallel")
-    parser.add_argument("--service", action="store_true",
-                        help="route test predictions through the batched/cached "
-                             "ForecastService (experiments that support it)")
-    parser.add_argument("--serve-concurrency", type=int, default=0,
-                        help="with --service: additionally replay the window "
-                             "traffic from this many concurrent client threads "
-                             "through the micro-batching scheduler and report "
-                             "throughput + p50/p95/p99 latency")
-    parser.add_argument("--serve-wire", action="store_true",
-                        help="with --serve-concurrency: replay the same "
-                             "concurrent traffic over an in-process HTTP "
-                             "server and report Wire-prefixed "
-                             "throughput/latency columns")
     from ..engine import add_cache_arguments
 
     add_cache_arguments(parser)
@@ -109,31 +100,10 @@ def main(argv: list[str] | None = None) -> int:
 
     kwargs: dict = {"scale_name": args.scale, "seed": args.seed}
     if args.datasets is not None:
-        kwargs["datasets"] = args.datasets
-    if args.service:
-        kwargs["use_service"] = True
-    if args.serve_concurrency > 0:
-        kwargs["use_service"] = True  # the concurrent replay rides on the service
-        kwargs["serve_concurrency"] = args.serve_concurrency
-    if args.serve_wire:
-        kwargs["use_service"] = True
-        kwargs["serve_wire"] = True
-    # Drop optional kwargs the experiment's signature does not accept
-    # (e.g. --service on a datasets-only experiment) instead of probing
-    # with TypeError retries, which would both re-run expensive fits and
-    # swallow genuine TypeErrors raised inside the experiment body.
-    runner = EXPERIMENTS.get(args.experiment)
-    if runner is not None:
-        parameters = inspect.signature(runner).parameters
-        accepts_any = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        )
-        if not accepts_any:
-            for key in ("use_service", "datasets", "serve_concurrency",
-                        "serve_wire"):
-                if key in kwargs and key not in parameters:
-                    kwargs.pop(key)
-                    print(f"[note: {args.experiment} does not take --{key.replace('_', '-')}; ignored]")
+        if "datasets" in inspect.signature(EXPERIMENTS[args.experiment]).parameters:
+            kwargs["datasets"] = args.datasets
+        else:
+            print(f"[note: {args.experiment} does not take --datasets; ignored]")
     began = time.perf_counter()
     result = run_experiment(args.experiment, **kwargs)
     elapsed = time.perf_counter() - began

@@ -56,8 +56,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..obs.metrics import global_registry
 
 __all__ = [
@@ -265,16 +263,10 @@ def _run_cell(payload: dict) -> dict:
             split=payload["split"],
             spec=payload["spec"],
             seed=payload["seed"],
-            use_service=payload["use_service"],
             cache_store=payload["cache_store"],
             stsm_overrides=payload["stsm_overrides"],
-            store=store,
         )
         seconds = time.perf_counter() - began
-        if store is not None and payload["use_service"]:
-            # Fits persist themselves (Trainer flush-on-fit-end); served
-            # windows only exist in this worker's dirty buffer.
-            store.persist()
         return {"ok": True, "result": result, "seconds": seconds, "pid": os.getpid()}
     except BaseException as error:  # noqa: BLE001 — the boundary contract
         return {
@@ -387,7 +379,6 @@ def execute_matrix(
     splits: list,
     spec,
     seeds: tuple,
-    use_service: bool,
     cache_store: bool | None,
     stsm_overrides: dict,
     jobs: int,
@@ -399,7 +390,7 @@ def execute_matrix(
     raises :class:`SweepCellError` if any cell failed after its retry,
     once every other cell has completed.
     """
-    from ..evaluation import average_metrics
+    from .runners import summarize_results
 
     backend_spec, store_spec = _parent_specs(store)
     states: dict[int, _CellState] = {}
@@ -415,7 +406,6 @@ def execute_matrix(
                     "split": splits[split_index],
                     "spec": spec,
                     "seed": seed,
-                    "use_service": use_service,
                     "cache_store": cache_store,
                     "stsm_overrides": stsm_overrides,
                 }
@@ -494,12 +484,5 @@ def execute_matrix(
                 ).inc()
                 results.append(result)
                 index += 1
-        out[model_name] = {
-            "metrics": average_metrics(results),
-            "results": results,
-            "train_seconds": float(
-                np.mean([r.fit_report.train_seconds for r in results])
-            ),
-            "test_seconds": float(np.mean([r.test_seconds for r in results])),
-        }
+        out[model_name] = summarize_results(results)
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "improvement_percent", "latency_columns", "service_columns"]
+__all__ = ["format_table", "improvement_percent"]
 
 
 def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None) -> str:
@@ -30,49 +30,6 @@ def format_table(rows: Sequence[dict], columns: Sequence[str] | None = None) -> 
     rule = "-" * len(header)
     body = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in rendered)
     return f"{header}\n{rule}\n{body}"
-
-
-def service_columns(stats: dict) -> dict:
-    """Serving-telemetry table columns from ``ForecastService.stats``.
-
-    Used by the Table 5 timing report when predictions are routed through
-    the batched/cached service: cache-hit rate over all submitted
-    requests, coalesced duplicates folded into pending batches, and the
-    average windows per model ``predict`` call.
-    """
-    requests = int(stats.get("requests", 0))
-    calls = int(stats.get("predict_calls", 0))
-    computed = int(stats.get("windows_computed", 0))
-    hit_pct = stats.get("cache_hit_pct")
-    if hit_pct is None:  # raw counter dicts predating the service's own pct
-        hit_pct = 100.0 * stats.get("cache_hits", 0) / requests if requests else 0.0
-    return {
-        "Requests": requests,
-        "CacheHit%": float(hit_pct),
-        "Coalesced": int(stats.get("coalesced", 0)),
-        "PredCalls": calls,
-        "Win/Call": computed / calls if calls else 0.0,
-    }
-
-
-def latency_columns(summary: dict, prefix: str = "") -> dict:
-    """Concurrent-serving table columns from a ``LoadReport.summary()``.
-
-    Used by the Table 5 timing report when ``--serve-concurrency`` replays
-    the window traffic through a micro-batching scheduler from many
-    client threads: sustained throughput plus client-observed latency
-    percentiles.  ``prefix`` namespaces the columns when one row carries
-    several serving paths (``--serve-wire`` adds ``Wire``-prefixed
-    columns next to the scheduler's, so direct / service / scheduler /
-    HTTP read side by side).
-    """
-    latency = summary.get("latency", {})
-    return {
-        f"{prefix}Thr(r/s)": float(summary.get("throughput_rps", 0.0)),
-        f"{prefix}p50(ms)": latency.get("p50_ms"),
-        f"{prefix}p95(ms)": latency.get("p95_ms"),
-        f"{prefix}p99(ms)": latency.get("p99_ms"),
-    }
 
 
 def improvement_percent(best_model_value: float, best_baseline_value: float,

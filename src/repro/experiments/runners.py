@@ -36,6 +36,7 @@ __all__ = [
     "evaluate_cell",
     "run_matrix",
     "splits_for",
+    "summarize_results",
     "ratio_split",
 ]
 
@@ -129,10 +130,8 @@ def evaluate_cell(
     split: SpaceSplit,
     spec,
     seed: int,
-    use_service: bool = False,
     cache_store: bool | None = None,
     stsm_overrides: dict | None = None,
-    store=None,
 ) -> EvaluationResult:
     """Build and evaluate one independent (model, split, seed) sweep cell.
 
@@ -161,9 +160,17 @@ def evaluate_cell(
         split,
         spec,
         max_test_windows=scale.max_test_windows,
-        use_service=use_service,
-        store=store if use_service else None,
     )
+
+
+def summarize_results(results: list[EvaluationResult]) -> dict:
+    """One model's sweep entry: averaged metrics, the raw results, mean timings."""
+    return {
+        "metrics": average_metrics(results),
+        "results": results,
+        "train_seconds": float(np.mean([r.fit_report.train_seconds for r in results])),
+        "test_seconds": float(np.mean([r.test_seconds for r in results])),
+    }
 
 
 def run_matrix(
@@ -174,27 +181,20 @@ def run_matrix(
     splits: list[SpaceSplit] | None = None,
     seed: int = 0,
     seeds: Sequence[int] | None = None,
-    use_service: bool = False,
     cache_store: bool | None = None,
     jobs: int | None = None,
     **stsm_overrides,
 ) -> dict[str, dict]:
     """Evaluate each model on each split (and seed); return per-model averages.
 
-    ``use_service`` serves every model's test predictions through the
-    batched/cached :class:`~repro.serving.ForecastService` (identical
-    outputs for stateless models; service counters appear in each
-    result's ``extra``).
-
     ``cache_store`` controls cross-fit artifact reuse through the
     process-wide :class:`~repro.engine.ArtifactStore`: ``None`` follows
     the process opt-in (``$REPRO_CACHE_DIR`` / ``open_store``),
     ``True``/``False`` force it on or off for this sweep.  With the
     store active, STSM fits share DTW pairs and masked adjacencies
-    across seeds and hyper-parameters, served test windows are reused
-    across repeated sweeps, and dirty entries are persisted to the disk
-    tier — all bit-exact, so sweep metrics are identical to the
-    store-disabled path.
+    across seeds and hyper-parameters, and dirty entries are persisted
+    to the disk tier — all bit-exact, so sweep metrics are identical to
+    the store-disabled path.
 
     ``seeds`` widens the grid to model × split × seed: each model's
     ``results`` list covers every (split, seed) pair, split-major, and
@@ -234,7 +234,6 @@ def run_matrix(
             splits,
             spec,
             seed_list,
-            use_service,
             cache_store,
             stsm_overrides,
             num_jobs,
@@ -254,10 +253,8 @@ def run_matrix(
                     split,
                     spec,
                     cell_seed,
-                    use_service=use_service,
                     cache_store=cache_store,
                     stsm_overrides=stsm_overrides,
-                    store=store,
                 )
                 result.extra["sweep"] = {
                     "jobs": 1,
@@ -267,15 +264,5 @@ def run_matrix(
                     "schedule_rank": len(results),
                 }
                 results.append(result)
-        out[model_name] = {
-            "metrics": average_metrics(results),
-            "results": results,
-            "train_seconds": float(np.mean([r.fit_report.train_seconds for r in results])),
-            "test_seconds": float(np.mean([r.test_seconds for r in results])),
-        }
-    if store is not None and use_service:
-        # Flush served windows; fits persist themselves (Trainer flushes
-        # at fit end), so a service-less sweep has nothing new to write
-        # and skips the redundant persist entirely.
-        store.persist()
+        out[model_name] = summarize_results(results)
     return out

@@ -273,9 +273,9 @@ def test_refresh_disk_index_noop_without_disk_tier():
 
 
 # ----------------------------------------------------------------------
-# Satellite regression: no redundant persist without served windows
+# Satellite regression: no redundant persist at sweep end
 # ----------------------------------------------------------------------
-def test_run_matrix_skips_persist_without_service(tiny, tmp_path, monkeypatch):
+def test_run_matrix_issues_no_sweep_end_persist(tiny, tmp_path, monkeypatch):
     dataset, scale, splits = tiny
     calls = []
     original = ArtifactStore.persist
@@ -287,18 +287,10 @@ def test_run_matrix_skips_persist_without_service(tiny, tmp_path, monkeypatch):
     monkeypatch.setattr(ArtifactStore, "persist", counting_persist)
     open_store(StoreConfig(disk_dir=tmp_path / "persist-count"))
 
-    # Naive model, no service: nothing store-backed happens in the sweep
-    # loop itself, so run_matrix must not issue the old unconditional
-    # sweep-end flush.
+    # Naive model: nothing store-backed happens in the sweep loop
+    # itself, so run_matrix must not issue a sweep-end flush.
     run_matrix(
         dataset, "pems-bay", ["HistoricalAverage"], scale,
-        splits=splits[:1], seed=0, cache_store=True, use_service=False,
+        splits=splits[:1], seed=0, cache_store=True,
     )
     assert calls == []
-
-    # With served windows the sweep-end flush is still there.
-    run_matrix(
-        dataset, "pems-bay", ["HistoricalAverage"], scale,
-        splits=splits[:1], seed=0, cache_store=True, use_service=True,
-    )
-    assert len(calls) == 1

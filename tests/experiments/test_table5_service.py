@@ -1,65 +1,13 @@
-"""Table 5 with serving telemetry: cache-hit / coalesce columns."""
+"""Table 5 times direct ``predict`` calls: rows carry only the paper's columns."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.experiments.reporting import service_columns
 from repro.experiments.table5_timing import run as run_table5
 
 
-class TestServiceColumns:
-    def test_columns_from_stats(self):
-        stats = {
-            "requests": 200,
-            "predict_calls": 4,
-            "windows_computed": 100,
-            "cache_hits": 90,
-            "coalesced": 10,
-        }
-        cols = service_columns(stats)
-        assert cols["Requests"] == 200
-        assert cols["CacheHit%"] == pytest.approx(45.0)
-        assert cols["Coalesced"] == 10
-        assert cols["PredCalls"] == 4
-        assert cols["Win/Call"] == pytest.approx(25.0)
-
-    def test_empty_stats_do_not_divide_by_zero(self):
-        cols = service_columns({})
-        assert cols["CacheHit%"] == 0.0
-        assert cols["Win/Call"] == 0.0
-
-
 class TestTable5WithService:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_table5(
-            scale_name="bench", datasets=["pems-bay"], models=["STSM"], use_service=True
-        )
-
-    def test_rows_carry_service_columns(self, result):
-        row = result["rows"][0]
-        for column in ("Requests", "CacheHit%", "Coalesced", "PredCalls", "Win/Call", "Warm(s)"):
-            assert column in row, column
-        assert "_service" in row
-
-    def test_repeated_traffic_hits_cache(self, result):
-        row = result["rows"][0]
-        stats = row["_service"]
-        # 3 timing repeats over the same window set: repeats 2 and 3 are
-        # answered from the result cache.
-        assert stats["requests"] == 3 * stats["windows_computed"]
-        assert stats["cache_hits"] == 2 * stats["windows_computed"]
-        assert row["CacheHit%"] == pytest.approx(100.0 * 2 / 3, abs=0.1)
-        # Warm repeats skip the model entirely, so they are far cheaper.
-        assert row["Warm(s)"] <= row["Test(s)"]
-
-    def test_text_table_includes_serving_columns(self, result):
-        assert "CacheHit%" in result["text"]
-
     def test_without_service_keeps_plain_columns(self):
         result = run_table5(scale_name="bench", datasets=["pems-bay"], models=["IDW"])
-        row = result["rows"][0]
-        assert "CacheHit%" not in row
-        assert "_service" not in row
+        (row,) = result["rows"]
+        public = [key for key in row if not key.startswith("_")]
+        assert public == ["Dataset", "Model", "Train(s)", "Test(s)", "RMSE"]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import GEGANForecaster, HistoricalAverageForecaster, IGNNKForecaster
+from repro.baselines import GEGANForecaster, IGNNKForecaster
 from repro.core import STSMConfig, STSMForecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
-from repro.evaluation import evaluate_forecaster, forecast_window_starts
+from repro.evaluation import forecast_window_starts
 from repro.interfaces import FitReport, Forecaster
 from repro.serving import ForecastService
 
@@ -240,20 +240,6 @@ def test_forecast_properties(starts, warm_len, cache_size, max_batch_size, state
     assert out.tobytes() == _CountingForecaster().predict(np.array(starts)).tobytes()
 
 
-class TestEvaluatorIntegration:
-    def test_use_service_matches_direct_metrics(self, setting):
-        dataset, split, spec, _train_ix, _starts = setting
-        direct = evaluate_forecaster(
-            HistoricalAverageForecaster(), dataset, split, spec, max_test_windows=6
-        )
-        served = evaluate_forecaster(
-            HistoricalAverageForecaster(), dataset, split, spec,
-            max_test_windows=6, use_service=True,
-        )
-        assert served.metrics.rmse == pytest.approx(direct.metrics.rmse)
-        assert served.extra["service"]["windows_computed"] == served.num_windows
-
-
 class TestStoreBackedService:
     def test_store_serves_across_service_instances(self, fitted_stsm, setting):
         """Two services over one store + same model content share blocks
@@ -295,32 +281,3 @@ class TestStoreBackedService:
         assert [c.tolist() for c in model.calls] == [[1, 2]]
         assert service.stats["cache_hits"] == 2
         assert "forecast_window" not in store.stats["namespaces"]
-
-    def test_evaluator_store_path_matches_direct_metrics(self, fitted_stsm, setting):
-        """run_matrix-style serving through the store changes no metric."""
-        from repro.engine import ArtifactStore
-
-        dataset, split, spec, _train_ix, _starts = setting
-
-        class _Prefit(Forecaster):
-            # evaluate_forecaster refits; reuse the module-scoped model.
-            name = "prefit-stsm"
-            network = fitted_stsm.network
-            config = fitted_stsm.config
-            dataset_ = None
-
-            def fit(self, *args):
-                return FitReport()
-
-            def predict(self, window_starts):
-                return fitted_stsm.predict(window_starts)
-
-        direct = evaluate_forecaster(
-            _Prefit(), dataset, split, spec, max_test_windows=4, use_service=True
-        )
-        stored = evaluate_forecaster(
-            _Prefit(), dataset, split, spec, max_test_windows=4,
-            use_service=True, store=ArtifactStore(),
-        )
-        assert stored.metrics.rmse == direct.metrics.rmse
-        assert stored.metrics.mae == direct.metrics.mae

@@ -60,8 +60,22 @@ class TestCLI:
         assert "airq" in out
 
     def test_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as excinfo:
             cli_main(["tableXX", "--scale", "bench"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2_stats", "--datasets", "nope"],
+            ["table5_timing", "--datasets", "pems-bay", "nope"],
+        ],
+    )
+    def test_unknown_dataset_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*argv, "--scale", "bench"])
+        assert excinfo.value.code == 2
+        assert "--datasets" in capsys.readouterr().err
 
     @pytest.mark.parametrize("size", ["inf", "1e400"])
     def test_infinite_cache_quota_is_a_usage_error(self, size, capsys):
