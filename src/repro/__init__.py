@@ -41,7 +41,7 @@ from . import (
 )
 from .interfaces import FitReport, Forecaster
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "autograd",

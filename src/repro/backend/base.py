@@ -10,11 +10,12 @@ backend supplies
   generator object (the backend never owns hidden RNG state; callers
   thread generators through, which is what makes fits reproducible across
   backends); and
-* **composites** — fusable multi-op kernels (sigmoid, softmax,
-  convolution gather/scatter, optimiser update steps).  The base class
-  implements every composite in terms of the primitives, so a minimal
-  backend only implements the primitive surface; a performance backend
-  overrides the composites with fused kernels.
+* **composites** — fusable multi-op kernels (sigmoid, softmax, the
+  dilated conv1d forward/adjoint as tap-matrix GEMMs, optimiser update
+  steps).  The base class implements every composite in terms of the
+  primitives, so a minimal backend only implements the primitive
+  surface; a performance backend overrides the composites with fused
+  kernels.
 
 Determinism rules
 -----------------
@@ -300,8 +301,18 @@ class ArrayBackend:
 
     # -- activations ----------------------------------------------------
     def sigmoid(self, x):
-        """``1 / (1 + exp(-clip(x, -60, 60)))`` (overflow-safe logistic)."""
-        return self.divide(1.0, self.add(1.0, self.exp(self.negative(self.clip(x, -60.0, 60.0)))))
+        """``1 / (1 + exp(-clip(x, -60, 60)))`` (overflow-safe logistic).
+
+        The four ufuncs after ``clip`` run in place on its fresh result;
+        a 0-d input clips to a scalar, which takes the chained form.
+        """
+        z = self.clip(x, -60.0, 60.0)
+        if getattr(z, "ndim", 0) == 0:
+            return self.divide(1.0, self.add(1.0, self.exp(self.negative(z))))
+        self.negative(z, out=z)
+        self.exp(z, out=z)
+        self.add(1.0, z, out=z)
+        return self.divide(1.0, z, out=z)
 
     def sigmoid_backward(self, grad, out):
         """``grad * out * (1 - out)``."""
@@ -363,35 +374,56 @@ class ArrayBackend:
         return self.divide(self.cast(self.greater(keep, self.random(rng, shape)), dtype), keep)
 
     # -- dilated conv1d kernels ----------------------------------------
-    @staticmethod
-    def _conv1d_tap_index(kernel: int, dilation: int, out_len: int):
-        """``(kernel, out_len)`` host-side gather indices: ``t + k * dilation``."""
-        import numpy as np
-
-        return np.arange(out_len)[None, :] + dilation * np.arange(kernel)[:, None]
+    # Both kernels call the GEMMs of numpy's ``einsum(..., optimize=True)``
+    # plan for the tap-column formulation, on the same operands, so they
+    # are bitwise that formulation whenever every dimension is >= 2
+    # (einsum squeezes singleton axes into different BLAS calls).
 
     def conv1d_apply(self, padded, weight, dilation: int, out_len: int):
-        """Dilated conv forward on ``(B, C, L)`` inputs.
+        """Dilated conv forward on ``(B, C, L)`` inputs as one GEMM.
+
+        Fills the tap matrix ``cols[(c, k), (b, t)] = padded[b, c, t + k *
+        dilation]`` with one strided slab copy per tap, then returns
+        ``weight (O, C*K) @ cols (C*K, B*L)`` viewed as ``(B, O, L)``.
 
         Returns ``(out, saved)`` where ``saved`` is backend-private
-        context handed back to :meth:`conv1d_backward` (the reference
-        backend keeps the gathered tap columns; a fused backend may keep
-        nothing and recompute from ``padded``).
+        context handed back to :meth:`conv1d_backward` (this default keeps
+        ``cols``; a fused backend may keep nothing and recompute from
+        ``padded``).
         """
-        kernel = weight.shape[2]
-        tap_index = self._conv1d_tap_index(kernel, dilation, out_len)
-        # cols[b, c, k, t] = padded[b, c, t + k * dilation]
-        cols = self.getitem(padded, (slice(None), slice(None), tap_index))
-        return self.einsum("bckt,ock->bot", cols, weight), cols
+        batch, c_in, _ = padded.shape
+        c_out, _, kernel = weight.shape
+        taps = self.zeros((c_in, kernel, batch, out_len), dtype=padded.dtype)
+        for k in range(kernel):
+            slab = self.getitem(padded, (Ellipsis, slice(k * dilation, k * dilation + out_len)))
+            self.copyto(self.getitem(taps, (slice(None), k)), self.transpose(slab, (1, 0, 2)))
+        cols = self.reshape(taps, (c_in * kernel, batch * out_len))
+        out = self.matmul(self.reshape(weight, (c_out, c_in * kernel)), cols)
+        return self.transpose(self.reshape(out, (c_out, batch, out_len)), (1, 0, 2)), cols
 
     def conv1d_backward(self, grad, saved, padded, weight, dilation: int):
-        """Adjoint of :meth:`conv1d_apply`: ``(grad_weight, grad_padded)``."""
+        """Adjoint of :meth:`conv1d_apply`: ``(grad_weight, grad_padded)``.
+
+        Two GEMMs against the saved tap matrix, then one slice-add per
+        tap in increasing ``k``: the per-element summation order of a
+        duplicate-safe scatter of the tap gradients.
+        """
         cols = saved
-        grad_weight = self.einsum("bot,bckt->ock", grad, cols)
-        grad_cols = self.einsum("bot,ock->bckt", grad, weight)
-        tap_index = self._conv1d_tap_index(weight.shape[2], dilation, grad.shape[-1])
+        batch, c_out, out_len = grad.shape
+        _, c_in, kernel = weight.shape
+        grad_rows = self.reshape(self.transpose(grad, (0, 2, 1)), (batch * out_len, c_out))
+        grad_weight = self.transpose(
+            self.reshape(self.matmul(cols, grad_rows), (c_in, kernel, c_out)), (2, 0, 1)
+        )
+        weight_rows = self.reshape(self.transpose(weight, (1, 2, 0)), (c_in * kernel, c_out))
+        grad_mat = self.reshape(self.transpose(grad, (1, 0, 2)), (c_out, batch * out_len))
+        grad_cols = self.reshape(
+            self.matmul(weight_rows, grad_mat), (c_in, kernel, batch, out_len)
+        )
         grad_padded = self.zeros_like(padded)
-        self.scatter_add(grad_padded, (slice(None), slice(None), tap_index), grad_cols)
+        for k in range(kernel):
+            slab = self.getitem(grad_padded, (Ellipsis, slice(k * dilation, k * dilation + out_len)))
+            self.iadd(slab, self.transpose(self.getitem(grad_cols, (slice(None), k)), (1, 0, 2)))
         return grad_weight, grad_padded
 
     # -- optimiser update steps ----------------------------------------

@@ -3,8 +3,9 @@
 Every primitive is the literal numpy expression the autograd/nn/optim code
 used before the backend seam existed, so any fixed-seed fit through this
 backend reproduces the historical results exactly (enforced by
-``tests/backend/test_golden_ref.py``).  Keep it boring: no ``out=``
-buffers, no reassociated reductions, no fused kernels.
+``tests/backend/test_golden_ref.py``).  Keep it boring: ``out=`` buffers
+only where the ufunc sequence is unchanged, no reassociated reductions,
+no fused kernels.
 """
 
 from __future__ import annotations

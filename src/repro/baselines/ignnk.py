@@ -247,6 +247,8 @@ class IGNNKForecaster(Forecaster):
             raise RuntimeError("predict() called before fit()")
         spec = self.spec
         unobserved = self.split.unobserved
+        if len(window_starts) == 0:
+            return np.empty((0, spec.horizon, len(unobserved)))
         outputs = []
         with no_grad():
             for begin in range(0, len(window_starts), 16):

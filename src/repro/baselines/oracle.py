@@ -70,6 +70,8 @@ class OracleForecaster(Forecaster):
         inner = self._inner
         spec = inner.spec
         cfg = inner.config
+        if len(window_starts) == 0:
+            return np.empty((0, spec.horizon, len(self._target_index)))
         steps_per_day = inner.dataset.steps_per_day
         from ..autograd import Tensor, no_grad
         from ..temporal import normalised_time_encoding

@@ -610,6 +610,8 @@ class STSMForecaster(Forecaster):
         spec = self.spec
         cfg = self.config
         unobserved = self.split.unobserved
+        if len(window_starts) == 0:
+            return np.empty((0, spec.horizon, len(unobserved)))
         steps_per_day = self.dataset.steps_per_day
         self.network.train(stochastic)
         outputs = []

@@ -24,7 +24,7 @@ composition (``stateless_predict``); GE-GAN reseeds its noise
 generator per ``predict`` call and is therefore served one window per
 call, so its cached results always equal the per-window ground truth.
 (For STSM, per-window vs batched ``predict`` agree only to the last
-ulp — its conv einsum takes batch-size-dependent BLAS paths — which is
+ulp — its conv matmul takes batch-size-dependent BLAS paths — which is
 a property of the model's own ``predict``, not of the service.)
 """
 

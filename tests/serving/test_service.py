@@ -68,7 +68,7 @@ class TestBitwiseParity:
         assert np.array_equal(batched, fitted_stsm.predict(starts))
         # Cached repeats stay bitwise stable forever.
         assert np.array_equal(service.forecast(starts[::-1]), batched[::-1])
-        # Per-window calls agree to the last ulp of the conv einsum's
+        # Per-window calls agree to the last ulp of the conv matmul's
         # batch-size-dependent BLAS path (a property of STSM's predict
         # itself, not of the service).
         sequential = np.concatenate(

@@ -70,6 +70,8 @@ class TestOracle:
         out = oracle.predict(starts)
         assert out.shape == (3, 8, len(split.unobserved))
         assert np.all(np.isfinite(out))
+        empty = oracle.predict(np.array([], dtype=int))
+        assert empty.shape == (0, 8, len(split.unobserved))
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):

@@ -99,6 +99,13 @@ class TestForecasterContract:
         assert out.shape == (len(starts), spec.horizon, len(split.unobserved))
         assert np.all(np.isfinite(out))
 
+    def test_empty_predict_shape(self, fitted_models, micro, name):
+        """No window starts → an empty ``(0, T', N_u)`` forecast, not an error."""
+        _dataset, split, spec, _train_ix, _starts = micro
+        model, _report = fitted_models[name]
+        out = model.predict(np.array([], dtype=int))
+        assert out.shape == (0, spec.horizon, len(split.unobserved))
+
     def test_predict_is_idempotent(self, fitted_models, micro, name):
         """Calling predict twice must not mutate model state."""
         _dataset, _split, _spec, _train_ix, starts = micro

@@ -101,7 +101,7 @@ class TestPackageSurface:
     def test_version(self):
         import repro
 
-        assert repro.__version__ == "1.1.0"
+        assert repro.__version__ == "1.2.0"
 
     def test_subpackages_importable(self):
         import repro
