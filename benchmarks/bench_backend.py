@@ -1,4 +1,4 @@
-"""Array-backend benchmark: ``numpy_ref`` (and ``torch``) timings.
+"""Array-backend benchmark: ``numpy_ref`` timings.
 
 Measures the two hot paths the backend seam was built for:
 
@@ -6,13 +6,6 @@ Measures the two hot paths the backend seam was built for:
   full backward) at a serving-representative batch shape;
 * **fit** — a complete small ``STSMForecaster.fit`` + ``predict``,
   covering the optimiser, the engine loop and the conv/graph kernels.
-
-When PyTorch is importable the ``torch`` backend is benchmarked on the
-same cases (forward+backward, batch-32, full fit), interleaved with
-``numpy_ref``, and its ref/torch ratio per case is printed; the result
-JSON always carries a ``torch`` stanza recording whether torch was
-available on the producing machine, so the committed baseline is honest
-about what it measured.
 
 Run::
 
@@ -39,33 +32,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.autograd import Tensor  # noqa: E402
-from repro.backend import available_backends, backend_available, use_backend  # noqa: E402
+from repro.backend import use_backend  # noqa: E402
 from repro.core import STSMConfig, STSMForecaster  # noqa: E402
 from repro.core.network import STSMNetwork  # noqa: E402
 from repro.data import WindowSpec, space_split, temporal_split  # noqa: E402
 from repro.data.synthetic import make_pems_bay  # noqa: E402
 from repro.nn import mse_loss  # noqa: E402
-
-def _torch_status() -> dict:
-    """The result JSON's honesty stanza about the optional torch legs."""
-    if not backend_available("torch"):
-        return {
-            "available": False,
-            "detail": "torch not installed on the producing machine; "
-                      "torch legs absent",
-        }
-    import torch
-
-    from repro.backend import get_backend, use_backend as _scope
-
-    with _scope("torch"):
-        device = str(get_backend().device)
-    return {
-        "available": True,
-        "detail": f"torch {torch.__version__}",
-        "device": device,
-    }
-
 
 def _training_step(backend: str, *, batch, steps, nodes, hidden):
     """Build one STSM training step (forward + loss + backward) closure."""
@@ -150,8 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         fit_kwargs = dict(sensors=48, days=3, epochs=3, hidden=32)
 
-    torch_status = _torch_status()
-    backends = ["numpy_ref"] + (["torch"] if torch_status["available"] else [])
+    backends = ["numpy_ref"]
 
     results: dict = {
         "mode": "smoke" if args.smoke else "full",
@@ -161,11 +132,9 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
             "platform": platform.platform(),
         },
-        "torch": torch_status,
         "shapes": {**fwd_cases, "full_fit": fit_kwargs},
         "seconds": {},
     }
-    assert set(backends) <= set(available_backends())
 
     results["seconds"] = {backend: {} for backend in backends}
     for case, kwargs in fwd_cases.items():
@@ -185,12 +154,6 @@ def main(argv: list[str] | None = None) -> int:
             for case, seconds in results["seconds"][backend].items()
         )
         print(f"{backend:12s}  {rendered}")
-
-    if torch_status["available"]:
-        ref, torch_seconds = results["seconds"]["numpy_ref"], results["seconds"]["torch"]
-        print("ref/torch     " + "   ".join(
-            f"{case} {ref[case] / torch_seconds[case]:.2f}x" for case in ref
-        ))
 
     if args.output != "-":
         output = Path(args.output) if args.output else REPO_ROOT / "BENCH_backend.json"

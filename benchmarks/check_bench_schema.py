@@ -29,15 +29,11 @@ from pathlib import Path
 
 WILDCARD = "*"
 
-#: Optional legs that only exist when an optional dependency is present
-#: on the producing machine (e.g. CI's torch leg produces torch timings
-#: the torch-less committed baseline cannot carry).  Maps
-#: ``(dict_path, produced_key)`` — ``produced_key`` may be WILDCARD —
-#: to the *sibling* baseline key whose skeleton the extra key must
-#: match.  Everything else stays strict.
+#: Optional legs that only exist for some invocations of a benchmark.
+#: Maps ``(dict_path, produced_key)`` — ``produced_key`` may be
+#: WILDCARD — to the *sibling* baseline key whose skeleton the extra key
+#: must match.  Everything else stays strict.
 OPTIONAL_SIBLINGS: dict[tuple[str, str], str] = {
-    ("$.seconds", "torch"): "numpy_ref",
-    ("$.torch", "device"): "detail",
     # bench_sweep --jobs-list N adds jobsN_* legs the committed baseline
     # (jobs 2 and 4) cannot enumerate; each must look like a jobs2 leg.
     # Harmless for other benchmarks: the sibling must exist in *their*

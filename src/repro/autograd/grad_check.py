@@ -7,8 +7,7 @@ correctness anchor for the whole neural substrate.
 Both helpers take an optional ``backend`` (registry name or
 :class:`~repro.backend.ArrayBackend` instance): the function evaluations
 *and* the autograd replay run under that backend, so the same check
-certifies every registered backend — the parity suite runs it against
-``numpy_ref`` and ``torch`` alike.
+certifies any registered backend, not just ``numpy_ref``.
 """
 
 from __future__ import annotations
@@ -37,9 +36,6 @@ def numerical_gradient(
     grad_flat = grad.reshape(-1)
     with use_backend(backend):
         for i in range(int(flat.shape[0])):
-            # float() snapshots the element: a torch ``flat[i]`` is a
-            # 0-d view of the storage and would read back the perturbed
-            # value after assignment.
             original = float(flat[i])
             flat[i] = original + eps
             upper = float(fn(*inputs).data.sum())
@@ -71,9 +67,6 @@ def check_gradients(
         if not tensor.requires_grad:
             continue
         expected = numerical_gradient(fn, inputs, index, eps=eps, backend=backend)
-        # Host-normalise: backend-native grads (torch tensors) compare
-        # through numpy, where mixed tensor/ndarray arithmetic is not
-        # guaranteed across versions.
         actual = (
             np.asarray(tensor.grad)
             if tensor.grad is not None

@@ -10,8 +10,7 @@ Every array operation is issued through the active
 :class:`~repro.backend.ArrayBackend` (``repro.backend.get_backend()``),
 never through numpy directly, so the whole autograd stack dispatches to
 whichever backend is selected (``numpy_ref`` reproduces the historical
-bit-exact numbers; ``torch`` trades bit-identity for a second kernel
-library and device choice).
+bit-exact numbers).
 
 Design notes
 ------------
@@ -29,8 +28,7 @@ Design notes
   but gradient accumulation, unbroadcasting and the seed gradient
   resolve the backend live — a taped graph must therefore be replayed
   under the backend (or a value-compatible backend) that built it.
-  Both shipped numpy backends are mutually compatible; a device
-  backend's graphs must run backward under the same backend.
+  Backends on the same ``numpy.ndarray`` type are mutually compatible.
 """
 
 from __future__ import annotations
@@ -134,9 +132,7 @@ class Tensor:
 
     @property
     def size(self) -> int:
-        # Computed from the shape: on torch tensors ``.size`` is a
-        # method, so this is the one spelling that works everywhere.
-        return int(math.prod(self.data.shape))
+        return self.data.size
 
     @property
     def dtype(self):

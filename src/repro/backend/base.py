@@ -5,7 +5,7 @@
 active :class:`ArrayBackend` (see :mod:`repro.backend.registry`).  A
 backend supplies
 
-* **primitives** — creation, elementwise math, matmul/einsum, reductions,
+* **primitives** — creation, elementwise math, matmul, reductions,
   shape manipulation, indexing/scatter, and RNG draws from an *explicit*
   generator object (the backend never owns hidden RNG state; callers
   thread generators through, which is what makes fits reproducible across
@@ -23,18 +23,18 @@ Determinism rules
   semantics: float64 by default (float32 preserved), numpy broadcasting,
   and bit-identical results to the pre-backend code for any fixed seed.
 * Other backends must match ``numpy_ref`` *outputs and gradients* to
-  tight floating-point tolerance on every op (see
-  ``tests/backend/test_parity.py``) but may reorder float reductions,
-  fuse kernels, or update buffers in place.
+  tight floating-point tolerance on every op (DESIGN.md §8, "Adding a
+  backend") but may reorder float reductions, fuse kernels, or update
+  buffers in place.
 * RNG: ``default_rng(seed)`` must return a generator whose
   ``random``/``uniform``/``normal`` draw sequences match numpy's
   ``Generator`` for the same seed, so masking and dropout patterns are
   backend-independent.
 
 Arrays are opaque to callers: the substrate only ever feeds a backend's
-arrays back into the same backend.  Both shipped backends use
-``numpy.ndarray``; a GPU/accelerator backend would return its own device
-arrays and implement ``asarray``/``to_numpy`` conversions at the edges.
+arrays back into the same backend.  ``numpy_ref`` uses
+``numpy.ndarray``; a backend on another array type would implement
+``asarray``/``to_numpy`` conversions at the edges.
 """
 
 from __future__ import annotations
@@ -49,25 +49,6 @@ class ArrayBackend:
 
     #: Registry name; subclasses override.
     name: str = "abstract"
-
-    def configured(self, device: str | None = None, dtype: str | None = None):
-        """Return a backend honouring the device/dtype overrides.
-
-        Host (numpy) backends support only cpu/float64 and return
-        ``self`` when the overrides are compatible no-ops; accelerator
-        backends (torch) override this to return a configured instance.
-        """
-        if device not in (None, "cpu"):
-            raise ValueError(
-                f"backend {self.name!r} runs on the host cpu only, got "
-                f"device={device!r}; use the 'torch' backend for other devices"
-            )
-        if dtype not in (None, "float64"):
-            raise ValueError(
-                f"backend {self.name!r} computes in float64 only, got "
-                f"dtype={dtype!r}; use the 'torch' backend for float32"
-            )
-        return self
 
     # ------------------------------------------------------------------
     # Creation / conversion
@@ -218,9 +199,6 @@ class ArrayBackend:
     # Linear algebra
     # ------------------------------------------------------------------
     def matmul(self, a, b):
-        raise NotImplementedError
-
-    def einsum(self, subscripts: str, *operands):
         raise NotImplementedError
 
     # ------------------------------------------------------------------

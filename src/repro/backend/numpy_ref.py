@@ -170,9 +170,6 @@ class NumpyRefBackend(ArrayBackend):
     def matmul(self, a, b):
         return a @ b
 
-    def einsum(self, subscripts: str, *operands):
-        return np.einsum(subscripts, *operands, optimize=True)
-
     # -- reductions -----------------------------------------------------
     def sum(self, a, axis=None, keepdims: bool = False):
         return np.sum(a, axis=axis, keepdims=keepdims)

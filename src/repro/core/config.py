@@ -100,14 +100,6 @@ class STSMConfig:
     # a name scopes this model's fit/predict to that backend.
     backend: str | None = None
 
-    # Device/dtype overrides for accelerator backends (repro.backend
-    # torch): device "cpu"/"cuda[:N]" and dtype "float64" (parity) or
-    # "float32" (speed).  None defers to the backend's own defaults
-    # (REPRO_TORCH_DEVICE / REPRO_TORCH_DTYPE for torch); numpy-family
-    # backends accept only cpu/float64.
-    device: str | None = None
-    dtype: str | None = None
-
     # Cross-fit artifact reuse (repro.engine.store): None auto-enables
     # the shared content-addressed store when the process has opted in
     # (REPRO_CACHE_DIR set or open_store() called); True forces the
@@ -153,12 +145,6 @@ class STSMConfig:
                     f"unknown backend {self.backend!r}; "
                     f"available: {', '.join(available_backends())}"
                 )
-        if self.dtype not in (None, "float32", "float64"):
-            raise ValueError(
-                f"dtype must be None, 'float32' or 'float64', got {self.dtype!r}"
-            )
-        if self.device is not None and not isinstance(self.device, str):
-            raise ValueError(f"device must be None or a string, got {self.device!r}")
 
 
 def config_for_dataset(dataset_name: str, **overrides) -> STSMConfig:

@@ -37,7 +37,7 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..backend import resolve_backend, use_backend
+from ..backend import use_backend
 from ..data.dataset import SpatioTemporalDataset
 from ..data.scalers import StandardScaler
 from ..data.splits import SpaceSplit
@@ -230,15 +230,6 @@ class STSMForecaster(Forecaster):
         self.network: STSMNetwork | None = None
         self._fitted = False
 
-    def _resolved_backend(self):
-        """Backend for fit/predict: config name + device/dtype overrides.
-
-        ``None`` (no field set) keeps the process-active backend, so the
-        pre-device behaviour is unchanged for existing configs.
-        """
-        cfg = self.config
-        return resolve_backend(cfg.backend, cfg.device, cfg.dtype)
-
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
@@ -267,7 +258,7 @@ class STSMForecaster(Forecaster):
         ``checkpoint_dir`` persists this fit's best epoch for later
         warm starts (see :class:`~repro.engine.EarlyStopping`).
         """
-        with use_backend(self._resolved_backend()):
+        with use_backend(self.config.backend):
             return self._fit_impl(
                 dataset, split, spec, train_steps,
                 warm_start_dir=warm_start_dir,
@@ -601,7 +592,7 @@ class STSMForecaster(Forecaster):
 
         Runs under the same array backend the model was fitted with.
         """
-        with use_backend(self._resolved_backend()):
+        with use_backend(self.config.backend):
             return self._predict_impl(window_starts, stochastic)
 
     def _predict_impl(self, window_starts: np.ndarray, stochastic: bool = False) -> np.ndarray:

@@ -28,6 +28,10 @@ __all__ = ["save_forecaster", "load_forecaster"]
 _HEADER_KEY = "__header__"
 _FORMAT_VERSION = 1
 
+#: Config keys that older checkpoints carry but ``STSMConfig`` no longer
+#: has, each with the values the numpy backend accepted for it.
+_RETIRED_CONFIG_KEYS = {"device": (None, "cpu"), "dtype": (None, "float64")}
+
 
 def save_forecaster(forecaster: STSMForecaster, path: str | Path) -> Path:
     """Serialise a fitted forecaster to ``path`` (``.npz``)."""
@@ -60,8 +64,6 @@ def load_forecaster(
     split: SpaceSplit,
     train_steps: np.ndarray | None = None,
     backend: str | None = None,
-    device: str | None = None,
-    dtype: str | None = None,
 ) -> STSMForecaster:
     """Load a saved forecaster and re-attach its data context.
 
@@ -76,11 +78,12 @@ def load_forecaster(
     train_steps:
         Time steps considered historical when rebuilding the test-time
         DTW adjacency; defaults to all steps.
-    backend / device / dtype:
-        Override the saved config's backend fields for serving — state
-        dicts are host numpy, so a model trained under one backend loads
-        and predicts under any other (e.g. fit on numpy_ref, serve on
-        torch/cuda).  ``None`` keeps the saved values.
+    backend:
+        Override the saved config's backend — state dicts are host
+        numpy, so a model trained under one backend loads and predicts
+        under any other (and a checkpoint saved under a retired backend
+        name loads with ``backend="numpy_ref"``).  ``None`` keeps the
+        saved value.
     """
     archive = np.load(Path(path), allow_pickle=False)
     if _HEADER_KEY not in archive:
@@ -89,15 +92,9 @@ def load_forecaster(
     if header.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported format version {header.get('format_version')}")
 
-    config = STSMConfig(**header["config"])
-    overrides = {
-        key: value
-        for key, value in (("backend", backend), ("device", device), ("dtype", dtype))
-        if value is not None
-    }
-    if overrides:
-        config = config.replace(**overrides)
-        config.validate()
+    config = _config_from_header(header["config"])
+    if backend is not None:
+        config = config.replace(backend=backend)
     spec = WindowSpec(**header["spec"])
     forecaster = STSMForecaster(config, name=header["name"])
     forecaster.dataset = dataset
@@ -110,7 +107,7 @@ def load_forecaster(
     forecaster.scaler = scaler
     forecaster._scaled_full = scaler.transform(dataset.values)
 
-    from ..backend import resolve_backend, use_backend
+    from ..backend import use_backend
 
     state = {
         key.removeprefix("param::"): archive[key]
@@ -119,7 +116,7 @@ def load_forecaster(
     }
     # Parameters and the cached test-graph tensors must live on the
     # backend the forecaster will predict under, so build them in scope.
-    with use_backend(resolve_backend(config.backend, config.device, config.dtype)):
+    with use_backend(config.backend):
         network = STSMNetwork(
             config, horizon=spec.horizon, input_length=spec.input_length
         )
@@ -139,3 +136,20 @@ def load_forecaster(
         forecaster._fitted = True
         forecaster._prepare_test_graph()
     return forecaster
+
+
+def _config_from_header(fields: dict) -> STSMConfig:
+    """Rebuild a saved config, dropping the retired device/dtype keys.
+
+    A value the numpy backend accepted drops silently; any other never
+    ran on numpy either, so it is refused rather than ignored.
+    """
+    fields = dict(fields)
+    for key, accepted in _RETIRED_CONFIG_KEYS.items():
+        value = fields.pop(key, None)
+        if value not in accepted:
+            raise ValueError(
+                f"saved config has {key}={value!r}; this version computes "
+                f"on the cpu in float64 only"
+            )
+    return STSMConfig(**fields)

@@ -56,12 +56,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", default=None,
                         help="array backend for all models (default: REPRO_BACKEND "
                              "env var or numpy_ref); see repro.backend")
-    parser.add_argument("--device", default=None,
-                        help="device for accelerator backends (cpu, cuda, cuda:N); "
-                             "numpy backends accept cpu only")
-    parser.add_argument("--dtype", default=None, choices=("float32", "float64"),
-                        help="compute dtype for accelerator backends (float32 "
-                             "trades bit-parity for speed)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="evaluate sweep grids (model x split x seed cells) "
                              "across this many worker processes; 0 or negative "
@@ -73,10 +67,10 @@ def main(argv: list[str] | None = None) -> int:
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
 
-    if args.backend is not None or args.device is not None or args.dtype is not None:
-        from ..backend import resolve_backend, set_backend
+    if args.backend is not None:
+        from ..backend import set_backend
 
-        set_backend(resolve_backend(args.backend, args.device, args.dtype))
+        set_backend(args.backend)
 
     from ..engine import open_store, store_config_from_args
 

@@ -20,8 +20,8 @@ serial ones.  ``benchmarks/bench_sweep.py`` and the parity suite in
 Worker bootstrap (``spawn``-safe — no fork-inherited locks or RNG
 state):
 
-* the parent's active array backend (name + device + dtype) is re-
-  resolved in each worker via :func:`repro.backend.resolve_backend`;
+* the parent's active array backend is re-selected by name in each
+  worker via :func:`repro.backend.set_backend`;
 * the parent's :class:`~repro.engine.ArtifactStore` disk tier (if any)
   is re-opened in each worker via ``open_store``, so all workers
   share one ``$REPRO_CACHE_DIR``-style directory: fits persist their DTW
@@ -178,7 +178,7 @@ def expected_cell_cost(model_name: str, scale) -> float:
 # ----------------------------------------------------------------------
 # Worker bootstrap (spawn-safe: everything below is importable state)
 # ----------------------------------------------------------------------
-def _parent_specs(store) -> tuple[dict | None, dict | None]:
+def _parent_specs(store) -> tuple[str, dict | None]:
     """Capture the parent's backend + store wiring for worker bootstrap.
 
     Environment variables travel to ``spawn`` children on their own; this
@@ -188,14 +188,6 @@ def _parent_specs(store) -> tuple[dict | None, dict | None]:
     """
     from ..backend import get_backend
 
-    backend = get_backend()
-    device = getattr(backend, "device", None)
-    dtype = getattr(backend, "dtype", None)
-    backend_spec = {
-        "name": backend.name,
-        "device": str(device) if device is not None else None,
-        "dtype": str(dtype).removeprefix("torch.") if dtype is not None else None,
-    }
     store_spec = None
     if store is not None:
         store_spec = {
@@ -205,26 +197,18 @@ def _parent_specs(store) -> tuple[dict | None, dict | None]:
             # only evicts segments they have indexed themselves).
             "max_bytes": store.max_bytes,
         }
-    return backend_spec, store_spec
+    return get_backend().name, store_spec
 
 
-def _init_worker(backend_spec: dict | None, store_spec: dict | None) -> None:
+def _init_worker(backend_name: str, store_spec: dict | None) -> None:
     """Per-process initialiser: mirror the parent's backend + store."""
     # A cell must never fork its own pool (nested parallelism would
     # oversubscribe the box and deadlock a 1-CPU runner).
     os.environ[JOBS_ENV] = "1"
-    if backend_spec is not None and (
-        backend_spec["name"] != "numpy_ref"
-        or backend_spec["device"] is not None
-        or backend_spec["dtype"] is not None
-    ):
-        from ..backend import resolve_backend, set_backend
+    if backend_name != "numpy_ref":
+        from ..backend import set_backend
 
-        set_backend(
-            resolve_backend(
-                backend_spec["name"], backend_spec["device"], backend_spec["dtype"]
-            )
-        )
+        set_backend(backend_name)
     if store_spec is not None:
         from ..engine import StoreConfig, open_store
 
@@ -291,7 +275,7 @@ class _CellState:
 
 
 def _execute_cells(
-    states: dict[int, _CellState], jobs: int, backend_spec, store_spec
+    states: dict[int, _CellState], jobs: int, backend_name, store_spec
 ) -> None:
     """Run every cell to an outcome or a post-retry failure (in place)."""
     context = multiprocessing.get_context("spawn")
@@ -303,7 +287,7 @@ def _execute_cells(
             max_workers=min(jobs, len(batch)),
             mp_context=context,
             initializer=_init_worker,
-            initargs=(backend_spec, store_spec),
+            initargs=(backend_name, store_spec),
         ) as pool:
             futures = {}
             for state in batch:
@@ -392,7 +376,7 @@ def execute_matrix(
     """
     from .runners import summarize_results
 
-    backend_spec, store_spec = _parent_specs(store)
+    backend_name, store_spec = _parent_specs(store)
     states: dict[int, _CellState] = {}
     index = 0
     for model_name in model_names:
@@ -423,7 +407,7 @@ def execute_matrix(
     for rank, state in enumerate(by_cost):
         state.rank = rank
 
-    _execute_cells(states, jobs, backend_spec, store_spec)
+    _execute_cells(states, jobs, backend_name, store_spec)
 
     failures = [s.failure for s in states.values() if s.failure is not None]
     completed = {

@@ -60,11 +60,11 @@ class Forecaster(abc.ABC):
 
     #: Whether concurrent ``predict`` calls from multiple threads are
     #: safe.  False by default: the numpy substrate itself is reentrant,
-    #: but backends may keep memoised scratch state (e.g. the fused
-    #: backend's einsum-path cache), so the serving layer serialises all
-    #: ``predict`` traffic for a model through one scheduler worker
-    #: thread, and the load generator's unbatched baseline wraps direct
-    #: calls in a lock unless a model opts in.
+    #: but a model or backend may keep memoised scratch state, so the
+    #: serving layer serialises all ``predict`` traffic for a model
+    #: through one scheduler worker thread, and the load generator's
+    #: unbatched baseline wraps direct calls in a lock unless a model
+    #: opts in.
     thread_safe_predict: bool = False
 
     @abc.abstractmethod

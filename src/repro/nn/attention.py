@@ -30,9 +30,8 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     """
     b = get_backend()
     half = (dim + 1) // 2
-    # Float the int64 aranges explicitly: numpy would promote them to
-    # float64 in the multiply below, but torch promotes int tensors to
-    # its float32 default — floating first keeps the backends identical.
+    # Float the int64 aranges explicitly rather than rely on the
+    # multiply's type promotion.
     position = b.expand_dims(b.to_float_array(b.arange(length)), 1)
     term = b.exp(
         b.multiply(b.to_float_array(b.arange(0, dim, 2)), -math.log(10000.0) / dim)

@@ -96,7 +96,7 @@ class Module:
 
         Always numpy — never backend-native tensors — so checkpoints,
         ``.npz`` bundles and store-scope hashes are identical regardless
-        of the backend (and device) a model was trained on, and a state
+        of the backend a model was trained on, and a state
         saved under one backend loads under any other.
         """
         backend = get_backend()

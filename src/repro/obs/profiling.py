@@ -74,9 +74,8 @@ class CountingBackend:
 
     Wraps every callable attribute on first access (cached); calls
     increment one :class:`~repro.obs.metrics.Counter` child and forward
-    unchanged.  ``configured()`` results are re-wrapped so device/dtype
-    variants stay counted.  Non-callable attributes (``name``,
-    ``device``, ``dtype``) pass straight through.
+    unchanged.  Non-callable attributes (``name``) pass straight
+    through.
     """
 
     def __init__(self, backend) -> None:
@@ -103,14 +102,11 @@ class CountingBackend:
             child = self._obs_counter.labels(
                 backend=getattr(self._obs_backend, "name", "?"), op=name
             )
-            if name == "configured":
-                def wrapper(*args, _fn=value, _child=child, **kwargs):
-                    _child.inc()
-                    return instrument_backend(_fn(*args, **kwargs))
-            else:
-                def wrapper(*args, _fn=value, _child=child, **kwargs):
-                    _child.inc()
-                    return _fn(*args, **kwargs)
+
+            def wrapper(*args, _fn=value, _child=child, **kwargs):
+                _child.inc()
+                return _fn(*args, **kwargs)
+
             self._obs_wrappers[name] = wrapper
         return wrapper
 

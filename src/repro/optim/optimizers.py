@@ -5,8 +5,7 @@ SGD is provided for the ablation/benchmark suite and for tests.
 
 Update rules execute through the active backend's ``sgd_step`` /
 ``adam_step`` composites, so a performance backend can run them fully in
-place (the ``torch`` backend updates parameters with in-place
-``mul_``/``addcmul_``/``addcdiv_`` kernels).
+place.
 """
 
 from __future__ import annotations

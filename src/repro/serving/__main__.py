@@ -52,14 +52,8 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                         "(default: the checkpoint dir)")
     p.add_argument("--drain-timeout-s", type=float, default=30.0)
     p.add_argument("--backend", default=None,
-                   help="array backend override for every served model "
-                        "(numpy_ref or torch); default keeps each "
-                        "checkpoint's saved backend")
-    p.add_argument("--device", default=None,
-                   help="device override for accelerator backends "
-                        "(cpu, cuda, cuda:N)")
-    p.add_argument("--dtype", default=None, choices=("float32", "float64"),
-                   help="compute dtype override for accelerator backends")
+                   help="array backend override for every served model; "
+                        "default keeps each checkpoint's saved backend")
     # Shared cache surface: --cache-dir overrides the bundle's own
     # cache/ tier; workers always open it read-only (never GC), so
     # --cache-max-bytes is accepted for CLI uniformity but quota
@@ -114,8 +108,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout_s=args.drain_timeout_s,
         state_dir=args.state_dir,
         backend=args.backend,
-        device=args.device,
-        dtype=args.dtype,
         cache_dir=args.cache_dir,
         cache_memory_items=args.cache_memory_items,
     )

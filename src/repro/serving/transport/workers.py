@@ -140,17 +140,13 @@ def save_bundle(
 
 
 def load_bundle(
-    directory: str | Path,
-    backend: str | None = None,
-    device: str | None = None,
-    dtype: str | None = None,
+    directory: str | Path, backend: str | None = None
 ) -> dict[str, tuple[object, list[int]]]:
     """Restore every model in a bundle: ``{key: (forecaster, warmup)}``.
 
-    ``backend`` / ``device`` / ``dtype`` override every restored model's
-    saved backend fields (checkpoint state is host numpy, so a bundle
-    fitted on numpy serves on torch and vice versa); ``None`` keeps the
-    per-model saved values.
+    ``backend`` overrides every restored model's saved backend
+    (checkpoint state is host numpy, so any registered backend serves
+    it); ``None`` keeps the per-model saved values.
     """
     from ...core import load_forecaster
     from ...data.splits import SpaceSplit
@@ -183,12 +179,7 @@ def load_bundle(
             name=spec["split"].get("name", ""),
         )
         forecaster = load_forecaster(
-            directory / spec["checkpoint"],
-            dataset,
-            split,
-            backend=backend,
-            device=device,
-            dtype=dtype,
+            directory / spec["checkpoint"], dataset, split, backend=backend
         )
         models[key] = (forecaster, [int(s) for s in spec.get("warmup_starts", [])])
     return models
@@ -235,11 +226,9 @@ class ServeConfig:
     drain_timeout_s: float = 30.0
     #: Where ``worker-<i>.json`` state files go (default: checkpoint_dir).
     state_dir: str | None = None
-    #: Backend overrides applied to every model in the bundle on load
-    #: (None keeps each checkpoint's saved backend/device/dtype).
+    #: Backend override applied to every model in the bundle on load
+    #: (None keeps each checkpoint's saved backend).
     backend: str | None = None
-    device: str | None = None
-    dtype: str | None = None
     #: Artifact-store overrides (the shared ``--cache-*`` flag surface).
     #: ``cache_dir`` points workers at a disk tier other than the
     #: bundle's own ``cache/``; ``cache_memory_items`` bounds the
@@ -262,12 +251,7 @@ def _build_runtime(config: ServeConfig) -> tuple[ServingRuntime, dict[str, list[
     model's content — bitwise identical to the training process's — so
     hits are exactly the bytes that process computed.
     """
-    bundle = load_bundle(
-        config.checkpoint_dir,
-        backend=config.backend,
-        device=config.device,
-        dtype=config.dtype,
-    )
+    bundle = load_bundle(config.checkpoint_dir, backend=config.backend)
     cache_dir = (
         config.cache_dir
         if config.cache_dir is not None

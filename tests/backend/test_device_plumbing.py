@@ -1,64 +1,25 @@
-"""Device/dtype plumbing: config round-trips, cross-backend restore,
-serving-bundle backend overrides.
+"""Backend-neutral checkpoints: cross-backend restore, serving-bundle
+backend overrides, and checkpoints saved by older versions.
 
-The numpy-only legs run everywhere, with the ``twin_backend`` fixture's
-renamed ``numpy_ref`` as the second backend; the torch legs skip when
-torch is absent.  The contract under test: ``STSMConfig.device/dtype``
-serialise and validate, checkpoints are backend-neutral (host numpy),
-and a model saved under one backend restores and predicts under another.
+The ``twin_backend`` fixture's renamed ``numpy_ref`` is the second
+backend.  The contract under test: checkpoints are backend-neutral (host
+numpy), a model saved under one backend restores and predicts under
+another, and a checkpoint saved under a retired backend name, or with
+the retired ``device``/``dtype`` config keys, still loads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from repro.backend import backend_available, use_backend
+from repro.backend import UnknownBackendError, set_backend, use_backend
 from repro.core import STSMConfig, STSMForecaster, load_forecaster, save_forecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
-
-TORCH_MISSING = not backend_available("torch")
-needs_torch = pytest.mark.skipif(TORCH_MISSING, reason="torch not installed")
-
-
-# ----------------------------------------------------------------------
-# Config round-trip and validation
-# ----------------------------------------------------------------------
-def test_config_device_dtype_roundtrip(twin_backend):
-    config = STSMConfig(backend=twin_backend, device="cpu", dtype="float64")
-    config.validate()
-    fields = dataclasses.asdict(config)
-    assert fields["device"] == "cpu"
-    assert fields["dtype"] == "float64"
-    restored = STSMConfig(**fields)
-    assert restored == config
-
-
-def test_config_defaults_leave_device_dtype_unset():
-    config = STSMConfig()
-    config.validate()
-    assert config.device is None and config.dtype is None
-
-
-def test_config_rejects_bad_dtype_and_device():
-    with pytest.raises(ValueError, match="dtype"):
-        STSMConfig(dtype="float16").validate()
-    with pytest.raises(ValueError, match="device"):
-        STSMConfig(device=3).validate()
-
-
-def test_config_numpy_backend_rejects_cuda_at_fit_resolution():
-    # validate() accepts any device string (the backend owns device
-    # semantics); resolution at fit time is where a numpy backend
-    # refuses a non-cpu device.
-    config = STSMConfig(backend="numpy_ref", device="cuda")
-    config.validate()
-    model = STSMForecaster(config=config)
-    with pytest.raises(ValueError, match="host cpu only"):
-        model._resolved_backend()
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +84,6 @@ def _restore_regression(backend: str, checkpoint_dir):
     [
         ("numpy_ref_twin", "numpy_ref"),
         ("numpy_ref", "numpy_ref_twin"),
-        pytest.param("torch", "numpy_ref", marks=needs_torch),
-        pytest.param("numpy_ref", "torch", marks=needs_torch),
     ],
 )
 def test_checkpoint_restores_across_backends(
@@ -173,53 +132,92 @@ def test_load_forecaster_rejects_bad_override(tmp_path, fitted_context):
     path = save_forecaster(model, tmp_path / "model.npz")
     with pytest.raises(ValueError, match="unknown backend"):
         load_forecaster(path, dataset, split, backend="not_a_backend")
-    with pytest.raises(ValueError, match="dtype"):
-        load_forecaster(path, dataset, split, dtype="float16")
 
 
+@pytest.mark.parametrize("retired", ["numpy_fused", "torch"])
 def test_retired_numpy_fused_name_is_unknown_but_loads_with_override(
-    tmp_path, fitted_context
+    tmp_path, fitted_context, retired
 ):
-    from repro.backend import UnknownBackendError, resolve_backend
-
     with pytest.raises(UnknownBackendError, match="numpy_ref"):
-        resolve_backend("numpy_fused")
-    # A checkpoint saved under the deleted backend restores through the
+        set_backend(retired)
+    # A checkpoint saved under a deleted backend restores through the
     # ordinary backend override.
     model, dataset, split, starts = fitted_context
     saved_config = model.config
-    model.config = saved_config.replace(backend="numpy_fused")
+    model.config = saved_config.replace(backend=retired)
     try:
         path = save_forecaster(model, tmp_path / "model.npz")
     finally:
         model.config = saved_config
     loaded = load_forecaster(path, dataset, split, backend="numpy_ref")
-    np.testing.assert_allclose(
-        loaded.predict(starts), model.predict(starts), rtol=1e-6, atol=1e-8
-    )
+    np.testing.assert_array_equal(loaded.predict(starts), model.predict(starts))
 
 
-@needs_torch
-def test_load_forecaster_torch_override_predicts(tmp_path, fitted_context):
-    model, dataset, split, starts = fitted_context
-    path = save_forecaster(model, tmp_path / "model.npz")
-    baseline = model.predict(starts)
-    loaded = load_forecaster(
-        path, dataset, split, backend="torch", device="cpu", dtype="float64"
-    )
-    np.testing.assert_allclose(loaded.predict(starts), baseline, rtol=1e-6, atol=1e-8)
+# ----------------------------------------------------------------------
+# Checkpoints written before device/dtype left STSMConfig
+# ----------------------------------------------------------------------
+def _add_config_keys(path, **keys) -> None:
+    """Rewrite a saved checkpoint's header config with extra keys, the
+    way older versions wrote ``dataclasses.asdict(config)``."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
+    header["config"].update(keys)
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), np.uint8)
+    np.savez(path, **arrays)
 
 
-def test_bundle_load_with_backend_override(tmp_path, twin_backend, fitted_context):
-    from repro.serving.transport import BundleEntry, load_bundle, save_bundle
+def _save_demo_bundle(directory, model, starts) -> None:
+    from repro.serving.transport import BundleEntry, save_bundle
 
-    model, _dataset, _split, starts = fitted_context
     recipe = {"name": "pems-bay", "num_sensors": 12, "num_days": 1, "seed": 5}
     save_bundle(
-        tmp_path / "bundle",
+        directory,
         {"stsm/demo": BundleEntry(forecaster=model, dataset=recipe,
                                   warmup_starts=[int(starts[0])])},
     )
+
+
+@pytest.mark.parametrize("device, dtype", [(None, None), ("cpu", "float64")])
+def test_parent_format_header_loads_and_predicts_bitwise(
+    tmp_path, fitted_context, device, dtype
+):
+    from repro.serving.transport import load_bundle
+
+    model, dataset, split, starts = fitted_context
+    baseline = model.predict(starts)
+
+    path = save_forecaster(model, tmp_path / "model.npz")
+    _add_config_keys(path, device=device, dtype=dtype)
+    loaded = load_forecaster(path, dataset, split)
+    assert loaded.config == model.config
+    np.testing.assert_array_equal(loaded.predict(starts), baseline)
+
+    _save_demo_bundle(tmp_path / "bundle", model, starts)
+    _add_config_keys(tmp_path / "bundle" / "stsm_demo.npz", device=device, dtype=dtype)
+    forecaster, _warmups = load_bundle(tmp_path / "bundle")["stsm/demo"]
+    np.testing.assert_array_equal(forecaster.predict(starts), baseline)
+
+
+def test_config_rejects_bad_dtype_and_device(tmp_path, fitted_context):
+    # A saved device/dtype that numpy refused never loaded; it still
+    # does not, and the error names the field.
+    model, dataset, split, _starts = fitted_context
+    for key, value in (("dtype", "float32"), ("device", "cuda")):
+        path = save_forecaster(model, tmp_path / f"{key}.npz")
+        _add_config_keys(path, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            load_forecaster(path, dataset, split)
+
+
+# ----------------------------------------------------------------------
+# Serving bundles
+# ----------------------------------------------------------------------
+def test_bundle_load_with_backend_override(tmp_path, twin_backend, fitted_context):
+    from repro.serving.transport import load_bundle
+
+    model, _dataset, _split, starts = fitted_context
+    _save_demo_bundle(tmp_path / "bundle", model, starts)
     baseline = model.predict(starts)
     models = load_bundle(tmp_path / "bundle", backend=twin_backend)
     forecaster, warmups = models["stsm/demo"]
@@ -231,9 +229,7 @@ def test_bundle_load_with_backend_override(tmp_path, twin_backend, fitted_contex
 def test_serve_config_carries_backend_fields():
     from repro.serving.transport import ServeConfig
 
-    config = ServeConfig(checkpoint_dir="/tmp/x", backend="numpy_ref",
-                         device="cpu", dtype="float64")
+    config = ServeConfig(checkpoint_dir="/tmp/x", backend="numpy_ref")
     fields = dataclasses.asdict(config)
     assert fields["backend"] == "numpy_ref"
-    assert fields["device"] == "cpu"
-    assert fields["dtype"] == "float64"
+    assert "device" not in fields and "dtype" not in fields

@@ -47,8 +47,7 @@ def golden_setup():
 
 def test_stsm_fixed_seed_fit_bit_identical_to_prerefactor(golden_setup):
     dataset, split, spec, train_ix, starts = golden_setup
-    # config.backend pins numpy_ref regardless of the process backend, so
-    # this bit-identity check also holds on the REPRO_BACKEND=torch CI leg.
+    # config.backend pins numpy_ref regardless of the process backend.
     config = STSMConfig(
         epochs=3, hidden_dim=16, num_blocks=1, top_k=8, seed=0, backend="numpy_ref"
     )

@@ -1,8 +1,7 @@
 """Backend registry behaviour: selection, scoping, env var, config.
 
 The "other backend" in these tests is the ``twin_backend`` fixture's
-renamed ``numpy_ref`` (see ``tests/conftest.py``), so every seam runs on
-machines without torch.
+renamed ``numpy_ref`` (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -82,53 +81,14 @@ def test_unknown_backend_raises():
         set_backend("not_a_backend")
 
 
-def test_unknown_backend_message_lists_registered_and_optional():
-    from repro.backend import KNOWN_OPTIONAL_BACKENDS, UnknownBackendError
+def test_unknown_backend_message_lists_registered(twin_backend):
+    from repro.backend import UnknownBackendError
 
     with pytest.raises(UnknownBackendError) as excinfo:
         set_backend("not_a_backend")
     message = str(excinfo.value)
     for name in available_backends():
         assert name in message
-    # Known-optional backends that are not installed must be named with
-    # their install hint, so the error is actionable.
-    for name, hint in KNOWN_OPTIONAL_BACKENDS.items():
-        if name not in available_backends():
-            assert name in message
-            assert hint in message
-
-
-def test_uninstalled_optional_backend_raises_actionable_error():
-    from repro.backend import KNOWN_OPTIONAL_BACKENDS, backend_available
-
-    if backend_available("torch"):
-        pytest.skip("torch is installed; the uninstalled path cannot be exercised")
-    with pytest.raises(KeyError, match="unknown backend 'torch'") as excinfo:
-        set_backend("torch")
-    assert KNOWN_OPTIONAL_BACKENDS["torch"] in str(excinfo.value)
-
-
-def test_backend_available_for_registered_and_unknown_names(twin_backend):
-    from repro.backend import backend_available
-
-    assert backend_available("numpy_ref")
-    assert backend_available(twin_backend)
-    assert not backend_available("not_a_backend")
-
-
-def test_resolve_backend_triples(twin_backend):
-    from repro.backend import resolve_backend
-
-    assert resolve_backend(None) is None
-    assert resolve_backend(None, None, None) is None
-    assert resolve_backend(twin_backend).name == twin_backend
-    assert resolve_backend(None, "cpu", "float64") is get_backend()
-    with pytest.raises(ValueError, match="host cpu only"):
-        resolve_backend("numpy_ref", device="cuda")
-    with pytest.raises(ValueError, match="float64 only"):
-        resolve_backend(twin_backend, dtype="float32")
-    with pytest.raises(KeyError, match="unknown backend"):
-        resolve_backend("not_a_backend")
 
 
 def test_register_custom_backend(twin_backend):

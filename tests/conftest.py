@@ -50,9 +50,9 @@ TWIN_BACKEND = "numpy_ref_twin"
 
 
 class NumpyRefTwin(NumpyRefBackend):
-    """``numpy_ref`` under another name: a backend other than the default
-    that every machine has, so set/use/resolve, cross-backend restore and
-    config round-trips stay covered without torch installed."""
+    """``numpy_ref`` under another name: a second registered backend, so
+    the registry's selection and scoping, cross-backend restore and the
+    ``backend=`` overrides stay covered."""
 
     name = TWIN_BACKEND
 

@@ -65,18 +65,20 @@ def _third_party_imports() -> dict[str, set[str]]:
 
 def test_every_third_party_import_is_declared():
     core = _toml_array("dependencies", PYPROJECT)
-    extras = _optional_dependencies()
     imports = _third_party_imports()
     assert "numpy" in imports  # the scan sees the package
     undeclared = {
-        module: files
-        for module, files in imports.items()
-        if module not in core and module != "torch"
+        module: files for module, files in imports.items() if module not in core
     }
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
-    # torch is the optional accelerator backend: an extra, never a core need.
-    assert "torch" not in core
-    assert "torch" in extras.get("torch", set())
+
+
+def test_torch_is_neither_imported_nor_an_extra():
+    # The package trains on its own numpy autograd; torch is not a backend.
+    assert "torch" not in _third_party_imports()
+    extras = _optional_dependencies()
+    assert "torch" not in extras
+    assert not any("torch" in names for names in extras.values())
 
 
 def test_version_matches_pyproject():
