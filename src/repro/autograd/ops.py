@@ -95,10 +95,13 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
     out_data = backend.where(cond, a.data, b.data)
 
     def backward(grad) -> None:
-        a._accumulate(_unbroadcast(backend.multiply(grad, cond), a.shape), owned=True)
-        b._accumulate(
-            _unbroadcast(backend.multiply(grad, backend.logical_not(cond)), b.shape), owned=True
-        )
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(backend.multiply(grad, cond), a.shape), owned=True)
+        if b.requires_grad:
+            b._accumulate(
+                _unbroadcast(backend.multiply(grad, backend.logical_not(cond)), b.shape),
+                owned=True,
+            )
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -319,11 +322,8 @@ def conv1d(
         )
 
     b = get_backend()
-    padded = (
-        b.pad(inputs.data, ((0, 0), (0, 0), (padding, padding))) if padding else inputs.data
-    )
-    w = weight.data  # (c_out, c_in, kernel)
-    out_data, saved = b.conv1d_apply(padded, w, dilation, out_len)
+    x, w = inputs.data, weight.data  # (batch, c_in, length), (c_out, c_in, kernel)
+    out_data, saved = b.conv1d_apply(x, w, dilation, padding)
     if bias is not None:
         out_data = b.add(out_data, bias.data[None, :, None])
 
@@ -331,13 +331,10 @@ def conv1d(
 
     def backward(grad) -> None:
         # grad: (batch, c_out, out_len)
-        grad_w, grad_padded = b.conv1d_backward(grad, saved, padded, w, dilation)
+        grad_w, grad_x = b.conv1d_backward(grad, saved, x, w, dilation, padding)
         weight._accumulate(grad_w, owned=True)
         if bias is not None:
             bias._accumulate(b.sum(grad, axis=(0, 2)), owned=True)
-        if padding:
-            # Still exclusively ours: a view into the fresh padded buffer.
-            grad_padded = grad_padded[:, :, padding:-padding]
-        inputs._accumulate(grad_padded, owned=True)
+        inputs._accumulate(grad_x, owned=True)
 
     return Tensor._make(out_data, parents, backward)

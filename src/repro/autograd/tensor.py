@@ -257,8 +257,9 @@ class Tensor:
 
         def backward(grad) -> None:
             for tensor in (self, other):
-                reduced = _unbroadcast(grad, tensor.shape)
-                tensor._accumulate(reduced, owned=reduced is not grad)
+                if tensor.requires_grad:
+                    reduced = _unbroadcast(grad, tensor.shape)
+                    tensor._accumulate(reduced, owned=reduced is not grad)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -278,9 +279,11 @@ class Tensor:
         out_data = b.subtract(self.data, other.data)
 
         def backward(grad) -> None:
-            reduced = _unbroadcast(grad, self.shape)
-            self._accumulate(reduced, owned=reduced is not grad)
-            other._accumulate(_unbroadcast(b.negative(grad), other.shape), owned=True)
+            if self.requires_grad:
+                reduced = _unbroadcast(grad, self.shape)
+                self._accumulate(reduced, owned=reduced is not grad)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(b.negative(grad), other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -293,8 +296,12 @@ class Tensor:
         out_data = b.multiply(self.data, other.data)
 
         def backward(grad) -> None:
-            self._accumulate(_unbroadcast(b.multiply(grad, other.data), self.shape), owned=True)
-            other._accumulate(_unbroadcast(b.multiply(grad, self.data), other.shape), owned=True)
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(b.multiply(grad, other.data), self.shape), owned=True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(b.multiply(grad, self.data), other.shape), owned=True
+                )
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -306,14 +313,16 @@ class Tensor:
         out_data = b.divide(self.data, other.data)
 
         def backward(grad) -> None:
-            self._accumulate(_unbroadcast(b.divide(grad, other.data), self.shape), owned=True)
-            other._accumulate(
-                _unbroadcast(
-                    b.divide(b.multiply(b.negative(grad), self.data), b.power(other.data, 2)),
-                    other.shape,
-                ),
-                owned=True,
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(b.divide(grad, other.data), self.shape), owned=True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(
+                        b.divide(b.multiply(b.negative(grad), self.data), b.power(other.data, 2)),
+                        other.shape,
+                    ),
+                    owned=True,
+                )
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -345,35 +354,45 @@ class Tensor:
         def backward(grad) -> None:
             lhs, rhs = self.data, other.data
             if lhs.ndim == 1 and rhs.ndim == 1:
-                self._accumulate(b.multiply(grad, rhs), owned=True)
-                other._accumulate(b.multiply(grad, lhs), owned=True)
+                if self.requires_grad:
+                    self._accumulate(b.multiply(grad, rhs), owned=True)
+                if other.requires_grad:
+                    other._accumulate(b.multiply(grad, lhs), owned=True)
                 return
             if lhs.ndim == 1:
                 # (k,) @ (..., k, n) -> (..., n)
-                grad_a = b.sum(
-                    b.multiply(grad[..., None, :], b.swapaxes(rhs, -1, -2)),
-                    axis=tuple(range(grad.ndim - 1)) + (-1,),
-                )
-                self._accumulate(_unbroadcast(b.reshape(grad_a, lhs.shape), lhs.shape), owned=True)
-                other._accumulate(
-                    _unbroadcast(b.multiply(lhs[:, None], grad[..., None, :]), rhs.shape),
-                    owned=True,
-                )
+                if self.requires_grad:
+                    grad_a = b.sum(
+                        b.multiply(grad[..., None, :], rhs),
+                        axis=tuple(range(grad.ndim - 1)) + (-1,),
+                    )
+                    self._accumulate(
+                        _unbroadcast(b.reshape(grad_a, lhs.shape), lhs.shape), owned=True
+                    )
+                if other.requires_grad:
+                    other._accumulate(
+                        _unbroadcast(b.multiply(lhs[:, None], grad[..., None, :]), rhs.shape),
+                        owned=True,
+                    )
                 return
             if rhs.ndim == 1:
                 # (..., m, k) @ (k,) -> (..., m)
-                self._accumulate(
-                    _unbroadcast(b.multiply(grad[..., :, None], rhs), lhs.shape), owned=True
-                )
-                grad_b = b.matmul(b.swapaxes(lhs, -1, -2), grad[..., :, None])[..., 0]
-                if grad_b.ndim > 1:
-                    grad_b = b.sum(grad_b, axis=tuple(range(grad_b.ndim - 1)))
-                other._accumulate(grad_b, owned=True)
+                if self.requires_grad:
+                    self._accumulate(
+                        _unbroadcast(b.multiply(grad[..., :, None], rhs), lhs.shape), owned=True
+                    )
+                if other.requires_grad:
+                    grad_b = b.matmul(b.swapaxes(lhs, -1, -2), grad[..., :, None])[..., 0]
+                    if grad_b.ndim > 1:
+                        grad_b = b.sum(grad_b, axis=tuple(range(grad_b.ndim - 1)))
+                    other._accumulate(grad_b, owned=True)
                 return
-            grad_a = b.matmul(grad, b.swapaxes(rhs, -1, -2))
-            grad_b = b.matmul(b.swapaxes(lhs, -1, -2), grad)
-            self._accumulate(_unbroadcast(grad_a, lhs.shape), owned=True)
-            other._accumulate(_unbroadcast(grad_b, rhs.shape), owned=True)
+            if self.requires_grad:
+                grad_a = b.matmul(grad, b.swapaxes(rhs, -1, -2))
+                self._accumulate(_unbroadcast(grad_a, lhs.shape), owned=True)
+            if other.requires_grad:
+                grad_b = b.matmul(b.swapaxes(lhs, -1, -2), grad)
+                other._accumulate(_unbroadcast(grad_b, rhs.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 

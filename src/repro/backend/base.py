@@ -293,8 +293,14 @@ class ArrayBackend:
         return self.divide(1.0, z, out=z)
 
     def sigmoid_backward(self, grad, out):
-        """``grad * out * (1 - out)``."""
-        return self.multiply(self.multiply(grad, out), self.subtract(1.0, out))
+        """``grad * out * (1 - out)``, the last product into the first's buffer.
+
+        0-d operands multiply to a scalar, which takes the chained form.
+        """
+        scaled = self.multiply(grad, out)
+        if getattr(scaled, "ndim", 0) == 0:
+            return self.multiply(scaled, self.subtract(1.0, out))
+        return self.multiply(scaled, self.subtract(1.0, out), out=scaled)
 
     def tanh_backward(self, grad, out):
         """``grad * (1 - out**2)``."""
@@ -318,10 +324,18 @@ class ArrayBackend:
         dtype = grad.dtype
         a_wins = self.cast(self.greater(a, b), dtype)
         b_wins = self.cast(self.greater(b, a), dtype)
-        tie = self.multiply(self.cast(self.equal(a, b), dtype), 0.5)
-        grad_a = unbroadcast(self.multiply(grad, self.add(a_wins, tie)), a_shape)
-        grad_b = unbroadcast(self.multiply(grad, self.add(b_wins, tie)), b_shape)
-        return grad_a, grad_b
+        tie = self.cast(self.equal(a, b), dtype)
+        if getattr(tie, "ndim", 0) == 0:  # 0-d operands compare to scalars
+            tie = self.multiply(tie, 0.5)
+            grad_a = unbroadcast(self.multiply(grad, self.add(a_wins, tie)), a_shape)
+            grad_b = unbroadcast(self.multiply(grad, self.add(b_wins, tie)), b_shape)
+            return grad_a, grad_b
+        # The same ufuncs in the same order, on the freshly cast masks.
+        self.multiply(tie, 0.5, out=tie)
+        for wins in (a_wins, b_wins):
+            self.add(wins, tie, out=wins)
+            self.multiply(grad, wins, out=wins)
+        return unbroadcast(a_wins, a_shape), unbroadcast(b_wins, b_shape)
 
     # -- softmax family -------------------------------------------------
     def softmax(self, x, axis: int = -1):
@@ -353,38 +367,62 @@ class ArrayBackend:
 
     # -- dilated conv1d kernels ----------------------------------------
     # Both kernels call the GEMMs of numpy's ``einsum(..., optimize=True)``
-    # plan for the tap-column formulation, on the same operands, so they
-    # are bitwise that formulation whenever every dimension is >= 2
-    # (einsum squeezes singleton axes into different BLAS calls).
+    # plan for the tap-column formulation of the zero-padded input, on
+    # the same operands, so they are bitwise that formulation whenever
+    # every dimension is >= 2 (einsum squeezes singleton axes into
+    # different BLAS calls).  The padding is never materialised: a tap
+    # reads, and its adjoint writes, only the in-range span of the input.
 
-    def conv1d_apply(self, padded, weight, dilation: int, out_len: int):
+    @staticmethod
+    def _conv1d_spans(length: int, kernel: int, dilation: int, padding: int):
+        """Per tap ``k``: ``(k, out_span, in_span)`` slices, empty spans skipped.
+
+        Output step ``t`` of tap ``k`` reads input step ``t + k * dilation
+        - padding``; the rest of its row is zero padding.
+        """
+        out_len = length + 2 * padding - (kernel - 1) * dilation
+        spans = []
+        for k in range(kernel):
+            shift = k * dilation - padding
+            lo, hi = max(0, -shift), min(out_len, length - shift)
+            if lo < hi:
+                spans.append((k, slice(lo, hi), slice(lo + shift, hi + shift)))
+        return out_len, spans
+
+    def conv1d_apply(self, inputs, weight, dilation: int, padding: int):
         """Dilated conv forward on ``(B, C, L)`` inputs as one GEMM.
 
-        Fills the tap matrix ``cols[(c, k), (b, t)] = padded[b, c, t + k *
-        dilation]`` with one strided slab copy per tap, then returns
-        ``weight (O, C*K) @ cols (C*K, B*L)`` viewed as ``(B, O, L)``.
+        Fills the zero tap matrix ``cols[(c, k), (b, t)] = inputs[b, c, t
+        + k * dilation - padding]`` with one strided slab copy of each
+        tap's in-range span, then returns ``weight (O, C*K) @ cols (C*K,
+        B*L')`` viewed as ``(B, O, L')``.
 
         Returns ``(out, saved)`` where ``saved`` is backend-private
         context handed back to :meth:`conv1d_backward` (this default keeps
         ``cols``; a fused backend may keep nothing and recompute from
-        ``padded``).
+        ``inputs``).
         """
-        batch, c_in, _ = padded.shape
+        batch, c_in, length = inputs.shape
         c_out, _, kernel = weight.shape
-        taps = self.zeros((c_in, kernel, batch, out_len), dtype=padded.dtype)
-        for k in range(kernel):
-            slab = self.getitem(padded, (Ellipsis, slice(k * dilation, k * dilation + out_len)))
-            self.copyto(self.getitem(taps, (slice(None), k)), self.transpose(slab, (1, 0, 2)))
+        out_len, spans = self._conv1d_spans(length, kernel, dilation, padding)
+        taps = self.zeros((c_in, kernel, batch, out_len), dtype=inputs.dtype)
+        for k, out_span, in_span in spans:
+            slab = self.getitem(inputs, (Ellipsis, in_span))
+            self.copyto(
+                self.getitem(taps, (slice(None), k, slice(None), out_span)),
+                self.transpose(slab, (1, 0, 2)),
+            )
         cols = self.reshape(taps, (c_in * kernel, batch * out_len))
         out = self.matmul(self.reshape(weight, (c_out, c_in * kernel)), cols)
         return self.transpose(self.reshape(out, (c_out, batch, out_len)), (1, 0, 2)), cols
 
-    def conv1d_backward(self, grad, saved, padded, weight, dilation: int):
-        """Adjoint of :meth:`conv1d_apply`: ``(grad_weight, grad_padded)``.
+    def conv1d_backward(self, grad, saved, inputs, weight, dilation: int, padding: int):
+        """Adjoint of :meth:`conv1d_apply`: ``(grad_weight, grad_inputs)``.
 
-        Two GEMMs against the saved tap matrix, then one slice-add per
-        tap in increasing ``k``: the per-element summation order of a
-        duplicate-safe scatter of the tap gradients.
+        Two GEMMs against the saved tap matrix, then one slice-add of
+        each tap's in-range span in increasing ``k``: the per-element
+        summation order of a duplicate-safe scatter of the tap gradients
+        into the padded input, with the padding's adjoint never formed.
         """
         cols = saved
         batch, c_out, out_len = grad.shape
@@ -398,11 +436,13 @@ class ArrayBackend:
         grad_cols = self.reshape(
             self.matmul(weight_rows, grad_mat), (c_in, kernel, batch, out_len)
         )
-        grad_padded = self.zeros_like(padded)
-        for k in range(kernel):
-            slab = self.getitem(grad_padded, (Ellipsis, slice(k * dilation, k * dilation + out_len)))
-            self.iadd(slab, self.transpose(self.getitem(grad_cols, (slice(None), k)), (1, 0, 2)))
-        return grad_weight, grad_padded
+        grad_inputs = self.zeros_like(inputs)
+        _, spans = self._conv1d_spans(inputs.shape[-1], kernel, dilation, padding)
+        for k, out_span, in_span in spans:
+            tap = self.getitem(grad_cols, (slice(None), k, slice(None), out_span))
+            slab = self.getitem(grad_inputs, (Ellipsis, in_span))
+            self.iadd(slab, self.transpose(tap, (1, 0, 2)))
+        return grad_weight, grad_inputs
 
     # -- optimiser update steps ----------------------------------------
     def sgd_step(self, param, grad, velocity, lr: float, momentum: float) -> None:

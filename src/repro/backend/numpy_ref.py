@@ -6,10 +6,15 @@ backend reproduces the historical results exactly (enforced by
 ``tests/backend/test_golden_ref.py``).  Keep it boring: ``out=`` buffers
 only where the ufunc sequence is unchanged, no reassociated reductions,
 no fused kernels.
+
+Importing this module also tunes glibc's allocator for the process (see
+:func:`_keep_freed_memory`); every process that computes imports it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +22,45 @@ import numpy as np
 from .base import ArrayBackend
 
 __all__ = ["NumpyRefBackend"]
+
+#: ``(mallopt parameter, value)`` pairs, applied in order.  By default
+#: glibc mmaps every array over its dynamic threshold, unmaps it on
+#: free, and trims the heap top, so each 0.4-1.3 MB autograd temporary
+#: faults its pages in again: a ``perfbench`` fit op took 438k-999k
+#: minor faults and 1.2-2.9 s of system time (bimodal between runs).
+#: With these settings it takes 13-105 faults and no system time, and
+#: runs in half the time (2-CPU x86-64 host, glibc 2.36).  The mmap
+#: threshold only has to clear those temporaries (4 MiB measured the
+#: same); 32 MiB is glibc's 64-bit maximum.  One arena keeps serving
+#: threads from each holding freed memory of their own: without it
+#: ``serve_cold`` peak RSS rose from 236.7 to 267.7-272.9 MB.
+_MALLOPT_SETTINGS = (
+    (-8, 1),  # M_ARENA_MAX
+    (-3, 32 * 2**20),  # M_MMAP_THRESHOLD (glibc's 64-bit maximum)
+    (-1, 256 * 2**20),  # M_TRIM_THRESHOLD
+)
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed array memory in the process for reuse.
+
+    Does nothing on another libc, without ``mallopt``, or from the
+    first setting glibc refuses (``mallopt`` returns 0).
+    """
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT_SETTINGS:
+        if mallopt(param, value) == 0:
+            return
+
+
+_keep_freed_memory()
 
 
 class NumpyRefBackend(ArrayBackend):

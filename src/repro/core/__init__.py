@@ -18,7 +18,7 @@ from .features import (
 )
 from .gcn import GCN, GCNL, DualGraphAttention, DualGraphConv, GCNBranch
 from .masking import SelectiveMasker, random_subgraph_mask, selective_masking_probabilities
-from .model import STSMForecaster, compute_distance_matrices
+from .model import NonFiniteObservationsError, STSMForecaster, compute_distance_matrices
 from .multiregion import multi_region_similarity, multi_region_split
 from .persistence import load_forecaster, save_forecaster
 from .network import STBlock, STSMNetwork
@@ -42,6 +42,7 @@ __all__ = [
     "config_for_dataset",
     "PAPER_PARAMETERS",
     "STSMForecaster",
+    "NonFiniteObservationsError",
     "compute_distance_matrices",
     "multi_region_split",
     "multi_region_similarity",

@@ -64,11 +64,33 @@ from .multiregion import multi_region_similarity
 from .network import STSMNetwork
 from .pseudo import fill_pseudo_observations
 
-__all__ = ["STSMForecaster", "compute_distance_matrices"]
+__all__ = ["NonFiniteObservationsError", "STSMForecaster", "compute_distance_matrices"]
 
 #: Memory-tier capacities of the private store an isolated fit (no
 #: shared store) keeps its DTW pairs and masked adjacencies in.
 PRIVATE_STORE_MAXSIZE = {"dtw_pair": 65536, "mask_fill": 64}
+
+
+class NonFiniteObservationsError(ValueError):
+    """An observed sensor's training history holds NaN or an infinity.
+
+    Every observed reading enters the scaler and the loss, so a single
+    one would make the loss, every weight and every forecast NaN without
+    an error.  Unobserved sensors' readings are never read by a fit.
+    """
+
+
+def _check_finite_history(values: np.ndarray, observed: np.ndarray) -> None:
+    """Raise :class:`NonFiniteObservationsError` if ``values`` (training
+    steps by observed sensors) holds a non-finite reading."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        sensors = observed[bad.any(axis=0)]
+        raise NonFiniteObservationsError(
+            f"{int(bad.sum())} non-finite readings in the training history of "
+            f"{len(sensors)} observed sensors (first: sensor {int(sensors[0])}); "
+            "impute them (see repro.data.missing) or leave those sensors unobserved"
+        )
 
 
 def _cache_store(shared: ArtifactStore | None) -> ArtifactStore:
@@ -306,6 +328,7 @@ class STSMForecaster(Forecaster):
 
         # --- scaling ---------------------------------------------------------
         train_values_raw = dataset.values[train_steps][:, observed]
+        _check_finite_history(train_values_raw, observed)
         self.scaler = StandardScaler().fit(train_values_raw)
         scaled_full = self.scaler.transform(dataset.values)
         self._scaled_full = scaled_full

@@ -109,6 +109,15 @@ class TestMatmul:
     def test_matrix_vector(self, rng):
         check_gradients(lambda a, b: a @ b, [_t(rng, 3, 5), _t(rng, 5)])
 
+    def test_vector_matrix(self, rng):
+        # The vector's adjoint once multiplied by the matrix transposed:
+        # wrong for a square matrix, a broadcast error otherwise.
+        check_gradients(lambda a, b: a @ b, [_t(rng, 4), _t(rng, 4, 4)])
+        check_gradients(lambda a, b: a @ b, [_t(rng, 3), _t(rng, 3, 5)])
+
+    def test_vector_batched_matrix(self, rng):
+        check_gradients(lambda a, b: a @ b, [_t(rng, 3), _t(rng, 2, 3, 4)])
+
 
 class TestReductions:
     def test_sum_all(self, rng):

@@ -96,3 +96,78 @@ class TestNumericalRobustness:
         model.fit(dup, split, WindowSpec(8, 8), np.arange(dup.num_steps * 7 // 10))
         out = model.predict(np.array([dup.num_steps - 16]))
         assert np.all(np.isfinite(out))
+
+
+def _with_values(dataset, values):
+    from repro.data.dataset import SpatioTemporalDataset
+
+    return SpatioTemporalDataset(
+        name=dataset.name,
+        values=values,
+        coords=dataset.coords,
+        steps_per_day=dataset.steps_per_day,
+        features=dataset.features,
+        interval_minutes=dataset.interval_minutes,
+    )
+
+
+class TestNonFiniteObservations:
+    """A non-finite observed reading is refused, never trained into NaN.
+
+    Before the check, 5% NaN in the observed readings of a 24-sensor,
+    2-day, 1-epoch fit gave a loss history of ``[nan]``, all-NaN
+    forecasts and no error.
+    """
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        from repro.data import space_split, temporal_split
+        from repro.data.synthetic import make_pems_bay
+
+        dataset = make_pems_bay(num_sensors=24, num_days=2, seed=5)
+        split = space_split(dataset.coords, "horizontal")
+        train_steps, _ = temporal_split(dataset.num_steps)
+        return dataset, split, WindowSpec(8, 8), train_steps
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observed_non_finite_history_raises_typed_error(self, probe, bad):
+        from repro.core import NonFiniteObservationsError
+
+        dataset, split, spec, train_steps = probe
+        values = dataset.values.copy()
+        observed = values[:, split.observed]
+        observed[np.random.default_rng(0).random(observed.shape) < 0.05] = bad
+        values[:, split.observed] = observed
+        in_training = ~np.isfinite(values[train_steps][:, split.observed])
+        first = int(split.observed[in_training.any(axis=0)][0])
+
+        with pytest.raises(NonFiniteObservationsError) as caught:
+            STSMForecaster(_FAST).fit(_with_values(dataset, values), split, spec, train_steps)
+        assert isinstance(caught.value, ValueError)
+        message = str(caught.value)
+        assert f"{int(in_training.sum())} non-finite readings" in message
+        assert f"first: sensor {first})" in message
+
+    def test_non_finite_outside_training_steps_is_not_refused(self, probe):
+        dataset, split, spec, train_steps = probe
+        values = dataset.values.copy()
+        values[train_steps[-1] + 1, split.observed[0]] = np.nan
+        report = STSMForecaster(_FAST).fit(_with_values(dataset, values), split, spec, train_steps)
+        assert np.isfinite(report.history).all()
+
+    def test_nan_in_unobserved_columns_fits_and_predicts_bitwise(self, probe):
+        dataset, split, spec, train_steps = probe
+        values = dataset.values.copy()
+        values[:, split.unobserved] = np.nan
+        starts = np.array([0, 40, dataset.num_steps - spec.total])
+
+        clean = STSMForecaster(_FAST)
+        clean_report = clean.fit(dataset, split, spec, train_steps)
+        masked = STSMForecaster(_FAST)
+        masked_report = masked.fit(_with_values(dataset, values), split, spec, train_steps)
+
+        assert np.array_equal(masked_report.history, clean_report.history)
+        expected = clean.predict(starts)
+        got = masked.predict(starts)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == expected.tobytes()

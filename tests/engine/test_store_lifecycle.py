@@ -216,6 +216,42 @@ class TestCompaction:
         fresh = ArtifactStore(disk_dir=tmp_path)
         assert fresh.stats["totals"]["disk_items"] == 10
 
+    def test_compaction_across_a_backward_clock_step_keeps_every_key(
+        self, tmp_path, monkeypatch
+    ):
+        # Names assume a wall clock that never steps back; when it does,
+        # the dense copy is named below its source.  The live entries
+        # have no other holder, so they must still hit, bit for bit.
+        rng = np.random.default_rng(11)
+        values = {i: rng.standard_normal((16, 16)) for i in range(10)}
+        first = ArtifactStore(disk_dir=tmp_path)
+        for i, value in values.items():
+            first.put("forecast_window", _key("clock", i), value)
+        first.persist()
+        second = ArtifactStore(disk_dir=tmp_path)
+        for i in range(8):  # supersede 8 of 10: the first segment goes sparse
+            second.put("forecast_window", _key("clock", i), values[i])
+        second.persist()
+        before = sorted(path.name for path in tmp_path.glob("seg-*.npz"))
+
+        monkeypatch.setattr(time, "time_ns", lambda: 1)
+        assert second.gc()["compacted_entries"] == 2
+        monkeypatch.undo()
+
+        after = sorted(path.name for path in tmp_path.glob("seg-*.npz"))
+        (dense,) = set(after) - set(before)
+        assert before[0] not in after  # the sparse source is gone
+        assert dense < min(before)  # named below its source
+        second.clear_memory()
+        for store in (second, ArtifactStore(disk_dir=tmp_path)):
+            for i, value in values.items():
+                got = store.get("forecast_window", _key("clock", i))
+                assert got is not None and got.tobytes() == value.tobytes()
+        # A later collector finds nothing sparse and loses nothing.
+        third = ArtifactStore(disk_dir=tmp_path)
+        assert third.gc()["compacted_segments"] == 0
+        assert third.stats["totals"]["disk_items"] == 10
+
     def test_two_collectors_never_delete_each_others_copy(self, tmp_path):
         # Both handles must agree which copy of k is live; otherwise each
         # gc() compacts away the copy the other one thinks is live.
