@@ -5,9 +5,10 @@ pass matches a central-difference numerical derivative.  This is the
 correctness anchor for the whole neural substrate.
 
 Both helpers take an optional ``backend`` (registry name or
-:class:`~repro.backend.ArrayBackend` instance): the function evaluations
-*and* the autograd replay run under that backend, so the same check
-certifies any registered backend, not just ``numpy_ref``.
+:class:`~repro.backend.ArrayBackend` instance; ``None`` keeps the active
+one): the function evaluations *and* the autograd replay run under that
+backend, so the same check certifies any registered backend, not just
+``numpy_ref``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..backend import ArrayBackend, use_backend
+from ..backend import ArrayBackend, get_backend, use_backend
 from .tensor import Tensor
 
 __all__ = ["numerical_gradient", "check_gradients"]
@@ -34,7 +35,7 @@ def numerical_gradient(
     grad = np.zeros(tuple(target.data.shape), dtype=np.float64)
     flat = target.data.reshape(-1)
     grad_flat = grad.reshape(-1)
-    with use_backend(backend):
+    with use_backend(get_backend() if backend is None else backend):
         for i in range(int(flat.shape[0])):
             original = float(flat[i])
             flat[i] = original + eps
@@ -60,7 +61,7 @@ def check_gradients(
     """
     for tensor in inputs:
         tensor.zero_grad()
-    with use_backend(backend):
+    with use_backend(get_backend() if backend is None else backend):
         out = fn(*inputs)
         out.sum().backward()
     for index, tensor in enumerate(inputs):

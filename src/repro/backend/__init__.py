@@ -5,9 +5,11 @@ operation through the active :class:`ArrayBackend` rather than calling
 numpy directly.  One backend ships: ``numpy_ref`` (the default), plain
 numpy, bit-identical to the pre-backend substrate for any fixed seed.
 
-Select with ``REPRO_BACKEND=<name>``, :func:`set_backend`, the
-:func:`use_backend` context manager, or ``STSMConfig(backend=...)``.
-See DESIGN.md ("Array backends") for the protocol and how to add one.
+There is no backend option: models, CLIs and the environment carry no
+backend choice.  :func:`set_backend` and the :func:`use_backend` context
+manager stay as the seam a test or benchmark uses to substitute a fake
+or a timing proxy.  See DESIGN.md ("Array backends") for the protocol
+and how to add one.
 """
 
 from .base import ArrayBackend

@@ -1,21 +1,16 @@
-"""Backend registry: naming, selection, and the process-wide active backend.
+"""Backend registry: naming, substitution, and the process-wide active backend.
 
-Selection precedence (first hit wins):
-
-1. an explicit :func:`set_backend` / :func:`use_backend` call;
-2. the ``REPRO_BACKEND`` environment variable, read once on first use;
-3. the default, ``numpy_ref``.
-
-``STSMConfig.backend`` threads a per-model choice through the same
-mechanism — :class:`~repro.core.model.STSMForecaster` wraps its fit and
-predict paths in :func:`use_backend`.  An unknown name raises
+The active backend is ``numpy_ref`` until :func:`set_backend` or the
+:func:`use_backend` context manager substitutes another registered
+name or an :class:`ArrayBackend` instance — the seam a test or
+benchmark uses to swap in a fake or a timing proxy.  Models, CLIs and
+the environment carry no backend choice.  An unknown name raises
 :class:`UnknownBackendError` listing the registered backends.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from typing import Callable, Iterator
 
@@ -33,7 +28,6 @@ __all__ = [
 ]
 
 DEFAULT_BACKEND = "numpy_ref"
-ENV_VAR = "REPRO_BACKEND"
 
 _FACTORIES: dict[str, Callable[[], ArrayBackend]] = {}
 _INSTANCES: dict[str, ArrayBackend] = {}
@@ -85,13 +79,13 @@ def _instance(name: str) -> ArrayBackend:
 
 
 def get_backend() -> ArrayBackend:
-    """The active backend (resolving ``REPRO_BACKEND`` on first use)."""
+    """The active backend (``numpy_ref`` unless substituted)."""
     global _ACTIVE
     backend = _ACTIVE
     if backend is None:
         with _LOCK:
             if _ACTIVE is None:
-                _ACTIVE = _instance(os.environ.get(ENV_VAR, DEFAULT_BACKEND))
+                _ACTIVE = _instance(DEFAULT_BACKEND)
             backend = _ACTIVE
     return backend
 
@@ -108,11 +102,8 @@ def set_backend(backend: str | ArrayBackend) -> ArrayBackend:
 
 
 @contextlib.contextmanager
-def use_backend(backend: str | ArrayBackend | None) -> Iterator[ArrayBackend]:
-    """Context manager scoping the active backend; ``None`` is a no-op."""
-    if backend is None:
-        yield get_backend()
-        return
+def use_backend(backend: str | ArrayBackend) -> Iterator[ArrayBackend]:
+    """Context manager scoping the active backend."""
     previous = set_backend(backend)
     try:
         yield get_backend()

@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, no_grad
+from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram
 from ..graph.distances import euclidean_distance_matrix
@@ -212,7 +213,9 @@ class IGNNKForecaster(Forecaster):
         observed = split.observed
         n_obs = len(observed)
 
-        self.scaler = StandardScaler().fit(dataset.values[train_steps][:, observed])
+        train_values = dataset.values[train_steps][:, observed]
+        check_finite_observations(train_values, observed)
+        self.scaler = StandardScaler().fit(train_values)
         self._scaled = self.scaler.transform(dataset.values)
         self._kernel_full = self._kernel_adjacency(dataset.coords)
         kernel_obs = self._kernel_full[np.ix_(observed, observed)]

@@ -6,6 +6,7 @@ Public surface: :class:`STSMForecaster` (train/predict), :class:`STSMConfig`
 recompose them.
 """
 
+from ..data.missing import NonFiniteObservationsError
 from .config import PAPER_PARAMETERS, STSMConfig, config_for_dataset
 from .features import (
     SubgraphSimilarity,
@@ -18,7 +19,7 @@ from .features import (
 )
 from .gcn import GCN, GCNL, DualGraphAttention, DualGraphConv, GCNBranch
 from .masking import SelectiveMasker, random_subgraph_mask, selective_masking_probabilities
-from .model import NonFiniteObservationsError, STSMForecaster, compute_distance_matrices
+from .model import STSMForecaster, compute_distance_matrices
 from .multiregion import multi_region_similarity, multi_region_split
 from .persistence import load_forecaster, save_forecaster
 from .network import STBlock, STSMNetwork

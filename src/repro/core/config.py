@@ -95,11 +95,6 @@ class STSMConfig:
     contrastive_weight: float = 0.5
     temperature: float = 0.5
 
-    # Array backend (repro.backend registry): None inherits the active
-    # process-wide backend (REPRO_BACKEND env var, default numpy_ref);
-    # a name scopes this model's fit/predict to that backend.
-    backend: str | None = None
-
     # Cross-fit artifact reuse (repro.engine.store): None auto-enables
     # the shared content-addressed store when the process has opted in
     # (REPRO_CACHE_DIR set or open_store() called); True forces the
@@ -137,14 +132,6 @@ class STSMConfig:
             raise ValueError(
                 f"cache_store must be True, False or None, got {self.cache_store!r}"
             )
-        if self.backend is not None:
-            from ..backend import available_backends
-
-            if self.backend not in available_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; "
-                    f"available: {', '.join(available_backends())}"
-                )
 
 
 def config_for_dataset(dataset_name: str, **overrides) -> STSMConfig:

@@ -37,8 +37,8 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..backend import use_backend
 from ..data.dataset import SpatioTemporalDataset
+from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..data.splits import SpaceSplit
 from ..data.windows import WindowSpec, iterate_batches
@@ -64,33 +64,11 @@ from .multiregion import multi_region_similarity
 from .network import STSMNetwork
 from .pseudo import fill_pseudo_observations
 
-__all__ = ["NonFiniteObservationsError", "STSMForecaster", "compute_distance_matrices"]
+__all__ = ["STSMForecaster", "compute_distance_matrices"]
 
 #: Memory-tier capacities of the private store an isolated fit (no
 #: shared store) keeps its DTW pairs and masked adjacencies in.
 PRIVATE_STORE_MAXSIZE = {"dtw_pair": 65536, "mask_fill": 64}
-
-
-class NonFiniteObservationsError(ValueError):
-    """An observed sensor's training history holds NaN or an infinity.
-
-    Every observed reading enters the scaler and the loss, so a single
-    one would make the loss, every weight and every forecast NaN without
-    an error.  Unobserved sensors' readings are never read by a fit.
-    """
-
-
-def _check_finite_history(values: np.ndarray, observed: np.ndarray) -> None:
-    """Raise :class:`NonFiniteObservationsError` if ``values`` (training
-    steps by observed sensors) holds a non-finite reading."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        sensors = observed[bad.any(axis=0)]
-        raise NonFiniteObservationsError(
-            f"{int(bad.sum())} non-finite readings in the training history of "
-            f"{len(sensors)} observed sensors (first: sensor {int(sensors[0])}); "
-            "impute them (see repro.data.missing) or leave those sensors unobserved"
-        )
 
 
 def _cache_store(shared: ArtifactStore | None) -> ArtifactStore:
@@ -266,7 +244,7 @@ class STSMForecaster(Forecaster):
         warm_start_state=None,
         checkpoint_dir=None,
     ) -> FitReport:
-        """Train under the config's array backend (None = process default).
+        """Train STSM on the observed locations' ``train_steps``.
 
         ``warm_start_dir`` seeds the optimisation from a PR 2 best-epoch
         checkpoint directory via :meth:`~repro.engine.Trainer.restore`
@@ -280,25 +258,6 @@ class STSMForecaster(Forecaster):
         ``checkpoint_dir`` persists this fit's best epoch for later
         warm starts (see :class:`~repro.engine.EarlyStopping`).
         """
-        with use_backend(self.config.backend):
-            return self._fit_impl(
-                dataset, split, spec, train_steps,
-                warm_start_dir=warm_start_dir,
-                warm_start_state=warm_start_state,
-                checkpoint_dir=checkpoint_dir,
-            )
-
-    def _fit_impl(
-        self,
-        dataset: SpatioTemporalDataset,
-        split: SpaceSplit,
-        spec: WindowSpec,
-        train_steps: np.ndarray,
-        *,
-        warm_start_dir=None,
-        warm_start_state=None,
-        checkpoint_dir=None,
-    ) -> FitReport:
         if warm_start_dir is not None and warm_start_state is not None:
             raise ValueError("pass warm_start_dir or warm_start_state, not both")
         started = time.perf_counter()
@@ -328,7 +287,7 @@ class STSMForecaster(Forecaster):
 
         # --- scaling ---------------------------------------------------------
         train_values_raw = dataset.values[train_steps][:, observed]
-        _check_finite_history(train_values_raw, observed)
+        check_finite_observations(train_values_raw, observed)
         self.scaler = StandardScaler().fit(train_values_raw)
         scaled_full = self.scaler.transform(dataset.values)
         self._scaled_full = scaled_full
@@ -580,6 +539,10 @@ class STSMForecaster(Forecaster):
         observed = self.split.observed
         unobserved = self.split.unobserved
         n = dataset.num_locations
+        # The fill and the test DTW read every observed step, so one
+        # non-finite reading, even outside the training steps fit checks,
+        # would make every forecast NaN: predict() refuses instead.
+        self._history_finite = bool(np.isfinite(dataset.values[:, observed]).all())
         filled = fill_pseudo_observations(
             self._scaled_full,
             self._dist_pseudo,
@@ -612,15 +575,12 @@ class STSMForecaster(Forecaster):
         With ``stochastic=True`` the dropout layers stay active, producing
         one Monte-Carlo sample per call — the mechanism used by
         :class:`~repro.core.uncertainty.MCDropoutForecaster`.
-
-        Runs under the same array backend the model was fitted with.
         """
-        with use_backend(self.config.backend):
-            return self._predict_impl(window_starts, stochastic)
-
-    def _predict_impl(self, window_starts: np.ndarray, stochastic: bool = False) -> np.ndarray:
         if not self._fitted or self.network is None:
             raise RuntimeError("predict() called before fit()")
+        if not self._history_finite:
+            observed = self.split.observed
+            check_finite_observations(self.dataset.values[:, observed], observed, "history")
         spec = self.spec
         cfg = self.config
         unobserved = self.split.unobserved

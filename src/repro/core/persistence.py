@@ -63,7 +63,6 @@ def load_forecaster(
     dataset: SpatioTemporalDataset,
     split: SpaceSplit,
     train_steps: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> STSMForecaster:
     """Load a saved forecaster and re-attach its data context.
 
@@ -78,12 +77,6 @@ def load_forecaster(
     train_steps:
         Time steps considered historical when rebuilding the test-time
         DTW adjacency; defaults to all steps.
-    backend:
-        Override the saved config's backend — state dicts are host
-        numpy, so a model trained under one backend loads and predicts
-        under any other (and a checkpoint saved under a retired backend
-        name loads with ``backend="numpy_ref"``).  ``None`` keeps the
-        saved value.
     """
     archive = np.load(Path(path), allow_pickle=False)
     if _HEADER_KEY not in archive:
@@ -93,8 +86,6 @@ def load_forecaster(
         raise ValueError(f"unsupported format version {header.get('format_version')}")
 
     config = _config_from_header(header["config"])
-    if backend is not None:
-        config = config.replace(backend=backend)
     spec = WindowSpec(**header["spec"])
     forecaster = STSMForecaster(config, name=header["name"])
     forecaster.dataset = dataset
@@ -107,44 +98,41 @@ def load_forecaster(
     forecaster.scaler = scaler
     forecaster._scaled_full = scaler.transform(dataset.values)
 
-    from ..backend import use_backend
-
     state = {
         key.removeprefix("param::"): archive[key]
         for key in archive.files
         if key.startswith("param::")
     }
-    # Parameters and the cached test-graph tensors must live on the
-    # backend the forecaster will predict under, so build them in scope.
-    with use_backend(config.backend):
-        network = STSMNetwork(
-            config, horizon=spec.horizon, input_length=spec.input_length
-        )
-        network.load_state_dict(state)
-        forecaster.network = network
+    network = STSMNetwork(config, horizon=spec.horizon, input_length=spec.input_length)
+    network.load_state_dict(state)
+    forecaster.network = network
 
-        from .model import compute_distance_matrices  # local import avoids cycle
-        from ..graph.adjacency import gaussian_kernel_adjacency
+    from .model import compute_distance_matrices  # local import avoids cycle
+    from ..graph.adjacency import gaussian_kernel_adjacency
 
-        dist_adj, dist_pseudo = compute_distance_matrices(dataset, config.distance_mode)
-        forecaster._dist_pseudo = dist_pseudo
-        off = dist_adj[~np.eye(len(dist_adj), dtype=bool)]
-        sigma = max(float(off.std()) * config.sigma_scale, 1e-9)
-        forecaster._a_s_full = gaussian_kernel_adjacency(
-            dist_adj, threshold=config.epsilon_s, sigma=sigma
-        )
-        forecaster._fitted = True
-        forecaster._prepare_test_graph()
+    dist_adj, dist_pseudo = compute_distance_matrices(dataset, config.distance_mode)
+    forecaster._dist_pseudo = dist_pseudo
+    off = dist_adj[~np.eye(len(dist_adj), dtype=bool)]
+    sigma = max(float(off.std()) * config.sigma_scale, 1e-9)
+    forecaster._a_s_full = gaussian_kernel_adjacency(
+        dist_adj, threshold=config.epsilon_s, sigma=sigma
+    )
+    forecaster._fitted = True
+    forecaster._prepare_test_graph()
     return forecaster
 
 
 def _config_from_header(fields: dict) -> STSMConfig:
-    """Rebuild a saved config, dropping the retired device/dtype keys.
+    """Rebuild a saved config, dropping the retired backend/device/dtype keys.
 
-    A value the numpy backend accepted drops silently; any other never
-    ran on numpy either, so it is refused rather than ignored.
+    A saved ``backend`` name drops whatever its value: checkpoint state
+    is host float64 numpy, so a model saved under any backend loads and
+    predicts under the one that exists.  A device/dtype value the numpy
+    backend accepted drops silently; any other never ran on numpy
+    either, so it is refused rather than ignored.
     """
     fields = dict(fields)
+    fields.pop("backend", None)
     for key, accepted in _RETIRED_CONFIG_KEYS.items():
         value = fields.pop(key, None)
         if value not in accepted:

@@ -7,7 +7,8 @@ via :func:`~repro.data.splits.scattered_split` and (c) via the standard
 splits; this module covers (a): masks that knock out observations in time
 (random dropout or contiguous outages per sensor) and simple imputers to
 repair them, so users can combine temporal missingness with the
-unobserved-region task.
+unobserved-region task.  STSM and IGNNK refuse an observed reading the
+imputers left non-finite (:func:`check_finite_observations`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "NonFiniteObservationsError",
+    "check_finite_observations",
     "random_missing_mask",
     "block_missing_mask",
     "apply_missing",
@@ -130,3 +133,28 @@ def missing_rate(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
     return float(np.isnan(values).mean())
+
+
+class NonFiniteObservationsError(ValueError):
+    """An observed sensor's readings hold NaN or an infinity.
+
+    A model reads every observed reading it trains on, so a single one
+    would make the loss, every weight and every forecast NaN without an
+    error.  Unobserved sensors may carry no data: no model reads them.
+    """
+
+
+def check_finite_observations(
+    values: np.ndarray, observed: np.ndarray, where: str = "training history"
+) -> None:
+    """Raise :class:`NonFiniteObservationsError` if ``values`` (steps by
+    the ``observed`` sensors, in that order) holds a non-finite reading;
+    the message names the count, the ``where`` and the first sensor."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        sensors = np.asarray(observed)[bad.any(axis=0)]
+        raise NonFiniteObservationsError(
+            f"{int(bad.sum())} non-finite readings in the {where} of "
+            f"{len(sensors)} observed sensors (first: sensor {int(sensors[0])}); "
+            "impute them (see repro.data.missing) or leave those sensors unobserved"
+        )

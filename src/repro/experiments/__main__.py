@@ -53,9 +53,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="dataset keys (experiments that accept them)")
     parser.add_argument("--output", default=None,
                         help="write the result rows as JSON to this path")
-    parser.add_argument("--backend", default=None,
-                        help="array backend for all models (default: REPRO_BACKEND "
-                             "env var or numpy_ref); see repro.backend")
     parser.add_argument("--jobs", type=int, default=None,
                         help="evaluate sweep grids (model x split x seed cells) "
                              "across this many worker processes; 0 or negative "
@@ -66,11 +63,6 @@ def main(argv: list[str] | None = None) -> int:
 
     add_cache_arguments(parser)
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        from ..backend import set_backend
-
-        set_backend(args.backend)
 
     from ..engine import open_store, store_config_from_args
 

@@ -20,8 +20,6 @@ serial ones.  ``benchmarks/bench_sweep.py`` and the parity suite in
 Worker bootstrap (``spawn``-safe — no fork-inherited locks or RNG
 state):
 
-* the parent's active array backend is re-selected by name in each
-  worker via :func:`repro.backend.set_backend`;
 * the parent's :class:`~repro.engine.ArtifactStore` disk tier (if any)
   is re-opened in each worker via ``open_store``, so all workers
   share one ``$REPRO_CACHE_DIR``-style directory: fits persist their DTW
@@ -178,37 +176,29 @@ def expected_cell_cost(model_name: str, scale) -> float:
 # ----------------------------------------------------------------------
 # Worker bootstrap (spawn-safe: everything below is importable state)
 # ----------------------------------------------------------------------
-def _parent_specs(store) -> tuple[str, dict | None]:
-    """Capture the parent's backend + store wiring for worker bootstrap.
+def _store_spec(store) -> dict | None:
+    """Capture the parent's store wiring for worker bootstrap.
 
     Environment variables travel to ``spawn`` children on their own; this
-    covers in-process configuration (``set_backend`` /
-    ``open_store`` calls, e.g. from the ``--backend`` and
-    ``--cache-dir`` CLI flags) that would otherwise be lost.
+    covers in-process configuration (``open_store`` calls, e.g. from the
+    ``--cache-dir`` CLI flag) that would otherwise be lost.
     """
-    from ..backend import get_backend
-
-    store_spec = None
-    if store is not None:
-        store_spec = {
-            "disk_dir": str(store.disk_dir) if store.disk_dir is not None else None,
-            # Workers enforce the same quota as the parent so a shared
-            # tier stays bounded even mid-sweep (their persist-time gc
-            # only evicts segments they have indexed themselves).
-            "max_bytes": store.max_bytes,
-        }
-    return get_backend().name, store_spec
+    if store is None:
+        return None
+    return {
+        "disk_dir": str(store.disk_dir) if store.disk_dir is not None else None,
+        # Workers enforce the same quota as the parent so a shared
+        # tier stays bounded even mid-sweep (their persist-time gc
+        # only evicts segments they have indexed themselves).
+        "max_bytes": store.max_bytes,
+    }
 
 
-def _init_worker(backend_name: str, store_spec: dict | None) -> None:
-    """Per-process initialiser: mirror the parent's backend + store."""
+def _init_worker(store_spec: dict | None) -> None:
+    """Per-process initialiser: mirror the parent's store."""
     # A cell must never fork its own pool (nested parallelism would
     # oversubscribe the box and deadlock a 1-CPU runner).
     os.environ[JOBS_ENV] = "1"
-    if backend_name != "numpy_ref":
-        from ..backend import set_backend
-
-        set_backend(backend_name)
     if store_spec is not None:
         from ..engine import StoreConfig, open_store
 
@@ -275,7 +265,7 @@ class _CellState:
 
 
 def _execute_cells(
-    states: dict[int, _CellState], jobs: int, backend_name, store_spec
+    states: dict[int, _CellState], jobs: int, store_spec: dict | None
 ) -> None:
     """Run every cell to an outcome or a post-retry failure (in place)."""
     context = multiprocessing.get_context("spawn")
@@ -287,7 +277,7 @@ def _execute_cells(
             max_workers=min(jobs, len(batch)),
             mp_context=context,
             initializer=_init_worker,
-            initargs=(backend_name, store_spec),
+            initargs=(store_spec,),
         ) as pool:
             futures = {}
             for state in batch:
@@ -376,7 +366,7 @@ def execute_matrix(
     """
     from .runners import summarize_results
 
-    backend_name, store_spec = _parent_specs(store)
+    store_spec = _store_spec(store)
     states: dict[int, _CellState] = {}
     index = 0
     for model_name in model_names:
@@ -407,7 +397,7 @@ def execute_matrix(
     for rank, state in enumerate(by_cost):
         state.rank = rank
 
-    _execute_cells(states, jobs, backend_name, store_spec)
+    _execute_cells(states, jobs, store_spec)
 
     failures = [s.failure for s in states.values() if s.failure is not None]
     completed = {

@@ -51,9 +51,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
                    help="where worker-<i>.json state files go "
                         "(default: the checkpoint dir)")
     p.add_argument("--drain-timeout-s", type=float, default=30.0)
-    p.add_argument("--backend", default=None,
-                   help="array backend override for every served model; "
-                        "default keeps each checkpoint's saved backend")
     # Shared cache surface: --cache-dir overrides the bundle's own
     # cache/ tier; workers always open it read-only (never GC), so
     # --cache-max-bytes is accepted for CLI uniformity but quota
@@ -107,7 +104,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         warm_up=not args.no_warm_up,
         drain_timeout_s=args.drain_timeout_s,
         state_dir=args.state_dir,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         cache_memory_items=args.cache_memory_items,
     )

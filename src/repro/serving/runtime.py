@@ -2,7 +2,7 @@
 
 The paper evaluates across several regions and datasets at once; a
 production deployment of this system hosts one fitted forecaster per
-(region, dataset, backend) combination, not one.  :class:`ServingRuntime`
+(region, dataset) combination, not one.  :class:`ServingRuntime`
 is that host: models register under string keys, each gets its own
 :class:`~repro.serving.MicroBatchScheduler` (so one hot model's queue
 cannot head-of-line-block another's), and requests route by key.

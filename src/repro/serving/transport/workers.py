@@ -139,15 +139,8 @@ def save_bundle(
     return path
 
 
-def load_bundle(
-    directory: str | Path, backend: str | None = None
-) -> dict[str, tuple[object, list[int]]]:
-    """Restore every model in a bundle: ``{key: (forecaster, warmup)}``.
-
-    ``backend`` overrides every restored model's saved backend
-    (checkpoint state is host numpy, so any registered backend serves
-    it); ``None`` keeps the per-model saved values.
-    """
+def load_bundle(directory: str | Path) -> dict[str, tuple[object, list[int]]]:
+    """Restore every model in a bundle: ``{key: (forecaster, warmup)}``."""
     from ...core import load_forecaster
     from ...data.splits import SpaceSplit
     from ...data.synthetic import make_dataset
@@ -178,9 +171,7 @@ def load_bundle(
             test=np.asarray(spec["split"]["test"], dtype=int),
             name=spec["split"].get("name", ""),
         )
-        forecaster = load_forecaster(
-            directory / spec["checkpoint"], dataset, split, backend=backend
-        )
+        forecaster = load_forecaster(directory / spec["checkpoint"], dataset, split)
         models[key] = (forecaster, [int(s) for s in spec.get("warmup_starts", [])])
     return models
 
@@ -226,9 +217,6 @@ class ServeConfig:
     drain_timeout_s: float = 30.0
     #: Where ``worker-<i>.json`` state files go (default: checkpoint_dir).
     state_dir: str | None = None
-    #: Backend override applied to every model in the bundle on load
-    #: (None keeps each checkpoint's saved backend).
-    backend: str | None = None
     #: Artifact-store overrides (the shared ``--cache-*`` flag surface).
     #: ``cache_dir`` points workers at a disk tier other than the
     #: bundle's own ``cache/``; ``cache_memory_items`` bounds the
@@ -251,7 +239,7 @@ def _build_runtime(config: ServeConfig) -> tuple[ServingRuntime, dict[str, list[
     model's content — bitwise identical to the training process's — so
     hits are exactly the bytes that process computed.
     """
-    bundle = load_bundle(config.checkpoint_dir, backend=config.backend)
+    bundle = load_bundle(config.checkpoint_dir)
     cache_dir = (
         config.cache_dir
         if config.cache_dir is not None

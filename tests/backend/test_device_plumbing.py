@@ -1,16 +1,15 @@
-"""Backend-neutral checkpoints: cross-backend restore, serving-bundle
-backend overrides, and checkpoints saved by older versions.
+"""Backend-neutral checkpoints: cross-backend restore, and checkpoints
+and serving bundles saved by older versions.
 
 The ``twin_backend`` fixture's renamed ``numpy_ref`` is the second
 backend.  The contract under test: checkpoints are backend-neutral (host
-numpy), a model saved under one backend restores and predicts under
-another, and a checkpoint saved under a retired backend name, or with
-the retired ``device``/``dtype`` config keys, still loads.
+numpy), a model saved under one backend restores under another, and a
+checkpoint saved with any ``backend`` config value, or with the retired
+``device``/``dtype`` config keys, loads with no argument.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -98,7 +97,7 @@ def test_checkpoint_restores_across_backends(
 
 
 # ----------------------------------------------------------------------
-# Forecaster save/load with backend overrides (serving path)
+# Checkpoints and bundles written by older versions
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fitted_context():
@@ -113,49 +112,6 @@ def fitted_context():
     return model, dataset, split, starts
 
 
-def test_load_forecaster_backend_override(tmp_path, twin_backend, fitted_context):
-    model, dataset, split, starts = fitted_context
-    path = save_forecaster(model, tmp_path / "model.npz")
-    baseline = model.predict(starts)
-
-    loaded = load_forecaster(path, dataset, split, backend=twin_backend)
-    assert loaded.config.backend == twin_backend
-    np.testing.assert_allclose(loaded.predict(starts), baseline, rtol=1e-6, atol=1e-8)
-
-    # The saved checkpoint itself is untouched by the override.
-    again = load_forecaster(path, dataset, split)
-    assert again.config.backend is None
-
-
-def test_load_forecaster_rejects_bad_override(tmp_path, fitted_context):
-    model, dataset, split, _starts = fitted_context
-    path = save_forecaster(model, tmp_path / "model.npz")
-    with pytest.raises(ValueError, match="unknown backend"):
-        load_forecaster(path, dataset, split, backend="not_a_backend")
-
-
-@pytest.mark.parametrize("retired", ["numpy_fused", "torch"])
-def test_retired_numpy_fused_name_is_unknown_but_loads_with_override(
-    tmp_path, fitted_context, retired
-):
-    with pytest.raises(UnknownBackendError, match="numpy_ref"):
-        set_backend(retired)
-    # A checkpoint saved under a deleted backend restores through the
-    # ordinary backend override.
-    model, dataset, split, starts = fitted_context
-    saved_config = model.config
-    model.config = saved_config.replace(backend=retired)
-    try:
-        path = save_forecaster(model, tmp_path / "model.npz")
-    finally:
-        model.config = saved_config
-    loaded = load_forecaster(path, dataset, split, backend="numpy_ref")
-    np.testing.assert_array_equal(loaded.predict(starts), model.predict(starts))
-
-
-# ----------------------------------------------------------------------
-# Checkpoints written before device/dtype left STSMConfig
-# ----------------------------------------------------------------------
 def _add_config_keys(path, **keys) -> None:
     """Rewrite a saved checkpoint's header config with extra keys, the
     way older versions wrote ``dataclasses.asdict(config)``."""
@@ -178,25 +134,42 @@ def _save_demo_bundle(directory, model, starts) -> None:
     )
 
 
-@pytest.mark.parametrize("device, dtype", [(None, None), ("cpu", "float64")])
-def test_parent_format_header_loads_and_predicts_bitwise(
-    tmp_path, fitted_context, device, dtype
-):
+def _assert_old_header_loads_bitwise(tmp_path, fitted_context, **keys) -> None:
+    """A checkpoint and a bundle whose header config carries ``keys``
+    load with no argument and predict bitwise."""
     from repro.serving.transport import load_bundle
 
     model, dataset, split, starts = fitted_context
     baseline = model.predict(starts)
 
     path = save_forecaster(model, tmp_path / "model.npz")
-    _add_config_keys(path, device=device, dtype=dtype)
+    _add_config_keys(path, **keys)
     loaded = load_forecaster(path, dataset, split)
     assert loaded.config == model.config
     np.testing.assert_array_equal(loaded.predict(starts), baseline)
 
     _save_demo_bundle(tmp_path / "bundle", model, starts)
-    _add_config_keys(tmp_path / "bundle" / "stsm_demo.npz", device=device, dtype=dtype)
-    forecaster, _warmups = load_bundle(tmp_path / "bundle")["stsm/demo"]
+    _add_config_keys(tmp_path / "bundle" / "stsm_demo.npz", **keys)
+    forecaster, warmups = load_bundle(tmp_path / "bundle")["stsm/demo"]
+    assert warmups == [int(starts[0])]
     np.testing.assert_array_equal(forecaster.predict(starts), baseline)
+
+
+@pytest.mark.parametrize("device, dtype", [(None, None), ("cpu", "float64")])
+def test_parent_format_header_loads_and_predicts_bitwise(
+    tmp_path, fitted_context, device, dtype
+):
+    _assert_old_header_loads_bitwise(tmp_path, fitted_context, device=device, dtype=dtype)
+
+
+@pytest.mark.parametrize("saved", [None, "numpy_ref", "numpy_fused", "torch"])
+def test_saved_backend_name_loads_without_override(tmp_path, fitted_context, saved):
+    # Checkpoint state is host float64 numpy, so a saved backend name
+    # drops on load, even one that is no longer registered.
+    if saved in ("numpy_fused", "torch"):
+        with pytest.raises(UnknownBackendError, match="numpy_ref"):
+            set_backend(saved)
+    _assert_old_header_loads_bitwise(tmp_path, fitted_context, backend=saved)
 
 
 def test_config_rejects_bad_dtype_and_device(tmp_path, fitted_context):
@@ -208,28 +181,3 @@ def test_config_rejects_bad_dtype_and_device(tmp_path, fitted_context):
         _add_config_keys(path, **{key: value})
         with pytest.raises(ValueError, match=key):
             load_forecaster(path, dataset, split)
-
-
-# ----------------------------------------------------------------------
-# Serving bundles
-# ----------------------------------------------------------------------
-def test_bundle_load_with_backend_override(tmp_path, twin_backend, fitted_context):
-    from repro.serving.transport import load_bundle
-
-    model, _dataset, _split, starts = fitted_context
-    _save_demo_bundle(tmp_path / "bundle", model, starts)
-    baseline = model.predict(starts)
-    models = load_bundle(tmp_path / "bundle", backend=twin_backend)
-    forecaster, warmups = models["stsm/demo"]
-    assert forecaster.config.backend == twin_backend
-    assert warmups == [int(starts[0])]
-    np.testing.assert_allclose(forecaster.predict(starts), baseline, rtol=1e-6, atol=1e-8)
-
-
-def test_serve_config_carries_backend_fields():
-    from repro.serving.transport import ServeConfig
-
-    config = ServeConfig(checkpoint_dir="/tmp/x", backend="numpy_ref")
-    fields = dataclasses.asdict(config)
-    assert fields["backend"] == "numpy_ref"
-    assert "device" not in fields and "dtype" not in fields

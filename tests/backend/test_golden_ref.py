@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import use_backend
 from repro.baselines import IGNNKForecaster, INCREASEForecaster
 from repro.core import STSMConfig, STSMForecaster
 from repro.data import WindowSpec, space_split, temporal_split
@@ -47,10 +46,7 @@ def golden_setup():
 
 def test_stsm_fixed_seed_fit_bit_identical_to_prerefactor(golden_setup):
     dataset, split, spec, train_ix, starts = golden_setup
-    # config.backend pins numpy_ref regardless of the process backend.
-    config = STSMConfig(
-        epochs=3, hidden_dim=16, num_blocks=1, top_k=8, seed=0, backend="numpy_ref"
-    )
+    config = STSMConfig(epochs=3, hidden_dim=16, num_blocks=1, top_k=8, seed=0)
     model = STSMForecaster(config=config)
     model.fit(dataset, split, spec, train_ix)
     predictions = model.predict(starts)
@@ -74,8 +70,7 @@ def test_stsm_fixed_seed_fit_bit_identical_to_prerefactor(golden_setup):
 )
 def test_baseline_fixed_seed_fits_bit_identical_to_prerefactor(golden_setup, cls, expected):
     dataset, split, spec, train_ix, starts = golden_setup
-    with use_backend("numpy_ref"):
-        model = cls(iterations=20, hidden=8, seed=0)
-        model.fit(dataset, split, spec, train_ix)
-        predictions = model.predict(starts)
+    model = cls(iterations=20, hidden=8, seed=0)
+    model.fit(dataset, split, spec, train_ix)
+    predictions = model.predict(starts)
     assert _sha(predictions) == expected, f"{cls.__name__} fit drifted bitwise"

@@ -1,14 +1,10 @@
-"""Backend registry behaviour: selection, scoping, env var, config.
+"""Backend registry behaviour: the default, substitution and scoping.
 
 The "other backend" in these tests is the ``twin_backend`` fixture's
 renamed ``numpy_ref`` (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -21,7 +17,6 @@ from repro.backend import (
     set_backend,
     use_backend,
 )
-from repro.core import STSMConfig
 
 
 @pytest.fixture()
@@ -38,10 +33,6 @@ def test_both_backends_registered(twin_backend):
     assert twin_backend in names
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_BACKEND", "numpy_ref") != "numpy_ref",
-    reason="suite runs under a non-default REPRO_BACKEND",
-)
 def test_default_backend_is_ref():
     assert get_backend().name == "numpy_ref"
 
@@ -62,11 +53,6 @@ def test_use_backend_scopes_and_restores(ref_active, twin_backend):
         assert backend.name == twin_backend
         assert get_backend().name == twin_backend
     assert get_backend().name == "numpy_ref"
-
-
-def test_use_backend_none_is_noop():
-    with use_backend(None) as backend:
-        assert backend is get_backend()
 
 
 def test_use_backend_restores_on_error(ref_active, twin_backend):
@@ -96,32 +82,6 @@ def test_register_custom_backend(twin_backend):
         assert isinstance(backend, NumpyRefBackend)
         assert isinstance(backend, ArrayBackend)
         assert type(backend) is not NumpyRefBackend
-
-
-def test_env_var_selects_backend(twin_backend):
-    # The child registers the same renamed backend before its first
-    # get_backend(), which is when REPRO_BACKEND is read.
-    code = (
-        "from repro.backend import NumpyRefBackend, get_backend, register_backend\n"
-        f"class Twin(NumpyRefBackend): name = {twin_backend!r}\n"
-        f"register_backend({twin_backend!r}, Twin)\n"
-        "print(get_backend().name)"
-    )
-    env = dict(os.environ)
-    env["REPRO_BACKEND"] = twin_backend
-    src = os.path.abspath("src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == twin_backend
-
-
-def test_config_threads_backend(twin_backend):
-    config = STSMConfig(backend=twin_backend)
-    config.validate()
-    with pytest.raises(ValueError, match="unknown backend"):
-        STSMConfig(backend="nope").validate()
 
 
 def test_backends_share_numpy_rng_streams(twin_backend):

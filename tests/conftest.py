@@ -51,8 +51,8 @@ TWIN_BACKEND = "numpy_ref_twin"
 
 class NumpyRefTwin(NumpyRefBackend):
     """``numpy_ref`` under another name: a second registered backend, so
-    the registry's selection and scoping, cross-backend restore and the
-    ``backend=`` overrides stay covered."""
+    the registry's substitution and scoping and cross-backend restore
+    stay covered."""
 
     name = TWIN_BACKEND
 

@@ -155,6 +155,47 @@ class TestNonFiniteObservations:
         report = STSMForecaster(_FAST).fit(_with_values(dataset, values), split, spec, train_steps)
         assert np.isfinite(report.history).all()
 
+    @staticmethod
+    def _with_nan_cells(dataset, split, rows, count):
+        """``dataset`` with NaN in ``count`` distinct (row, observed sensor)
+        cells drawn from ``rows``; also returns the first such sensor."""
+        values = dataset.values.copy()
+        cells = np.random.default_rng(1).choice(
+            len(rows) * len(split.observed), size=count, replace=False
+        )
+        row, column = np.unravel_index(cells, (len(rows), len(split.observed)))
+        values[np.asarray(rows)[row], split.observed[column]] = np.nan
+        return _with_values(dataset, values), int(split.observed[column.min()])
+
+    def test_predict_refuses_non_finite_outside_training_steps(self, probe, tmp_path):
+        # The test graph reads every observed step: before the check this
+        # fit's forecasts were all NaN, with no error.
+        from repro.core import NonFiniteObservationsError, load_forecaster, save_forecaster
+
+        dataset, split, spec, train_steps = probe
+        test_rows = np.arange(train_steps[-1] + 1, dataset.num_steps)
+        bad, first = self._with_nan_cells(dataset, split, test_rows, 20)
+        model = STSMForecaster(_FAST)
+        model.fit(bad, split, spec, train_steps)
+        loaded = load_forecaster(save_forecaster(model, tmp_path / "model.npz"), bad, split)
+        for forecaster in (model, loaded):
+            with pytest.raises(NonFiniteObservationsError) as caught:
+                forecaster.predict(np.array([0, 40]))
+            assert "20 non-finite readings" in str(caught.value)
+            assert f"first: sensor {first})" in str(caught.value)
+
+    def test_ignnk_observed_non_finite_history_raises_typed_error(self, probe):
+        # Before the check this fit's loss and forecasts were all NaN.
+        from repro.baselines import IGNNKForecaster
+        from repro.core import NonFiniteObservationsError
+
+        dataset, split, spec, train_steps = probe
+        bad, first = self._with_nan_cells(dataset, split, train_steps, 30)
+        with pytest.raises(NonFiniteObservationsError) as caught:
+            IGNNKForecaster(iterations=5, hidden=8, seed=0).fit(bad, split, spec, train_steps)
+        assert "30 non-finite readings in the training history" in str(caught.value)
+        assert f"first: sensor {first})" in str(caught.value)
+
     def test_nan_in_unobserved_columns_fits_and_predicts_bitwise(self, probe):
         dataset, split, spec, train_steps = probe
         values = dataset.values.copy()
