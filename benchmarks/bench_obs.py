@@ -1,8 +1,9 @@
 """Observability-overhead benchmark: serving with REPRO_OBS off vs on.
 
-Drives identical seeded-Zipf wire traffic (closed loop, per-thread
-:class:`~repro.serving.loadgen.WireDriver` clients against an
-in-process :class:`~repro.serving.transport.ForecastHTTPServer`)
+Drives identical seeded-Zipf wire traffic (closed loop, one
+:class:`~repro.serving.transport.ForecastClient` per client thread —
+``bench_serving_load.wire_load`` — against an in-process
+:class:`~repro.serving.transport.ForecastHTTPServer`)
 through the same fitted STSM model in two modes, interleaved
 ``--repeats`` times to cancel thermal/background drift:
 
@@ -51,24 +52,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bench_serving_load import fit_model  # noqa: E402
+from bench_serving_load import MODEL_KEY, fit_model, wire_load  # noqa: E402
 
 from repro.backend import get_backend  # noqa: E402
 from repro.engine import ArtifactStore  # noqa: E402
 from repro.obs import get_recorder, set_obs_enabled  # noqa: E402
-from repro.serving import (  # noqa: E402
-    LoadGenerator,
-    LoadSpec,
-    ServingRuntime,
-    WireDriver,
-)
+from repro.serving import ServingRuntime  # noqa: E402
 from repro.serving.service import ForecastService  # noqa: E402
 from repro.serving.transport import ForecastClient, ForecastHTTPServer  # noqa: E402
 
 #: Full-mode gate: tracing every request end to end may cost at most
 #: this much of the disabled-mode serving throughput (median vs median).
 OVERHEAD_LIMIT_PCT = 5.0
-MODEL_KEY = "stsm/pems-bay"
 
 #: Span names one cold traced request must produce at every layer.
 REQUIRED_SPANS = (
@@ -99,7 +94,7 @@ REQUIRED_METRICS = (
 def run_leg(
     model,
     pool: list[int],
-    spec: LoadSpec,
+    load: dict,
     *,
     obs_on: bool,
     max_batch: int,
@@ -129,15 +124,14 @@ def run_leg(
             runtime.register(MODEL_KEY, service)
             with ForecastHTTPServer(runtime).start() as server:
                 server.set_ready()
-                with WireDriver("127.0.0.1", server.port, MODEL_KEY) as driver:
-                    report = LoadGenerator(pool, spec).run(driver)
+                summary, results = wire_load(server.port, pool, **load)
                 runtime.drain()
                 if obs_on and probe_start is not None:
                     probe = _run_probe(model, server.port, probe_start)
     finally:
         set_obs_enabled(False)
         recorder.clear()
-    return report.summary(), report.results, probe
+    return summary, results, probe
 
 
 def _run_probe(model, port: int, probe_start: int) -> dict:
@@ -233,12 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     # (queue wait -> batch dispatch -> cache lookup -> predict -> store).
     pool = [int(s) for s in pool]
     load_pool, probe_start = pool[:-1], pool[-1]
-    spec = LoadSpec(
-        num_threads=threads,
-        requests_per_thread=requests,
-        zipf_exponent=args.zipf,
-        seed=args.seed,
-    )
+    load = dict(threads=threads, requests=requests, zipf=args.zipf,
+                seed=args.seed)
 
     legs: dict[str, list[dict]] = {"disabled": [], "enabled": []}
     probes: list[dict] = []
@@ -250,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"[{mode} leg {repeat + 1}/{repeats}: "
                       f"{threads} threads x {requests} requests]")
                 summary, results, probe = run_leg(
-                    model, load_pool, spec, obs_on=obs_on,
+                    model, load_pool, load, obs_on=obs_on,
                     max_batch=args.max_batch,
                     probe_start=probe_start if obs_on else None,
                 )

@@ -63,7 +63,7 @@ from repro.core import STSMConfig, STSMForecaster  # noqa: E402
 from repro.data import WindowSpec, space_split  # noqa: E402
 from repro.data.synthetic import make_dataset  # noqa: E402
 from repro.engine import ArtifactStore, reset_store  # noqa: E402
-from repro.serving import ServingRuntime, WireDriver  # noqa: E402
+from repro.serving import ServingRuntime  # noqa: E402
 from repro.serving.transport import ForecastClient, ForecastHTTPServer  # noqa: E402
 from repro.streaming import (  # noqa: E402
     FeedReplayer,
@@ -136,74 +136,75 @@ def run_live(args, *, dataset, split, spec, config, policy, checkpoint_root):
         bridge = LiveSwapBridge(runtime, MODEL_KEY, store=store, log_batches=True)
         with ForecastHTTPServer(runtime).start() as server:
             server.set_ready()
-            with WireDriver("127.0.0.1", server.port, MODEL_KEY) as driver:
 
-                def hammer(worker: int) -> None:
-                    i = 0
+            def hammer(worker: int) -> None:
+                i = 0
+                with ForecastClient("127.0.0.1", server.port, retries=5,
+                                    backoff_s=0.02) as client:
                     while not stop.is_set():
                         start = pool[(worker + i) % len(pool)]
                         try:
-                            block = driver(start)
+                            block = client.forecast_one(MODEL_KEY, start)
                         except Exception as error:  # noqa: BLE001
                             errors.append(error)
                             return
                         served[worker].append((start, block.tobytes()))
                         i += 1
 
-                threads = [
-                    threading.Thread(target=hammer, args=(w,))
-                    for w in range(args.threads)
-                ]
-                replayer.start()
-                try:
-                    for index in range(policy.max_refits):
-                        target = scheduler.next_trigger()
-                        if not buffer.wait_for_watermark(target, timeout=300.0):
-                            raise RuntimeError(
-                                f"watermark {target} never arrived (replay "
-                                f"delivered {replayer.delivered})"
-                            )
-                        begun = time.perf_counter()
-                        record = scheduler.run_once(timeout=0)
-                        walls.append(time.perf_counter() - begun)
-                        models.append(scheduler.model)
-                        services.append(bridge.deploy(scheduler.model, record))
-                        print(
-                            f"[refit {index}: window {record.window_start}-"
-                            f"{record.window_end}  warm={record.warm_started}  "
-                            f"fit {walls[-1]:.2f}s  lag "
-                            f"{bridge.deploys[-1]['refit_lag_seconds']:.2f}s]"
+            threads = [
+                threading.Thread(target=hammer, args=(w,))
+                for w in range(args.threads)
+            ]
+            replayer.start()
+            try:
+                for index in range(policy.max_refits):
+                    target = scheduler.next_trigger()
+                    if not buffer.wait_for_watermark(target, timeout=300.0):
+                        raise RuntimeError(
+                            f"watermark {target} never arrived (replay "
+                            f"delivered {replayer.delivered})"
                         )
-                        if index == 0:
-                            with ForecastClient("127.0.0.1", server.port) as client:
-                                scrape_before = client.metrics_text()
-                            # Traffic starts the moment a model is live and
-                            # runs uninterrupted across every later swap.
-                            for thread in threads:
-                                thread.start()
-                    # Cold from-scratch baseline (full training budget,
-                    # private cold caches) fitted under the same
-                    # concurrent serving load the warm refits absorbed —
-                    # the operational refresh-while-serving comparison.
-                    cold_view = buffer.dataset_view(
-                        *policy.window(policy.max_refits - 1), name_suffix="cold"
-                    )
-                    cold_model = STSMForecaster(
-                        config.replace(cache_store=False), name="STSM-cold"
-                    )
                     begun = time.perf_counter()
-                    cold_model.fit(
-                        cold_view, split, spec, np.arange(cold_view.num_steps)
+                    record = scheduler.run_once(timeout=0)
+                    walls.append(time.perf_counter() - begun)
+                    models.append(scheduler.model)
+                    services.append(bridge.deploy(scheduler.model, record))
+                    print(
+                        f"[refit {index}: window {record.window_start}-"
+                        f"{record.window_end}  warm={record.warm_started}  "
+                        f"fit {walls[-1]:.2f}s  lag "
+                        f"{bridge.deploys[-1]['refit_lag_seconds']:.2f}s]"
                     )
-                    cold_wall = time.perf_counter() - begun
-                    time.sleep(0.2)
-                finally:
-                    stop.set()
-                    for thread in threads:
-                        if thread.is_alive():
-                            thread.join(timeout=60.0)
-                    replayer.stop()
-                    replayer.join(timeout=10.0)
+                    if index == 0:
+                        with ForecastClient("127.0.0.1", server.port) as client:
+                            scrape_before = client.metrics_text()
+                        # Traffic starts the moment a model is live and
+                        # runs uninterrupted across every later swap.
+                        for thread in threads:
+                            thread.start()
+                # Cold from-scratch baseline (full training budget,
+                # private cold caches) fitted under the same
+                # concurrent serving load the warm refits absorbed —
+                # the operational refresh-while-serving comparison.
+                cold_view = buffer.dataset_view(
+                    *policy.window(policy.max_refits - 1), name_suffix="cold"
+                )
+                cold_model = STSMForecaster(
+                    config.replace(cache_store=False), name="STSM-cold"
+                )
+                begun = time.perf_counter()
+                cold_model.fit(
+                    cold_view, split, spec, np.arange(cold_view.num_steps)
+                )
+                cold_wall = time.perf_counter() - begun
+                time.sleep(0.2)
+            finally:
+                stop.set()
+                for thread in threads:
+                    if thread.is_alive():
+                        thread.join(timeout=60.0)
+                replayer.stop()
+                replayer.join(timeout=10.0)
             runtime.drain()
             with ForecastClient("127.0.0.1", server.port) as client:
                 wire_stats = client.stats()

@@ -11,10 +11,10 @@ Values are ignored — smoke runs use tiny shapes — only structure is
 compared.  Lists collapse to their element shape (smoke runs have fewer
 seeds/repeats), and the check is one-directional: a produced document
 must be a *structural subset* of its baseline.  Dict keys only the
-(full-run) baseline has — e.g. the serving benchmark's full-only
-``multi_model`` leg, or extra forward/backward cases — may be absent
-from a smoke run, but a key the baseline does not know, or a shared
-key whose shape changed, is drift and fails.
+(full-run) baseline has — e.g. the per-worker entries of a larger
+``--wire-workers`` fleet — may be absent from a smoke run, but a key
+the baseline does not know, or a shared key whose shape changed, is
+drift and fails.
 
 Usage::
 
@@ -28,20 +28,6 @@ import sys
 from pathlib import Path
 
 WILDCARD = "*"
-
-#: Optional legs that only exist for some invocations of a benchmark.
-#: Maps ``(dict_path, produced_key)`` — ``produced_key`` may be
-#: WILDCARD — to the *sibling* baseline key whose skeleton the extra key
-#: must match.  Everything else stays strict.
-OPTIONAL_SIBLINGS: dict[tuple[str, str], str] = {
-    # bench_sweep --jobs-list N adds jobsN_* legs the committed baseline
-    # (jobs 2 and 4) cannot enumerate; each must look like a jobs2 leg.
-    # Harmless for other benchmarks: the sibling must exist in *their*
-    # baseline for the wildcard to apply, and none of them has one.
-    ("$.seconds", WILDCARD): "jobs2_cold",
-    ("$.speedup", WILDCARD): "jobs2_cold",
-    ("$.telemetry.worker_pids", WILDCARD): "jobs2_cold",
-}
 
 
 def skeleton(value):
@@ -88,19 +74,9 @@ def matches(produced, baseline, path: str, problems: list[str]) -> None:
         return
     if isinstance(produced, dict) and isinstance(baseline, dict):
         # Subset rule: keys only the (full-run) baseline has are fine in
-        # a smoke run; keys the baseline has never seen are drift —
-        # unless OPTIONAL_SIBLINGS names a sibling baseline key whose
-        # skeleton the extra key matches (optional-dependency legs).
+        # a smoke run; keys the baseline has never seen are drift.
         for key in sorted(set(produced) - set(baseline)):
-            sibling = OPTIONAL_SIBLINGS.get((path, key)) or OPTIONAL_SIBLINGS.get(
-                (path, WILDCARD)
-            )
-            if sibling is not None and sibling in baseline:
-                matches(produced[key], baseline[sibling], f"{path}.{key}", problems)
-            else:
-                problems.append(
-                    f"{path}: key absent from the committed baseline ['{key}']"
-                )
+            problems.append(f"{path}: key absent from the committed baseline ['{key}']")
         for key in sorted(set(produced) & set(baseline)):
             matches(produced[key], baseline[key], f"{path}.{key}", problems)
         return

@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 
+from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram
 from ..graph.adjacency import gaussian_kernel_adjacency
@@ -238,7 +239,9 @@ class MatrixCompletionForecaster(Forecaster):
         self._train_end = int(train_steps[-1])
 
         observed = split.observed
-        self.scaler = StandardScaler().fit(dataset.values[train_steps][:, observed])
+        train_values = dataset.values[train_steps][:, observed]
+        check_finite_observations(train_values, observed)
+        self.scaler = StandardScaler().fit(train_values)
         scaled = self.scaler.transform(dataset.values)
 
         mask = np.zeros(dataset.values.shape, dtype=bool)

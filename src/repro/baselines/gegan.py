@@ -34,6 +34,7 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, concatenate, no_grad
+from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram
 from ..graph.adjacency import gaussian_kernel_adjacency
@@ -200,7 +201,9 @@ class GEGANForecaster(Forecaster):
         self.spec = spec
         observed = split.observed
 
-        self.scaler = StandardScaler().fit(dataset.values[train_steps][:, observed])
+        train_values = dataset.values[train_steps][:, observed]
+        check_finite_observations(train_values, observed)
+        self.scaler = StandardScaler().fit(train_values)
         self._scaled = self.scaler.transform(dataset.values)
 
         # Transductive graph embedding over the full graph.

@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, concatenate, no_grad, softmax, stack
+from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram
 from ..graph.distances import euclidean_distance_matrix
@@ -189,7 +190,9 @@ class INCREASEForecaster(Forecaster):
         self.spec = spec
         observed = split.observed
 
-        self.scaler = StandardScaler().fit(dataset.values[train_steps][:, observed])
+        train_values = dataset.values[train_steps][:, observed]
+        check_finite_observations(train_values, observed)
+        self.scaler = StandardScaler().fit(train_values)
         self._scaled = self.scaler.transform(dataset.values)
         self._scores = self._relation_scores(dataset)
 

@@ -35,6 +35,7 @@ import time
 
 import numpy as np
 
+from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
@@ -199,6 +200,7 @@ class GPKrigingForecaster(Forecaster):
         observed = split.observed
 
         train_values = dataset.values[train_steps][:, observed]
+        check_finite_observations(train_values, observed)
         self.scaler = StandardScaler().fit(train_values)
         scaled = self.scaler.transform(train_values)
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from ..data.dataset import SpatioTemporalDataset
+from ..data.missing import check_finite_observations
 from ..data.splits import SpaceSplit
 from ..data.windows import WindowSpec
 from ..graph.distances import euclidean_distance_matrix
@@ -35,6 +36,7 @@ class HistoricalAverageForecaster(Forecaster):
         self.split = split
         self.spec = spec
         values = dataset.values[train_steps][:, split.observed]
+        check_finite_observations(values, split.observed)
         steps_per_day = dataset.steps_per_day
         tod = train_steps % steps_per_day
         profile = np.zeros(steps_per_day)

@@ -7,8 +7,11 @@ via :func:`~repro.data.splits.scattered_split` and (c) via the standard
 splits; this module covers (a): masks that knock out observations in time
 (random dropout or contiguous outages per sensor) and simple imputers to
 repair them, so users can combine temporal missingness with the
-unobserved-region task.  STSM and IGNNK refuse an observed reading the
-imputers left non-finite (:func:`check_finite_observations`).
+unobserved-region task.  Every model that fits on observed readings
+(STSM, IGNNK, INCREASE, GE-GAN, matrix completion, GP-Kriging and the
+historical average) refuses an observed training reading the imputers
+left non-finite (:func:`check_finite_observations`); STSM's predict also
+refuses one in any observed step.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ which process runs it (fixed seeds, no cross-cell state), and the merge
 re-assembles results in the serial iteration order (model-major, then
 split, then seed), so ``average_metrics`` and the timing means see the
 same operands in the same order: parallel metrics are bit-identical to
-serial ones.  ``benchmarks/bench_sweep.py`` and the parity suite in
-``tests/experiments/test_parallel_sweep.py`` certify exactly that.
+serial ones.  The parity suite in
+``tests/experiments/test_parallel_sweep.py`` certifies exactly that.
 
 Worker bootstrap (``spawn``-safe — no fork-inherited locks or RNG
 state):

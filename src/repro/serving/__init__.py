@@ -24,14 +24,9 @@ Failures share one public taxonomy (:mod:`repro.serving.errors`):
 :class:`ServingError` with :class:`QueueFull` (retryable, HTTP 503),
 :class:`ModelNotFound` (HTTP 404) and :class:`InvalidRequest`
 (HTTP 400) — wire error frames map 1:1 to the in-process exceptions.
-
-:mod:`repro.serving.loadgen` drives any of them with deterministic
-seeded-Zipf multi-threaded traffic for benchmarking, in-process or over
-the wire (:class:`~repro.serving.loadgen.WireDriver`).
 """
 
 from .errors import InvalidRequest, ModelNotFound, QueueFull, ServingError
-from .loadgen import LoadGenerator, LoadReport, LoadSpec, WireDriver
 from .runtime import ServingRuntime
 from .scheduler import AsyncForecast, MicroBatchScheduler
 from .service import ForecastService
@@ -40,13 +35,9 @@ __all__ = [
     "AsyncForecast",
     "ForecastService",
     "InvalidRequest",
-    "LoadGenerator",
-    "LoadReport",
-    "LoadSpec",
     "MicroBatchScheduler",
     "ModelNotFound",
     "QueueFull",
     "ServingError",
     "ServingRuntime",
-    "WireDriver",
 ]

@@ -17,8 +17,7 @@ serving taxonomy:
   and both are safe to retry because forecasts are idempotent.
 
 One instance owns one connection and is **not** thread-safe; give each
-thread its own client (that is exactly what
-:class:`~repro.serving.loadgen.WireDriver` does for load generation).
+thread its own client.
 """
 
 from __future__ import annotations

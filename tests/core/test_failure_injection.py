@@ -196,6 +196,47 @@ class TestNonFiniteObservations:
         assert "30 non-finite readings in the training history" in str(caught.value)
         assert f"first: sensor {first})" in str(caught.value)
 
+    @staticmethod
+    def _baseline(name):
+        from repro import baselines
+
+        return {
+            "INCREASE": lambda: baselines.INCREASEForecaster(iterations=2, hidden=8),
+            "GE-GAN": lambda: baselines.GEGANForecaster(iterations=5, hidden=8),
+            "MatrixCompletion": lambda: baselines.MatrixCompletionForecaster(iterations=3),
+            "GP-Kriging": baselines.GPKrigingForecaster,
+            "HistoricalAverage": baselines.HistoricalAverageForecaster,
+        }[name]()
+
+    _BASELINES = ["INCREASE", "GE-GAN", "MatrixCompletion", "GP-Kriging", "HistoricalAverage"]
+
+    @pytest.mark.parametrize("name", _BASELINES)
+    def test_baseline_observed_non_finite_history_raises_typed_error(self, probe, name):
+        # Before the check the first three forecast all NaN and the last
+        # two 21% NaN, each with no error.
+        from repro.core import NonFiniteObservationsError
+
+        dataset, split, spec, train_steps = probe
+        bad, first = self._with_nan_cells(dataset, split, train_steps, 30)
+        with pytest.raises(NonFiniteObservationsError) as caught:
+            self._baseline(name).fit(bad, split, spec, train_steps)
+        assert "30 non-finite readings in the training history" in str(caught.value)
+        assert f"first: sensor {first})" in str(caught.value)
+
+    @pytest.mark.parametrize("name", _BASELINES)
+    def test_baseline_nan_in_unobserved_columns_fits_and_predicts_bitwise(self, probe, name):
+        dataset, split, spec, train_steps = probe
+        values = dataset.values.copy()
+        values[:, split.unobserved] = np.nan
+        starts = np.array([0, 40, dataset.num_steps - spec.total])
+        clean = self._baseline(name)
+        clean.fit(dataset, split, spec, train_steps)
+        masked = self._baseline(name)
+        masked.fit(_with_values(dataset, values), split, spec, train_steps)
+        got = masked.predict(starts)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == clean.predict(starts).tobytes()
+
     def test_nan_in_unobserved_columns_fits_and_predicts_bitwise(self, probe):
         dataset, split, spec, train_steps = probe
         values = dataset.values.copy()

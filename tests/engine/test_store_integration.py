@@ -10,16 +10,24 @@ actually draw on the store.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import STSMConfig, STSMForecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
 from repro.engine import (
     ArtifactStore,
     CACHE_DIR_ENV,
+    CACHE_MAX_BYTES_ENV,
     StoreConfig,
     open_store,
     reset_store,
@@ -118,3 +126,70 @@ class TestHyperparameterSweepReuse:
         stats = store.stats["namespaces"]["dtw_pair"]
         assert stats["hits"] > 0
         assert np.isfinite(stats["misses"])  # namespace live and counted
+
+
+#: A 2-seed STSM mini-sweep through ``run_matrix`` on the store that
+#: ``$REPRO_CACHE_DIR`` opens; prints its metrics and store totals.
+_MINI_SWEEP = textwrap.dedent(
+    """
+    import dataclasses
+    import json
+
+    from repro.data.synthetic import make_dataset
+    from repro.engine import active_store
+    from repro.experiments.configs import get_scale
+    from repro.experiments.runners import run_matrix, splits_for
+
+    bench = get_scale("bench")
+    scale = dataclasses.replace(
+        bench,
+        dataset_sizes={"pems-bay": (22, 2)},
+        split_kinds=("horizontal",),
+        stsm={**bench.stsm, "epochs": 3, "patience": 3},
+        max_test_windows=6,
+    )
+    dataset = make_dataset("pems-bay", num_sensors=22, num_days=2, seed=7)
+    splits = splits_for(dataset, scale)
+    metrics = {}
+    for seed in (0, 1):
+        entry = run_matrix(dataset, "pems-bay", ["STSM"], scale, splits=splits,
+                           seed=seed)["STSM"]["metrics"]
+        metrics[seed] = [entry.rmse, entry.mae, entry.mape, entry.r2]
+    store = active_store(True)
+    store.persist()
+    print(json.dumps({"metrics": metrics, "stats": store.stats["totals"],
+                      "max_bytes": store.max_bytes}))
+    """
+)
+
+
+@pytest.mark.slow
+def test_second_process_sweep_hits_disk_bitwise_under_quota(tmp_path):
+    """Two processes run one mini-sweep on one cache directory.  The
+    second, under a byte quota, must take hits off the first's segments
+    on disk, reproduce its metrics bit for bit, and leave the segment
+    files within the quota."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_MAX_BYTES_ENV}
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env[CACHE_DIR_ENV] = str(tmp_path)
+
+    def sweep(**extra_env) -> dict:
+        done = subprocess.run(
+            [sys.executable, "-c", _MINI_SWEEP], env={**env, **extra_env},
+            capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def segment_bytes() -> int:
+        return sum(path.stat().st_size for path in tmp_path.glob("seg-*.npz"))
+
+    first = sweep()
+    quota = segment_bytes() // 2  # binds: the reaper must evict
+    second = sweep(**{CACHE_MAX_BYTES_ENV: str(quota)})
+    assert second["max_bytes"] == quota
+    assert second["stats"]["disk_hits"] > 0
+    assert second["stats"]["lifecycle"]["evicted_segments"] > 0
+    assert second["metrics"] == first["metrics"]
+    assert 0 < segment_bytes() <= quota

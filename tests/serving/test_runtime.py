@@ -5,12 +5,13 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.interfaces import FitReport, Forecaster
-from repro.serving import LoadGenerator, LoadSpec, ServingRuntime
+from repro.serving import ServingRuntime
 
 
 class _KeyedForecaster(Forecaster):
@@ -261,11 +262,14 @@ class TestStats:
             runtime.register("a", _KeyedForecaster(1.0))
             runtime.register("b", _KeyedForecaster(2.0))
             pool = [("a", s) for s in range(5)] + [("b", s) for s in range(5)]
-            spec = LoadSpec(num_threads=4, requests_per_thread=30, zipf_exponent=1.0, seed=2)
-            LoadGenerator(pool, spec).run(
-                lambda item: runtime.submit(item[0], item[1]).result(),
-                collect_results=False,
-            )
+
+            def serve(thread):
+                picks = np.random.default_rng([2, thread]).integers(len(pool), size=30)
+                for key, start in (pool[i] for i in picks):
+                    runtime.submit(key, start).result()
+
+            with ThreadPoolExecutor(4) as threads:
+                list(threads.map(serve, range(4)))
             runtime.drain()
             stats = runtime.stats()
         per_model, totals = stats["models"], stats["totals"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from repro.evaluation import forecast_window_starts
 from repro.interfaces import FitReport, Forecaster
 from repro.serving import (
     InvalidRequest,
-    LoadGenerator,
-    LoadSpec,
     MicroBatchScheduler,
     QueueFull,
 )
@@ -382,24 +381,36 @@ class TestLifecycle:
         assert stats["completed"] >= 1
 
 
+def _hammer(scheduler, starts, threads):
+    """Submit ``threads`` seeded start sequences concurrently, one thread
+    each; returns every (start, served block) pair."""
+    sequences = [
+        np.random.default_rng([3, t]).choice(starts, size=60)
+        for t in range(threads)
+    ]
+
+    def serve(sequence):
+        return [(int(s), scheduler.submit(int(s)).result()) for s in sequence]
+
+    with ThreadPoolExecutor(threads) as pool:
+        return [pair for served in pool.map(serve, sequences) for pair in served]
+
+
 class TestConcurrentParity:
     def test_threaded_hammer_bitwise_parity_toy(self):
-        """Many submitter threads, mixed hit/miss Zipf traffic, bitwise parity."""
+        """Many submitter threads, mixed hit/miss traffic, bitwise parity."""
         model = _CountingForecaster()
         reference = {
             s: _CountingForecaster().predict(np.asarray([s]))[0] for s in range(12)
         }
         with MicroBatchScheduler(model, max_batch=16) as scheduler:
-            spec = LoadSpec(num_threads=8, requests_per_thread=60, zipf_exponent=1.1, seed=3)
-            report = LoadGenerator(list(range(12)), spec).run(
-                lambda s: scheduler.submit(s).result()
-            )
+            served = _hammer(scheduler, list(range(12)), threads=8)
             scheduler.drain()
             stats = scheduler.stats
-        for per_thread in report.results:
-            for start, value in per_thread:
-                assert np.array_equal(value, reference[start])
-        assert stats["completed"] == spec.num_threads * spec.requests_per_thread
+        assert len(served) == 8 * 60
+        for start, value in served:
+            assert np.array_equal(value, reference[start])
+        assert stats["completed"] == len(served)
         assert stats["service"]["cache_hits"] > 0  # mixed hit/miss traffic
         # Micro-batching actually happened: far fewer batches than requests.
         assert stats["batches"] < stats["completed"]
@@ -418,13 +429,10 @@ class TestConcurrentParity:
         # reference for any batching the scheduler performs.
         reference = {int(s): model.predict(np.asarray([s]))[0] for s in starts}
         with MicroBatchScheduler(model) as scheduler:
-            load = LoadSpec(num_threads=8, requests_per_thread=25, zipf_exponent=1.2, seed=5)
-            report = LoadGenerator([int(s) for s in starts], load).run(
-                lambda s: scheduler.submit(s).result()
-            )
-        for per_thread in report.results:
-            for start, value in per_thread:
-                assert np.array_equal(value, reference[start])
+            served = _hammer(scheduler, [int(s) for s in starts], threads=8)
+        assert len(served) == 8 * 60
+        for start, value in served:
+            assert np.array_equal(value, reference[start])
 
 
 class TestCacheFastPath:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,13 +13,10 @@ import pytest
 from repro.interfaces import FitReport, Forecaster
 from repro.serving import (
     InvalidRequest,
-    LoadGenerator,
-    LoadSpec,
     ModelNotFound,
     QueueFull,
     ServingError,
     ServingRuntime,
-    WireDriver,
 )
 from repro.serving.transport import (
     CodecError,
@@ -339,38 +337,25 @@ class TestIntrospection:
                         client.batch_log("toy/a")
 
 
-class TestWireLoadGeneration:
-    def test_wire_driver_single_model_parity(self, served):
+class TestConcurrentClients:
+    def test_per_thread_clients_routed_parity(self, served):
+        """Four threads, each on its own client and connection, send mixed
+        two-model traffic; every block is the direct-predict bytes."""
         _runtime, server, _client = served
-        pool = list(range(12))
-        spec = LoadSpec(num_threads=4, requests_per_thread=10, seed=3)
-        with WireDriver("127.0.0.1", server.port, "toy/a") as driver:
-            report = LoadGenerator(pool, spec).run(driver)
-        assert report.num_requests == 40
-        reference = _Affine(1000.0).predict(np.asarray(pool))
-        for per_thread in report.results:
-            for start, value in per_thread:
-                assert np.array_equal(value, reference[pool.index(start)])
+        pool = [("toy/a", s) for s in range(12)] + [("toy/b", s) for s in (1, 5)]
+        scales = {"toy/a": 1000.0, "toy/b": 7.0}
 
-    def test_wire_driver_routed_items(self, served):
-        _runtime, server, _client = served
-        pool = [("toy/a", 1), ("toy/b", 1), ("toy/a", 5)]
-        spec = LoadSpec(num_threads=2, requests_per_thread=6, seed=0)
-        with WireDriver("127.0.0.1", server.port) as driver:
-            report = LoadGenerator(pool, spec).run(driver)
-        for per_thread in report.results:
-            for (model, start), value in per_thread:
-                scale = 1000.0 if model == "toy/a" else 7.0
-                assert value[0, 0] == start * scale
+        def serve(thread):
+            picks = np.random.default_rng([3, thread]).integers(len(pool), size=10)
+            with ForecastClient("127.0.0.1", server.port) as client:
+                return [(pool[i], client.forecast_one(*pool[i])) for i in picks]
 
-    def test_wire_driver_uses_one_client_per_thread(self, served):
-        _runtime, server, _client = served
-        driver = WireDriver("127.0.0.1", server.port, "toy/a")
-        spec = LoadSpec(num_threads=3, requests_per_thread=4, seed=1)
-        LoadGenerator(list(range(6)), spec).run(driver)
-        assert len(driver._clients) == 3
-        driver.close()
-        assert driver._clients == []
+        with ThreadPoolExecutor(4) as threads:
+            served_pairs = [pair for part in threads.map(serve, range(4)) for pair in part]
+        assert len(served_pairs) == 40
+        for (model, start), value in served_pairs:
+            direct = _Affine(scales[model]).predict(np.asarray([start]))[0]
+            assert np.array_equal(value, direct)
 
 
 class TestServerLifecycle:

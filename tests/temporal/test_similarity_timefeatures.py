@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.temporal import (
     build_dtw_adjacency,
@@ -69,6 +71,54 @@ class TestTemporalAdjacency:
         )
         assert adj[3, 0] == 1.0 or adj[3, 1] == 1.0
         assert adj[3, 2] == 0.0
+
+
+def _temporal_adjacency_loops(
+    observed_distances, cross_distances, observed_index, target_index, num_nodes,
+    q_kk=1, q_ku=1,
+):
+    """The nested-loop edge writes ``temporal_adjacency`` vectorised: the oracle."""
+    n_obs = len(observed_index)
+    adjacency = np.zeros((num_nodes, num_nodes))
+    if n_obs > 1 and q_kk > 0:
+        masked = observed_distances + np.diag(np.full(n_obs, np.inf))
+        nearest = np.argsort(masked, axis=1)[:, :min(q_kk, n_obs - 1)]
+        for local_i, partners in enumerate(nearest):
+            for local_j in partners:
+                gi, gj = observed_index[local_i], observed_index[int(local_j)]
+                adjacency[gi, gj] = adjacency[gj, gi] = 1.0
+    if len(target_index) and q_ku > 0:
+        nearest = np.argsort(cross_distances, axis=0)[:min(q_ku, n_obs), :]
+        for col, tgt in enumerate(target_index):
+            for local_i in nearest[:, col]:
+                adjacency[tgt, observed_index[int(local_i)]] = 1.0
+    return adjacency
+
+
+class TestTemporalAdjacencyOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num_nodes=st.integers(2, 24),
+        observed_share=st.floats(0.05, 1.0),
+        q_kk=st.integers(0, 4),
+        q_ku=st.integers(0, 4),
+        levels=st.sampled_from([1, 2, 3, 1000]),  # few levels force ties
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_nested_loop_oracle(
+        self, num_nodes, observed_share, q_kk, q_ku, levels, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n_obs = max(1, round(observed_share * num_nodes))
+        observed = np.sort(rng.choice(num_nodes, size=n_obs, replace=False))
+        targets = np.setdiff1d(np.arange(num_nodes), observed)
+        distances = rng.integers(0, levels, (n_obs, n_obs)).astype(float)
+        distances = distances + distances.T
+        np.fill_diagonal(distances, 0.0)
+        cross = rng.integers(0, levels, (n_obs, len(targets))).astype(float)
+        args = (distances, cross, observed, targets, num_nodes)
+        expected = _temporal_adjacency_loops(*args, q_kk=q_kk, q_ku=q_ku)
+        assert np.array_equal(temporal_adjacency(*args, q_kk=q_kk, q_ku=q_ku), expected)
 
 
 class TestTimeFeatures:
