@@ -337,22 +337,41 @@ class TestIntrospection:
                         client.batch_log("toy/a")
 
 
-class TestConcurrentClients:
-    def test_per_thread_clients_routed_parity(self, served):
-        """Four threads, each on its own client and connection, send mixed
-        two-model traffic; every block is the direct-predict bytes."""
+def _per_thread_load(port, pool, num_threads, requests_per_thread, seed, model=None):
+    """Each thread opens its own client (own connection) and draws
+    ``requests_per_thread`` items from ``pool``; returns (item, block) pairs.
+    Items are window starts when ``model`` is given, else (model, start)."""
+
+    def serve(thread):
+        picks = np.random.default_rng([seed, thread]).integers(
+            len(pool), size=requests_per_thread)
+        with ForecastClient("127.0.0.1", port) as client:
+            if model is not None:
+                return [(pool[i], client.forecast_one(model, pool[i])) for i in picks]
+            return [(pool[i], client.forecast_one(*pool[i])) for i in picks]
+
+    with ThreadPoolExecutor(num_threads) as threads:
+        return [pair for part in threads.map(serve, range(num_threads)) for pair in part]
+
+
+class TestWireLoadGeneration:
+    def test_wire_driver_single_model_parity(self, served):
         _runtime, server, _client = served
-        pool = [("toy/a", s) for s in range(12)] + [("toy/b", s) for s in (1, 5)]
-        scales = {"toy/a": 1000.0, "toy/b": 7.0}
-
-        def serve(thread):
-            picks = np.random.default_rng([3, thread]).integers(len(pool), size=10)
-            with ForecastClient("127.0.0.1", server.port) as client:
-                return [(pool[i], client.forecast_one(*pool[i])) for i in picks]
-
-        with ThreadPoolExecutor(4) as threads:
-            served_pairs = [pair for part in threads.map(serve, range(4)) for pair in part]
+        pool = list(range(12))
+        served_pairs = _per_thread_load(server.port, pool, num_threads=4,
+                                        requests_per_thread=10, seed=3, model="toy/a")
         assert len(served_pairs) == 40
+        reference = _Affine(1000.0).predict(np.asarray(pool))
+        for start, value in served_pairs:
+            assert np.array_equal(value, reference[pool.index(start)])
+
+    def test_wire_driver_routed_items(self, served):
+        _runtime, server, _client = served
+        pool = [("toy/a", 1), ("toy/b", 1), ("toy/a", 5)]
+        scales = {"toy/a": 1000.0, "toy/b": 7.0}
+        served_pairs = _per_thread_load(server.port, pool, num_threads=2,
+                                        requests_per_thread=6, seed=0)
+        assert len(served_pairs) == 12
         for (model, start), value in served_pairs:
             direct = _Affine(scales[model]).predict(np.asarray([start]))[0]
             assert np.array_equal(value, direct)
