@@ -18,8 +18,8 @@ serving measurement it has no workload for.
 
 Run::
 
-    PYTHONPATH=src python benchmarks/bench_serving_load.py --wire          # full
-    PYTHONPATH=src python benchmarks/bench_serving_load.py --smoke --wire  # CI wiring
+    PYTHONPATH=src python benchmarks/bench_serving_load.py          # full
+    PYTHONPATH=src python benchmarks/bench_serving_load.py --smoke  # CI wiring
 
 Writes ``BENCH_transport.json`` at the repository root (override with
 ``--output``; ``-`` skips writing).  Acceptance target (full mode): the
@@ -40,6 +40,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -110,8 +111,9 @@ def wire_load(port: int, pool, *, threads: int, requests: int, zipf: float,
     Thread ``t`` sends ``requests`` window starts drawn from ``pool``
     (``pool[0]`` most popular, weight ``rank ** -zipf``) by
     ``default_rng([seed, t])``, so reruns replay the same sequences.
-    Returns the run summary and, per thread, its ``(start, block)``
-    pairs in send order.
+    Every thread is released together behind a barrier and the clock
+    starts after it, so thread start-up is not timed.  Returns the run
+    summary and, per thread, its ``(start, block)`` pairs in send order.
     """
     weights = np.arange(1, len(pool) + 1, dtype=float) ** -float(zipf)
     sequences = [
@@ -120,19 +122,23 @@ def wire_load(port: int, pool, *, threads: int, requests: int, zipf: float,
         for t in range(threads)
     ]
     latencies = [[] for _ in range(threads)]
+    barrier = threading.Barrier(threads + 1)
 
     def send(t: int) -> list:
         served = []
         with ForecastClient("127.0.0.1", port, retries=5, backoff_s=0.02) as client:
+            barrier.wait()
             for start in sequences[t]:
                 began = time.perf_counter()
                 served.append((start, client.forecast_one(MODEL_KEY, start)))
                 latencies[t].append(time.perf_counter() - began)
         return served
 
-    began = time.perf_counter()
     with ThreadPoolExecutor(threads) as executor:
-        results = list(executor.map(send, range(threads)))
+        pending = executor.map(send, range(threads))
+        barrier.wait()
+        began = time.perf_counter()
+        results = list(pending)
     elapsed = time.perf_counter() - began
     ms = np.concatenate(latencies) * 1e3
     p50, p95, p99 = np.percentile(ms, [50.0, 95.0, 99.0])
@@ -273,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="tiny load / single-epoch fit, no scaling gate "
                              "(CI wiring check)")
-    parser.add_argument("--wire", action="store_true",
-                        help="accepted for existing command lines: every leg "
-                             "of this bench is a wire leg")
     parser.add_argument("--requests", type=int, default=None,
                         help="requests per client thread (default: 150 full, "
                              "20 smoke)")
