@@ -4,11 +4,8 @@ Used throughout the test suite to certify that every autograd op's backward
 pass matches a central-difference numerical derivative.  This is the
 correctness anchor for the whole neural substrate.
 
-Both helpers take an optional ``backend`` (registry name or
-:class:`~repro.backend.ArrayBackend` instance; ``None`` keeps the active
-one): the function evaluations *and* the autograd replay run under that
-backend, so the same check certifies any registered backend, not just
-``numpy_ref``.
+Both helpers run under the active backend; a test that certifies a
+substituted backend wraps the call in :func:`repro.backend.use_backend`.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend, use_backend
 from .tensor import Tensor
 
 __all__ = ["numerical_gradient", "check_gradients"]
@@ -28,22 +24,20 @@ def numerical_gradient(
     inputs: Sequence[Tensor],
     wrt: int,
     eps: float = 1e-6,
-    backend: str | ArrayBackend | None = None,
 ) -> np.ndarray:
     """Central-difference gradient of ``sum(fn(*inputs))`` w.r.t. input ``wrt``."""
     target = inputs[wrt]
     grad = np.zeros(tuple(target.data.shape), dtype=np.float64)
     flat = target.data.reshape(-1)
     grad_flat = grad.reshape(-1)
-    with use_backend(get_backend() if backend is None else backend):
-        for i in range(int(flat.shape[0])):
-            original = float(flat[i])
-            flat[i] = original + eps
-            upper = float(fn(*inputs).data.sum())
-            flat[i] = original - eps
-            lower = float(fn(*inputs).data.sum())
-            flat[i] = original
-            grad_flat[i] = (upper - lower) / (2.0 * eps)
+    for i in range(int(flat.shape[0])):
+        original = float(flat[i])
+        flat[i] = original + eps
+        upper = float(fn(*inputs).data.sum())
+        flat[i] = original - eps
+        lower = float(fn(*inputs).data.sum())
+        flat[i] = original
+        grad_flat[i] = (upper - lower) / (2.0 * eps)
     return grad
 
 
@@ -53,7 +47,6 @@ def check_gradients(
     atol: float = 1e-5,
     rtol: float = 1e-4,
     eps: float = 1e-6,
-    backend: str | ArrayBackend | None = None,
 ) -> None:
     """Assert that autograd gradients match numerical ones for all inputs.
 
@@ -61,13 +54,11 @@ def check_gradients(
     """
     for tensor in inputs:
         tensor.zero_grad()
-    with use_backend(get_backend() if backend is None else backend):
-        out = fn(*inputs)
-        out.sum().backward()
+    fn(*inputs).sum().backward()
     for index, tensor in enumerate(inputs):
         if not tensor.requires_grad:
             continue
-        expected = numerical_gradient(fn, inputs, index, eps=eps, backend=backend)
+        expected = numerical_gradient(fn, inputs, index, eps=eps)
         actual = (
             np.asarray(tensor.grad)
             if tensor.grad is not None
@@ -76,8 +67,6 @@ def check_gradients(
         if not np.allclose(actual, expected, atol=atol, rtol=rtol):
             worst = np.abs(actual - expected).max()
             raise AssertionError(
-                f"gradient mismatch for input {index} under backend "
-                f"{backend if isinstance(backend, str) else getattr(backend, 'name', 'active')}: "
-                f"max abs diff {worst:.3e}\n"
+                f"gradient mismatch for input {index}: max abs diff {worst:.3e}\n"
                 f"autograd:\n{actual}\nnumerical:\n{expected}"
             )

@@ -5,8 +5,8 @@ These complement the methods on ``Tensor`` with multi-input ops
 dropout, embedding lookup, and the dilated 1-D convolution used by the
 paper's temporal module (Eq. 5).
 
-All array math routes through the active
-:class:`~repro.backend.ArrayBackend`; numpy appears only for host-side
+All array math routes through the active backend
+(:class:`~repro.backend.NumpyRefBackend`); numpy appears only for host-side
 bookkeeping (index arithmetic, shape accounting).
 """
 

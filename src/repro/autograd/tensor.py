@@ -6,11 +6,11 @@ backwards to accumulate gradients.  It is the substrate on which every
 neural module in this repository is built (the paper's reference
 implementation uses PyTorch; see DESIGN.md for the substitution rationale).
 
-Every array operation is issued through the active
-:class:`~repro.backend.ArrayBackend` (``repro.backend.get_backend()``),
-never through numpy directly, so the whole autograd stack dispatches to
-whichever backend is selected (``numpy_ref`` reproduces the historical
-bit-exact numbers).
+Every array operation is issued through the active backend
+(``repro.backend.get_backend()``, a
+:class:`~repro.backend.NumpyRefBackend` unless a test or benchmark
+substitutes one), never through numpy directly; ``numpy_ref``
+reproduces the historical bit-exact numbers.
 
 Design notes
 ------------

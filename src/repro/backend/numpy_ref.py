@@ -1,11 +1,17 @@
-"""Reference numpy backend — bit-identical to the pre-backend substrate.
+"""The array backend: every array op ``repro.autograd``, ``repro.nn`` and
+``repro.optim`` issue, as plain numpy.
 
-Every primitive is the literal numpy expression the autograd/nn/optim code
-used before the backend seam existed, so any fixed-seed fit through this
-backend reproduces the historical results exactly (enforced by
-``tests/backend/test_golden_ref.py``).  Keep it boring: ``out=`` buffers
-only where the ufunc sequence is unchanged, no reassociated reductions,
-no fused kernels.
+:class:`NumpyRefBackend` defines **primitives** (creation, elementwise
+math, matmul, reductions, shape, indexing/scatter, and RNG draws from an
+*explicit* generator the caller threads through) and **composites**
+built from them (sigmoid, softmax, the dilated conv1d forward/adjoint as
+tap-matrix GEMMs, optimiser steps).  Any fixed-seed fit reproduces the
+pre-backend substrate bit for bit (``tests/backend/test_golden_ref.py``).
+The rule for both kinds of op is bitwise reproduction: a composite
+may run its ufuncs in place on ``out=`` buffers it owns, but only in the
+order and on the operands of the chained form; nothing reassociates a
+reduction or fuses ufuncs into another sequence.  A faster backend
+subclasses this class and overrides what it speeds up (DESIGN.md §8).
 
 Importing this module also tunes glibc's allocator for the process (see
 :func:`_keep_freed_memory`); every process that computes imports it.
@@ -18,8 +24,6 @@ import os
 from typing import Sequence
 
 import numpy as np
-
-from .base import ArrayBackend
 
 __all__ = ["NumpyRefBackend"]
 
@@ -63,8 +67,8 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-class NumpyRefBackend(ArrayBackend):
-    """Plain numpy implementation of the :class:`ArrayBackend` surface."""
+class NumpyRefBackend:
+    """Plain numpy array ops; see the module docstring for the rules."""
 
     name = "numpy_ref"
 
@@ -104,9 +108,6 @@ class NumpyRefBackend(ArrayBackend):
 
     def ones_like(self, a):
         return np.ones_like(a)
-
-    def empty_like(self, a):
-        return np.empty_like(a)
 
     def arange(self, start, stop=None, step=1):
         if stop is None:
@@ -207,9 +208,6 @@ class NumpyRefBackend(ArrayBackend):
     def logical_not(self, a):
         return np.logical_not(a)
 
-    def isfinite(self, a):
-        return np.isfinite(a)
-
     # -- linear algebra -------------------------------------------------
     def matmul(self, a, b):
         return a @ b
@@ -274,3 +272,217 @@ class NumpyRefBackend(ArrayBackend):
 
     def normal(self, rng, loc: float, scale: float, shape):
         return rng.normal(loc, scale, size=shape)
+
+    # ==================================================================
+    # Composites: multi-op kernels in terms of the primitives above.
+    # ==================================================================
+
+    # -- activations ----------------------------------------------------
+    def sigmoid(self, x):
+        """``1 / (1 + exp(-clip(x, -60, 60)))`` (overflow-safe logistic).
+
+        The four ufuncs after ``clip`` run in place on its fresh result;
+        a 0-d input clips to a scalar, which takes the chained form.
+        """
+        z = self.clip(x, -60.0, 60.0)
+        if getattr(z, "ndim", 0) == 0:
+            return self.divide(1.0, self.add(1.0, self.exp(self.negative(z))))
+        self.negative(z, out=z)
+        self.exp(z, out=z)
+        self.add(1.0, z, out=z)
+        return self.divide(1.0, z, out=z)
+
+    def sigmoid_backward(self, grad, out):
+        """``grad * out * (1 - out)``, the last product into the first's buffer.
+
+        0-d operands multiply to a scalar, which takes the chained form.
+        """
+        scaled = self.multiply(grad, out)
+        if getattr(scaled, "ndim", 0) == 0:
+            return self.multiply(scaled, self.subtract(1.0, out))
+        return self.multiply(scaled, self.subtract(1.0, out), out=scaled)
+
+    def tanh_backward(self, grad, out):
+        """``grad * (1 - out**2)``."""
+        return self.multiply(grad, self.subtract(1.0, self.power(out, 2)))
+
+    def relu(self, x):
+        """Return ``(x * (x > 0), mask)`` — the mask feeds the backward."""
+        mask = self.greater(x, 0)
+        return self.multiply(x, mask), mask
+
+    def relu_backward(self, grad, mask):
+        return self.multiply(grad, mask)
+
+    def maximum_backward(self, grad, a, b, a_shape, b_shape, unbroadcast):
+        """Adjoint of elementwise max: winners take the gradient, ties split.
+
+        ``unbroadcast`` is the caller's gradient-reduction function (sums
+        over broadcast axes); it is passed in so the backend runs the
+        mask arithmetic without owning broadcasting semantics.
+        """
+        dtype = grad.dtype
+        a_wins = self.cast(self.greater(a, b), dtype)
+        b_wins = self.cast(self.greater(b, a), dtype)
+        tie = self.cast(self.equal(a, b), dtype)
+        if getattr(tie, "ndim", 0) == 0:  # 0-d operands compare to scalars
+            tie = self.multiply(tie, 0.5)
+            grad_a = unbroadcast(self.multiply(grad, self.add(a_wins, tie)), a_shape)
+            grad_b = unbroadcast(self.multiply(grad, self.add(b_wins, tie)), b_shape)
+            return grad_a, grad_b
+        # The same ufuncs in the same order, on the freshly cast masks.
+        self.multiply(tie, 0.5, out=tie)
+        for wins in (a_wins, b_wins):
+            self.add(wins, tie, out=wins)
+            self.multiply(grad, wins, out=wins)
+        return unbroadcast(a_wins, a_shape), unbroadcast(b_wins, b_shape)
+
+    # -- softmax family -------------------------------------------------
+    def softmax(self, x, axis: int = -1):
+        """Shift-stabilised softmax along ``axis``."""
+        shifted = self.subtract(x, self.amax(x, axis=axis, keepdims=True))
+        exp = self.exp(shifted)
+        return self.divide(exp, self.sum(exp, axis=axis, keepdims=True))
+
+    def softmax_backward(self, grad, out, axis: int = -1):
+        """``out * (grad - sum(grad * out, axis, keepdims))``."""
+        dot = self.sum(self.multiply(grad, out), axis=axis, keepdims=True)
+        return self.multiply(out, self.subtract(grad, dot))
+
+    def log_softmax(self, x, axis: int = -1):
+        """Return ``(log_softmax(x), softmax(x))`` along ``axis``."""
+        shifted = self.subtract(x, self.amax(x, axis=axis, keepdims=True))
+        log_norm = self.log(self.sum(self.exp(shifted), axis=axis, keepdims=True))
+        out = self.subtract(shifted, log_norm)
+        return out, self.exp(out)
+
+    def log_softmax_backward(self, grad, soft, axis: int = -1):
+        """``grad - soft * sum(grad, axis, keepdims)``."""
+        return self.subtract(grad, self.multiply(soft, self.sum(grad, axis=axis, keepdims=True)))
+
+    # -- dropout --------------------------------------------------------
+    def dropout_mask(self, rng, shape, keep: float, dtype):
+        """Inverted-dropout mask: ``(u < keep) / keep`` with ``u~U[0,1)``."""
+        return self.divide(self.cast(self.greater(keep, self.random(rng, shape)), dtype), keep)
+
+    # -- dilated conv1d kernels ----------------------------------------
+    # Both kernels call the GEMMs of numpy's ``einsum(..., optimize=True)``
+    # plan for the tap-column formulation of the zero-padded input, on
+    # the same operands, so they are bitwise that formulation whenever
+    # every dimension is >= 2 (einsum squeezes singleton axes into
+    # different BLAS calls).  The padding is never materialised: a tap
+    # reads, and its adjoint writes, only the in-range span of the input.
+
+    @staticmethod
+    def _conv1d_spans(length: int, kernel: int, dilation: int, padding: int):
+        """Per tap ``k``: ``(k, out_span, in_span)`` slices, empty spans skipped.
+
+        Output step ``t`` of tap ``k`` reads input step ``t + k * dilation
+        - padding``; the rest of its row is zero padding.
+        """
+        out_len = length + 2 * padding - (kernel - 1) * dilation
+        spans = []
+        for k in range(kernel):
+            shift = k * dilation - padding
+            lo, hi = max(0, -shift), min(out_len, length - shift)
+            if lo < hi:
+                spans.append((k, slice(lo, hi), slice(lo + shift, hi + shift)))
+        return out_len, spans
+
+    def conv1d_apply(self, inputs, weight, dilation: int, padding: int):
+        """Dilated conv forward on ``(B, C, L)`` inputs as one GEMM.
+
+        Fills the zero tap matrix ``cols[(c, k), (b, t)] = inputs[b, c, t
+        + k * dilation - padding]`` with one strided slab copy of each
+        tap's in-range span, then returns ``weight (O, C*K) @ cols (C*K,
+        B*L')`` viewed as ``(B, O, L')``.
+
+        Returns ``(out, saved)`` where ``saved`` is backend-private
+        context handed back to :meth:`conv1d_backward` (here ``cols``; an
+        overriding backend may keep nothing and recompute from
+        ``inputs``).
+        """
+        batch, c_in, length = inputs.shape
+        c_out, _, kernel = weight.shape
+        out_len, spans = self._conv1d_spans(length, kernel, dilation, padding)
+        taps = self.zeros((c_in, kernel, batch, out_len), dtype=inputs.dtype)
+        for k, out_span, in_span in spans:
+            slab = self.getitem(inputs, (Ellipsis, in_span))
+            self.copyto(
+                self.getitem(taps, (slice(None), k, slice(None), out_span)),
+                self.transpose(slab, (1, 0, 2)),
+            )
+        cols = self.reshape(taps, (c_in * kernel, batch * out_len))
+        out = self.matmul(self.reshape(weight, (c_out, c_in * kernel)), cols)
+        return self.transpose(self.reshape(out, (c_out, batch, out_len)), (1, 0, 2)), cols
+
+    def conv1d_backward(self, grad, saved, inputs, weight, dilation: int, padding: int):
+        """Adjoint of :meth:`conv1d_apply`: ``(grad_weight, grad_inputs)``.
+
+        Two GEMMs against the saved tap matrix, then one slice-add of
+        each tap's in-range span in increasing ``k``: the per-element
+        summation order of a duplicate-safe scatter of the tap gradients
+        into the padded input, with the padding's adjoint never formed.
+        """
+        cols = saved
+        batch, c_out, out_len = grad.shape
+        _, c_in, kernel = weight.shape
+        grad_rows = self.reshape(self.transpose(grad, (0, 2, 1)), (batch * out_len, c_out))
+        grad_weight = self.transpose(
+            self.reshape(self.matmul(cols, grad_rows), (c_in, kernel, c_out)), (2, 0, 1)
+        )
+        weight_rows = self.reshape(self.transpose(weight, (1, 2, 0)), (c_in * kernel, c_out))
+        grad_mat = self.reshape(self.transpose(grad, (1, 0, 2)), (c_out, batch * out_len))
+        grad_cols = self.reshape(
+            self.matmul(weight_rows, grad_mat), (c_in, kernel, batch, out_len)
+        )
+        grad_inputs = self.zeros_like(inputs)
+        _, spans = self._conv1d_spans(inputs.shape[-1], kernel, dilation, padding)
+        for k, out_span, in_span in spans:
+            tap = self.getitem(grad_cols, (slice(None), k, slice(None), out_span))
+            slab = self.getitem(grad_inputs, (Ellipsis, in_span))
+            self.iadd(slab, self.transpose(tap, (1, 0, 2)))
+        return grad_weight, grad_inputs
+
+    # -- optimiser update steps ----------------------------------------
+    def sgd_step(self, param, grad, velocity, lr: float, momentum: float) -> None:
+        """In-place SGD update (velocity is ``None`` without momentum)."""
+        if momentum:
+            self.imul(velocity, momentum)
+            self.iadd(velocity, grad)
+            self.isub(param, self.multiply(lr, velocity))
+        else:
+            self.isub(param, self.multiply(lr, grad))
+
+    def adam_step(
+        self,
+        param,
+        grad,
+        m,
+        v,
+        lr: float,
+        beta1: float,
+        beta2: float,
+        eps: float,
+        correction1: float,
+        correction2: float,
+        weight_decay: float,
+    ) -> None:
+        """In-place Adam update with bias correction."""
+        if weight_decay:
+            grad = self.add(grad, self.multiply(weight_decay, param))
+        self.imul(m, beta1)
+        self.iadd(m, self.multiply(1.0 - beta1, grad))
+        self.imul(v, beta2)
+        self.iadd(v, self.multiply(self.multiply(1.0 - beta2, grad), grad))
+        m_hat = self.divide(m, correction1)
+        v_hat = self.divide(v, correction2)
+        self.isub(param, self.divide(self.multiply(lr, m_hat), self.add(self.sqrt(v_hat), eps)))
+
+    def grad_norm_squared(self, grad) -> float:
+        """``float(sum(grad ** 2))`` — one term of a global norm."""
+        return float(self.sum(self.power(grad, 2)))
+
+    def scale_inplace(self, a, scale: float) -> None:
+        """``a *= scale`` (gradient rescaling after clipping)."""
+        self.imul(a, scale)

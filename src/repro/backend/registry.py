@@ -2,7 +2,7 @@
 
 The active backend is ``numpy_ref`` until :func:`set_backend` or the
 :func:`use_backend` context manager substitutes another registered
-name or an :class:`ArrayBackend` instance — the seam a test or
+name or a :class:`NumpyRefBackend` instance — the seam a test or
 benchmark uses to swap in a fake or a timing proxy.  Models, CLIs and
 the environment carry no backend choice.  An unknown name raises
 :class:`UnknownBackendError` listing the registered backends.
@@ -15,7 +15,6 @@ import threading
 from typing import Callable, Iterator
 
 from ..obs.profiling import maybe_instrument_backend
-from .base import ArrayBackend
 from .numpy_ref import NumpyRefBackend
 
 __all__ = [
@@ -29,9 +28,9 @@ __all__ = [
 
 DEFAULT_BACKEND = "numpy_ref"
 
-_FACTORIES: dict[str, Callable[[], ArrayBackend]] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-_ACTIVE: ArrayBackend | None = None
+_FACTORIES: dict[str, Callable[[], NumpyRefBackend]] = {}
+_INSTANCES: dict[str, NumpyRefBackend] = {}
+_ACTIVE: NumpyRefBackend | None = None
 _LOCK = threading.Lock()
 
 
@@ -52,7 +51,7 @@ class UnknownBackendError(KeyError):
         return self.args[0]
 
 
-def register_backend(name: str, factory: Callable[[], ArrayBackend]) -> None:
+def register_backend(name: str, factory: Callable[[], NumpyRefBackend]) -> None:
     """Register a backend factory under ``name`` (idempotent per name)."""
     if not name or not isinstance(name, str):
         raise ValueError(f"backend name must be a non-empty string, got {name!r}")
@@ -65,7 +64,7 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
-def _instance(name: str) -> ArrayBackend:
+def _instance(name: str) -> NumpyRefBackend:
     backend = _INSTANCES.get(name)
     if backend is None:
         factory = _FACTORIES.get(name)
@@ -78,7 +77,7 @@ def _instance(name: str) -> ArrayBackend:
     return backend
 
 
-def get_backend() -> ArrayBackend:
+def get_backend() -> NumpyRefBackend:
     """The active backend (``numpy_ref`` unless substituted)."""
     global _ACTIVE
     backend = _ACTIVE
@@ -90,10 +89,10 @@ def get_backend() -> ArrayBackend:
     return backend
 
 
-def set_backend(backend: str | ArrayBackend) -> ArrayBackend:
+def set_backend(backend: str | NumpyRefBackend) -> NumpyRefBackend:
     """Switch the process-wide active backend; returns the previous one.
 
-    Accepts a registered name or an :class:`ArrayBackend` instance.
+    Accepts a registered name or a :class:`NumpyRefBackend` instance.
     """
     global _ACTIVE
     previous = get_backend()
@@ -102,7 +101,7 @@ def set_backend(backend: str | ArrayBackend) -> ArrayBackend:
 
 
 @contextlib.contextmanager
-def use_backend(backend: str | ArrayBackend) -> Iterator[ArrayBackend]:
+def use_backend(backend: str | NumpyRefBackend) -> Iterator[NumpyRefBackend]:
     """Context manager scoping the active backend."""
     previous = set_backend(backend)
     try:

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
+from ..data.windows import check_window_starts
 from ..engine import Trainer, TrainingProgram
 from ..graph.adjacency import gaussian_kernel_adjacency
 from ..graph.distances import euclidean_distance_matrix
@@ -308,6 +309,7 @@ class MatrixCompletionForecaster(Forecaster):
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("predict() called before fit()")
+        check_window_starts(window_starts, self.dataset.num_steps, self.spec)
         spec = self.spec
         unobserved = self.split.unobserved
         window_starts = np.asarray(window_starts, dtype=int)

@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, concatenate, no_grad
-from ..data.missing import check_finite_observations
+from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram
 from ..graph.adjacency import gaussian_kernel_adjacency
@@ -205,6 +205,7 @@ class GEGANForecaster(Forecaster):
         check_finite_observations(train_values, observed)
         self.scaler = StandardScaler().fit(train_values)
         self._scaled = self.scaler.transform(dataset.values)
+        self._finite_inputs = FiniteInputCheck(dataset.values, observed, spec)
 
         # Transductive graph embedding over the full graph.
         distances = euclidean_distance_matrix(dataset.coords)
@@ -242,6 +243,7 @@ class GEGANForecaster(Forecaster):
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("predict() called before fit()")
+        self._finite_inputs.check(window_starts)
         spec = self.spec
         unobserved = self.split.unobserved
         rng = np.random.default_rng(self.seed + 1)

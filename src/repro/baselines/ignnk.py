@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..data.missing import check_finite_observations
+from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram
 from ..graph.distances import euclidean_distance_matrix
@@ -217,6 +217,7 @@ class IGNNKForecaster(Forecaster):
         check_finite_observations(train_values, observed)
         self.scaler = StandardScaler().fit(train_values)
         self._scaled = self.scaler.transform(dataset.values)
+        self._finite_inputs = FiniteInputCheck(dataset.values, observed, spec)
         self._kernel_full = self._kernel_adjacency(dataset.coords)
         kernel_obs = self._kernel_full[np.ix_(observed, observed)]
 
@@ -248,6 +249,7 @@ class IGNNKForecaster(Forecaster):
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("predict() called before fit()")
+        self._finite_inputs.check(window_starts)
         spec = self.spec
         unobserved = self.split.unobserved
         if len(window_starts) == 0:

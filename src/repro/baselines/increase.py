@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from ..autograd import Tensor, concatenate, no_grad, softmax, stack
-from ..data.missing import check_finite_observations
+from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram
 from ..graph.distances import euclidean_distance_matrix
@@ -194,6 +194,7 @@ class INCREASEForecaster(Forecaster):
         check_finite_observations(train_values, observed)
         self.scaler = StandardScaler().fit(train_values)
         self._scaled = self.scaler.transform(dataset.values)
+        self._finite_inputs = FiniteInputCheck(dataset.values, observed, spec)
         self._scores = self._relation_scores(dataset)
 
         self.network = INCREASENetwork(
@@ -218,6 +219,7 @@ class INCREASEForecaster(Forecaster):
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("predict() called before fit()")
+        self._finite_inputs.check(window_starts)
         spec = self.spec
         observed = self.split.observed
         unobserved = self.split.unobserved

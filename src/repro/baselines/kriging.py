@@ -35,7 +35,7 @@ import time
 
 import numpy as np
 
-from ..data.missing import check_finite_observations
+from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
@@ -202,6 +202,7 @@ class GPKrigingForecaster(Forecaster):
         train_values = dataset.values[train_steps][:, observed]
         check_finite_observations(train_values, observed)
         self.scaler = StandardScaler().fit(train_values)
+        self._finite_inputs = FiniteInputCheck(dataset.values, observed, spec)
         scaled = self.scaler.transform(train_values)
 
         # Seasonal profile per observed sensor (time-of-day mean).
@@ -262,6 +263,7 @@ class GPKrigingForecaster(Forecaster):
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("predict() called before fit()")
+        self._finite_inputs.check(window_starts)
         spec = self.spec
         window_starts = np.asarray(window_starts, dtype=int)
         n_u = len(self.split.unobserved)

@@ -12,9 +12,9 @@ import time
 import numpy as np
 
 from ..data.dataset import SpatioTemporalDataset
-from ..data.missing import check_finite_observations
+from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.splits import SpaceSplit
-from ..data.windows import WindowSpec
+from ..data.windows import WindowSpec, check_window_starts
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
 
@@ -47,6 +47,7 @@ class HistoricalAverageForecaster(Forecaster):
         return FitReport(train_seconds=time.perf_counter() - began, epochs=1)
 
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
+        check_window_starts(window_starts, self.dataset.num_steps, self.spec)
         spec = self.spec
         steps_per_day = self.dataset.steps_per_day
         n_u = len(self.split.unobserved)
@@ -70,9 +71,11 @@ class NearestObservedForecaster(Forecaster):
         distances = euclidean_distance_matrix(dataset.coords)
         block = distances[np.ix_(split.unobserved, split.observed)]
         self.nearest = split.observed[np.argmin(block, axis=1)]
+        self._finite_inputs = FiniteInputCheck(dataset.values, split.observed, spec)
         return FitReport(train_seconds=time.perf_counter() - began, epochs=1)
 
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
+        self._finite_inputs.check(window_starts)
         spec = self.spec
         values = self.dataset.values
         out = np.empty((len(window_starts), spec.horizon, len(self.nearest)))
@@ -96,9 +99,11 @@ class IDWPersistenceForecaster(Forecaster):
         block = distances[np.ix_(split.unobserved, split.observed)]
         inverse = 1.0 / np.maximum(block, 1e-6)
         self.weights = inverse / inverse.sum(axis=1, keepdims=True)
+        self._finite_inputs = FiniteInputCheck(dataset.values, split.observed, spec)
         return FitReport(train_seconds=time.perf_counter() - began, epochs=1)
 
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
+        self._finite_inputs.check(window_starts)
         spec = self.spec
         values = self.dataset.values
         observed = self.split.observed

@@ -16,6 +16,7 @@ import numpy as np
 from ..core.config import STSMConfig
 from ..core.model import STSMForecaster
 from ..data.splits import SpaceSplit
+from ..data.windows import check_window_starts
 from ..interfaces import FitReport, Forecaster
 
 __all__ = ["OracleForecaster"]
@@ -69,6 +70,7 @@ class OracleForecaster(Forecaster):
             raise RuntimeError("predict() called before fit()")
         inner = self._inner
         spec = inner.spec
+        check_window_starts(window_starts, inner.dataset.num_steps, spec)
         cfg = inner.config
         if len(window_starts) == 0:
             return np.empty((0, spec.horizon, len(self._target_index)))

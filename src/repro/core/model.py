@@ -41,7 +41,7 @@ from ..data.dataset import SpatioTemporalDataset
 from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..data.splits import SpaceSplit
-from ..data.windows import WindowSpec, iterate_batches
+from ..data.windows import WindowSpec, check_window_starts, iterate_batches
 from ..engine import (
     ArtifactStore,
     EarlyStopping,
@@ -578,6 +578,7 @@ class STSMForecaster(Forecaster):
         """
         if not self._fitted or self.network is None:
             raise RuntimeError("predict() called before fit()")
+        check_window_starts(window_starts, self.dataset.num_steps, self.spec)
         if not self._history_finite:
             observed = self.split.observed
             check_finite_observations(self.dataset.values[:, observed], observed, "history")

@@ -10,16 +10,21 @@ repair them, so users can combine temporal missingness with the
 unobserved-region task.  Every model that fits on observed readings
 (STSM, IGNNK, INCREASE, GE-GAN, matrix completion, GP-Kriging and the
 historical average) refuses an observed training reading the imputers
-left non-finite (:func:`check_finite_observations`); STSM's predict also
-refuses one in any observed step.
+left non-finite (:func:`check_finite_observations`).  At predict time
+STSM refuses one in any observed step, and IGNNK, INCREASE, GE-GAN,
+GP-Kriging and the two persistence references refuse one in a requested
+input window (:class:`FiniteInputCheck`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .windows import WindowSpec, check_window_starts
+
 __all__ = [
     "NonFiniteObservationsError",
+    "FiniteInputCheck",
     "check_finite_observations",
     "random_missing_mask",
     "block_missing_mask",
@@ -161,3 +166,31 @@ def check_finite_observations(
             f"{len(sensors)} observed sensors (first: sensor {int(sensors[0])}); "
             "impute them (see repro.data.missing) or leave those sensors unobserved"
         )
+
+
+class FiniteInputCheck:
+    """Refuses a window start a model cannot forecast from observed readings.
+
+    Built once at fit from ``values`` (steps by sensors): prefix counts
+    of the steps with a non-finite ``observed`` reading make
+    :meth:`check` O(1) per start.
+    """
+
+    def __init__(self, values: np.ndarray, observed: np.ndarray, spec: WindowSpec) -> None:
+        self.values, self.observed, self.spec = values, observed, spec
+        bad = ~np.isfinite(values[:, observed]).all(axis=1)
+        self.prefix = np.concatenate(([0], np.cumsum(bad)))
+
+    def check(self, starts) -> None:
+        """Raise ``ValueError`` for a start whose input window leaves the
+        data (:func:`~repro.data.windows.check_window_starts`), then
+        :class:`NonFiniteObservationsError` for the first one whose input
+        window ``[s, s + T)`` holds a non-finite observed reading."""
+        length = self.spec.input_length
+        check_window_starts(starts, len(self.values), self.spec)
+        starts = np.asarray(starts, dtype=int)
+        bad = self.prefix[starts + length] != self.prefix[starts]
+        if bad.any():
+            start = int(starts[np.argmax(bad)])
+            window = self.values[start : start + length][:, self.observed]
+            check_finite_observations(window, self.observed, f"input window at start {start}")

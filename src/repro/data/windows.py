@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["WindowSpec", "window_starts", "iterate_batches", "slice_window"]
+__all__ = ["WindowSpec", "check_window_starts", "window_starts", "iterate_batches", "slice_window"]
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,23 @@ class WindowSpec:
     @property
     def total(self) -> int:
         return self.input_length + self.horizon
+
+
+def check_window_starts(starts, num_steps: int, spec: WindowSpec) -> None:
+    """Raise ``ValueError`` unless every start's input window lies in the data.
+
+    A start ``s`` can be forecast only when its input window ``[s, s + T)``
+    lies inside ``[0, num_steps)``; the forecast itself may run past the
+    last step.  The message names the first bad start.
+    """
+    starts = np.asarray(starts).reshape(-1)
+    last = num_steps - spec.input_length
+    bad = ~((starts >= 0) & (starts <= last)).astype(bool)  # NaN is out of range too
+    if bad.any():
+        raise ValueError(
+            f"window start {starts[np.argmax(bad)]} is outside the valid range "
+            f"[0, {last}] (input length {spec.input_length}, {num_steps} steps)"
+        )
 
 
 def window_starts(num_steps: int, spec: WindowSpec, stride: int = 1) -> np.ndarray:

@@ -58,15 +58,6 @@ class Forecaster(abc.ABC):
     #: calls otherwise.
     stateless_predict: bool = True
 
-    #: Whether concurrent ``predict`` calls from multiple threads are
-    #: safe.  False by default: the numpy substrate itself is reentrant,
-    #: but a model or backend may keep memoised scratch state, so the
-    #: serving layer serialises all ``predict`` traffic for a model
-    #: through one scheduler worker thread, and the load generator's
-    #: unbatched baseline wraps direct calls in a lock unless a model
-    #: opts in.
-    thread_safe_predict: bool = False
-
     @abc.abstractmethod
     def fit(
         self,
@@ -101,6 +92,8 @@ class Forecaster(abc.ABC):
         window_starts:
             Global time indices ``t0``; the input window is
             ``[t0, t0 + T)`` and predictions cover ``[t0 + T, t0 + T + T')``.
+            A start whose input window leaves the dataset's steps raises
+            ``ValueError`` (:func:`~repro.data.windows.check_window_starts`).
 
         Returns
         -------

@@ -26,7 +26,7 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 
     Built by interleaving stacked sin/cos columns (reshape of a
     ``(length, dim/2, 2)`` stack) rather than strided assignment, so the
-    construction uses only ArrayBackend ops.
+    construction uses only backend ops.
     """
     b = get_backend()
     half = (dim + 1) // 2

@@ -1,8 +1,8 @@
 """Weight initialisation schemes (Glorot / He / uniform).
 
-Draws go through the active backend's explicit-generator RNG surface so
-initialisation is reproducible across backends (``default_rng(seed)``
-must yield numpy-compatible draw sequences; see the backend contract).
+Draws go through the active backend's explicit-generator RNG surface
+(``default_rng(seed)`` yields numpy's draw sequences), so initialisation
+is reproducible for a fixed seed.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ Profiling is **off by default** and costs nothing until enabled:
   mode: the trace recorder starts enabled, the :class:`~repro.engine
   .trainer.Trainer` collects per-epoch/per-phase timings, and array
   backends are wrapped in an op-counting proxy.
-* :func:`instrument_backend` wraps an
-  :class:`~repro.backend.ArrayBackend` so every primitive call
+* :func:`instrument_backend` wraps a
+  :class:`~repro.backend.NumpyRefBackend` so every op call
   increments ``repro_backend_ops_total{backend=...,op=...}`` in the
   global registry.  The proxy forwards attributes verbatim and caches
   one counting wrapper per method, so the per-op overhead is one

@@ -4,24 +4,16 @@ The attention logits are built by broadcasting a source column ``(N, 1)``
 against a transposed destination row ``(1, N)``, masking non-edges with a
 large negative offset and softmax-normalising each row — a composition
 (broadcast add -> leaky_relu -> masked softmax -> matmul) that no other
-gradient test exercised.  ``check_gradients`` takes the backend as a
-parameter, so the same finite-difference certification runs against every
-registered backend (here ``numpy_ref`` and the ``twin_backend`` fixture's
-renamed copy of it).
+gradient test exercised.  The checks run under the active ``numpy_ref``
+backend.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.autograd import Tensor, check_gradients, leaky_relu, softmax
-from repro.backend import use_backend
 from repro.nn import GraphAttention, init
-
-BACKENDS = ("numpy_ref", "numpy_ref_twin")
-
-pytestmark = pytest.mark.usefixtures("twin_backend")
 
 
 def _attention_pipeline(offsets):
@@ -37,40 +29,34 @@ def _attention_pipeline(offsets):
     return fn
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_gat_attention_softmax_gradients(backend):
+def test_gat_attention_softmax_gradients():
     rng = np.random.default_rng(0)
     n, dim = 6, 4
     adjacency = (rng.random((n, n)) > 0.4).astype(float)
-    with use_backend(backend):
-        projected = Tensor(rng.normal(size=(n, dim)), requires_grad=True)
-        attn_src = Tensor(rng.normal(size=(dim, 1)), requires_grad=True)
-        attn_dst = Tensor(rng.normal(size=(dim, 1)), requires_grad=True)
-        mask = adjacency > 0
-        np.fill_diagonal(mask, True)
-        offsets = Tensor(np.where(mask, 0.0, -1e9))
+    projected = Tensor(rng.normal(size=(n, dim)), requires_grad=True)
+    attn_src = Tensor(rng.normal(size=(dim, 1)), requires_grad=True)
+    attn_dst = Tensor(rng.normal(size=(dim, 1)), requires_grad=True)
+    mask = adjacency > 0
+    np.fill_diagonal(mask, True)
+    offsets = Tensor(np.where(mask, 0.0, -1e9))
     check_gradients(
         _attention_pipeline(offsets),
         [projected, attn_src, attn_dst],
-        backend=backend,
         atol=1e-4,
         rtol=1e-3,
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_gat_layer_end_to_end_gradients(backend):
+def test_gat_layer_end_to_end_gradients():
     """Full GraphAttention forward (leading batch axis) against FD."""
     rng = np.random.default_rng(1)
     n, dim = 5, 4
     adjacency = (rng.random((n, n)) > 0.5).astype(float)
-    with use_backend(backend):
-        layer = GraphAttention(dim, dim, num_heads=2, rng=init.default_rng(3))
-        features = Tensor(rng.normal(size=(2, n, dim)), requires_grad=True)
+    layer = GraphAttention(dim, dim, num_heads=2, rng=init.default_rng(3))
+    features = Tensor(rng.normal(size=(2, n, dim)), requires_grad=True)
     check_gradients(
         lambda feats: layer(adjacency, feats),
         [features],
-        backend=backend,
         atol=1e-4,
         rtol=1e-3,
     )

@@ -1,6 +1,6 @@
 """The reference dilated-conv kernels against the tap-gather + einsum oracle.
 
-``ArrayBackend.conv1d_apply``/``conv1d_backward`` build the tap matrix
+``NumpyRefBackend.conv1d_apply``/``conv1d_backward`` build the tap matrix
 with strided slab copies and call the two GEMMs of numpy's einsum plan
 directly.  The oracle below is the formulation they replaced: a fancy-
 index gather of ``cols[b, c, k, t]``, ``einsum(..., optimize=True)`` and a

@@ -1,7 +1,7 @@
 """``numpy_ref`` bit-identity against the pre-backend-refactor substrate.
 
 The hashes and the ``golden_stsm_prerefactor.npz`` array below were
-captured from the repository immediately *before* the ArrayBackend seam
+captured from the repository immediately *before* the array-backend seam
 was introduced (commit "Extract a shared training engine ..." era code,
 fixed seeds).  Any bitwise drift in a fixed-seed fit under the default
 backend is a regression of the determinism contract — these tests fail

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.backend import (
-    ArrayBackend,
     NumpyRefBackend,
     available_backends,
     get_backend,
@@ -80,7 +79,6 @@ def test_unknown_backend_message_lists_registered(twin_backend):
 def test_register_custom_backend(twin_backend):
     with use_backend(twin_backend) as backend:
         assert isinstance(backend, NumpyRefBackend)
-        assert isinstance(backend, ArrayBackend)
         assert type(backend) is not NumpyRefBackend
 
 

@@ -1,4 +1,4 @@
-"""``ArrayBackend.sigmoid`` runs its ufuncs in place: same bits, same types.
+"""``NumpyRefBackend.sigmoid`` runs its ufuncs in place: same bits, same types.
 
 The composite reuses ``clip``'s fresh result as the buffer for the four
 ufuncs after it.  It must match the chained, allocating expression bit

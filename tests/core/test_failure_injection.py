@@ -206,6 +206,9 @@ class TestNonFiniteObservations:
             "MatrixCompletion": lambda: baselines.MatrixCompletionForecaster(iterations=3),
             "GP-Kriging": baselines.GPKrigingForecaster,
             "HistoricalAverage": baselines.HistoricalAverageForecaster,
+            "IGNNK": lambda: baselines.IGNNKForecaster(iterations=5, hidden=8),
+            "IDWPersistence": baselines.IDWPersistenceForecaster,
+            "NearestObserved": baselines.NearestObservedForecaster,
         }[name]()
 
     _BASELINES = ["INCREASE", "GE-GAN", "MatrixCompletion", "GP-Kriging", "HistoricalAverage"]
@@ -253,3 +256,36 @@ class TestNonFiniteObservations:
         got = masked.predict(starts)
         assert np.isfinite(got).all()
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["IGNNK", "INCREASE", "GE-GAN", "GP-Kriging", "IDWPersistence", "NearestObserved"],
+    )
+    def test_baseline_predict_refuses_non_finite_observed_input(self, probe, name):
+        # Before the check, 20 NaN in observed test rows made 1.1%
+        # (NearestObserved) to 68% (IGNNK) of these forecasts NaN, with no
+        # error.  Windows without one still forecast bitwise.
+        from repro.core import NonFiniteObservationsError
+
+        dataset, split, spec, train_steps = probe
+        test_rows = np.arange(train_steps[-1] + 1, dataset.num_steps)
+        bad, _first = self._with_nan_cells(dataset, split, test_rows, 20)
+        starts = np.arange(test_rows[0], dataset.num_steps - spec.input_length + 1)
+        windows = bad.values[starts[:, None] + np.arange(spec.input_length)]
+        dirty = ~np.isfinite(windows[..., split.observed]).all(axis=(1, 2))
+        first = int(starts[dirty][0])
+        sensors = ~np.isfinite(bad.values[first : first + spec.input_length, split.observed])
+        model = self._baseline(name)
+        model.fit(bad, split, spec, train_steps)
+        with pytest.raises(NonFiniteObservationsError) as caught:
+            model.predict(starts)
+        assert f"in the input window at start {first} of" in str(caught.value)
+        assert f"first: sensor {int(split.observed[sensors.any(axis=0)][0])})" in str(caught.value)
+        row = test_rows[~np.isfinite(bad.values[test_rows][:, split.observed]).all(axis=1)][0]
+        for start in (row - spec.input_length + 1, row):  # the window's last, then first step
+            with pytest.raises(NonFiniteObservationsError):
+                model.predict(np.array([start]))
+        clean = self._baseline(name)
+        clean.fit(dataset, split, spec, train_steps)
+        kept = starts[~dirty]
+        assert model.predict(kept).tobytes() == clean.predict(kept).tobytes()

@@ -16,6 +16,7 @@ from repro.data import (
     slice_window,
     window_starts,
 )
+from repro.data.windows import check_window_starts
 
 
 class TestStandardScaler:
@@ -93,6 +94,14 @@ class TestWindows:
 
     def test_window_starts_too_short(self):
         assert len(window_starts(3, WindowSpec(4, 2))) == 0
+
+    def test_check_window_starts_bounds(self):
+        spec = WindowSpec(4, 2)
+        check_window_starts([], 10, spec)
+        check_window_starts(np.array([0, 6]), 10, spec)  # forecasts may run past the data
+        for bad in (-1, 7, 9, float("nan"), 2**70):
+            with pytest.raises(ValueError, match=r"outside the valid range \[0, 6\]"):
+                check_window_starts([0, bad], 10, spec)
 
     def test_slice_window(self):
         values = np.arange(20).reshape(10, 2)
