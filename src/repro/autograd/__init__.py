@@ -13,16 +13,13 @@ from .ops import (
     concatenate,
     conv1d,
     dropout,
-    elu,
     embedding,
-    gelu,
     leaky_relu,
     log_softmax,
     maximum,
     minimum,
     pad,
     softmax,
-    softplus,
     stack,
     where,
 )
@@ -46,9 +43,6 @@ __all__ = [
     "conv1d",
     "clip_values",
     "leaky_relu",
-    "elu",
-    "gelu",
-    "softplus",
     "check_gradients",
     "numerical_gradient",
 ]

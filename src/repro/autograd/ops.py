@@ -13,7 +13,6 @@ bookkeeping (index arithmetic, shape accounting).
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +34,6 @@ __all__ = [
     "conv1d",
     "clip_values",
     "leaky_relu",
-    "elu",
-    "gelu",
-    "softplus",
 ]
 
 
@@ -209,69 +205,6 @@ def leaky_relu(tensor: Tensor, negative_slope: float = 0.2) -> Tensor:
 
     def backward(grad) -> None:
         tensor._accumulate(b.multiply(grad, b.where(positive, 1.0, negative_slope)), owned=True)
-
-    return Tensor._make(out_data, (tensor,), backward)
-
-
-def elu(tensor: Tensor, alpha: float = 1.0) -> Tensor:
-    """Exponential linear unit: ``x`` if positive else ``α (eˣ − 1)``."""
-    tensor = as_tensor(tensor)
-    b = get_backend()
-    positive = b.greater(tensor.data, 0)
-    exp_term = b.multiply(alpha, b.subtract(b.exp(b.minimum(tensor.data, 0.0)), 1.0))
-    out_data = b.where(positive, tensor.data, exp_term)
-
-    def backward(grad) -> None:
-        tensor._accumulate(
-            b.multiply(grad, b.where(positive, 1.0, b.add(exp_term, alpha))), owned=True
-        )
-
-    return Tensor._make(out_data, (tensor,), backward)
-
-
-def gelu(tensor: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    tensor = as_tensor(tensor)
-    b = get_backend()
-    x = tensor.data
-    c = math.sqrt(2.0 / math.pi)
-    inner = b.multiply(c, b.add(x, b.multiply(0.044715, b.power(x, 3))))
-    tanh_inner = b.tanh(inner)
-    out_data = b.multiply(b.multiply(0.5, x), b.add(1.0, tanh_inner))
-
-    def backward(grad) -> None:
-        sech2 = b.subtract(1.0, b.power(tanh_inner, 2))
-        d_inner = b.multiply(c, b.add(1.0, b.multiply(3.0 * 0.044715, b.power(x, 2))))
-        local = b.add(
-            b.multiply(0.5, b.add(1.0, tanh_inner)),
-            b.multiply(b.multiply(b.multiply(0.5, x), sech2), d_inner),
-        )
-        tensor._accumulate(b.multiply(grad, local), owned=True)
-
-    return Tensor._make(out_data, (tensor,), backward)
-
-
-def softplus(tensor: Tensor, beta: float = 1.0) -> Tensor:
-    """``log(1 + exp(βx)) / β`` — a smooth ReLU; stable for large inputs."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    tensor = as_tensor(tensor)
-    b = get_backend()
-    scaled = b.multiply(beta, tensor.data)
-    # log1p(exp(s)) = max(s, 0) + log1p(exp(-|s|)) avoids overflow; the
-    # sigmoid below uses the same trick for its exp.
-    out_data = b.divide(
-        b.add(b.maximum(scaled, 0.0), b.log1p(b.exp(b.negative(b.abs(scaled))))), beta
-    )
-    exp_neg = b.exp(b.negative(b.abs(scaled)))
-    sig = b.where(
-        b.greater_equal(scaled, 0),
-        b.divide(1.0, b.add(1.0, exp_neg)),
-        b.divide(exp_neg, b.add(1.0, exp_neg)),
-    )
-
-    def backward(grad) -> None:
-        tensor._accumulate(b.multiply(grad, sig), owned=True)
 
     return Tensor._make(out_data, (tensor,), backward)
 

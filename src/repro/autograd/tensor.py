@@ -18,7 +18,12 @@ Design notes
 * Broadcasting follows numpy semantics; backward passes "unbroadcast" by
   summing gradients over the broadcast axes.
 * The graph is a DAG of ``Tensor`` nodes.  ``backward`` runs a topological
-  sort and calls each node's local backward closure exactly once.
+  sort and calls each node's local backward closure exactly once, then
+  frees the node (its adjoint, closure and parent links), so an
+  activation dies once the last closure that saved it has run.  Leaves
+  keep their ``.grad``; an interior node's is ``None`` afterwards, and a
+  later ``backward`` that reaches a consumed node raises (PyTorch's
+  ``retain_graph=False`` rule).
 * A thread-local flag (:func:`no_grad`) disables taping, which makes
   inference allocation-free apart from the forward arrays.  Per-thread
   scoping matters: serving threads run ``predict`` under ``no_grad()``
@@ -85,6 +90,14 @@ def _unbroadcast(grad, shape: tuple[int, ...]):
     if axes:
         grad = b.sum(grad, axis=axes, keepdims=True)
     return b.reshape(grad, shape)
+
+
+def _consumed(grad=None) -> None:
+    """Closure of a node ``backward`` has consumed: reaching it again raises."""
+    raise RuntimeError(
+        "backward() reached a node an earlier backward() already consumed and freed; "
+        "run the forward pass again to build a fresh graph"
+    )
 
 
 class Tensor:
@@ -215,6 +228,9 @@ class Tensor:
         grad:
             Seed gradient.  Defaults to 1 for scalar tensors; required for
             non-scalar roots.
+
+        Raises ``RuntimeError`` before accumulating anything when the
+        graph holds a node an earlier ``backward`` consumed.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -237,6 +253,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed()
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -244,9 +262,13 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -160,9 +160,6 @@ class NumpyRefBackend:
     def log(self, a, out=None):
         return np.log(a, out=out)
 
-    def log1p(self, a, out=None):
-        return np.log1p(a, out=out)
-
     def sqrt(self, a, out=None):
         return np.sqrt(a, out=out)
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation import Metrics, compute_metrics, mae, mape, r_squared, rmse
+from repro.evaluation.metrics import MAPE_FLOOR
 
 
 class TestPointMetrics:
@@ -80,15 +81,17 @@ class TestMetricsBundle:
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=100), st.integers(min_value=0, max_value=10_000))
+@example(n=22, seed=8761)  # a truth within MAPE_FLOOR of zero before scaling
 def test_metric_properties(n, seed):
     rng = np.random.default_rng(seed)
     truth = rng.normal(10, 3, size=n)
     pred = rng.normal(10, 3, size=n)
     assert rmse(pred, truth) >= mae(pred, truth) - 1e-12  # RMSE >= MAE always
     assert r_squared(truth, truth) == 1.0
-    # Scaling both by a constant leaves MAPE unchanged and scales RMSE/MAE.
+    # Scaling both by a constant scales RMSE/MAE.  MAPE is scale invariant
+    # only away from its floor, so assert the floored definition exactly.
     factor = 3.0
     assert rmse(pred * factor, truth * factor) == pytest.approx(factor * rmse(pred, truth))
-    assert mape(pred * factor, truth * factor) == pytest.approx(
-        mape(pred, truth), rel=1e-6
-    )
+    for p, t in ((pred, truth), (pred * factor, truth * factor)):
+        floored = np.mean(np.abs(p - t) / np.maximum(np.abs(t), MAPE_FLOOR))
+        assert mape(p, t) == float(floored)
