@@ -10,7 +10,6 @@ are the classic choice for this graph scale.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
 
 __all__ = ["spectral_embedding", "most_similar_nodes"]
 
@@ -21,6 +20,8 @@ def spectral_embedding(adjacency: np.ndarray, dim: int = 16) -> np.ndarray:
     Returns ``(N, dim)`` rows (eigenvectors 1..dim, skipping the trivial
     constant eigenvector).  ``dim`` is clipped to N-1.
     """
+    from scipy.linalg import eigh
+
     adjacency = np.asarray(adjacency, dtype=float)
     n = len(adjacency)
     if n < 2:

@@ -145,11 +145,11 @@ def generate_highway_city(
             lanes=2,
         )
         # Connect this corridor's head to the nearest node of earlier corridors.
-        head_pos = network.graph.nodes[first]["pos"]
-        earlier = [n for n in network.graph.nodes if n < first]
+        head_pos = network.positions[first]
+        earlier = [n for n in network.positions if n < first]
         nearest = min(
             earlier,
-            key=lambda n: np.linalg.norm(np.asarray(network.graph.nodes[n]["pos"]) - head_pos),
+            key=lambda n: np.linalg.norm(np.asarray(network.positions[n]) - head_pos),
         )
         network.add_segment(first, nearest, attrs)
 
@@ -226,7 +226,7 @@ def generate_urban_city(
     coords = []
     road_features = []
     for nid in chosen:
-        pos = np.asarray(network.graph.nodes[int(nid)]["pos"], dtype=float)
+        pos = np.asarray(network.positions[int(nid)], dtype=float)
         coords.append(pos + rng.normal(0.0, block * 0.1, size=2))
         attrs = network.nearest_segment_attributes(tuple(pos))
         road_features.append(attrs.as_vector())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["euclidean_distance_matrix", "haversine_distance_matrix", "pairwise_distances"]
+__all__ = ["euclidean_distance_matrix", "haversine_distance_matrix"]
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -34,11 +34,3 @@ def haversine_distance_matrix(latlon: np.ndarray) -> np.ndarray:
     a = np.sin(dlat / 2) ** 2 + np.cos(lat) * np.cos(lat.T) * np.sin(dlon / 2) ** 2
     return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
-
-def pairwise_distances(coords: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Dispatch to the requested distance metric ("euclidean" or "haversine")."""
-    if metric == "euclidean":
-        return euclidean_distance_matrix(coords)
-    if metric == "haversine":
-        return haversine_distance_matrix(coords)
-    raise ValueError(f"unknown metric {metric!r}; expected 'euclidean' or 'haversine'")

@@ -7,13 +7,17 @@ Backs two parts of the reproduction:
   lanes) that feed the selective-masking features (paper §4.1);
 * the STSM-rd-a / STSM-rd-m variants (paper §5.2.6, Table 11) replace
   Euclidean distances with shortest-path road distances computed here.
+
+The graph is two plain dicts and the distances one heapq Dijkstra, so no
+graph library loads with the package.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import count
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["RoadSegmentAttributes", "RoadNetwork"]
@@ -57,38 +61,35 @@ class RoadNetwork:
 
     Attributes
     ----------
-    graph:
-        networkx graph whose nodes carry ``pos`` (x, y) and whose edges carry
-        ``length`` plus a :class:`RoadSegmentAttributes` under ``attributes``.
+    positions:
+        Node id -> planar ``(x, y)``, in insertion order.
+    adjacency:
+        Node id -> {neighbour id -> ``(length, RoadSegmentAttributes)``};
+        each segment appears under both of its end nodes.
     """
 
-    graph: nx.Graph = field(default_factory=nx.Graph)
+    positions: dict = field(default_factory=dict)
+    adjacency: dict = field(default_factory=dict)
 
     def add_intersection(self, node_id, position: tuple[float, float]) -> None:
         """Add an intersection node with planar coordinates."""
-        self.graph.add_node(node_id, pos=(float(position[0]), float(position[1])))
+        self.positions[node_id] = (float(position[0]), float(position[1]))
+        self.adjacency.setdefault(node_id, {})
 
     def add_segment(self, u, v, attributes: RoadSegmentAttributes) -> None:
         """Add a road segment; length is the Euclidean node distance."""
-        pu = np.asarray(self.graph.nodes[u]["pos"])
-        pv = np.asarray(self.graph.nodes[v]["pos"])
+        pu = np.asarray(self.positions[u])
+        pv = np.asarray(self.positions[v])
         length = float(np.linalg.norm(pu - pv))
-        self.graph.add_edge(u, v, length=length, attributes=attributes)
-
-    def node_positions(self) -> dict:
-        """Map node id -> (x, y)."""
-        return {n: d["pos"] for n, d in self.graph.nodes(data=True)}
+        self.adjacency[u][v] = self.adjacency[v][u] = (length, attributes)
 
     def nearest_node(self, point: tuple[float, float]):
         """Return the node id closest to ``point`` in Euclidean distance."""
-        positions = self.node_positions()
-        if not positions:
+        if not self.positions:
             raise ValueError("road network has no nodes")
-        items = list(positions.items())
-        coords = np.array([p for _n, p in items])
-        deltas = coords - np.asarray(point, dtype=float)
+        deltas = np.array(list(self.positions.values())) - np.asarray(point, dtype=float)
         index = int(np.argmin((deltas ** 2).sum(axis=1)))
-        return items[index][0]
+        return list(self.positions)[index]
 
     def nearest_segment_attributes(self, point: tuple[float, float]) -> RoadSegmentAttributes:
         """Attributes of the road segment nearest to ``point``.
@@ -99,12 +100,11 @@ class RoadNetwork:
         so this matches point-to-segment search to within a block).
         """
         node = self.nearest_node(point)
-        edges = list(self.graph.edges(node, data=True))
-        if not edges:
+        segments = [attrs for _length, attrs in self.adjacency[node].values()]
+        if not segments:
             raise ValueError(f"node {node} has no incident road segments")
         # Prefer the most important road touching this intersection.
-        best = min(edges, key=lambda e: e[2]["attributes"].highway_level)
-        return best[2]["attributes"]
+        return min(segments, key=lambda attrs: attrs.highway_level)
 
     def shortest_path_distance_matrix(self, points: np.ndarray) -> np.ndarray:
         """Road-network distances between all pairs of ``points``.
@@ -115,17 +115,29 @@ class RoadNetwork:
         """
         points = np.asarray(points, dtype=float)
         snapped = [self.nearest_node(tuple(p)) for p in points]
-        unique_nodes = sorted(set(snapped), key=str)
-        lengths: dict = {}
-        for source in unique_nodes:
-            lengths[source] = nx.single_source_dijkstra_path_length(
-                self.graph, source, weight="length"
-            )
-        n = len(points)
-        out = np.full((n, n), np.inf)
-        for i in range(n):
-            row = lengths[snapped[i]]
-            for j in range(n):
-                out[i, j] = row.get(snapped[j], np.inf)
+        lengths = {source: self._dijkstra(source) for source in set(snapped)}
+        rows = [[lengths[s].get(t, np.inf) for t in snapped] for s in snapped]
+        out = np.array(rows, dtype=float).reshape(len(points), len(points))
         np.fill_diagonal(out, 0.0)
         return out
+
+    def _dijkstra(self, source) -> dict:
+        """Shortest-path length from ``source`` to every reachable node.
+
+        Mirrors networkx's ``_dijkstra_multisource`` push for push, so
+        the lengths match it bit for bit."""
+        dist: dict = {}
+        seen = {source: 0}
+        tie = count()
+        fringe = [(0, next(tie), source)]
+        while fringe:
+            d, _, v = heapq.heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = d
+            for u, (length, _attrs) in self.adjacency[v].items():
+                vu = d + length
+                if u not in dist and (u not in seen or vu < seen[u]):
+                    seen[u] = vu
+                    heapq.heappush(fringe, (vu, next(tie), u))
+        return dist

@@ -68,11 +68,10 @@ class TestCityGeneration:
         assert np.allclose(layout.land_use.sum(axis=1), 1.0)
 
     def test_highway_network_connected(self):
-        import networkx as nx
-
         rng = np.random.default_rng(3)
         layout = generate_highway_city(40, rng)
-        assert nx.is_connected(layout.road_network.graph)
+        distances = layout.road_network.shortest_path_distance_matrix(layout.sensor_coords)
+        assert np.isfinite(distances).all()
 
     def test_urban_layout_fields(self):
         rng = np.random.default_rng(4)

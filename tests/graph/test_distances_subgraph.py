@@ -17,7 +17,6 @@ from repro.graph import (
     haversine_distance_matrix,
     mean_subgraph_size,
     one_hop_subgraph,
-    pairwise_distances,
 )
 
 
@@ -58,12 +57,6 @@ class TestHaversine:
         out = haversine_distance_matrix(latlon)
         assert np.allclose(out, out.T)
         assert np.allclose(np.diag(out), 0.0)
-
-    def test_dispatch(self):
-        coords = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert pairwise_distances(coords, "euclidean")[0, 1] == pytest.approx(np.sqrt(2))
-        with pytest.raises(ValueError):
-            pairwise_distances(coords, "manhattan")
 
 
 class TestSubgraphs:
@@ -116,7 +109,8 @@ class TestRoadNetwork:
 
     def test_segment_length(self):
         net = self._triangle()
-        assert net.graph.edges[0, 1]["length"] == pytest.approx(100.0)
+        length, _attrs = net.adjacency[0][1]
+        assert length == pytest.approx(100.0)
 
     def test_nearest_node(self):
         net = self._triangle()
