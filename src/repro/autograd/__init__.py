@@ -13,7 +13,6 @@ from .ops import (
     concatenate,
     conv1d,
     dropout,
-    embedding,
     leaky_relu,
     log_softmax,
     maximum,
@@ -39,7 +38,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "dropout",
-    "embedding",
     "conv1d",
     "clip_values",
     "leaky_relu",

@@ -2,7 +2,7 @@
 
 These complement the methods on ``Tensor`` with multi-input ops
 (concatenate, stack, where, elementwise max), stabilised softmax variants,
-dropout, embedding lookup, and the dilated 1-D convolution used by the
+dropout, and the dilated 1-D convolution used by the
 paper's temporal module (Eq. 5).
 
 All array math routes through the active backend
@@ -30,7 +30,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "dropout",
-    "embedding",
     "conv1d",
     "clip_values",
     "leaky_relu",
@@ -163,21 +162,6 @@ def dropout(tensor: Tensor, rate: float, training: bool, rng) -> Tensor:
         tensor._accumulate(b.multiply(grad, mask), owned=True)
 
     return Tensor._make(out_data, (tensor,), backward)
-
-
-def embedding(table: Tensor, indices) -> Tensor:
-    """Row lookup ``table[indices]`` with scatter-add adjoint."""
-    table = as_tensor(table)
-    b = get_backend()
-    idx = np.asarray(indices, dtype=np.int64)
-    out_data = b.getitem(table.data, idx)
-
-    def backward(grad) -> None:
-        full = b.zeros_like(table.data)
-        b.scatter_add(full, idx, grad)
-        table._accumulate(full, owned=True)
-
-    return Tensor._make(b.copy(out_data), (table,), backward)
 
 
 def clip_values(tensor: Tensor, low: float, high: float) -> Tensor:

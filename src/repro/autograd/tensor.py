@@ -587,10 +587,6 @@ class Tensor:
         out_shape = get_backend().squeeze(self.data, axis=axis).shape
         return self.reshape(out_shape)
 
-    def unsqueeze(self, axis: int) -> "Tensor":
-        out_shape = get_backend().expand_dims(self.data, axis=axis).shape
-        return self.reshape(out_shape)
-
 
 def as_tensor(value) -> Tensor:
     """Coerce ``value`` to a :class:`Tensor` (no copy when already one)."""

@@ -14,7 +14,6 @@ from .kriging import (
     ordinary_kriging_weights,
 )
 from .mean import HistoricalAverageForecaster, IDWPersistenceForecaster, NearestObservedForecaster
-from .oracle import OracleForecaster
 
 __all__ = [
     "GEGANForecaster",
@@ -33,7 +32,6 @@ __all__ = [
     "HistoricalAverageForecaster",
     "NearestObservedForecaster",
     "IDWPersistenceForecaster",
-    "OracleForecaster",
     "spectral_embedding",
     "most_similar_nodes",
 ]

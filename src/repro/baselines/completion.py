@@ -320,9 +320,3 @@ class MatrixCompletionForecaster(Forecaster):
             future_u = self._future_factors(last_step)  # (T', k)
             out[row] = future_u @ v_u.T
         return self.scaler.inverse_transform(out)
-
-    def reconstruct(self) -> np.ndarray:
-        """The completed (scaled-back) matrix ``U Vᵀ`` over all steps."""
-        if not self._fitted:
-            raise RuntimeError("reconstruct() called before fit()")
-        return self.scaler.inverse_transform(self.factors_u @ self.factors_v.T)

@@ -40,7 +40,7 @@ from ..engine import Trainer, TrainingProgram
 from ..graph.adjacency import gaussian_kernel_adjacency
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
-from ..nn import Linear, Module, Sequential, ReLU, Tanh, bce_loss, init, mse_loss
+from ..nn import Linear, Module, Sequential, ReLU, bce_loss, init, mse_loss
 from ..optim import Adam
 from .graph_embedding import most_similar_nodes, spectral_embedding
 

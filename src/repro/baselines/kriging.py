@@ -285,27 +285,3 @@ class GPKrigingForecaster(Forecaster):
         predictions = self.predict(window_starts)
         return predictions, self.kriging_variance.copy()
 
-    def predict_interval(self, window_starts: np.ndarray, coverage: float = 0.9):
-        """Gaussian central prediction interval from the kriging variance.
-
-        The GP's predictive distribution is Gaussian, so the interval is
-        ``mean ± z_{(1+coverage)/2} · σ`` with σ mapped back to data units
-        through the scaler.  Comparable against the Monte-Carlo intervals
-        of :mod:`repro.core.uncertainty` via the same metrics.
-        """
-        from scipy.stats import norm
-
-        from ..core.uncertainty import PredictionInterval
-
-        if not 0.0 < coverage < 1.0:
-            raise ValueError(f"coverage must be in (0, 1), got {coverage}")
-        predictions = self.predict(window_starts)
-        z_value = float(norm.ppf(0.5 + coverage / 2.0))
-        sigma = np.sqrt(self.kriging_variance) * self.scaler.std_
-        half_width = z_value * sigma[None, None, :]
-        return PredictionInterval(
-            mean=predictions,
-            lower=predictions - half_width,
-            upper=predictions + half_width,
-            coverage_nominal=coverage,
-        )

@@ -25,7 +25,7 @@ from .persistence import load_forecaster, save_forecaster
 from .network import STBlock, STSMNetwork
 from .pseudo import fill_pseudo_observations, idw_weights
 from .tcn import DilatedTCN, RecurrentTemporal, TransformerTemporal
-from .uncertainty import DeepEnsembleForecaster, MCDropoutForecaster, PredictionInterval
+from .uncertainty import DeepEnsembleForecaster, MCDropoutForecaster
 from .variants import (
     STSM_VARIANTS,
     make_stsm,
@@ -82,5 +82,4 @@ __all__ = [
     "STSM_VARIANTS",
     "MCDropoutForecaster",
     "DeepEnsembleForecaster",
-    "PredictionInterval",
 ]

@@ -18,44 +18,24 @@ Two standard predictive-distribution constructions are provided:
   :class:`~repro.interfaces.Forecaster` factory, not just STSM.
 
 Both expose ``predict`` (the ensemble mean — they remain drop-in point
-forecasters), ``predict_samples`` and ``predict_interval``; the intervals
-are scored with :mod:`repro.evaluation.intervals`.
+forecasters) and ``predict_samples``; :mod:`repro.evaluation.intervals`
+turns the samples into intervals and scores them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..evaluation.intervals import empirical_interval
 from ..interfaces import FitReport, Forecaster
 from .model import STSMForecaster
 
 __all__ = [
-    "PredictionInterval",
     "MCDropoutForecaster",
     "DeepEnsembleForecaster",
 ]
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    """A central prediction interval with its point forecast.
-
-    All arrays are ``(num_windows, horizon, num_unobserved)``.
-    """
-
-    mean: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    coverage_nominal: float
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
 
 
 class MCDropoutForecaster(Forecaster):
@@ -103,16 +83,6 @@ class MCDropoutForecaster(Forecaster):
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         """MC mean — a point forecast usable anywhere a Forecaster is."""
         return self.predict_samples(window_starts).mean(axis=0)
-
-    def predict_interval(
-        self, window_starts: np.ndarray, coverage: float = 0.9
-    ) -> PredictionInterval:
-        samples = self.predict_samples(window_starts)
-        lower, upper = empirical_interval(samples, coverage)
-        return PredictionInterval(
-            mean=samples.mean(axis=0), lower=lower, upper=upper,
-            coverage_nominal=coverage,
-        )
 
 
 class DeepEnsembleForecaster(Forecaster):
@@ -173,13 +143,3 @@ class DeepEnsembleForecaster(Forecaster):
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         """Ensemble-mean point forecast."""
         return self.predict_samples(window_starts).mean(axis=0)
-
-    def predict_interval(
-        self, window_starts: np.ndarray, coverage: float = 0.9
-    ) -> PredictionInterval:
-        samples = self.predict_samples(window_starts)
-        lower, upper = empirical_interval(samples, coverage)
-        return PredictionInterval(
-            mean=samples.mean(axis=0), lower=lower, upper=upper,
-            coverage_nominal=coverage,
-        )

@@ -1,50 +1,40 @@
 """Dataset containers, splits, windowing, scaling, and synthetic presets."""
 
 from .dataset import LocationFeatures, SpatioTemporalDataset
-from .io import load_dataset, save_dataset
 from .missing import (
     apply_missing,
     block_missing_mask,
     impute_forward_fill,
     impute_linear,
-    missing_rate,
     random_missing_mask,
 )
-from .scalers import IdentityScaler, MinMaxScaler, StandardScaler
+from .scalers import StandardScaler
 from .splits import (
     SpaceSplit,
-    four_standard_splits,
     progressive_splits,
     scattered_split,
     space_split,
     temporal_split,
 )
-from .windows import WindowSpec, iterate_batches, slice_window, window_starts
+from .windows import WindowSpec, iterate_batches, window_starts
 from . import synthetic
 
 __all__ = [
     "SpatioTemporalDataset",
     "LocationFeatures",
-    "save_dataset",
-    "load_dataset",
     "random_missing_mask",
     "block_missing_mask",
     "apply_missing",
     "impute_forward_fill",
     "impute_linear",
-    "missing_rate",
     "StandardScaler",
-    "MinMaxScaler",
-    "IdentityScaler",
     "SpaceSplit",
     "space_split",
     "scattered_split",
-    "four_standard_splits",
     "progressive_splits",
     "temporal_split",
     "WindowSpec",
     "window_starts",
-    "slice_window",
     "iterate_batches",
     "synthetic",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "apply_missing",
     "impute_forward_fill",
     "impute_linear",
-    "missing_rate",
 ]
 
 
@@ -135,14 +134,6 @@ def impute_linear(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def missing_rate(values: np.ndarray) -> float:
-    """Fraction of NaN cells."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    return float(np.isnan(values).mean())
-
-
 class NonFiniteObservationsError(ValueError):
     """An observed sensor's readings hold NaN or an infinity.
 
@@ -182,8 +173,8 @@ class FiniteInputCheck:
         self.prefix = np.concatenate(([0], np.cumsum(bad)))
 
     def check(self, starts) -> None:
-        """Raise ``ValueError`` for a start whose input window leaves the
-        data (:func:`~repro.data.windows.check_window_starts`), then
+        """Raise :class:`~repro.data.windows.WindowStartError` for a start
+        whose input window leaves the data, then
         :class:`NonFiniteObservationsError` for the first one whose input
         window ``[s, s + T)`` holds a non-finite observed reading."""
         length = self.spec.input_length

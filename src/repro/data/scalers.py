@@ -1,4 +1,4 @@
-"""Value scalers.
+"""Value scaler.
 
 Standard practice for the kriging/forecasting baselines (and kept for STSM):
 fit a z-score scaler on the *observed training* values only — unobserved
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["StandardScaler", "MinMaxScaler", "IdentityScaler"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -41,54 +41,3 @@ class StandardScaler:
     def inverse_transform(self, values: np.ndarray) -> np.ndarray:
         self._check_fitted()
         return np.asarray(values, dtype=float) * self.std_ + self.mean_
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)
-
-
-class MinMaxScaler:
-    """Scale to [0, 1] using the fitted min/max."""
-
-    def __init__(self) -> None:
-        self.min_: float | None = None
-        self.max_: float | None = None
-
-    def fit(self, values: np.ndarray) -> "MinMaxScaler":
-        values = np.asarray(values, dtype=float)
-        finite = values[np.isfinite(values)]
-        if finite.size == 0:
-            raise ValueError("cannot fit scaler on empty/non-finite data")
-        self.min_ = float(finite.min())
-        self.max_ = float(finite.max())
-        if self.max_ == self.min_:
-            self.max_ = self.min_ + 1.0
-        return self
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        if self.min_ is None:
-            raise RuntimeError("scaler used before fit()")
-        return (np.asarray(values, dtype=float) - self.min_) / (self.max_ - self.min_)
-
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        if self.min_ is None:
-            raise RuntimeError("scaler used before fit()")
-        return np.asarray(values, dtype=float) * (self.max_ - self.min_) + self.min_
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)
-
-
-class IdentityScaler:
-    """No-op scaler (keeps model code uniform when scaling is disabled)."""
-
-    def fit(self, values: np.ndarray) -> "IdentityScaler":
-        return self
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float)
-
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float)
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.transform(values)

@@ -20,7 +20,6 @@ __all__ = [
     "SpaceSplit",
     "space_split",
     "scattered_split",
-    "four_standard_splits",
     "progressive_splits",
     "temporal_split",
 ]
@@ -208,15 +207,6 @@ def progressive_splits(
             )
         )
     return splits, core
-
-
-def four_standard_splits(
-    coords: np.ndarray,
-    fractions: tuple[float, float, float] = _DEFAULT_FRACTIONS,
-) -> list[SpaceSplit]:
-    """The four split variants the paper averages over (§5.1.1)."""
-    kinds = ("horizontal", "horizontal_flip", "vertical", "vertical_flip")
-    return [space_split(coords, kind, fractions) for kind in kinds]
 
 
 def temporal_split(num_steps: int, train_fraction: float = 0.7) -> tuple[np.ndarray, np.ndarray]:

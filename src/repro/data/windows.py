@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["WindowSpec", "check_window_starts", "window_starts", "iterate_batches", "slice_window"]
+__all__ = ["WindowSpec", "WindowStartError", "check_window_starts", "window_starts", "iterate_batches"]
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,13 @@ class WindowSpec:
         return self.input_length + self.horizon
 
 
+class WindowStartError(ValueError):
+    """A window start whose input window does not lie in the data."""
+
+
 def check_window_starts(starts, num_steps: int, spec: WindowSpec) -> None:
-    """Raise ``ValueError`` unless every start's input window lies in the data.
+    """Raise :class:`WindowStartError` unless every start's input window
+    lies in the data.
 
     A start ``s`` can be forecast only when its input window ``[s, s + T)``
     lies inside ``[0, num_steps)``; the forecast itself may run past the
@@ -42,7 +47,7 @@ def check_window_starts(starts, num_steps: int, spec: WindowSpec) -> None:
     last = num_steps - spec.input_length
     bad = ~((starts >= 0) & (starts <= last)).astype(bool)  # NaN is out of range too
     if bad.any():
-        raise ValueError(
+        raise WindowStartError(
             f"window start {starts[np.argmax(bad)]} is outside the valid range "
             f"[0, {last}] (input length {spec.input_length}, {num_steps} steps)"
         )
@@ -56,15 +61,6 @@ def window_starts(num_steps: int, spec: WindowSpec, stride: int = 1) -> np.ndarr
     if last < 0:
         return np.array([], dtype=int)
     return np.arange(0, last + 1, stride)
-
-
-def slice_window(values: np.ndarray, start: int, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Slice ``(input, target)`` windows from a ``(T, ...)`` value array."""
-    mid = start + spec.input_length
-    end = mid + spec.horizon
-    if end > len(values):
-        raise IndexError(f"window [{start}, {end}) exceeds {len(values)} steps")
-    return values[start:mid], values[mid:end]
 
 
 def iterate_batches(

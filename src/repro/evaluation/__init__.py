@@ -4,10 +4,9 @@ from .evaluator import (
     EvaluationResult,
     average_metrics,
     evaluate_forecaster,
-    evaluate_on_splits,
     forecast_window_starts,
 )
-from .horizon import horizon_profile, location_profile, stack_truth
+from .horizon import horizon_profile, stack_truth
 from .intervals import (
     IntervalMetrics,
     crps_from_samples,
@@ -18,7 +17,6 @@ from .intervals import (
     winkler_score,
 )
 from .metrics import Metrics, compute_metrics, mae, mape, r_squared, rmse
-from .significance import PairedComparison, paired_bootstrap
 
 __all__ = [
     "Metrics",
@@ -29,14 +27,10 @@ __all__ = [
     "r_squared",
     "EvaluationResult",
     "evaluate_forecaster",
-    "evaluate_on_splits",
     "average_metrics",
     "forecast_window_starts",
     "horizon_profile",
-    "location_profile",
     "stack_truth",
-    "paired_bootstrap",
-    "PairedComparison",
     "IntervalMetrics",
     "evaluate_intervals",
     "empirical_interval",

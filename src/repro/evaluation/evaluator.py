@@ -3,25 +3,24 @@
 Handles the paper's protocol (§5.1.1): temporal 70/30 split, fit on the
 observed region over the training period, forecast the unobserved region
 over test-period windows, and report RMSE/MAE/MAPE/R² plus wall-clock
-train/test times (Table 5).  ``evaluate_on_splits`` averages over the four
-standard space splits.
+train/test times (Table 5).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..data.dataset import SpatioTemporalDataset
-from ..data.splits import SpaceSplit, four_standard_splits, temporal_split
+from ..data.splits import SpaceSplit, temporal_split
 from ..data.windows import WindowSpec, window_starts
 from ..interfaces import FitReport, Forecaster
 from .metrics import Metrics, compute_metrics
 
-__all__ = ["EvaluationResult", "evaluate_forecaster", "evaluate_on_splits", "average_metrics"]
+__all__ = ["EvaluationResult", "evaluate_forecaster", "average_metrics"]
 
 
 @dataclass
@@ -118,22 +117,3 @@ def average_metrics(results: Sequence[EvaluationResult]) -> Metrics:
         r2=float(np.mean([r.metrics.r2 for r in results])),
     )
 
-
-def evaluate_on_splits(
-    make_forecaster: Callable[[], Forecaster],
-    dataset: SpatioTemporalDataset,
-    spec: WindowSpec,
-    splits: Sequence[SpaceSplit] | None = None,
-    **kwargs,
-) -> tuple[Metrics, list[EvaluationResult]]:
-    """Evaluate a fresh model instance on each split and average.
-
-    ``make_forecaster`` is called once per split so no state leaks between
-    spatial partitions (the paper averages four independent runs).
-    """
-    splits = splits if splits is not None else four_standard_splits(dataset.coords)
-    results = [
-        evaluate_forecaster(make_forecaster(), dataset, split, spec, **kwargs)
-        for split in splits
-    ]
-    return average_metrics(results), results

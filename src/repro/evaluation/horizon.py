@@ -1,9 +1,8 @@
-"""Per-horizon and per-location error profiles.
+"""Per-horizon error profiles.
 
 The headline tables average over the whole forecast window; these helpers
 break errors down by lead time (how fast accuracy decays from +1 step to
-+T') and by location (which parts of the unobserved region are hard) —
-the views practitioners ask for first when adopting a forecaster.
++T').
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from ..data.windows import WindowSpec
 from ..interfaces import Forecaster
 from .metrics import Metrics, compute_metrics
 
-__all__ = ["horizon_profile", "location_profile", "stack_truth"]
+__all__ = ["horizon_profile", "stack_truth"]
 
 
 def stack_truth(
@@ -53,34 +52,3 @@ def horizon_profile(
         for h in range(spec.horizon)
     ]
 
-
-def location_profile(
-    forecaster: Forecaster,
-    dataset: SpatioTemporalDataset,
-    split: SpaceSplit,
-    spec: WindowSpec,
-    window_starts: np.ndarray,
-) -> list[dict]:
-    """Per-unobserved-location metrics, sorted worst-RMSE first.
-
-    Each entry carries the global location id, its coordinates, its
-    distance to the nearest observed sensor, and its metrics — enough to
-    see whether errors concentrate deep inside the unobserved region.
-    """
-    predictions = forecaster.predict(window_starts)
-    truth = stack_truth(dataset, split, spec, window_starts)
-    observed_coords = dataset.coords[split.observed]
-    entries = []
-    for j, location in enumerate(split.unobserved):
-        metrics = compute_metrics(predictions[:, :, j], truth[:, :, j])
-        gap = np.linalg.norm(observed_coords - dataset.coords[location], axis=1).min()
-        entries.append(
-            {
-                "location": int(location),
-                "coords": tuple(np.round(dataset.coords[location], 1)),
-                "nearest_observed_distance": float(gap),
-                "metrics": metrics,
-            }
-        )
-    entries.sort(key=lambda e: e["metrics"].rmse, reverse=True)
-    return entries

@@ -8,7 +8,7 @@ from .adjacency import (
     gcn_normalise,
     row_normalise,
 )
-from .distances import euclidean_distance_matrix, haversine_distance_matrix
+from .distances import euclidean_distance_matrix
 from .roadnet import HIGHWAY_LEVELS, DEFAULT_MAXSPEED, RoadNetwork, RoadSegmentAttributes
 from .subgraph import all_subgraphs, mean_subgraph_size, one_hop_subgraph
 
@@ -18,7 +18,6 @@ __all__ = [
     "row_normalise",
     "adjacency_density",
     "euclidean_distance_matrix",
-    "haversine_distance_matrix",
     "RoadNetwork",
     "RoadSegmentAttributes",
     "HIGHWAY_LEVELS",

@@ -93,7 +93,8 @@ class Forecaster(abc.ABC):
             Global time indices ``t0``; the input window is
             ``[t0, t0 + T)`` and predictions cover ``[t0 + T, t0 + T + T')``.
             A start whose input window leaves the dataset's steps raises
-            ``ValueError`` (:func:`~repro.data.windows.check_window_starts`).
+            :class:`~repro.data.windows.WindowStartError`, a ``ValueError``
+            (:func:`~repro.data.windows.check_window_starts`).
 
         Returns
         -------

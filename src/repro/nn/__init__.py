@@ -6,10 +6,9 @@ subset of layers STSM and the baselines need.
 
 from .attention import MultiHeadAttention, TransformerEncoderLayer, positional_encoding
 from .gat import GraphAttention
-from .layers import Conv1d, Dropout, Embedding, Identity, LayerNorm, Linear, ReLU, Sigmoid, Tanh
-from .loss import bce_loss, cosine_similarity_matrix, huber_loss, mae_loss, mse_loss, nt_xent_loss
+from .layers import Conv1d, Dropout, LayerNorm, Linear, ReLU
+from .loss import bce_loss, cosine_similarity_matrix, mse_loss, nt_xent_loss
 from .module import Module, ModuleList, Parameter, Sequential
-from .lstm import LSTM, LSTMCell
 from .recurrent import GRU, GRUCell
 from . import init
 
@@ -22,22 +21,14 @@ __all__ = [
     "Conv1d",
     "Dropout",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
-    "Identity",
     "LayerNorm",
     "GRU",
     "GRUCell",
-    "LSTM",
-    "LSTMCell",
-    "Embedding",
-    "huber_loss",
     "MultiHeadAttention",
     "TransformerEncoderLayer",
     "positional_encoding",
     "GraphAttention",
     "mse_loss",
-    "mae_loss",
     "bce_loss",
     "nt_xent_loss",
     "cosine_similarity_matrix",

@@ -122,28 +122,3 @@ class GraphAttention(Module):
         if self.num_heads == 1:
             return head_outputs[0]
         return concatenate(head_outputs, axis=-1)
-
-    def attention_weights(
-        self, adjacency: Tensor | np.ndarray, features: Tensor
-    ) -> np.ndarray:
-        """Per-head attention matrices ``(heads, ..., N, N)`` for inspection."""
-        adjacency_data = (
-            adjacency.numpy() if isinstance(adjacency, Tensor) else get_backend().asarray(adjacency)
-        )
-        offsets = Tensor(self._mask_offsets(adjacency_data))
-        lead = features.ndim - 2
-        out = []
-        for head in range(self.num_heads):
-            projected = features @ self.weight[head]
-            src = projected @ self.attn_src[head]
-            dst = projected @ self.attn_dst[head]
-            axes = tuple(range(lead)) + (lead + 1, lead)
-            logits = leaky_relu(src + dst.transpose(*axes), self.negative_slope)
-            out.append(softmax(logits + offsets, axis=-1).numpy())
-        return get_backend().to_numpy(get_backend().stack(out, axis=0))
-
-    def extra_repr(self) -> str:
-        return (
-            f"GraphAttention(in={self.in_dim}, out={self.out_dim}, "
-            f"heads={self.num_heads})"
-        )

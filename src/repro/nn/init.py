@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Glorot / He / uniform).
+"""Weight initialisation schemes (Glorot / uniform).
 
 Draws go through the active backend's explicit-generator RNG surface
 (``default_rng(seed)`` yields numpy's draw sequences), so initialisation
@@ -11,7 +11,7 @@ import math
 
 from ..backend import get_backend
 
-__all__ = ["xavier_uniform", "xavier_normal", "he_uniform", "uniform", "zeros", "default_rng"]
+__all__ = ["xavier_uniform", "uniform", "zeros", "default_rng"]
 
 _DEFAULT_SEED = 0x5757
 
@@ -35,20 +35,6 @@ def xavier_uniform(shape: tuple[int, ...], rng, gain: float = 1.0):
     """Glorot uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fan(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return get_backend().uniform(rng, -bound, bound, shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng, gain: float = 1.0):
-    """Glorot normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fan(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return get_backend().normal(rng, 0.0, std, shape)
-
-
-def he_uniform(shape: tuple[int, ...], rng):
-    """He/Kaiming uniform for ReLU fan-in scaling."""
-    fan_in, _fan_out = _fan(shape)
-    bound = math.sqrt(6.0 / fan_in)
     return get_backend().uniform(rng, -bound, bound, shape)
 
 

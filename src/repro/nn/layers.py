@@ -1,15 +1,15 @@
-"""Basic neural layers: Linear, Conv1d, Dropout, activations, LayerNorm."""
+"""Basic neural layers: Linear, Conv1d, Dropout, ReLU, LayerNorm."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, conv1d, dropout, embedding
+from ..autograd import Tensor, conv1d, dropout
 from ..backend import get_backend
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["Linear", "Conv1d", "Dropout", "ReLU", "Sigmoid", "Tanh", "LayerNorm", "Identity", "Embedding"]
+__all__ = ["Linear", "Conv1d", "Dropout", "ReLU", "LayerNorm"]
 
 
 class Linear(Module):
@@ -116,27 +116,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Sigmoid(Module):
-    """Logistic activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Identity(Module):
-    """Pass-through layer (useful as a configurable no-op)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 class LayerNorm(Module):
     """Layer normalisation over the last axis with learned scale/offset."""
 
@@ -157,25 +136,3 @@ class LayerNorm(Module):
     def __repr__(self) -> str:
         return f"LayerNorm(features={self.features})"
 
-
-class Embedding(Module):
-    """Learned lookup table: integer ids -> dense vectors.
-
-    Provided for extensions that embed discrete features (e.g. learned
-    time-of-day embeddings instead of the paper's linear projection).
-    """
-
-    def __init__(self, num_embeddings: int, dim: int, rng: np.random.Generator | None = None) -> None:
-        super().__init__()
-        rng = rng if rng is not None else init.default_rng()
-        self.num_embeddings = num_embeddings
-        self.dim = dim
-        self.weight = Parameter(
-            get_backend().normal(rng, 0.0, 0.1, (num_embeddings, dim)), name="weight"
-        )
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        return embedding(self.weight, indices)
-
-    def __repr__(self) -> str:
-        return f"Embedding(num={self.num_embeddings}, dim={self.dim})"

@@ -1,4 +1,4 @@
-"""Loss functions: MSE, MAE, BCE, and the NT-Xent contrastive loss.
+"""Loss functions: MSE, BCE, and the NT-Xent contrastive loss.
 
 ``nt_xent_loss`` implements the paper's Eq. 17: the positive pair is the
 (original view, masked view) representation of the *same* time window; the
@@ -12,7 +12,7 @@ import numpy as np
 from ..autograd import Tensor, clip_values, concatenate, log_softmax
 from ..backend import get_backend
 
-__all__ = ["mse_loss", "mae_loss", "huber_loss", "bce_loss", "cosine_similarity_matrix", "nt_xent_loss"]
+__all__ = ["mse_loss", "bce_loss", "cosine_similarity_matrix", "nt_xent_loss"]
 
 
 def mse_loss(prediction: Tensor, target: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -30,33 +30,6 @@ def mse_loss(prediction: Tensor, target: Tensor, mask: np.ndarray | None = None)
     if total == 0:
         raise ValueError("mse_loss mask selects no elements")
     return (squared * Tensor(weights)).sum() * (1.0 / total)
-
-
-def mae_loss(prediction: Tensor, target: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Mean absolute error, optionally masked."""
-    gap = (prediction - target).abs()
-    if mask is None:
-        return gap.mean()
-    weights = get_backend().asarray(mask, dtype=float)
-    total = get_backend().sum(weights)
-    if total == 0:
-        raise ValueError("mae_loss mask selects no elements")
-    return (gap * Tensor(weights)).sum() * (1.0 / total)
-
-
-def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic below ``delta``, linear above (robust MSE).
-
-    Useful on traffic data with incident spikes; provided as a drop-in
-    alternative for the prediction loss in extension studies.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    gap = (prediction - target).abs()
-    quadratic = clip_values(gap, 0.0, delta)
-    linear = gap - quadratic
-    losses = quadratic * quadratic * 0.5 + linear * delta
-    return losses.mean()
 
 
 def bce_loss(probability: Tensor, target: Tensor) -> Tensor:

@@ -66,10 +66,6 @@ class Module:
         for module in self._modules.values():
             yield from module.modules()
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         """Clear gradients of all parameters."""
         for param in self.parameters():

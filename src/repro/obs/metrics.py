@@ -429,10 +429,6 @@ class MetricsRegistry:
             out["collector_errors"] = errors
         return out
 
-    def render(self) -> str:
-        """This registry's metrics in the Prometheus text format."""
-        return render_prometheus(self)
-
 
 def render_prometheus(*registries: MetricsRegistry) -> str:
     """Prometheus text exposition (version 0.0.4) over one or more registries.

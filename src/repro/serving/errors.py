@@ -11,7 +11,9 @@ failures, all rooted at :class:`ServingError`:
   registered under.  Not retryable (HTTP 404).
 * :class:`InvalidRequest` — the request itself is malformed: empty
   window list, non-integer starts, an undecodable or oversized wire
-  frame.  Not retryable (HTTP 400/413).
+  frame, or a start the model refuses (its input window leaves the
+  data or holds a non-finite observed reading).  Not retryable
+  (HTTP 400/413).
 
 The taxonomy exists so the wire protocol's structured error frames map
 1:1 to the exceptions in-process callers already catch: a client

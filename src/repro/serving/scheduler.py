@@ -66,7 +66,8 @@ class AsyncForecast:
     """Future-like handle for a request submitted to the scheduler.
 
     ``result()`` blocks until the worker thread has served the request
-    (or raises the exception that killed its batch / the scheduler).
+    (or raises the exception the request failed with on its own, or the
+    one that stopped the scheduler).
     """
 
     def __init__(self, start: int, future: Future) -> None:
@@ -366,9 +367,12 @@ class MicroBatchScheduler:
                 req.future.set_result(block)
                 served += 1
         except BaseException as exc:  # noqa: BLE001 — propagate to callers
-            for req in batch:
-                if not req.future.done():
-                    req.future.set_exception(exc)
+            if len(batch) > 1 and isinstance(exc, Exception):
+                served += self._serve_singly(batch)
+            else:
+                for req in batch:
+                    if not req.future.done():
+                        req.future.set_exception(exc)
         finally:
             with self._cond:
                 self._in_flight -= len(batch)
@@ -382,6 +386,25 @@ class MicroBatchScheduler:
                 if served:
                     self._last_complete_at = time.monotonic()
                 self._cond.notify_all()
+
+    def _serve_singly(self, batch: list[_Request]) -> int:
+        """Serve each unanswered request of a failed batch on its own, so
+        a request fails only when it fails alone; returns how many were
+        served.  Each retry is one more service call, so a served row is
+        still the byte of a direct, logged ``predict``."""
+        served = 0
+        for req in batch:
+            if req.future.done():
+                continue
+            try:
+                block = self.service.forecast([req.start])[0]
+            except Exception as exc:  # noqa: BLE001 — propagate to the caller
+                req.future.set_exception(exc)
+                continue
+            self.latency.observe(time.monotonic() - req.enqueued_at)
+            req.future.set_result(block)
+            served += 1
+        return served
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -432,11 +455,6 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    @property
-    def queue_depth(self) -> int:
-        with self._cond:
-            return len(self._queue)
-
     @property
     def throughput_rps(self) -> float | None:
         """Completed requests per second, first submit → last completion.

@@ -36,6 +36,8 @@ from collections import deque
 
 import numpy as np
 
+from ..data.missing import NonFiniteObservationsError
+from ..data.windows import WindowStartError
 from ..engine import ArtifactStore, default_store_scope
 from ..interfaces import Forecaster
 from ..obs.metrics import MetricsRegistry
@@ -194,7 +196,12 @@ class ForecastService:
     def _predict_batch(self, batch: np.ndarray) -> np.ndarray:
         """Issue one timed, logged ``predict`` call over ``batch``."""
         began = time.perf_counter()
-        block = self.forecaster.predict(batch)
+        try:
+            block = self.forecaster.predict(batch)
+        except (WindowStartError, NonFiniteObservationsError) as exc:
+            # The model refused a start it cannot forecast: the request's
+            # fault, not the server's.
+            raise InvalidRequest(str(exc)) from exc
         self._counters["predict_seconds"].inc(time.perf_counter() - began)
         self._counters["predict_calls"].inc()
         if self.batch_log is not None:

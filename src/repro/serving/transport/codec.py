@@ -54,7 +54,6 @@ __all__ = [
     "decode_array",
     "decode_error",
     "decode_frame",
-    "decode_request",
     "decode_request_meta",
     "encode_array",
     "encode_error",
@@ -191,17 +190,6 @@ def encode_request(window_starts, *, trace: dict | None = None) -> bytes:
             "id": str(trace["id"]), "span": str(trace["span"])
         }
     return encode_frame(header)
-
-
-def decode_request(body: bytes) -> list[int]:
-    """Decode a ``forecast`` frame; validates the starts list.
-
-    Raises :class:`CodecError` for a malformed frame and
-    :class:`~repro.serving.errors.InvalidRequest` for a well-formed
-    frame asking something unservable (no starts, non-integers).
-    """
-    starts, _trace = decode_request_meta(body)
-    return starts
 
 
 def decode_request_meta(body: bytes) -> tuple[list[int], dict | None]:

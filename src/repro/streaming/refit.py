@@ -242,13 +242,6 @@ class RefitScheduler:
             return None
         return self._refit(self.completed)
 
-    def run_pending(self) -> list[RefitRecord]:
-        """Run every refit already due at the current watermark."""
-        done: list[RefitRecord] = []
-        while self.pending():
-            done.append(self._refit(self.completed))
-        return done
-
     def _refit(self, index: int) -> RefitRecord:
         policy = self.policy
         start, end = policy.window(index)

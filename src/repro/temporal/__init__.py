@@ -2,7 +2,7 @@
 
 from .dtw import daily_profile, downsample_profile, dtw_distance, dtw_distance_matrix
 from .similarity import build_dtw_adjacency, temporal_adjacency
-from .timefeatures import interval_ids, normalised_time_encoding, time_of_day_window
+from .timefeatures import normalised_time_encoding
 
 __all__ = [
     "dtw_distance",
@@ -11,7 +11,5 @@ __all__ = [
     "downsample_profile",
     "temporal_adjacency",
     "build_dtw_adjacency",
-    "interval_ids",
-    "time_of_day_window",
     "normalised_time_encoding",
 ]

@@ -9,22 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["interval_ids", "time_of_day_window", "normalised_time_encoding"]
-
-
-def interval_ids(num_steps: int, steps_per_day: int, start: int = 0) -> np.ndarray:
-    """Interval ids for ``num_steps`` consecutive observations.
-
-    ``start`` is the id of the first step (wraps modulo ``steps_per_day``).
-    """
-    if steps_per_day <= 0:
-        raise ValueError("steps_per_day must be positive")
-    return (start + np.arange(num_steps)) % steps_per_day
-
-
-def time_of_day_window(window_start: int, length: int, steps_per_day: int) -> np.ndarray:
-    """The TE vector for an input window starting at global step ``window_start``."""
-    return interval_ids(length, steps_per_day, start=window_start)
+__all__ = ["normalised_time_encoding"]
 
 
 def normalised_time_encoding(ids: np.ndarray, steps_per_day: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from repro.autograd import (
     concatenate,
     conv1d,
     dropout,
-    embedding,
     log_softmax,
     maximum,
     minimum,
@@ -121,19 +120,6 @@ class TestDropout:
         dropped = out.numpy() == 0
         assert np.all(x.grad[dropped] == 0)
         assert np.all(x.grad[~dropped] == 2.0)
-
-
-class TestEmbedding:
-    def test_lookup_values(self, rng):
-        table = _t(rng, 6, 3)
-        idx = np.array([0, 5, 2])
-        out = embedding(table, idx)
-        assert np.allclose(out.numpy(), table.numpy()[idx])
-
-    def test_gradient_scatter_adds(self):
-        table = Tensor(np.zeros((4, 2)), requires_grad=True)
-        embedding(table, np.array([1, 1, 3])).sum().backward()
-        assert np.allclose(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
 class TestConv1d:

@@ -182,8 +182,8 @@ class TestShape:
         a[idx].sum().backward()
         assert np.allclose(a.grad, [0.0, 2.0, 1.0])
 
-    def test_squeeze_unsqueeze(self, rng):
-        check_gradients(lambda a: a.unsqueeze(1).squeeze(1), [_t(rng, 3, 4)])
+    def test_squeeze(self, rng):
+        check_gradients(lambda a: a.reshape((3, 1, 4)).squeeze(1), [_t(rng, 3, 4)])
 
 
 class TestBackwardMechanics:

@@ -241,19 +241,9 @@ class TestMatrixCompletionForecaster:
         assert out.shape == (len(starts), tiny_spec.horizon, len(tiny_split.unobserved))
         assert np.all(np.isfinite(out))
 
-    def test_reconstruct_covers_full_matrix(self, tiny_traffic, tiny_split, tiny_spec):
-        model = MatrixCompletionForecaster(rank=3, iterations=5)
-        train_ix, _ = temporal_split(tiny_traffic.num_steps)
-        model.fit(tiny_traffic, tiny_split, tiny_spec, train_ix)
-        completed = model.reconstruct()
-        assert completed.shape == tiny_traffic.values.shape
-        assert np.all(np.isfinite(completed))
-
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="before fit"):
             MatrixCompletionForecaster().predict(np.array([0]))
-        with pytest.raises(RuntimeError, match="before fit"):
-            MatrixCompletionForecaster().reconstruct()
 
     def test_error_in_sane_band(self, tiny_traffic, tiny_split, tiny_spec):
         result = evaluate_forecaster(

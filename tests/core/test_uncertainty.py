@@ -1,11 +1,10 @@
-"""Uncertainty wrappers: MC dropout, deep ensembles, kriging intervals."""
+"""Uncertainty wrappers: MC dropout and deep ensembles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.baselines import GPKrigingForecaster
 from repro.core import (
     DeepEnsembleForecaster,
     MCDropoutForecaster,
@@ -13,7 +12,7 @@ from repro.core import (
     make_stsm_rnc,
 )
 from repro.data import temporal_split
-from repro.evaluation import evaluate_intervals, forecast_window_starts
+from repro.evaluation import forecast_window_starts
 from repro.interfaces import FitReport, Forecaster
 
 _FAST = dict(
@@ -83,15 +82,6 @@ class TestMCDropout:
         )
         assert samples.std(axis=0).mean() > 0.0  # dropout injects spread
 
-    def test_interval_ordering_and_mean(self, fitted, tiny_traffic, tiny_spec):
-        starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=2)
-        interval = fitted.predict_interval(starts, coverage=0.8)
-        assert np.all(interval.lower <= interval.upper)
-        assert np.all(interval.width >= 0.0)
-        assert interval.coverage_nominal == 0.8
-        point = fitted.predict(starts)
-        assert point.shape == interval.mean.shape
-
 
 class TestDeepEnsemble:
     def test_rejects_bad_sizes(self):
@@ -131,50 +121,7 @@ class TestDeepEnsemble:
         train_ix, _ = temporal_split(tiny_traffic.num_steps)
         model.fit(tiny_traffic, tiny_split, tiny_spec, train_ix)
         starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=2)
-        interval = model.predict_interval(starts, coverage=0.8)
-        assert np.all(interval.lower <= interval.upper)
-        assert np.all(np.isfinite(interval.mean))
+        samples = model.predict_samples(starts)
+        assert samples.shape == (2, len(starts), tiny_spec.horizon, len(tiny_split.unobserved))
+        assert np.all(np.isfinite(samples))
 
-
-class TestKrigingInterval:
-    @pytest.fixture(scope="class")
-    def fitted(self, tiny_traffic, tiny_split, tiny_spec):
-        model = GPKrigingForecaster()
-        train_ix, _ = temporal_split(tiny_traffic.num_steps)
-        model.fit(tiny_traffic, tiny_split, tiny_spec, train_ix)
-        return model
-
-    def test_interval_brackets_mean(self, fitted, tiny_traffic, tiny_spec):
-        starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=3)
-        interval = fitted.predict_interval(starts, coverage=0.9)
-        assert np.all(interval.lower <= interval.mean)
-        assert np.all(interval.mean <= interval.upper)
-
-    def test_width_scales_with_coverage(self, fitted, tiny_traffic, tiny_spec):
-        starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=1)
-        narrow = fitted.predict_interval(starts, coverage=0.5)
-        wide = fitted.predict_interval(starts, coverage=0.99)
-        assert wide.width.mean() > narrow.width.mean()
-
-    def test_rejects_bad_coverage(self, fitted):
-        with pytest.raises(ValueError, match="coverage"):
-            fitted.predict_interval(np.array([0]), coverage=0.0)
-
-    def test_intervals_scoreable(self, fitted, tiny_traffic, tiny_split, tiny_spec):
-        """Kriging intervals run through the same scoring pipeline."""
-        starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=4)
-        interval = fitted.predict_interval(starts, coverage=0.9)
-        # Build a 2-point sample set from the bounds just to exercise shapes.
-        samples = np.stack([interval.lower, interval.upper], axis=0)
-        truth = np.stack(
-            [
-                tiny_traffic.values[
-                    s + tiny_spec.input_length : s + tiny_spec.total,
-                    tiny_split.unobserved,
-                ]
-                for s in starts
-            ],
-            axis=0,
-        )
-        metrics = evaluate_intervals(samples, truth, coverage=0.9)
-        assert 0.0 <= metrics.picp <= 1.0

@@ -12,7 +12,6 @@ from repro.data.missing import (
     block_missing_mask,
     impute_forward_fill,
     impute_linear,
-    missing_rate,
     random_missing_mask,
 )
 
@@ -63,11 +62,6 @@ class TestMasks:
     def test_apply_missing_shape_check(self):
         with pytest.raises(ValueError):
             apply_missing(np.ones((3, 2)), np.zeros((2, 2), dtype=bool))
-
-    def test_missing_rate(self):
-        values = np.array([[1.0, np.nan], [np.nan, np.nan]])
-        assert missing_rate(values) == pytest.approx(0.75)
-        assert missing_rate(np.array([])) == 0.0
 
 
 class TestImputers:

@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
-    IdentityScaler,
-    MinMaxScaler,
     StandardScaler,
     WindowSpec,
     iterate_batches,
-    slice_window,
     window_starts,
 )
 from repro.data.windows import check_window_starts
@@ -23,7 +20,7 @@ class TestStandardScaler:
     def test_transforms_to_zero_mean_unit_std(self):
         rng = np.random.default_rng(0)
         data = rng.normal(50, 10, size=(100, 5))
-        out = StandardScaler().fit_transform(data)
+        out = StandardScaler().fit(data).transform(data)
         assert abs(out.mean()) < 1e-9
         assert abs(out.std() - 1.0) < 1e-9
 
@@ -52,25 +49,6 @@ class TestStandardScaler:
         data = np.random.default_rng(seed).normal(size=n) * 100
         scaler = StandardScaler().fit(data)
         assert np.allclose(scaler.inverse_transform(scaler.transform(data)), data, atol=1e-8)
-
-
-class TestMinMaxScaler:
-    def test_range(self):
-        data = np.array([5.0, 10.0, 15.0])
-        out = MinMaxScaler().fit_transform(data)
-        assert out.min() == 0.0 and out.max() == 1.0
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(2)
-        data = rng.uniform(-3, 9, size=(8, 2))
-        scaler = MinMaxScaler().fit(data)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(data)), data)
-
-    def test_identity_scaler_noop(self):
-        data = np.arange(5, dtype=float)
-        scaler = IdentityScaler().fit(data)
-        assert np.allclose(scaler.fit_transform(data), data)
-        assert np.allclose(scaler.inverse_transform(data), data)
 
 
 class TestWindows:
@@ -102,16 +80,6 @@ class TestWindows:
         for bad in (-1, 7, 9, float("nan"), 2**70):
             with pytest.raises(ValueError, match=r"outside the valid range \[0, 6\]"):
                 check_window_starts([0, bad], 10, spec)
-
-    def test_slice_window(self):
-        values = np.arange(20).reshape(10, 2)
-        x, y = slice_window(values, 1, WindowSpec(3, 2))
-        assert x.shape == (3, 2) and y.shape == (2, 2)
-        assert x[0, 0] == 2 and y[0, 0] == 8
-
-    def test_slice_out_of_range(self):
-        with pytest.raises(IndexError):
-            slice_window(np.zeros((5, 1)), 3, WindowSpec(2, 2))
 
     def test_batches_cover_all(self):
         starts = np.arange(10)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import SpaceSplit, four_standard_splits, space_split, temporal_split
+from repro.data import SpaceSplit, space_split, temporal_split
 
 
 @pytest.fixture
@@ -61,14 +61,6 @@ class TestSpaceSplit:
     def test_bad_coords_rejected(self):
         with pytest.raises(ValueError):
             space_split(np.zeros(5), "horizontal")
-
-    def test_four_standard_splits(self, coords):
-        splits = four_standard_splits(coords)
-        assert [s.name for s in splits] == [
-            "horizontal", "horizontal_flip", "vertical", "vertical_flip",
-        ]
-        for s in splits:
-            s.validate(len(coords))
 
     def test_validate_catches_overlap(self):
         bad = SpaceSplit(np.array([0, 1]), np.array([1]), np.array([2]), "bad")

@@ -354,14 +354,14 @@ class TestByteAccountingRegressions:
 
 class TestProcessStoreMetrics:
     def test_open_store_registers_collector(self, tmp_path):
-        from repro.obs.metrics import global_registry
+        from repro.obs.metrics import global_registry, render_prometheus
 
         try:
             store = open_store(StoreConfig(disk_dir=tmp_path, max_bytes=1 << 20))
             store.put("dtw_pair", _key("m"), 1.0)
-            rendered = global_registry().render()
+            rendered = render_prometheus(global_registry())
             assert "repro_store_quota_bytes" in rendered
             assert "repro_store_gc_runs_total" in rendered
         finally:
             reset_store()
-        assert "repro_store_quota_bytes" not in global_registry().render()
+        assert "repro_store_quota_bytes" not in render_prometheus(global_registry())

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import HistoricalAverageForecaster, IDWPersistenceForecaster
+from repro.baselines import HistoricalAverageForecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.evaluation import (
     average_metrics,
     evaluate_forecaster,
-    evaluate_on_splits,
     forecast_window_starts,
 )
 
@@ -79,20 +78,3 @@ class TestAveraging:
     def test_average_empty_rejected(self):
         with pytest.raises(ValueError):
             average_metrics([])
-
-    def test_evaluate_on_splits_fresh_models(self, tiny_traffic, tiny_spec):
-        created = []
-
-        def factory():
-            model = IDWPersistenceForecaster()
-            created.append(model)
-            return model
-
-        mean, results = evaluate_on_splits(
-            factory, tiny_traffic, tiny_spec,
-            splits=[space_split(tiny_traffic.coords, k) for k in ("horizontal", "vertical")],
-            max_test_windows=4,
-        )
-        assert len(created) == 2  # one fresh model per split
-        assert len(results) == 2
-        assert mean.rmse > 0

@@ -1,4 +1,4 @@
-"""Per-horizon and per-location error profiles."""
+"""Per-horizon error profiles."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.data import temporal_split
 from repro.evaluation import (
     forecast_window_starts,
     horizon_profile,
-    location_profile,
     stack_truth,
 )
 
@@ -52,21 +51,3 @@ class TestHorizonProfile:
         # step should be clearly worse than the first.
         assert profile[-1].rmse > profile[0].rmse * 0.9
 
-
-class TestLocationProfile:
-    def test_entries_cover_unobserved(self, fitted_naive, tiny_traffic, tiny_split, tiny_spec):
-        starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=4)
-        entries = location_profile(fitted_naive, tiny_traffic, tiny_split, tiny_spec, starts)
-        assert len(entries) == len(tiny_split.unobserved)
-        assert {e["location"] for e in entries} == set(tiny_split.unobserved.tolist())
-
-    def test_sorted_worst_first(self, fitted_naive, tiny_traffic, tiny_split, tiny_spec):
-        starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=4)
-        entries = location_profile(fitted_naive, tiny_traffic, tiny_split, tiny_spec, starts)
-        rmses = [e["metrics"].rmse for e in entries]
-        assert rmses == sorted(rmses, reverse=True)
-
-    def test_distances_positive(self, fitted_naive, tiny_traffic, tiny_split, tiny_spec):
-        starts = forecast_window_starts(tiny_traffic, tiny_spec, max_windows=4)
-        entries = location_profile(fitted_naive, tiny_traffic, tiny_split, tiny_spec, starts)
-        assert all(e["nearest_observed_distance"] > 0 for e in entries)

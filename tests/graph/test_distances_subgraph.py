@@ -14,7 +14,6 @@ from repro.graph import (
     RoadSegmentAttributes,
     all_subgraphs,
     euclidean_distance_matrix,
-    haversine_distance_matrix,
     mean_subgraph_size,
     one_hop_subgraph,
 )
@@ -44,19 +43,6 @@ class TestEuclidean:
             for j in range(min(n, 4)):
                 for k in range(min(n, 4)):
                     assert out[i, j] <= out[i, k] + out[k, j] + 1e-9
-
-
-class TestHaversine:
-    def test_equator_degree(self):
-        latlon = np.array([[0.0, 0.0], [0.0, 1.0]])
-        out = haversine_distance_matrix(latlon)
-        assert out[0, 1] == pytest.approx(111_195, rel=0.01)  # ~111.2 km
-
-    def test_symmetric_zero_diag(self):
-        latlon = np.array([[37.0, -122.0], [37.5, -122.3], [38.0, -121.9]])
-        out = haversine_distance_matrix(latlon)
-        assert np.allclose(out, out.T)
-        assert np.allclose(np.diag(out), 0.0)
 
 
 class TestSubgraphs:

@@ -84,12 +84,8 @@ class TestModuleMechanics:
         assert "layers.0.weight" in names
         assert "layers.2.bias" in names
 
-    def test_num_parameters(self):
-        model = nn.Linear(3, 2)
-        assert model.num_parameters() == 3 * 2 + 2
-
     def test_state_dict_roundtrip(self, rng):
-        model = nn.Sequential(nn.Linear(2, 3), nn.Tanh(), nn.Linear(3, 1))
+        model = nn.Sequential(nn.Linear(2, 3), nn.ReLU(), nn.Linear(3, 1))
         state = model.state_dict()
         for param in model.parameters():
             param.data += 1.0

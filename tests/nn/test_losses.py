@@ -40,18 +40,6 @@ class TestMSE:
         check_gradients(lambda p: nn.mse_loss(p, target), [pred])
 
 
-class TestMAE:
-    def test_known_value(self):
-        pred = Tensor(np.array([1.0, -3.0]))
-        target = Tensor(np.array([0.0, 0.0]))
-        assert nn.mae_loss(pred, target).item() == pytest.approx(2.0)
-
-    def test_masked(self):
-        pred = Tensor(np.array([2.0, 100.0]))
-        target = Tensor(np.array([0.0, 0.0]))
-        assert nn.mae_loss(pred, target, np.array([1.0, 0.0])).item() == pytest.approx(2.0)
-
-
 class TestBCE:
     def test_confident_correct_is_small(self):
         prob = Tensor(np.array([[0.999], [0.001]]))

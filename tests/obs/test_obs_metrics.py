@@ -166,7 +166,7 @@ class TestRegistry:
         assert snapshot["collector_errors"]["bad"] == "RuntimeError: boom"
         assert snapshot["collected"]["good"] == {"ok_total": 1.0}
         # Rendering must survive too.
-        assert "ok_total 1" in registry.render()
+        assert "ok_total 1" in render_prometheus(registry)
 
     def test_unregister_collector(self):
         registry = MetricsRegistry()

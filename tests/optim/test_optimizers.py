@@ -72,7 +72,7 @@ class TestAdam:
 
     def test_trains_small_network(self):
         rng = np.random.default_rng(0)
-        net = nn.Sequential(nn.Linear(2, 8), nn.Tanh(), nn.Linear(8, 1))
+        net = nn.Sequential(nn.Linear(2, 8), nn.ReLU(), nn.Linear(8, 1))
         opt = Adam(net.parameters(), lr=0.02)
         x = rng.normal(size=(64, 2))
         y = (x[:, :1] * 2 - x[:, 1:]) * 0.5

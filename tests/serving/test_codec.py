@@ -147,26 +147,26 @@ class TestArrayFrames:
 class TestRequestFrames:
     @pytest.mark.parametrize("starts", [[0], [5, 2, 5], list(range(100)), [-3]])
     def test_round_trip(self, starts):
-        assert codec.decode_request(codec.encode_request(starts)) == starts
+        assert codec.decode_request_meta(codec.encode_request(starts))[0] == starts
 
     def test_numpy_starts(self):
-        assert codec.decode_request(
+        assert codec.decode_request_meta(
             codec.encode_request(np.array([4, 2], dtype=np.int64))
-        ) == [4, 2]
+        )[0] == [4, 2]
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidRequest, match="non-empty"):
-            codec.decode_request(codec.encode_frame({"kind": "forecast", "starts": []}))
+            codec.decode_request_meta(codec.encode_frame({"kind": "forecast", "starts": []}))
 
     def test_missing_starts_rejected(self):
         with pytest.raises(InvalidRequest):
-            codec.decode_request(codec.encode_frame({"kind": "forecast"}))
+            codec.decode_request_meta(codec.encode_frame({"kind": "forecast"}))
 
     @pytest.mark.parametrize("starts", [[1.5], ["3"], [True], [None], "12"])
     def test_non_integer_starts_rejected(self, starts):
         body = codec.encode_frame({"kind": "forecast", "starts": starts})
         with pytest.raises(InvalidRequest):
-            codec.decode_request(body)
+            codec.decode_request_meta(body)
 
 
 class TestErrorFrames:

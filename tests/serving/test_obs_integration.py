@@ -14,6 +14,7 @@ import pytest
 from repro.engine import ArtifactStore
 from repro.interfaces import FitReport, Forecaster
 from repro.obs import get_recorder, set_obs_enabled
+from repro.obs.metrics import render_prometheus
 from repro.serving import ServingRuntime
 from repro.serving.service import ForecastService
 from repro.serving.transport import ForecastClient, ForecastHTTPServer, codec
@@ -103,7 +104,7 @@ class TestEndToEndTrace:
         hit = recorder.spans(client.last_trace_id)
         assert not [s for s in hit if s["name"].startswith("scheduler.")]
         assert [s["attrs"]["hit"] for s in hit if s["name"] == "store.get"] == [True]
-        rendered = runtime.metrics.render()
+        rendered = render_prometheus(runtime.metrics)
         assert 'repro_requests_completed_total{model="toy"}' in rendered
         assert 'repro_cache_hits_total{model="hot"} 1' in rendered
 

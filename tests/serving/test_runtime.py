@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.interfaces import FitReport, Forecaster
+from repro.obs.metrics import render_prometheus
 from repro.serving import ServingRuntime
 
 
@@ -297,7 +298,7 @@ class TestStats:
 def _total_samples(runtime: ServingRuntime) -> dict[str, float]:
     """Every ``*_total`` sample of a ``/metrics`` scrape, by series."""
     samples = {}
-    for line in runtime.metrics.render().splitlines():
+    for line in render_prometheus(runtime.metrics).splitlines():
         if line and not line.startswith("#"):
             series, value = line.rsplit(" ", 1)
             if series.split("{")[0].endswith("_total"):
@@ -450,7 +451,7 @@ class TestStatsSections:
         """Regression: a store attached to a runtime and also opened as
         the process store rendered every repro_store_* series twice."""
         from repro.engine import ArtifactStore, open_store, reset_store
-        from repro.obs.metrics import global_registry, render_prometheus
+        from repro.obs.metrics import global_registry
 
         store = ArtifactStore()
         store.put("dtw_pair", b"k", np.arange(3.0))

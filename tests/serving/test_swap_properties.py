@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.interfaces import FitReport, Forecaster
+from repro.obs.metrics import render_prometheus
 from repro.serving import QueueFull, ServingRuntime
 
 MODEL = "m"
@@ -41,7 +42,7 @@ class _Scaled(Forecaster):
 
 def _totals(runtime: ServingRuntime) -> dict[str, float]:
     samples = {}
-    for line in runtime.metrics.render().splitlines():
+    for line in render_prometheus(runtime.metrics).splitlines():
         if line and not line.startswith("#"):
             series, value = line.rsplit(" ", 1)
             if series.split("{")[0].endswith("_total"):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.interfaces import FitReport, Forecaster
+from repro.obs.metrics import render_prometheus
 from repro.serving import (
     InvalidRequest,
     ModelNotFound,
@@ -313,7 +314,7 @@ class TestIntrospection:
             assert control.transport_stats() == server.transport_stats()
             assert (
                 'repro_transport_requests_total{worker="worker-0"} 2'
-                in runtime.metrics.render()
+                in render_prometheus(runtime.metrics)
             )
 
     def test_batch_log_round_trip(self, served):

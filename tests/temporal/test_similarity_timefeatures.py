@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from repro.temporal import (
     build_dtw_adjacency,
-    interval_ids,
     normalised_time_encoding,
     temporal_adjacency,
-    time_of_day_window,
 )
 
 
@@ -122,19 +120,8 @@ class TestTemporalAdjacencyOracle:
 
 
 class TestTimeFeatures:
-    def test_interval_ids_wrap(self):
-        ids = interval_ids(5, steps_per_day=3, start=2)
-        assert list(ids) == [2, 0, 1, 2, 0]
-
-    def test_window_matches_interval_ids(self):
-        assert list(time_of_day_window(10, 4, 12)) == [10, 11, 0, 1]
-
-    def test_invalid_steps_per_day(self):
-        with pytest.raises(ValueError):
-            interval_ids(4, steps_per_day=0)
-
     def test_normalised_encoding_range(self):
-        ids = interval_ids(24, steps_per_day=24)
+        ids = np.arange(24)
         enc = normalised_time_encoding(ids, 24)
         assert enc.min() == 0.0
         assert enc.max() == 1.0

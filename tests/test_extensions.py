@@ -1,15 +1,14 @@
-"""Extension features: scattered splits, oracle reference, GRU temporal
-module, and the missingness experiment machinery."""
+"""Extension features: scattered splits, GRU temporal module, and the
+missingness experiment machinery."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.baselines import OracleForecaster
 from repro.core import STSMConfig, make_stsm
 from repro.data import WindowSpec, scattered_split, space_split, temporal_split
-from repro.evaluation import evaluate_forecaster, forecast_window_starts
+from repro.evaluation import forecast_window_starts
 
 
 @pytest.fixture(scope="module")
@@ -54,44 +53,6 @@ class TestScatteredSplit:
         a = scattered_split(traffic.coords, rng=np.random.default_rng(5))
         b = scattered_split(traffic.coords, rng=np.random.default_rng(5))
         assert np.array_equal(a.test, b.test)
-
-
-class TestOracle:
-    def test_fit_predict_shapes(self, traffic):
-        split = space_split(traffic.coords, "horizontal")
-        spec = WindowSpec(8, 8)
-        oracle = OracleForecaster(
-            STSMConfig(hidden_dim=8, num_blocks=1, gcn_depth=1, epochs=2,
-                       patience=2, batch_size=8, window_stride=8, top_k=5)
-        )
-        train_ix, _ = temporal_split(traffic.num_steps)
-        oracle.fit(traffic, split, spec, train_ix)
-        starts = forecast_window_starts(traffic, spec, max_windows=3)
-        out = oracle.predict(starts)
-        assert out.shape == (3, 8, len(split.unobserved))
-        assert np.all(np.isfinite(out))
-        empty = oracle.predict(np.array([], dtype=int))
-        assert empty.shape == (0, 8, len(split.unobserved))
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            OracleForecaster().predict(np.array([0]))
-
-    def test_oracle_not_worse_than_blind_stsm(self, traffic):
-        """Seeing the region's history should not hurt (diagnostic bound)."""
-        split = space_split(traffic.coords, "horizontal")
-        spec = WindowSpec(8, 8)
-        cfg = STSMConfig(hidden_dim=12, num_blocks=2, gcn_depth=2, epochs=8,
-                         patience=4, batch_size=16, window_stride=4, top_k=6)
-        blind = evaluate_forecaster(
-            make_stsm(config=cfg), traffic, split, spec, max_test_windows=8
-        )
-        oracle = evaluate_forecaster(
-            OracleForecaster(cfg), traffic, split, spec, max_test_windows=8
-        )
-        assert oracle.metrics.rmse < blind.metrics.rmse * 1.25, (
-            f"oracle {oracle.metrics.rmse:.2f} vs blind {blind.metrics.rmse:.2f}"
-        )
 
 
 class TestGRUTemporalVariant:
