@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data import WindowSpec
 from repro.data.missing import (
+    FiniteInputCheck,
+    NonFiniteObservationsError,
     apply_missing,
     block_missing_mask,
+    check_finite_observations,
     impute_forward_fill,
     impute_linear,
     random_missing_mask,
 )
+from repro.data.windows import WindowStartError
 
 
 @pytest.fixture
@@ -111,3 +116,48 @@ class TestImputers:
             out = imputer(holey)
             assert np.all(np.isfinite(out))
             assert np.allclose(out[~mask], values[~mask])
+
+
+class TestFiniteObservations:
+    def test_finite_history_passes(self):
+        check_finite_observations(np.ones((5, 3)), np.array([2, 4, 7]))
+
+    def test_message_names_count_where_and_first_observed_sensor(self):
+        values = np.ones((5, 3))
+        values[1, 1] = np.nan
+        values[3, 2] = np.inf
+        values[4, 1] = -np.inf
+        with pytest.raises(NonFiniteObservationsError) as caught:
+            check_finite_observations(values, np.array([2, 4, 7]), where="test span")
+        message = str(caught.value)
+        assert "3 non-finite readings in the test span of 2 observed sensors" in message
+        assert "first: sensor 4" in message
+        assert isinstance(caught.value, ValueError)
+
+
+class TestFiniteInputCheck:
+    SPEC = WindowSpec(input_length=3, horizon=2)
+
+    @pytest.fixture
+    def check(self):
+        values = np.arange(40.0).reshape(10, 4)
+        values[5, 1] = np.nan  # observed sensor
+        values[:, 3] = np.nan  # unobserved sensor: never read
+        return FiniteInputCheck(values, np.array([0, 1, 2]), self.SPEC)
+
+    def test_windows_clear_of_the_gap_pass(self, check):
+        check.check([0, 1, 2, 6, 7])
+
+    @pytest.mark.parametrize("start", [3, 4, 5])
+    def test_every_window_covering_the_gap_is_refused(self, check, start):
+        with pytest.raises(NonFiniteObservationsError, match=f"input window at start {start}"):
+            check.check([0, start])
+
+    def test_first_bad_start_is_named(self, check):
+        with pytest.raises(NonFiniteObservationsError, match="start 4"):
+            check.check([7, 4, 3])
+
+    @pytest.mark.parametrize("start", [-1, 8])
+    def test_out_of_range_start_is_a_window_start_error(self, check, start):
+        with pytest.raises(WindowStartError, match=f"window start {start} "):
+            check.check([0, start])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import threading
 
 import numpy as np
@@ -10,13 +11,16 @@ import pytest
 from repro.engine import (
     CACHE_DIR_ENV,
     CACHE_MAX_BYTES_ENV,
+    CACHE_MEMORY_ITEMS_ENV,
     ArtifactStore,
     StoreConfig,
     active_store,
+    add_cache_arguments,
     array_key,
     open_store,
     parse_byte_size,
     reset_store,
+    store_config_from_args,
 )
 
 
@@ -482,3 +486,63 @@ class TestConcurrentStats:
         ns = reader_store.stats["namespaces"]["dtw_pair"]
         assert ns["disk_items"] == 20
         assert ns["disk_bytes"] == 20 * 24
+
+
+class TestContains:
+    def test_memory_membership_counts_nothing(self):
+        store = ArtifactStore()
+        store.put("dtw_pair", _key(1), 1.0)
+        assert store.contains("dtw_pair", _key(1))
+        assert not store.contains("dtw_pair", _key(2))
+        assert not store.contains("mask_fill", _key(1))
+        totals = store.stats["totals"]
+        assert (totals["hits"], totals["misses"]) == (0, 0)
+
+    def test_disk_membership_does_not_promote(self, tmp_path):
+        store = ArtifactStore(disk_dir=tmp_path)
+        store.put("dtw_pair", _key(1), 1.0)
+        store.persist()
+        fresh = ArtifactStore(disk_dir=tmp_path)
+        assert fresh.contains("dtw_pair", _key(1))
+        totals = fresh.stats["totals"]
+        assert (totals["memory_items"], totals["disk_hits"]) == (0, 0)
+
+
+class TestCacheArguments:
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        for name in (CACHE_DIR_ENV, CACHE_MAX_BYTES_ENV, CACHE_MEMORY_ITEMS_ENV):
+            monkeypatch.delenv(name, raising=False)
+
+    @staticmethod
+    def _parse(argv):
+        parser = argparse.ArgumentParser()
+        add_cache_arguments(parser)
+        return parser.parse_args(argv)
+
+    def test_no_flags_and_no_environment_opt_out(self):
+        assert store_config_from_args(self._parse([])) is None
+
+    def test_flags_build_the_config(self, tmp_path):
+        args = self._parse([
+            "--cache-dir", str(tmp_path), "--cache-max-bytes", "2M",
+            "--cache-memory-items", "7",
+        ])
+        config = store_config_from_args(args)
+        assert (config.disk_dir, config.max_bytes, config.memory_items) == (
+            str(tmp_path), 2 << 20, 7,
+        )
+
+    def test_environment_alone_opts_in_and_flags_override_it(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_MEMORY_ITEMS_ENV, "5")
+        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "1K")
+        config = store_config_from_args(self._parse([]))
+        assert (config.disk_dir, config.max_bytes, config.memory_items) == (None, 1024, 5)
+        config = store_config_from_args(self._parse(["--cache-memory-items", "9"]))
+        assert (config.max_bytes, config.memory_items) == (1024, 9)
+
+    def test_unparseable_quota_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self._parse(["--cache-max-bytes", "lots"])
+        assert excinfo.value.code == 2
+        assert "--cache-max-bytes" in capsys.readouterr().err

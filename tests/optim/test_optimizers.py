@@ -7,7 +7,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor
-from repro.optim import SGD, Adam, CosineAnnealingLR, StepLR, clip_grad_norm
+from repro.optim import SGD, Adam, CosineAnnealingLR, StepLR, build_scheduler, clip_grad_norm
 from repro.nn.module import Parameter
 
 
@@ -126,3 +126,37 @@ class TestSchedulers:
             StepLR(opt, step_size=0)
         with pytest.raises(ValueError):
             CosineAnnealingLR(opt, total_epochs=0)
+
+
+class TestBuildScheduler:
+    @pytest.mark.parametrize("kind", [None, "none"])
+    def test_no_schedule_builds_nothing(self, kind):
+        opt = Adam([_quadratic_param()], lr=1.0)
+        assert build_scheduler(kind, opt, total_epochs=5) is None
+        assert opt.lr == 1.0
+
+    def test_step_schedule_uses_step_size_and_gamma(self):
+        opt = Adam([_quadratic_param()], lr=1.0)
+        sched = build_scheduler("step", opt, step_size=3, gamma=0.1)
+        assert isinstance(sched, StepLR)
+        for _ in range(3):
+            sched.step()
+        assert opt.lr == pytest.approx(0.1)
+
+    def test_cosine_schedule_decays_to_min_lr(self):
+        opt = Adam([_quadratic_param()], lr=1.0)
+        sched = build_scheduler("cosine", opt, total_epochs=4, min_lr=0.2)
+        assert isinstance(sched, CosineAnnealingLR)
+        for _ in range(6):  # stepping past the end holds the floor
+            sched.step()
+        assert opt.lr == pytest.approx(0.2)
+
+    def test_cosine_schedule_requires_total_epochs(self):
+        opt = Adam([_quadratic_param()], lr=1.0)
+        with pytest.raises(ValueError, match="total_epochs"):
+            build_scheduler("cosine", opt)
+
+    def test_unknown_schedule_rejected(self):
+        opt = Adam([_quadratic_param()], lr=1.0)
+        with pytest.raises(ValueError, match="unknown LR schedule"):
+            build_scheduler("linear", opt, total_epochs=4)

@@ -207,6 +207,12 @@ class TestErrorFrames:
     def test_exception_to_error(self, exc, code, status):
         assert codec.exception_to_error(exc) == (code, status)
 
+    def test_retryable_statuses_carry_only_retryable_codes(self):
+        retryable = codec.retryable_statuses()
+        assert retryable == frozenset({503})
+        for code, (_cls, status, is_retryable) in codec.ERROR_CODES.items():
+            assert (status in retryable) == is_retryable, code
+
 
 class TestTaxonomy:
     def test_hierarchy(self):
