@@ -6,8 +6,7 @@ dropout, and the dilated 1-D convolution used by the
 paper's temporal module (Eq. 5).
 
 All array math routes through the active backend
-(:class:`~repro.backend.NumpyRefBackend`); numpy appears only for host-side
-bookkeeping (index arithmetic, shape accounting).
+(:class:`~repro.backend.NumpyRefBackend`); this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-import numpy as np
-
 from ..backend import get_backend
-from .tensor import Tensor, _unbroadcast, as_tensor
+from .tensor import Tensor, _accumulate, _node_of, _unbroadcast, as_tensor
 
 __all__ = [
     "concatenate",
@@ -41,16 +38,16 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     b = get_backend()
     out_data = b.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = list(itertools.accumulate([0] + sizes))
+    offsets = list(itertools.accumulate([0] + [t.shape[axis] for t in tensors]))
+    nodes = [_node_of(t) for t in tensors]
 
     def backward(grad) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
             index = [slice(None)] * grad.ndim
             index[axis] = slice(start, stop)
-            tensor._accumulate(grad[tuple(index)])
+            _accumulate(node, grad[tuple(index)])
 
-    return Tensor._make(out_data, tuple(tensors), backward)
+    return Tensor._make(out_data, nodes, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -58,13 +55,13 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     b = get_backend()
     out_data = b.stack([t.data for t in tensors], axis=axis)
+    nodes = [_node_of(t) for t in tensors]
 
     def backward(grad) -> None:
-        slabs = b.split(grad, len(tensors), axis=axis)
-        for tensor, slab in zip(tensors, slabs):
-            tensor._accumulate(b.squeeze(slab, axis=axis))
+        for node, slab in zip(nodes, b.split(grad, len(nodes), axis=axis)):
+            _accumulate(node, b.squeeze(slab, axis=axis))
 
-    return Tensor._make(out_data, tuple(tensors), backward)
+    return Tensor._make(out_data, nodes, backward)
 
 
 def pad(tensor: Tensor, pad_width, constant: float = 0.0) -> Tensor:
@@ -75,11 +72,12 @@ def pad(tensor: Tensor, pad_width, constant: float = 0.0) -> Tensor:
     slices = tuple(
         slice(before, before + n) for (before, _after), n in zip(pad_width, tensor.shape)
     )
+    node = _node_of(tensor)
 
     def backward(grad) -> None:
-        tensor._accumulate(grad[slices])
+        _accumulate(node, grad[slices])
 
-    return Tensor._make(out_data, (tensor,), backward)
+    return Tensor._make(out_data, (node,), backward)
 
 
 def where(condition, a: Tensor, b: Tensor) -> Tensor:
@@ -88,33 +86,33 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
     backend = get_backend()
     cond = backend.asarray(condition, dtype=bool)
     out_data = backend.where(cond, a.data, b.data)
+    node_a, node_b = _node_of(a), _node_of(b)
 
     def backward(grad) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(backend.multiply(grad, cond), a.shape), owned=True)
-        if b.requires_grad:
-            b._accumulate(
-                _unbroadcast(backend.multiply(grad, backend.logical_not(cond)), b.shape),
-                owned=True,
-            )
+        if node_a is not None:
+            grad_a = backend.multiply(grad, cond)
+            _accumulate(node_a, _unbroadcast(grad_a, node_a.shape), owned=True)
+        if node_b is not None:
+            grad_b = backend.multiply(grad, backend.logical_not(cond))
+            _accumulate(node_b, _unbroadcast(grad_b, node_b.shape), owned=True)
 
-    return Tensor._make(out_data, (a, b), backward)
+    return Tensor._make(out_data, (node_a, node_b), backward)
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max of two tensors; ties split the gradient equally."""
     a, b = as_tensor(a), as_tensor(b)
     backend = get_backend()
-    out_data = backend.maximum(a.data, b.data)
+    x, y = a.data, b.data
+    out_data = backend.maximum(x, y)
+    node_a, node_b = _node_of(a), _node_of(b)
 
     def backward(grad) -> None:
-        grad_a, grad_b = backend.maximum_backward(
-            grad, a.data, b.data, a.shape, b.shape, _unbroadcast
-        )
-        a._accumulate(grad_a, owned=True)
-        b._accumulate(grad_b, owned=True)
+        grad_a, grad_b = backend.maximum_backward(grad, x, y, x.shape, y.shape, _unbroadcast)
+        _accumulate(node_a, grad_a, owned=True)
+        _accumulate(node_b, grad_b, owned=True)
 
-    return Tensor._make(out_data, (a, b), backward)
+    return Tensor._make(out_data, (node_a, node_b), backward)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
@@ -126,12 +124,12 @@ def softmax(tensor: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stabilised softmax along ``axis``."""
     tensor = as_tensor(tensor)
     b = get_backend()
-    out_data = b.softmax(tensor.data, axis=axis)
+    out_data, node = b.softmax(tensor.data, axis=axis), _node_of(tensor)
 
     def backward(grad) -> None:
-        tensor._accumulate(b.softmax_backward(grad, out_data, axis=axis), owned=True)
+        _accumulate(node, b.softmax_backward(grad, out_data, axis=axis), owned=True)
 
-    return Tensor._make(out_data, (tensor,), backward)
+    return Tensor._make(out_data, (node,), backward)
 
 
 def log_softmax(tensor: Tensor, axis: int = -1) -> Tensor:
@@ -139,11 +137,12 @@ def log_softmax(tensor: Tensor, axis: int = -1) -> Tensor:
     tensor = as_tensor(tensor)
     b = get_backend()
     out_data, soft = b.log_softmax(tensor.data, axis=axis)
+    node = _node_of(tensor)
 
     def backward(grad) -> None:
-        tensor._accumulate(b.log_softmax_backward(grad, soft, axis=axis), owned=True)
+        _accumulate(node, b.log_softmax_backward(grad, soft, axis=axis), owned=True)
 
-    return Tensor._make(out_data, (tensor,), backward)
+    return Tensor._make(out_data, (node,), backward)
 
 
 def dropout(tensor: Tensor, rate: float, training: bool, rng) -> Tensor:
@@ -155,13 +154,15 @@ def dropout(tensor: Tensor, rate: float, training: bool, rng) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
     b = get_backend()
-    mask = b.dropout_mask(rng, tensor.shape, keep, tensor.dtype)
-    out_data = b.multiply(tensor.data, mask)
+    dtype, node = tensor.dtype, _node_of(tensor)
+    # The tape keeps the boolean mask; backward rebuilds the scaled one.
+    mask = b.dropout_mask(rng, tensor.shape, keep)
+    out_data = b.multiply(tensor.data, b.dropout_scale(mask, keep, dtype))
 
     def backward(grad) -> None:
-        tensor._accumulate(b.multiply(grad, mask), owned=True)
+        _accumulate(node, b.multiply(grad, b.dropout_scale(mask, keep, dtype)), owned=True)
 
-    return Tensor._make(out_data, (tensor,), backward)
+    return Tensor._make(out_data, (node,), backward)
 
 
 def clip_values(tensor: Tensor, low: float, high: float) -> Tensor:
@@ -173,11 +174,12 @@ def clip_values(tensor: Tensor, low: float, high: float) -> Tensor:
         b.logical_and(b.greater_equal(tensor.data, low), b.less_equal(tensor.data, high)),
         tensor.dtype,
     )
+    node = _node_of(tensor)
 
     def backward(grad) -> None:
-        tensor._accumulate(b.multiply(grad, mask), owned=True)
+        _accumulate(node, b.multiply(grad, mask), owned=True)
 
-    return Tensor._make(out_data, (tensor,), backward)
+    return Tensor._make(out_data, (node,), backward)
 
 
 def leaky_relu(tensor: Tensor, negative_slope: float = 0.2) -> Tensor:
@@ -186,11 +188,12 @@ def leaky_relu(tensor: Tensor, negative_slope: float = 0.2) -> Tensor:
     b = get_backend()
     positive = b.greater(tensor.data, 0)
     out_data = b.where(positive, tensor.data, b.multiply(negative_slope, tensor.data))
+    node = _node_of(tensor)
 
     def backward(grad) -> None:
-        tensor._accumulate(b.multiply(grad, b.where(positive, 1.0, negative_slope)), owned=True)
+        _accumulate(node, b.multiply(grad, b.where(positive, 1.0, negative_slope)), owned=True)
 
-    return Tensor._make(out_data, (tensor,), backward)
+    return Tensor._make(out_data, (node,), backward)
 
 
 def _conv1d_output_length(length: int, kernel: int, dilation: int, padding: int) -> int:
@@ -239,19 +242,21 @@ def conv1d(
         )
 
     b = get_backend()
-    x, w = inputs.data, weight.data  # (batch, c_in, length), (c_out, c_in, kernel)
-    out_data, saved = b.conv1d_apply(x, w, dilation, padding)
+    w = weight.data  # (c_out, c_in, kernel)
+    out_data, saved = b.conv1d_apply(inputs.data, w, dilation, padding)
     if bias is not None:
         out_data = b.add(out_data, bias.data[None, :, None])
-
-    parents: tuple[Tensor, ...] = (inputs, weight) if bias is None else (inputs, weight, bias)
+    node_x, node_w = _node_of(inputs), _node_of(weight)
+    node_b = None if bias is None else _node_of(bias)
 
     def backward(grad) -> None:
         # grad: (batch, c_out, out_len)
-        grad_w, grad_x = b.conv1d_backward(grad, saved, x, w, dilation, padding)
-        weight._accumulate(grad_w, owned=True)
+        grad_w, grad_x = b.conv1d_backward(
+            grad, saved, (batch, c_in, length), w, dilation, padding
+        )
+        _accumulate(node_w, grad_w, owned=True)
         if bias is not None:
-            bias._accumulate(b.sum(grad, axis=(0, 2)), owned=True)
-        inputs._accumulate(grad_x, owned=True)
+            _accumulate(node_b, b.sum(grad, axis=(0, 2)), owned=True)
+        _accumulate(node_x, grad_x, owned=True)
 
-    return Tensor._make(out_data, parents, backward)
+    return Tensor._make(out_data, (node_x, node_w, node_b), backward)

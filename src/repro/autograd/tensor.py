@@ -17,13 +17,18 @@ Design notes
 * Gradients are dense arrays of the same shape as ``data``.
 * Broadcasting follows numpy semantics; backward passes "unbroadcast" by
   summing gradients over the broadcast axes.
-* The graph is a DAG of ``Tensor`` nodes.  ``backward`` runs a topological
-  sort and calls each node's local backward closure exactly once, then
-  frees the node (its adjoint, closure and parent links), so an
-  activation dies once the last closure that saved it has run.  Leaves
-  keep their ``.grad``; an interior node's is ``None`` afterwards, and a
-  later ``backward`` that reaches a consumed node raises (PyTorch's
-  ``retain_graph=False`` rule).
+* The graph is a DAG of nodes.  A taped result's node (:class:`_Node`)
+  holds its adjoint, its backward closure, its parent nodes, and its
+  shape and dtype, but never its array: the ``Tensor`` the caller holds
+  keeps that.  A leaf is its own node.  Each closure saves, at forward
+  time, only the arrays its adjoint reads, so an array no adjoint reads
+  dies with the forward's locals.
+* ``backward`` runs a topological sort and calls each node's closure
+  exactly once, then frees the node (its adjoint, closure and parent
+  links), so a saved array dies once the last closure that saved it has
+  run.  Leaves keep their ``.grad``; an interior tensor's is always
+  ``None``, and a later ``backward`` that reaches a consumed node raises
+  (PyTorch's ``retain_graph=False`` rule).
 * A thread-local flag (:func:`no_grad`) disables taping, which makes
   inference allocation-free apart from the forward arrays.  Per-thread
   scoping matters: serving threads run ``predict`` under ``no_grad()``
@@ -100,6 +105,42 @@ def _consumed(grad=None) -> None:
     )
 
 
+def _accumulate(node, grad, owned: bool = False) -> None:
+    """Add ``grad`` into ``node``'s gradient buffer; a ``None`` node takes nothing.
+
+    ``owned=True`` asserts the caller passes a freshly allocated array
+    that nothing else references (the adjoint it just computed), so the
+    first accumulation can adopt it instead of paying a defensive copy.
+    Callers forwarding *shared* arrays — the incoming ``grad`` itself,
+    or a view of it — must leave ``owned`` False.
+    """
+    if node is None:
+        return
+    b = get_backend()
+    if node.grad is None:
+        if owned and grad.dtype == node.dtype:
+            node.grad = grad
+        else:
+            node.grad = b.copy_cast(grad, node.dtype)
+    else:
+        b.iadd(node.grad, grad)
+
+
+class _Node:
+    """A taped result as ``backward`` sees it: everything but its array."""
+
+    __slots__ = ("grad", "_backward", "_parents", "shape", "dtype")
+
+    def __init__(self, shape, dtype, parents: tuple, backward: Callable) -> None:
+        self.grad, self._backward, self._parents = None, backward, parents
+        self.shape, self.dtype = shape, dtype
+
+
+def _node_of(tensor: "Tensor"):
+    """The node ``tensor``'s adjoint accumulates into; ``None`` if it needs none."""
+    return (tensor._node or tensor) if tensor.requires_grad else None
+
+
 class Tensor:
     """A backend-array tensor with reverse-mode autodiff support.
 
@@ -113,23 +154,19 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "name")
 
-    def __init__(
-        self,
-        data,
-        requires_grad: bool = False,
-        _parents: Sequence["Tensor"] = (),
-        _backward: Callable | None = None,
-        name: str | None = None,
-    ) -> None:
+    #: A leaf is its own tape node: no closure, no parents.
+    _backward = None
+    _parents = ()
+
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None) -> None:
         if isinstance(data, Tensor):
             data = data.data
         self.data = get_backend().to_float_array(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = tuple(_parents)
-        self._backward = _backward
+        self._node: _Node | None = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -180,6 +217,16 @@ class Tensor:
         """Return a taped identity copy (gradient flows through)."""
         return self.reshape(self.shape)
 
+    def twin(self) -> "Tensor":
+        """The same array under a second tape node: same parents, same closure.
+
+        ``backward`` then delivers each use's adjoint to the parents as a
+        separate accumulation, as if the array had been computed twice.
+        An untaped tensor returns itself.
+        """
+        node = self._node
+        return self if node is None else Tensor._make(self.data, node._parents, node._backward)
+
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to ``None``."""
         self.grad = None
@@ -188,37 +235,18 @@ class Tensor:
     # Graph construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(
-        data,
-        parents: Sequence["Tensor"],
-        backward: Callable,
-    ) -> "Tensor":
-        """Create a result node, taping it only when grad mode is on."""
-        track = is_grad_enabled() and any(p.requires_grad for p in parents)
-        if not track:
-            return Tensor(data)
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    def _make(data, parents: Sequence, backward: Callable) -> "Tensor":
+        """Create a result, taping it only when grad mode is on.
 
-    def _accumulate(self, grad, owned: bool = False) -> None:
-        """Add ``grad`` into this node's gradient buffer.
-
-        ``owned=True`` asserts the caller passes a freshly allocated
-        array that nothing else references (the adjoint it just
-        computed), so the first accumulation can adopt it instead of
-        paying a defensive copy.  Callers forwarding *shared* arrays —
-        the incoming ``grad`` itself, or a view of it — must leave
-        ``owned`` False.
+        ``parents`` are the operands' nodes, ``None`` for an operand that
+        needs no gradient; ``backward`` must not capture a ``Tensor``.
         """
-        if not self.requires_grad:
-            return
-        b = get_backend()
-        if self.grad is None:
-            if owned and grad.dtype == self.data.dtype:
-                self.grad = grad
-            else:
-                self.grad = b.copy_cast(grad, self.data.dtype)
-        else:
-            b.iadd(self.grad, grad)
+        parents = tuple(p for p in parents if p is not None)
+        out = Tensor(data)
+        if parents and is_grad_enabled():
+            out.requires_grad = True
+            out._node = _Node(out.data.shape, out.data.dtype, parents, backward)
+        return out
 
     def backward(self, grad=None) -> None:
         """Run reverse-mode autodiff from this node.
@@ -243,9 +271,10 @@ class Tensor:
         if grad.shape != self.data.shape:
             grad = b.cast(b.broadcast_to(grad, self.data.shape), self.data.dtype)
 
-        topo: list[Tensor] = []
+        root = _node_of(self)
+        topo: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -258,10 +287,10 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited and parent.requires_grad:
+                if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        _accumulate(root, grad)
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -276,38 +305,41 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = get_backend().add(self.data, other.data)
+        nodes = (_node_of(self), _node_of(other))
 
         def backward(grad) -> None:
-            for tensor in (self, other):
-                if tensor.requires_grad:
-                    reduced = _unbroadcast(grad, tensor.shape)
-                    tensor._accumulate(reduced, owned=reduced is not grad)
+            for node in nodes:
+                if node is not None:
+                    reduced = _unbroadcast(grad, node.shape)
+                    _accumulate(node, reduced, owned=reduced is not grad)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(out_data, nodes, backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         b = get_backend()
+        node = _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.negative(grad), owned=True)
+            _accumulate(node, b.negative(grad), owned=True)
 
-        return Tensor._make(b.negative(self.data), (self,), backward)
+        return Tensor._make(b.negative(self.data), (node,), backward)
 
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
         b = get_backend()
         out_data = b.subtract(self.data, other.data)
+        left, right = _node_of(self), _node_of(other)
 
         def backward(grad) -> None:
-            if self.requires_grad:
-                reduced = _unbroadcast(grad, self.shape)
-                self._accumulate(reduced, owned=reduced is not grad)
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(b.negative(grad), other.shape), owned=True)
+            if left is not None:
+                reduced = _unbroadcast(grad, left.shape)
+                _accumulate(left, reduced, owned=reduced is not grad)
+            if right is not None:
+                _accumulate(right, _unbroadcast(b.negative(grad), right.shape), owned=True)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(out_data, (left, right), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
@@ -316,16 +348,18 @@ class Tensor:
         other = as_tensor(other)
         b = get_backend()
         out_data = b.multiply(self.data, other.data)
+        left, right = _node_of(self), _node_of(other)
+        # Each side's adjoint reads the other side's operand.
+        x = self.data if right is not None else None
+        y = other.data if left is not None else None
 
         def backward(grad) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(b.multiply(grad, other.data), self.shape), owned=True)
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(b.multiply(grad, self.data), other.shape), owned=True
-                )
+            if left is not None:
+                _accumulate(left, _unbroadcast(b.multiply(grad, y), left.shape), owned=True)
+            if right is not None:
+                _accumulate(right, _unbroadcast(b.multiply(grad, x), right.shape), owned=True)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(out_data, (left, right), backward)
 
     __rmul__ = __mul__
 
@@ -333,20 +367,17 @@ class Tensor:
         other = as_tensor(other)
         b = get_backend()
         out_data = b.divide(self.data, other.data)
+        left, right = _node_of(self), _node_of(other)
+        x, y = (self.data if right is not None else None), other.data
 
         def backward(grad) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(b.divide(grad, other.data), self.shape), owned=True)
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(
-                        b.divide(b.multiply(b.negative(grad), self.data), b.power(other.data, 2)),
-                        other.shape,
-                    ),
-                    owned=True,
-                )
+            if left is not None:
+                _accumulate(left, _unbroadcast(b.divide(grad, y), left.shape), owned=True)
+            if right is not None:
+                adjoint = b.divide(b.multiply(b.negative(grad), x), b.power(y, 2))
+                _accumulate(right, _unbroadcast(adjoint, right.shape), owned=True)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(out_data, (left, right), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
@@ -355,15 +386,14 @@ class Tensor:
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log composition")
         b = get_backend()
-        out_data = b.power(self.data, exponent)
+        x, node = self.data, _node_of(self)
+        out_data = b.power(x, exponent)
 
         def backward(grad) -> None:
-            self._accumulate(
-                b.multiply(b.multiply(grad, exponent), b.power(self.data, exponent - 1)),
-                owned=True,
-            )
+            adjoint = b.multiply(b.multiply(grad, exponent), b.power(x, exponent - 1))
+            _accumulate(node, adjoint, owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     # ------------------------------------------------------------------
     # Matrix multiplication
@@ -372,51 +402,51 @@ class Tensor:
         other = as_tensor(other)
         b = get_backend()
         out_data = b.matmul(self.data, other.data)
+        left, right = _node_of(self), _node_of(other)
+        lhs_1d, rhs_1d = self.ndim == 1, other.ndim == 1
+        # Each side's adjoint reads the other side's operand.
+        lhs = self.data if right is not None else None
+        rhs = other.data if left is not None else None
 
         def backward(grad) -> None:
-            lhs, rhs = self.data, other.data
-            if lhs.ndim == 1 and rhs.ndim == 1:
-                if self.requires_grad:
-                    self._accumulate(b.multiply(grad, rhs), owned=True)
-                if other.requires_grad:
-                    other._accumulate(b.multiply(grad, lhs), owned=True)
+            if lhs_1d and rhs_1d:
+                if left is not None:
+                    _accumulate(left, b.multiply(grad, rhs), owned=True)
+                if right is not None:
+                    _accumulate(right, b.multiply(grad, lhs), owned=True)
                 return
-            if lhs.ndim == 1:
+            if lhs_1d:
                 # (k,) @ (..., k, n) -> (..., n)
-                if self.requires_grad:
+                if left is not None:
                     grad_a = b.sum(
                         b.multiply(grad[..., None, :], rhs),
                         axis=tuple(range(grad.ndim - 1)) + (-1,),
                     )
-                    self._accumulate(
-                        _unbroadcast(b.reshape(grad_a, lhs.shape), lhs.shape), owned=True
-                    )
-                if other.requires_grad:
-                    other._accumulate(
-                        _unbroadcast(b.multiply(lhs[:, None], grad[..., None, :]), rhs.shape),
-                        owned=True,
-                    )
+                    grad_a = _unbroadcast(b.reshape(grad_a, left.shape), left.shape)
+                    _accumulate(left, grad_a, owned=True)
+                if right is not None:
+                    grad_b = b.multiply(lhs[:, None], grad[..., None, :])
+                    _accumulate(right, _unbroadcast(grad_b, right.shape), owned=True)
                 return
-            if rhs.ndim == 1:
+            if rhs_1d:
                 # (..., m, k) @ (k,) -> (..., m)
-                if self.requires_grad:
-                    self._accumulate(
-                        _unbroadcast(b.multiply(grad[..., :, None], rhs), lhs.shape), owned=True
-                    )
-                if other.requires_grad:
+                if left is not None:
+                    grad_a = b.multiply(grad[..., :, None], rhs)
+                    _accumulate(left, _unbroadcast(grad_a, left.shape), owned=True)
+                if right is not None:
                     grad_b = b.matmul(b.swapaxes(lhs, -1, -2), grad[..., :, None])[..., 0]
                     if grad_b.ndim > 1:
                         grad_b = b.sum(grad_b, axis=tuple(range(grad_b.ndim - 1)))
-                    other._accumulate(grad_b, owned=True)
+                    _accumulate(right, grad_b, owned=True)
                 return
-            if self.requires_grad:
+            if left is not None:
                 grad_a = b.matmul(grad, b.swapaxes(rhs, -1, -2))
-                self._accumulate(_unbroadcast(grad_a, lhs.shape), owned=True)
-            if other.requires_grad:
+                _accumulate(left, _unbroadcast(grad_a, left.shape), owned=True)
+            if right is not None:
                 grad_b = b.matmul(b.swapaxes(lhs, -1, -2), grad)
-                other._accumulate(_unbroadcast(grad_b, rhs.shape), owned=True)
+                _accumulate(right, _unbroadcast(grad_b, right.shape), owned=True)
 
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(out_data, (left, right), backward)
 
     def __rmatmul__(self, other) -> "Tensor":
         return as_tensor(other).__matmul__(self)
@@ -426,81 +456,82 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         b = get_backend()
-        out_data = b.exp(self.data)
+        out_data, node = b.exp(self.data), _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.multiply(grad, out_data), owned=True)
+            _accumulate(node, b.multiply(grad, out_data), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     def log(self) -> "Tensor":
         b = get_backend()
-        out_data = b.log(self.data)
+        x, node = self.data, _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.divide(grad, self.data), owned=True)
+            _accumulate(node, b.divide(grad, x), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(b.log(x), (node,), backward)
 
     def sqrt(self) -> "Tensor":
         b = get_backend()
-        out_data = b.sqrt(self.data)
+        out_data, node = b.sqrt(self.data), _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.divide(b.multiply(grad, 0.5), out_data), owned=True)
+            _accumulate(node, b.divide(b.multiply(grad, 0.5), out_data), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     def abs(self) -> "Tensor":
         b = get_backend()
-        out_data = b.abs(self.data)
+        x, node = self.data, _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.multiply(grad, b.sign(self.data)), owned=True)
+            _accumulate(node, b.multiply(grad, b.sign(x)), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(b.abs(x), (node,), backward)
 
     def relu(self) -> "Tensor":
         b = get_backend()
         out_data, mask = b.relu(self.data)
+        node = _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.relu_backward(grad, mask), owned=True)
+            _accumulate(node, b.relu_backward(grad, mask), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     def sigmoid(self) -> "Tensor":
         b = get_backend()
-        out_data = b.sigmoid(self.data)
+        out_data, node = b.sigmoid(self.data), _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.sigmoid_backward(grad, out_data), owned=True)
+            _accumulate(node, b.sigmoid_backward(grad, out_data), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     def tanh(self) -> "Tensor":
         b = get_backend()
-        out_data = b.tanh(self.data)
+        out_data, node = b.tanh(self.data), _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.tanh_backward(grad, out_data), owned=True)
+            _accumulate(node, b.tanh_backward(grad, out_data), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         b = get_backend()
-        out_data = b.sum(self.data, axis=axis, keepdims=keepdims)
+        out_data, node = b.sum(self.data, axis=axis, keepdims=keepdims), _node_of(self)
 
         def backward(grad) -> None:
             g = grad
             if axis is not None and not keepdims:
                 g = b.expand_dims(g, axis=axis if isinstance(axis, tuple) else (axis,))
-            self._accumulate(b.cast(b.broadcast_to(g, self.shape), self.data.dtype), owned=True)
+            _accumulate(node, b.cast(b.broadcast_to(g, node.shape), node.dtype), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -514,7 +545,8 @@ class Tensor:
     def _minmax(self, axis, keepdims: bool, mode: str) -> "Tensor":
         b = get_backend()
         reducer = b.amax if mode == "max" else b.amin
-        out_data = reducer(self.data, axis=axis, keepdims=keepdims)
+        x, node = self.data, _node_of(self)
+        out_data = reducer(x, axis=axis, keepdims=keepdims)
 
         def backward(grad) -> None:
             expanded = out_data
@@ -523,14 +555,14 @@ class Tensor:
                 ax = axis if isinstance(axis, tuple) else (axis,)
                 expanded = b.expand_dims(expanded, axis=ax)
                 g = b.expand_dims(g, axis=ax)
-            mask = b.cast(b.equal(self.data, expanded), self.data.dtype)
+            mask = b.cast(b.equal(x, expanded), x.dtype)
             # Split gradient evenly among ties so the op stays a subgradient.
             counts = (
                 b.sum(mask, axis=axis, keepdims=True) if axis is not None else b.sum(mask)
             )
-            self._accumulate(b.divide(b.multiply(g, mask), counts), owned=True)
+            _accumulate(node, b.divide(b.multiply(g, mask), counts), owned=True)
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(out_data, (node,), backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         return self._minmax(axis, keepdims, "max")
@@ -545,13 +577,12 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         b = get_backend()
-        out_data = b.reshape(self.data, shape)
-        original = self.shape
+        node = _node_of(self)
 
         def backward(grad) -> None:
-            self._accumulate(b.reshape(grad, original))
+            _accumulate(node, b.reshape(grad, node.shape))
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(b.reshape(self.data, shape), (node,), backward)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -559,13 +590,13 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         b = get_backend()
-        out_data = b.transpose(self.data, axes)
+        node = _node_of(self)
         inverse = tuple(int(i) for i in np.argsort(axes))
 
         def backward(grad) -> None:
-            self._accumulate(b.transpose(grad, inverse))
+            _accumulate(node, b.transpose(grad, inverse))
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(b.transpose(self.data, axes), (node,), backward)
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -574,14 +605,15 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         b = get_backend()
-        out_data = b.getitem(self.data, index)
+        # The adjoint scatters into zeros laid out like the input.
+        x, node = self.data, _node_of(self)
 
         def backward(grad) -> None:
-            full = b.zeros_like(self.data)
+            full = b.zeros_like(x)
             b.scatter_add(full, index, grad)
-            self._accumulate(full, owned=True)
+            _accumulate(node, full, owned=True)
 
-        return Tensor._make(b.copy(out_data), (self,), backward)
+        return Tensor._make(b.copy(b.getitem(x, index)), (node,), backward)
 
     def squeeze(self, axis=None) -> "Tensor":
         out_shape = get_backend().squeeze(self.data, axis=axis).shape

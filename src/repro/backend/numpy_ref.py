@@ -358,9 +358,13 @@ class NumpyRefBackend:
         return self.subtract(grad, self.multiply(soft, self.sum(grad, axis=axis, keepdims=True)))
 
     # -- dropout --------------------------------------------------------
-    def dropout_mask(self, rng, shape, keep: float, dtype):
-        """Inverted-dropout mask: ``(u < keep) / keep`` with ``u~U[0,1)``."""
-        return self.divide(self.cast(self.greater(keep, self.random(rng, shape)), dtype), keep)
+    def dropout_mask(self, rng, shape, keep: float):
+        """Boolean keep mask ``u < keep`` with ``u~U[0,1)``."""
+        return self.greater(keep, self.random(rng, shape))
+
+    def dropout_scale(self, mask, keep: float, dtype):
+        """Inverted-dropout multiplier of a keep mask: ``mask / keep`` as ``dtype``."""
+        return self.divide(self.cast(mask, dtype), keep)
 
     # -- dilated conv1d kernels ----------------------------------------
     # Both kernels call the GEMMs of numpy's ``einsum(..., optimize=True)``
@@ -395,9 +399,10 @@ class NumpyRefBackend:
         B*L')`` viewed as ``(B, O, L')``.
 
         Returns ``(out, saved)`` where ``saved`` is backend-private
-        context handed back to :meth:`conv1d_backward` (here ``cols``; an
-        overriding backend may keep nothing and recompute from
-        ``inputs``).
+        context handed back to :meth:`conv1d_backward`: here ``cols``
+        and the input's axis order in memory (``None`` when C-ordered),
+        so the input adjoint is laid out as ``zeros_like(inputs)`` would
+        be and every reduction downstream of it keeps its bits.
         """
         batch, c_in, length = inputs.shape
         c_out, _, kernel = weight.shape
@@ -411,17 +416,21 @@ class NumpyRefBackend:
             )
         cols = self.reshape(taps, (c_in * kernel, batch * out_len))
         out = self.matmul(self.reshape(weight, (c_out, c_in * kernel)), cols)
-        return self.transpose(self.reshape(out, (c_out, batch, out_len)), (1, 0, 2)), cols
+        layout = None if inputs.flags.c_contiguous else np.argsort(
+            [-abs(s) for s in inputs.strides], kind="stable"
+        )
+        return self.transpose(self.reshape(out, (c_out, batch, out_len)), (1, 0, 2)), (cols, layout)
 
-    def conv1d_backward(self, grad, saved, inputs, weight, dilation: int, padding: int):
+    def conv1d_backward(self, grad, saved, input_shape, weight, dilation: int, padding: int):
         """Adjoint of :meth:`conv1d_apply`: ``(grad_weight, grad_inputs)``.
 
         Two GEMMs against the saved tap matrix, then one slice-add of
         each tap's in-range span in increasing ``k``: the per-element
         summation order of a duplicate-safe scatter of the tap gradients
         into the padded input, with the padding's adjoint never formed.
+        Only the input's shape is needed, so the tape need not keep it.
         """
-        cols = saved
+        cols, layout = saved
         batch, c_out, out_len = grad.shape
         _, c_in, kernel = weight.shape
         grad_rows = self.reshape(self.transpose(grad, (0, 2, 1)), (batch * out_len, c_out))
@@ -433,8 +442,11 @@ class NumpyRefBackend:
         grad_cols = self.reshape(
             self.matmul(weight_rows, grad_mat), (c_in, kernel, batch, out_len)
         )
-        grad_inputs = self.zeros_like(inputs)
-        _, spans = self._conv1d_spans(inputs.shape[-1], kernel, dilation, padding)
+        shape = input_shape if layout is None else [input_shape[i] for i in layout]
+        grad_inputs = self.zeros(shape, dtype=cols.dtype)
+        if layout is not None:  # laid out as the input was: its axes in memory order
+            grad_inputs = self.transpose(grad_inputs, np.argsort(layout))
+        _, spans = self._conv1d_spans(input_shape[-1], kernel, dilation, padding)
         for k, out_span, in_span in spans:
             tap = self.getitem(grad_cols, (slice(None), k, slice(None), out_span))
             slab = self.getitem(grad_inputs, (Ellipsis, in_span))

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from ..autograd import Tensor, concatenate, no_grad, softmax, stack
+from ..autograd import Tensor, no_grad, softmax, stack
 from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
 from ..engine import Trainer, TrainingProgram

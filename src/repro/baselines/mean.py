@@ -11,10 +11,8 @@ import time
 
 import numpy as np
 
-from ..data.dataset import SpatioTemporalDataset
 from ..data.missing import FiniteInputCheck, check_finite_observations
-from ..data.splits import SpaceSplit
-from ..data.windows import WindowSpec, check_window_starts
+from ..data.windows import check_window_starts
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
 

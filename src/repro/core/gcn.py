@@ -52,7 +52,11 @@ class GCNL(Module):
         self.gate_conv = GCN(in_dim, out_dim, rng=rng)
 
     def forward(self, adjacency: Tensor, features: Tensor) -> Tensor:
-        return self.value_conv(adjacency, features) * self.gate_conv(adjacency, features).sigmoid()
+        # Both convolutions read one ``A @ Z``; the gate's twin tape node
+        # sends its adjoint back to ``Z`` as a separate accumulation.
+        mixed = adjacency @ features
+        value = mixed @ self.value_conv.weight
+        return value * (mixed.twin() @ self.gate_conv.weight).sigmoid()
 
 
 class GCNBranch(Module):

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..data.dataset import SpatioTemporalDataset
 from ..data.splits import SpaceSplit, temporal_split
-from ..data.windows import WindowSpec, window_starts
+from ..data.windows import WindowSpec
 from ..interfaces import FitReport, Forecaster
 from .metrics import Metrics, compute_metrics
 

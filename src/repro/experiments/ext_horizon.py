@@ -18,8 +18,6 @@ it the right yardstick for how much signal survives to each lead.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..data import space_split, temporal_split
 from ..evaluation import forecast_window_starts, horizon_profile
 from .configs import get_scale

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .configs import get_scale
 from .reporting import format_table
-from .runners import build_dataset, run_matrix, splits_for
+from .runners import build_dataset, run_matrix
 
 __all__ = ["run"]
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..autograd import Tensor, concatenate, softmax
+from ..autograd import Tensor, softmax
 from ..backend import get_backend
 from . import init
 from .layers import Dropout, Linear

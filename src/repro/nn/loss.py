@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, clip_values, concatenate, log_softmax
+from ..autograd import Tensor, clip_values, log_softmax
 from ..backend import get_backend
 
 __all__ = ["mse_loss", "bce_loss", "cosine_similarity_matrix", "nt_xent_loss"]

@@ -1,6 +1,9 @@
-"""``Tensor.backward`` frees the tape as it consumes it.
+"""The tape keeps only what backward reads, and frees it as it goes.
 
-After a node's closure runs, ``backward`` drops the node's adjoint,
+A taped result's node holds its adjoint, closure, parent nodes, shape
+and dtype, never its array; each closure saves only the arrays its
+adjoint reads.  So an activation no adjoint reads dies with the
+forward's locals, before ``backward`` starts.  After a node's closure runs, ``backward`` drops the node's adjoint,
 closure and parent links, so saved activations die with the last
 closure that holds them while the caller still holds the root.  Leaves
 keep ``.grad``.  A consumed node cannot be replayed: a later
@@ -31,14 +34,20 @@ from repro.autograd import (
     softmax,
     where,
 )
+from repro.autograd.tensor import _accumulate, _node_of
 from repro.core import STSMConfig, STSMForecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
 
 
 def keep_everything_backward(root: Tensor) -> None:
-    """The backward loop before freeing: every node outlives the call."""
-    topo, visited, stack = [], set(), [(root, False)]
+    """The backward loop before freeing: every node outlives the call.
+
+    A node's parents are only those that need a gradient, so the walk
+    needs no ``requires_grad`` filter.
+    """
+    start = _node_of(root)
+    topo, visited, stack = [], set(), [(start, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -49,9 +58,9 @@ def keep_everything_backward(root: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited and parent.requires_grad:
+            if id(parent) not in visited:
                 stack.append((parent, False))
-    root._accumulate(np.ones_like(root.data))
+    _accumulate(start, np.ones_like(root.data))
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -222,16 +231,38 @@ def test_leaf_grads_bitwise_equal_keep_everything_oracle(graph):
             assert freed.grad.tobytes() == kept.grad.tobytes()
 
 
-# --- memory during a real fit -----------------------------------------------
+def _run_first(node, check) -> None:
+    """Make ``node``'s closure call ``check()`` before it does its work."""
+    inner = node._backward
+
+    def probe(grad):
+        check()
+        inner(grad)
+
+    node._backward = probe
 
 
-def test_stsm_fit_backward_peak_stays_near_live_memory(monkeypatch):
-    """Backward frees what it consumed, so its peak barely exceeds the tape.
+def test_operand_a_closure_reads_lives_until_that_closure_runs():
+    x, w = _leaves(np.random.default_rng(4))
+    v = Tensor(np.random.default_rng(5).normal(size=(2, 3)), requires_grad=True)
+    hidden = x @ w  # no closure saves a matmul's output ...
+    product = hidden * v  # ... but this one reads it for v's adjoint
+    operand = weakref.ref(hidden.data)
+    del hidden
+    root = product.sum()
+    seen = []
+    _run_first(product._node, lambda: seen.append(operand() is not None))
+    del product
+    assert operand() is not None
+    root.backward()
+    assert seen == [True]
+    assert operand() is None
 
-    On this fit, keeping every node alive until the root is dropped
-    peaked at 1.76x the memory traced when backward starts; freeing
-    peaks at 1.11x.
-    """
+
+# --- a real fit ---------------------------------------------------------------
+
+
+def _micro_fit():
     dataset = make_pems_bay(num_sensors=16, num_days=2, seed=42)
     split = space_split(dataset.coords, "horizontal")
     spec = WindowSpec(input_length=6, horizon=6)
@@ -242,6 +273,63 @@ def test_stsm_fit_backward_peak_stays_near_live_memory(monkeypatch):
             patience=1, batch_size=8, window_stride=8, top_k=4,
         )
     )
+    return lambda: model.fit(dataset, split, spec, train_ix)
+
+
+def test_stsm_forward_frees_what_no_adjoint_reads(monkeypatch):
+    """Pre-sigmoid gates, pre-ReLU conv outputs and dropout inputs die
+    with the forward; the ``GCNL`` product its weights' adjoints read
+    lives until backward has run their closures."""
+    import repro.nn.layers as layers
+
+    unread = {"pre-sigmoid": [], "conv pre-ReLU": [], "dropout input": []}
+    shared, checks = [], []
+
+    def recording(original, kind, of_result=False):
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            unread[kind].append(weakref.ref((out if of_result else args[0]).data))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Tensor, "sigmoid", recording(Tensor.sigmoid, "pre-sigmoid"))
+    monkeypatch.setattr(layers, "conv1d", recording(layers.conv1d, "conv pre-ReLU", True))
+    monkeypatch.setattr(layers, "dropout", recording(layers.dropout, "dropout input"))
+    twin = Tensor.twin
+
+    def recording_twin(self):
+        shared.append(weakref.ref(self.data))
+        return twin(self)
+
+    monkeypatch.setattr(Tensor, "twin", recording_twin)
+    original = Tensor.backward
+
+    def checked_backward(self, grad=None):
+        if not checks:
+            checks.append({kind: sum(ref() is not None for ref in refs)
+                           for kind, refs in unread.items()})
+            checks.append(all(ref() is not None for ref in shared))
+            original(self, grad)
+            checks.append(sum(ref() is not None for ref in shared))
+        else:
+            original(self, grad)
+
+    monkeypatch.setattr(Tensor, "backward", checked_backward)
+    _micro_fit()()
+    alive, shared_before, shared_after = checks
+    assert all(unread.values()) and shared, "the fit ran no gate, conv, dropout or GCNL"
+    assert alive == dict.fromkeys(unread, 0)
+    assert shared_before and shared_after == 0
+
+
+def test_stsm_fit_backward_peak_stays_near_live_memory(monkeypatch):
+    """Backward frees what it consumed, so its peak barely exceeds the tape.
+
+    On this fit, keeping every node alive until the root is dropped
+    peaked at 1.76x the memory traced when backward starts; freeing
+    peaks at 1.11x.
+    """
+    fit = _micro_fit()
     ratios = []
     original = Tensor.backward
 
@@ -254,7 +342,7 @@ def test_stsm_fit_backward_peak_stays_near_live_memory(monkeypatch):
     monkeypatch.setattr(Tensor, "backward", traced_backward)
     tracemalloc.start()
     try:
-        model.fit(dataset, split, spec, train_ix)
+        fit()
     finally:
         tracemalloc.stop()
     assert ratios, "the fit ran no backward"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import HistoricalAverageForecaster
-from repro.data import WindowSpec, space_split, temporal_split
+from repro.data import space_split, temporal_split
 from repro.evaluation import (
     average_metrics,
     evaluate_forecaster,

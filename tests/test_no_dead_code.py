@@ -7,6 +7,10 @@ bare ``b.amax`` picked without a call counts), or as the string of a
 ``getattr``/``hasattr``.  Imports and ``__all__`` entries do not count.
 The scan matches by name only, so a name used anywhere keeps every
 definition of it.
+
+A second scan holds each non-``__init__`` module under ``src/`` to the
+names it imports: each must be read there, as a ``Name`` or as a whole
+string (a quoted annotation or an ``__all__`` entry).
 """
 
 from __future__ import annotations
@@ -96,3 +100,29 @@ def test_every_definition_has_a_run_path_caller():
 def test_keep_list_names_only_unused_definitions():
     stale = sorted(KEEP.keys() - _unused_definitions())
     assert not stale, f"these KEEP entries are called or gone; drop them: {stale}"
+
+
+def _unread_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "__init__.py" and (names := _unread_imports(path))
+    }
+    assert not unread, f"these modules import names they never read; delete them: {unread}"
