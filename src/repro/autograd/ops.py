@@ -15,7 +15,7 @@ import itertools
 from typing import Sequence
 
 from ..backend import get_backend
-from .tensor import Tensor, _accumulate, _node_of, _unbroadcast, as_tensor
+from .tensor import Tensor, _accumulate, _node_of, _tapes, _unbroadcast, as_tensor
 
 __all__ = [
     "concatenate",
@@ -100,19 +100,28 @@ def where(condition, a: Tensor, b: Tensor) -> Tensor:
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max of two tensors; ties split the gradient equally."""
+    """Elementwise max of two tensors; ties split the gradient equally.
+
+    The tape keeps three bool masks (``x > y``, ``y > x``, ``x == y``),
+    not the operands: with a NaN neither side wins and there is no tie.
+    Only a taped result computes them.
+    """
     a, b = as_tensor(a), as_tensor(b)
     backend = get_backend()
     x, y = a.data, b.data
     out_data = backend.maximum(x, y)
-    node_a, node_b = _node_of(a), _node_of(b)
+    nodes = node_a, node_b = _node_of(a), _node_of(b)
+    if not _tapes(nodes):
+        return Tensor(out_data)
+    masks = backend.greater(x, y), backend.greater(y, x), backend.equal(x, y)
+    a_shape, b_shape = x.shape, y.shape
 
     def backward(grad) -> None:
-        grad_a, grad_b = backend.maximum_backward(grad, x, y, x.shape, y.shape, _unbroadcast)
+        grad_a, grad_b = backend.maximum_backward(grad, masks, a_shape, b_shape, _unbroadcast)
         _accumulate(node_a, grad_a, owned=True)
         _accumulate(node_b, grad_b, owned=True)
 
-    return Tensor._make(out_data, (node_a, node_b), backward)
+    return Tensor._make(out_data, nodes, backward)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
@@ -243,7 +252,8 @@ def conv1d(
 
     b = get_backend()
     w = weight.data  # (c_out, c_in, kernel)
-    out_data, saved = b.conv1d_apply(inputs.data, w, dilation, padding)
+    x = inputs.data  # the tape keeps the input; backward rebuilds its taps
+    out_data = b.conv1d_apply(x, w, dilation, padding)
     if bias is not None:
         out_data = b.add(out_data, bias.data[None, :, None])
     node_x, node_w = _node_of(inputs), _node_of(weight)
@@ -251,9 +261,7 @@ def conv1d(
 
     def backward(grad) -> None:
         # grad: (batch, c_out, out_len)
-        grad_w, grad_x = b.conv1d_backward(
-            grad, saved, (batch, c_in, length), w, dilation, padding
-        )
+        grad_w, grad_x = b.conv1d_backward(grad, x, w, dilation, padding)
         _accumulate(node_w, grad_w, owned=True)
         if bias is not None:
             _accumulate(node_b, b.sum(grad, axis=(0, 2)), owned=True)

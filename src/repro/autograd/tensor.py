@@ -136,6 +136,11 @@ class _Node:
         self.shape, self.dtype = shape, dtype
 
 
+def _tapes(nodes) -> bool:
+    """Whether ``Tensor._make`` tapes a result of operands with these nodes."""
+    return is_grad_enabled() and any(node is not None for node in nodes)
+
+
 def _node_of(tensor: "Tensor"):
     """The node ``tensor``'s adjoint accumulates into; ``None`` if it needs none."""
     return (tensor._node or tensor) if tensor.requires_grad else None
@@ -243,7 +248,7 @@ class Tensor:
         """
         parents = tuple(p for p in parents if p is not None)
         out = Tensor(data)
-        if parents and is_grad_enabled():
+        if _tapes(parents):
             out.requires_grad = True
             out._node = _Node(out.data.shape, out.data.dtype, parents, backward)
         return out
@@ -605,15 +610,17 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         b = get_backend()
-        # The adjoint scatters into zeros laid out like the input.
-        x, node = self.data, _node_of(self)
+        # The adjoint scatters into zeros laid out like the input; the
+        # tape keeps that layout, not the input.
+        node = _node_of(self)
+        layout = b.layout_of(self.data) if _tapes((node,)) else None
 
         def backward(grad) -> None:
-            full = b.zeros_like(x)
+            full = b.zeros_laid_out(layout)
             b.scatter_add(full, index, grad)
             _accumulate(node, full, owned=True)
 
-        return Tensor._make(b.copy(b.getitem(x, index)), (node,), backward)
+        return Tensor._make(b.copy(b.getitem(self.data, index)), (node,), backward)
 
     def squeeze(self, axis=None) -> "Tensor":
         out_shape = get_backend().squeeze(self.data, axis=axis).shape

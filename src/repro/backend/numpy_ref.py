@@ -103,6 +103,27 @@ class NumpyRefBackend:
     def zeros_like(self, a):
         return np.zeros_like(a)
 
+    def layout_of(self, a):
+        """What ``zeros_like(a)`` reads of ``a``: shape, dtype and axis order.
+
+        The order lists the axes outermost first in memory (``None`` when
+        C-ordered), so a tape can keep this instead of ``a`` itself.
+        """
+        if a.flags.c_contiguous:
+            order = None
+        elif a.flags.f_contiguous:
+            order = tuple(range(a.ndim))[::-1]
+        else:  # numpy's stable sort by decreasing |stride|
+            order = tuple(np.argsort([-abs(s) for s in a.strides], kind="stable"))
+        return a.shape, a.dtype, order
+
+    def zeros_laid_out(self, layout):
+        """``zeros_like(a)`` from ``layout_of(a)``: the same strides, without ``a``."""
+        shape, dtype, order = layout
+        if order is None:
+            return np.zeros(shape, dtype=dtype)
+        return np.zeros([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
+
     def ones(self, shape, dtype=None):
         return np.ones(shape, dtype=dtype)
 
@@ -311,17 +332,17 @@ class NumpyRefBackend:
     def relu_backward(self, grad, mask):
         return self.multiply(grad, mask)
 
-    def maximum_backward(self, grad, a, b, a_shape, b_shape, unbroadcast):
+    def maximum_backward(self, grad, masks, a_shape, b_shape, unbroadcast):
         """Adjoint of elementwise max: winners take the gradient, ties split.
 
+        ``masks`` are the forward's bool ``(a > b, b > a, a == b)``; all
+        three are needed because a NaN makes each of them false.
         ``unbroadcast`` is the caller's gradient-reduction function (sums
         over broadcast axes); it is passed in so the backend runs the
         mask arithmetic without owning broadcasting semantics.
         """
         dtype = grad.dtype
-        a_wins = self.cast(self.greater(a, b), dtype)
-        b_wins = self.cast(self.greater(b, a), dtype)
-        tie = self.cast(self.equal(a, b), dtype)
+        a_wins, b_wins, tie = (self.cast(mask, dtype) for mask in masks)
         if getattr(tie, "ndim", 0) == 0:  # 0-d operands compare to scalars
             tie = self.multiply(tie, 0.5)
             grad_a = unbroadcast(self.multiply(grad, self.add(a_wins, tie)), a_shape)
@@ -390,22 +411,11 @@ class NumpyRefBackend:
                 spans.append((k, slice(lo, hi), slice(lo + shift, hi + shift)))
         return out_len, spans
 
-    def conv1d_apply(self, inputs, weight, dilation: int, padding: int):
-        """Dilated conv forward on ``(B, C, L)`` inputs as one GEMM.
-
-        Fills the zero tap matrix ``cols[(c, k), (b, t)] = inputs[b, c, t
-        + k * dilation - padding]`` with one strided slab copy of each
-        tap's in-range span, then returns ``weight (O, C*K) @ cols (C*K,
-        B*L')`` viewed as ``(B, O, L')``.
-
-        Returns ``(out, saved)`` where ``saved`` is backend-private
-        context handed back to :meth:`conv1d_backward`: here ``cols``
-        and the input's axis order in memory (``None`` when C-ordered),
-        so the input adjoint is laid out as ``zeros_like(inputs)`` would
-        be and every reduction downstream of it keeps its bits.
-        """
+    def _conv1d_cols(self, inputs, kernel: int, dilation: int, padding: int):
+        """The zero ``(C*K, B*L')`` tap matrix ``cols[(c, k), (b, t)] =
+        inputs[b, c, t + k * dilation - padding]``, filled with one strided
+        slab copy of each tap's in-range span; also returns the spans."""
         batch, c_in, length = inputs.shape
-        c_out, _, kernel = weight.shape
         out_len, spans = self._conv1d_spans(length, kernel, dilation, padding)
         taps = self.zeros((c_in, kernel, batch, out_len), dtype=inputs.dtype)
         for k, out_span, in_span in spans:
@@ -414,39 +424,47 @@ class NumpyRefBackend:
                 self.getitem(taps, (slice(None), k, slice(None), out_span)),
                 self.transpose(slab, (1, 0, 2)),
             )
-        cols = self.reshape(taps, (c_in * kernel, batch * out_len))
-        out = self.matmul(self.reshape(weight, (c_out, c_in * kernel)), cols)
-        layout = None if inputs.flags.c_contiguous else np.argsort(
-            [-abs(s) for s in inputs.strides], kind="stable"
-        )
-        return self.transpose(self.reshape(out, (c_out, batch, out_len)), (1, 0, 2)), (cols, layout)
+        return self.reshape(taps, (c_in * kernel, batch * out_len)), spans
 
-    def conv1d_backward(self, grad, saved, input_shape, weight, dilation: int, padding: int):
+    def conv1d_apply(self, inputs, weight, dilation: int, padding: int):
+        """Dilated conv forward on ``(B, C, L)`` inputs as one GEMM.
+
+        Returns ``weight (O, C*K) @ cols (C*K, B*L')`` viewed as ``(B, O,
+        L')``, where ``cols`` is the tap matrix of :meth:`_conv1d_cols`.
+        The taps die with the call: a tape keeps the input, which is K
+        times smaller, and :meth:`conv1d_backward` rebuilds them from it.
+        """
+        c_out, c_in, kernel = weight.shape
+        cols, _ = self._conv1d_cols(inputs, kernel, dilation, padding)
+        out = self.matmul(self.reshape(weight, (c_out, c_in * kernel)), cols)
+        return self.transpose(self.reshape(out, (c_out, inputs.shape[0], -1)), (1, 0, 2))
+
+    def conv1d_backward(self, grad, inputs, weight, dilation: int, padding: int):
         """Adjoint of :meth:`conv1d_apply`: ``(grad_weight, grad_inputs)``.
 
-        Two GEMMs against the saved tap matrix, then one slice-add of
-        each tap's in-range span in increasing ``k``: the per-element
-        summation order of a duplicate-safe scatter of the tap gradients
-        into the padded input, with the padding's adjoint never formed.
-        Only the input's shape is needed, so the tape need not keep it.
+        The weight adjoint is one GEMM against the tap matrix, rebuilt
+        from ``inputs`` by the forward's zero fill and slab copies, so it
+        sees the forward's operand.  The input adjoint is one GEMM, then
+        one slice-add of each tap's in-range span in increasing ``k``
+        into ``zeros_like(inputs)``: the per-element summation order of
+        a duplicate-safe scatter of the tap gradients into the padded
+        input, with the padding's adjoint never formed, laid out as the
+        input is so every reduction downstream of it keeps its bits.
         """
-        cols, layout = saved
         batch, c_out, out_len = grad.shape
         _, c_in, kernel = weight.shape
+        cols, spans = self._conv1d_cols(inputs, kernel, dilation, padding)
         grad_rows = self.reshape(self.transpose(grad, (0, 2, 1)), (batch * out_len, c_out))
         grad_weight = self.transpose(
             self.reshape(self.matmul(cols, grad_rows), (c_in, kernel, c_out)), (2, 0, 1)
         )
+        del cols  # the rebuilt taps die before the input adjoint's GEMM
         weight_rows = self.reshape(self.transpose(weight, (1, 2, 0)), (c_in * kernel, c_out))
         grad_mat = self.reshape(self.transpose(grad, (1, 0, 2)), (c_out, batch * out_len))
         grad_cols = self.reshape(
             self.matmul(weight_rows, grad_mat), (c_in, kernel, batch, out_len)
         )
-        shape = input_shape if layout is None else [input_shape[i] for i in layout]
-        grad_inputs = self.zeros(shape, dtype=cols.dtype)
-        if layout is not None:  # laid out as the input was: its axes in memory order
-            grad_inputs = self.transpose(grad_inputs, np.argsort(layout))
-        _, spans = self._conv1d_spans(input_shape[-1], kernel, dilation, padding)
+        grad_inputs = self.zeros_like(inputs)
         for k, out_span, in_span in spans:
             tap = self.getitem(grad_cols, (slice(None), k, slice(None), out_span))
             slab = self.getitem(grad_inputs, (Ellipsis, in_span))

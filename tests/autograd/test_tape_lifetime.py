@@ -262,39 +262,75 @@ def test_operand_a_closure_reads_lives_until_that_closure_runs():
 # --- a real fit ---------------------------------------------------------------
 
 
-def _micro_fit():
+def _micro_fit(gcn_depth: int = 1):
     dataset = make_pems_bay(num_sensors=16, num_days=2, seed=42)
     split = space_split(dataset.coords, "horizontal")
     spec = WindowSpec(input_length=6, horizon=6)
     train_ix, _ = temporal_split(dataset.num_steps)
     model = STSMForecaster(
         STSMConfig(
-            hidden_dim=8, num_blocks=1, tcn_levels=2, gcn_depth=1, epochs=1,
+            hidden_dim=8, num_blocks=1, tcn_levels=2, gcn_depth=gcn_depth, epochs=1,
             patience=1, batch_size=8, window_stride=8, top_k=4,
         )
     )
     return lambda: model.fit(dataset, split, spec, train_ix)
 
 
+def _saved_arrays(root: Tensor):
+    """Every array a closure on ``root``'s tape holds, and each one's base."""
+    seen, stack = set(), [_node_of(root)]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        cells = getattr(node._backward, "__closure__", None) or ()
+        values = [cell.cell_contents for cell in cells]
+        while values:
+            value = values.pop()
+            if isinstance(value, (tuple, list)):
+                values.extend(value)
+            elif isinstance(value, np.ndarray):
+                yield value
+                if isinstance(value.base, np.ndarray):
+                    values.append(value.base)
+
+
 def test_stsm_forward_frees_what_no_adjoint_reads(monkeypatch):
-    """Pre-sigmoid gates, pre-ReLU conv outputs and dropout inputs die
-    with the forward; the ``GCNL`` product its weights' adjoints read
+    """Pre-sigmoid gates, pre-ReLU conv outputs, dropout inputs and the
+    max-pools' operands die with the forward, and no closure keeps a
+    conv's tap matrix; the ``GCNL`` product its weights' adjoints read
     lives until backward has run their closures."""
+    import repro.core.gcn as gcn
     import repro.nn.layers as layers
 
-    unread = {"pre-sigmoid": [], "conv pre-ReLU": [], "dropout input": []}
-    shared, checks = [], []
+    unread = {"pre-sigmoid": [], "conv pre-ReLU": [], "dropout input": [], "max-pool operand": []}
+    shared, checks, tap_shapes = [], [], set()
 
-    def recording(original, kind, of_result=False):
+    layers_conv1d, gcn_maximum = layers.conv1d, gcn.maximum
+
+    def recording(original, kind):
         def wrapper(*args, **kwargs):
-            out = original(*args, **kwargs)
-            unread[kind].append(weakref.ref((out if of_result else args[0]).data))
-            return out
+            unread[kind].append(weakref.ref(args[0].data))
+            return original(*args, **kwargs)
         return wrapper
 
+    def recording_conv(inputs, weight, *args, **kwargs):
+        out = layers_conv1d(inputs, weight, *args, **kwargs)
+        unread["conv pre-ReLU"].append(weakref.ref(out.data))
+        (batch, c_in, _), kernel, out_len = inputs.shape, weight.shape[-1], out.shape[-1]
+        tap_shapes.update({(c_in * kernel, batch * out_len), (c_in, kernel, batch, out_len)})
+        return out
+
+    def recording_max(a, b):
+        unread["max-pool operand"].extend(weakref.ref(t.data) for t in (a, b))
+        return gcn_maximum(a, b)
+
     monkeypatch.setattr(Tensor, "sigmoid", recording(Tensor.sigmoid, "pre-sigmoid"))
-    monkeypatch.setattr(layers, "conv1d", recording(layers.conv1d, "conv pre-ReLU", True))
+    monkeypatch.setattr(layers, "conv1d", recording_conv)
     monkeypatch.setattr(layers, "dropout", recording(layers.dropout, "dropout input"))
+    monkeypatch.setattr(gcn, "maximum", recording_max)
     twin = Tensor.twin
 
     def recording_twin(self):
@@ -309,16 +345,18 @@ def test_stsm_forward_frees_what_no_adjoint_reads(monkeypatch):
             checks.append({kind: sum(ref() is not None for ref in refs)
                            for kind, refs in unread.items()})
             checks.append(all(ref() is not None for ref in shared))
+            checks.append([a.shape for a in _saved_arrays(self) if a.shape in tap_shapes])
             original(self, grad)
             checks.append(sum(ref() is not None for ref in shared))
         else:
             original(self, grad)
 
     monkeypatch.setattr(Tensor, "backward", checked_backward)
-    _micro_fit()()
-    alive, shared_before, shared_after = checks
-    assert all(unread.values()) and shared, "the fit ran no gate, conv, dropout or GCNL"
+    _micro_fit(gcn_depth=2)()  # depth 2: each branch max-pools its two GCNL outputs
+    alive, shared_before, saved_taps, shared_after = checks
+    assert all(unread.values()) and shared, "the fit ran no gate, conv, dropout, max or GCNL"
     assert alive == dict.fromkeys(unread, 0)
+    assert saved_taps == []
     assert shared_before and shared_after == 0
 
 

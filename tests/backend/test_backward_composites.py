@@ -6,6 +6,10 @@ chained, allocating expressions they replaced: the same ufuncs on the
 same operands in the same order, so every result must agree down to NaN
 payloads and the sign of zero.  0-d operands compute to numpy scalars,
 which have no buffer, and keep the chained form.
+
+``maximum_backward`` reads the forward's three bool masks, not the
+operands; its oracle still compares the operands, on values that draw
+NaN, ±inf and ±0, where a NaN makes every mask false and ±0 tie.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
+from repro.autograd import Tensor, maximum
 from repro.autograd.tensor import _unbroadcast
 from repro.backend.numpy_ref import NumpyRefBackend
 
@@ -31,16 +36,24 @@ def chained_maximum_backward(grad, a, b, a_shape, b_shape):
     return grad_a, grad_b
 
 
+def masks(a, b):
+    """What the taped ``maximum`` keeps for its adjoint."""
+    return np.greater(a, b), np.greater(b, a), np.equal(a, b)
+
+
 def chained_sigmoid_backward(grad, out):
     return np.multiply(np.multiply(grad, out), np.subtract(1.0, out))
 
 
 def _values(rng, shape, dtype):
-    """Small integers (so ties are common), scaled; a tenth each NaN, -0.0."""
+    """Small integers (so ties are common), scaled; a tenth each NaN and
+    -0.0, a twentieth each +inf and -inf (the integers give +0.0)."""
     values = np.asarray(rng.integers(-2, 3, size=shape) * 10.0 ** rng.uniform(-3, 3))
     pick = rng.random(shape)
     values[pick < 0.1] = np.nan
     values[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    values[(pick >= 0.2) & (pick < 0.25)] = np.inf
+    values[(pick >= 0.25) & (pick < 0.3)] = -np.inf
     return values.astype(dtype)
 
 
@@ -65,10 +78,30 @@ def test_maximum_backward_matches_chained_form(shapes, a_dtype, b_dtype, grad_dt
     a = _values(rng, a_shape, a_dtype)
     b = _values(rng, b_shape, b_dtype)
     grad = _values(rng, shapes.result_shape, grad_dtype)
-    got = BACKEND.maximum_backward(grad, a, b, a_shape, b_shape, _unbroadcast)
+    got = BACKEND.maximum_backward(grad, masks(a, b), a_shape, b_shape, _unbroadcast)
     want = chained_maximum_backward(grad, a, b, a_shape, b_shape)
     for new, old in zip(got, want):
         _same_bits(new, old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=3, max_side=3),
+    DTYPES, DTYPES,
+    st.integers(0, 2**32 - 1),
+)
+def test_taped_maximum_matches_chained_form(shapes, a_dtype, b_dtype, seed):
+    """The op's own masks, in its order: leaf grads are the oracle's bits."""
+    rng = np.random.default_rng(seed)
+    a_shape, b_shape = shapes.input_shapes
+    a = Tensor(_values(rng, a_shape, a_dtype), requires_grad=True)
+    b = Tensor(_values(rng, b_shape, b_dtype), requires_grad=True)
+    out = maximum(a, b)
+    grad = _values(rng, shapes.result_shape, out.dtype)
+    want = chained_maximum_backward(grad, a.data, b.data, a_shape, b_shape)
+    out.backward(grad)
+    for leaf, old in zip((a, b), want):
+        _same_bits(leaf.grad, np.asarray(old).astype(leaf.dtype))
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,7 +133,7 @@ def test_composites_on_0d_operands_return_chained_scalars():
 
     a, b = np.array(1.0), np.array(1.0)
     for new, old in zip(
-        BACKEND.maximum_backward(grad, a, b, (), (), _unbroadcast),
+        BACKEND.maximum_backward(grad, masks(a, b), (), (), _unbroadcast),
         chained_maximum_backward(grad, a, b, (), ()),
     ):
         _same_bits(new, old)

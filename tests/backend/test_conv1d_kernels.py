@@ -85,12 +85,12 @@ def test_conv1d_matches_gather_einsum_scatter(case):
     padded, weight, grad, dilation, out_len = case
     bitwise = min(*padded.shape, *weight.shape, out_len) >= 2
 
-    out, saved = BACKEND.conv1d_apply(padded, weight, dilation, 0)
+    out = BACKEND.conv1d_apply(padded, weight, dilation, 0)
     ref_out, ref_cols = oracle_apply(padded, weight, dilation, out_len)
     abs_out, abs_cols = oracle_apply(np.abs(padded), np.abs(weight), dilation, out_len)
     _assert_matches(out, ref_out, abs_out, bitwise)
 
-    grad_weight, grad_padded = BACKEND.conv1d_backward(grad, saved, padded.shape, weight, dilation, 0)
+    grad_weight, grad_padded = BACKEND.conv1d_backward(grad, padded, weight, dilation, 0)
     ref_gw, ref_gp = oracle_backward(grad, ref_cols, padded, weight, dilation)
     abs_gw, abs_gp = oracle_backward(np.abs(grad), abs_cols, np.abs(padded), np.abs(weight), dilation)
     _assert_matches(grad_weight, ref_gw, abs_gw, bitwise)
@@ -105,12 +105,12 @@ def test_conv1d_shipped_tcn_shape_is_bitwise():
     weight = rng.normal(size=(c_out, c_in, kernel))
     grad = rng.normal(size=(batch, c_out, out_len))
 
-    out, saved = BACKEND.conv1d_apply(padded, weight, dilation, 0)
+    out = BACKEND.conv1d_apply(padded, weight, dilation, 0)
     ref_out, ref_cols = oracle_apply(padded, weight, dilation, out_len)
     assert np.array_equal(out, ref_out)
     assert out.strides == ref_out.strides
     for new, old in zip(
-        BACKEND.conv1d_backward(grad, saved, padded.shape, weight, dilation, 0),
+        BACKEND.conv1d_backward(grad, padded, weight, dilation, 0),
         oracle_backward(grad, ref_cols, padded, weight, dilation),
     ):
         assert np.array_equal(new, old)
@@ -186,10 +186,8 @@ def test_padded_conv1d_matches_pad_then_slice(case):
     inputs, weight, grad, dilation, padding = case
     ref_out, ref_gw, ref_gx = padded_oracle(inputs, weight, grad, dilation, padding)
 
-    out, saved = BACKEND.conv1d_apply(inputs, weight, dilation, padding)
-    grad_weight, grad_inputs = BACKEND.conv1d_backward(
-        grad, saved, inputs.shape, weight, dilation, padding
-    )
+    out = BACKEND.conv1d_apply(inputs, weight, dilation, padding)
+    grad_weight, grad_inputs = BACKEND.conv1d_backward(grad, inputs, weight, dilation, padding)
     _same_bits(out, ref_out)
     _same_bits(grad_weight, ref_gw)
     _same_bits(grad_inputs, ref_gx)
@@ -207,17 +205,15 @@ def test_padded_conv1d_matches_pad_then_slice(case):
 @given(axes=st.permutations([0, 1, 2]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_input_adjoint_is_laid_out_like_the_input(axes, seed):
-    """The tape keeps only the input's shape, yet the adjoint keeps the
-    input's memory layout (as ``zeros_like`` gave it): a reduction
-    downstream of it sums in the same order."""
+    """The input adjoint keeps the input's memory layout (as
+    ``zeros_like`` gives it): a reduction downstream of it sums in the
+    same order."""
     rng = np.random.default_rng(seed)
     shape = (3, 4, 7)
     # A (3, 4, 7) view whose axes lie in memory in the order ``axes``.
     inputs = rng.normal(size=[shape[a] for a in axes]).transpose(np.argsort(axes))
     weight = rng.normal(size=(2, inputs.shape[1], 3))
-    out, saved = BACKEND.conv1d_apply(inputs, weight, 2, 2)
-    _, grad_inputs = BACKEND.conv1d_backward(
-        rng.normal(size=out.shape), saved, inputs.shape, weight, 2, 2
-    )
+    out = BACKEND.conv1d_apply(inputs, weight, 2, 2)
+    _, grad_inputs = BACKEND.conv1d_backward(rng.normal(size=out.shape), inputs, weight, 2, 2)
     assert grad_inputs.shape == inputs.shape
     assert grad_inputs.strides == np.zeros_like(inputs).strides

@@ -1,6 +1,7 @@
 """``NumpyRefBackend`` primitives and composites that the model code calls
 but no other test names: conversions, in-place updates, comparisons,
-the activation adjoints, the dropout mask and the optimiser steps.
+the activation adjoints, the dropout mask, the layout a tape keeps in
+place of an array, and the optimiser steps.
 
 The adjoints are checked as vector-Jacobian products against central
 differences of the forward; the optimiser steps against their textbook
@@ -11,7 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.autograd import Tensor
 from repro.backend.numpy_ref import NumpyRefBackend
 
 BACKEND = NumpyRefBackend()
@@ -106,6 +110,46 @@ def test_getitem_supports_fancy_and_slice_indices():
     a = np.arange(12.0).reshape(3, 4)
     np.testing.assert_array_equal(BACKEND.getitem(a, (slice(None), [0, 3])), a[:, [0, 3]])
     np.testing.assert_array_equal(BACKEND.getitem(a, (Ellipsis, slice(1, 3))), a[..., 1:3])
+
+
+@st.composite
+def strided_views(draw):
+    """A float view of any rank up to 4: stepped or reversed slices,
+    permuted axes, sometimes a stride-0 broadcast axis, sides of 1 kept."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    steps = [draw(st.sampled_from([1, 2, -1, -2])) for _ in shape]
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    base = np.arange(float(np.prod(shape) * 2 ** len(shape)), dtype=dtype)
+    view = base.reshape([2 * n for n in shape])[tuple(slice(None, None, k) for k in steps)]
+    view = view[tuple(slice(0, n) for n in shape)].transpose(draw(st.permutations(range(len(shape)))))
+    if view.ndim and draw(st.booleans()):
+        view = np.broadcast_to(view[..., :1], view.shape)
+    return view
+
+
+@settings(max_examples=200, deadline=None)
+@given(strided_views())
+# Fortran-ordered with a side of 1: numpy gives that axis its F stride.
+@example(np.arange(6.0).reshape(3, 1, 2).T)
+def test_zeros_laid_out_is_zeros_like_without_the_array(view):
+    want = np.zeros_like(view)
+    got = BACKEND.zeros_laid_out(BACKEND.layout_of(view))
+    assert (got.shape, got.dtype, got.strides) == (want.shape, want.dtype, want.strides)
+    assert not got.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(strided_views())
+def test_getitem_adjoint_is_laid_out_like_its_input(view):
+    """The tape keeps the input's layout, not the input: the adjoint
+    scatters into zeros with ``zeros_like(input)``'s strides."""
+    x = Tensor(view, requires_grad=True)
+    index = (Ellipsis, slice(0, 1)) if view.ndim else ()
+    x[index].backward(np.ones_like(view[index]))
+    want = np.zeros_like(view)
+    want[index] = 1.0
+    assert x.grad.strides == want.strides
+    assert x.grad.tobytes() == want.tobytes()
 
 
 def test_scatter_add_accumulates_repeated_indices():
