@@ -184,8 +184,8 @@ class NumpyRefBackend:
     def sqrt(self, a, out=None):
         return np.sqrt(a, out=out)
 
-    def abs(self, a, out=None):
-        return np.absolute(a, out=out)
+    def abs(self, a):
+        return np.absolute(a)
 
     def sign(self, a):
         return np.sign(a)

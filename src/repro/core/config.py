@@ -1,10 +1,11 @@
 """STSM hyper-parameter configuration.
 
-Defaults follow paper §5.1.3 / Table 3: Adam lr 0.01, batch 32, τ = 0.5,
-masking ratio σ_m = 0.5, ε_s = 0.05, q_kk = q_ku = 1, with per-dataset
-λ / ε_sg / K.  Architecture sizes (hidden width, block counts) are not
-printed in the paper; the defaults here were chosen to train stably on the
-synthetic substrate and can be overridden per experiment.
+Defaults follow paper §5.1.3 / Table 3: Adam at a constant lr 0.01,
+batch 32, τ = 0.5, masking ratio σ_m = 0.5, ε_s = 0.05, q_kk = q_ku = 1,
+with per-dataset λ / ε_sg / K.  Architecture sizes (hidden width, block
+counts) are not printed in the paper; the defaults here were chosen to
+train stably on the synthetic substrate and can be overridden per
+experiment.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class STSMConfig:
     #: Heads for the GAT spatial module (must divide hidden_dim).
     gat_heads: int = 2
 
-    # Optimisation (paper §5.1.3)
+    # Optimisation (paper §5.1.3: Adam at a constant learning rate)
     learning_rate: float = 0.01
     batch_size: int = 32
     epochs: int = 30
@@ -57,13 +58,6 @@ class STSMConfig:
     grad_clip: float = 5.0
     window_stride: int = 1
     seed: int = 0
-    #: Optional LR schedule applied by the training engine: None/"none"
-    #: keeps the paper's constant rate, "step" decays by ``lr_gamma``
-    #: every ``lr_step_size`` epochs, "cosine" anneals to 0 over
-    #: ``epochs``.
-    lr_schedule: str | None = None
-    lr_step_size: int = 10
-    lr_gamma: float = 0.5
 
     # Masking (paper §3.3 / §4.1)
     mask_ratio: float = 0.5
@@ -124,10 +118,6 @@ class STSMConfig:
             raise ValueError("adjacency thresholds must be in (0, 1]")
         if self.hidden_dim <= 0 or self.num_blocks <= 0:
             raise ValueError("architecture sizes must be positive")
-        if self.lr_schedule not in (None, "none", "step", "cosine"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.lr_step_size <= 0:
-            raise ValueError("lr_step_size must be positive")
         if self.cache_store is not None and not isinstance(self.cache_store, bool):
             raise ValueError(
                 f"cache_store must be True, False or None, got {self.cache_store!r}"

@@ -127,8 +127,8 @@ class SelectiveMasker:
     The probabilities are computed once (static features do not change);
     each call to :meth:`draw` samples seed locations ``ρ_i ~ Bern(p_i)``
     and masks their sub-graphs.  A fallback guarantees at least one
-    sub-graph is masked (training needs masked targets), and an optional
-    cap trims overshoot so the realised ratio tracks δ_m.
+    sub-graph is masked (training needs masked targets), and masking stops
+    once δ_m of the locations are masked, so the realised ratio tracks it.
     """
 
     def __init__(
@@ -137,7 +137,6 @@ class SelectiveMasker:
         subgraph_adjacency: np.ndarray,
         mask_ratio: float,
         top_k: int,
-        enforce_ratio_cap: bool = True,
     ) -> None:
         self.subgraph_adjacency = np.asarray(subgraph_adjacency)
         self.mask_ratio = mask_ratio
@@ -145,7 +144,6 @@ class SelectiveMasker:
             similarity, mask_ratio, self.subgraph_adjacency, top_k
         )
         self._members = all_subgraphs(self.subgraph_adjacency)
-        self.enforce_ratio_cap = enforce_ratio_cap
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Sample one mask; returns sorted local indices of masked locations."""
@@ -159,7 +157,7 @@ class SelectiveMasker:
         order = rng.permutation(seeds)
         masked: set[int] = set()
         for seed in order:
-            if self.enforce_ratio_cap and len(masked) >= target:
+            if len(masked) >= target:
                 break
             masked.update(int(v) for v in self._members[int(seed)])
         return _cap_masked(masked, n, rng)

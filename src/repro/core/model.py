@@ -55,7 +55,7 @@ from ..graph.adjacency import gaussian_kernel_adjacency, gcn_normalise
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
 from ..nn import mse_loss, nt_xent_loss
-from ..optim import Adam, build_scheduler
+from ..optim import Adam
 from ..temporal import build_dtw_adjacency, normalised_time_encoding
 from .config import STSMConfig
 from .features import compute_subgraph_similarity
@@ -407,19 +407,11 @@ class STSMForecaster(Forecaster):
             a_dtw_val_t=a_dtw_val_t,
         )
         early_stopping = EarlyStopping(patience=cfg.patience, checkpoint_dir=checkpoint_dir)
-        scheduler = build_scheduler(
-            cfg.lr_schedule,
-            program.optimiser,
-            total_epochs=cfg.epochs,
-            step_size=cfg.lr_step_size,
-            gamma=cfg.lr_gamma,
-        )
         trainer = Trainer(
             program,
             max_epochs=cfg.epochs,
             rng=rng,
             early_stopping=early_stopping,
-            schedulers=[scheduler] if scheduler is not None else None,
             store=shared,
         )
         self.warm_started = False

@@ -40,7 +40,6 @@ def multi_region_split(
     num_regions: int,
     unobserved_ratio: float = 0.5,
     rng: np.random.Generator | None = None,
-    validation_fraction: float = 0.2,
 ) -> SpaceSplit:
     """Create a split whose test set is ``num_regions`` contiguous patches.
 
@@ -60,8 +59,6 @@ def multi_region_split(
         Total fraction of locations without observations.
     rng:
         Seed source for patch placement (deterministic default).
-    validation_fraction:
-        Fraction of the *observed* part used for validation.
     """
     coords = np.asarray(coords, dtype=float)
     n = len(coords)
@@ -95,7 +92,7 @@ def multi_region_split(
 
     unobserved_arr = np.array(sorted(set(unobserved)), dtype=int)
     observed = np.setdiff1d(np.arange(n), unobserved_arr)
-    num_val = max(1, int(round(len(observed) * validation_fraction)))
+    num_val = max(1, int(round(len(observed) * 0.2)))
     shuffled = rng.permutation(observed)
     validation = np.sort(shuffled[:num_val])
     train = np.sort(shuffled[num_val:])

@@ -29,8 +29,15 @@ _HEADER_KEY = "__header__"
 _FORMAT_VERSION = 1
 
 #: Config keys that older checkpoints carry but ``STSMConfig`` no longer
-#: has, each with the values the numpy backend accepted for it.
-_RETIRED_CONFIG_KEYS = {"device": (None, "cpu"), "dtype": (None, "float64")}
+#: has, each with the values that still load (``None``: any value).
+_RETIRED_CONFIG_KEYS = {
+    "backend": None,
+    "device": (None, "cpu"),
+    "dtype": (None, "float64"),
+    "lr_schedule": (None, "none"),
+    "lr_step_size": None,
+    "lr_gamma": None,
+}
 
 
 def save_forecaster(forecaster: STSMForecaster, path: str | Path) -> Path:
@@ -62,7 +69,6 @@ def load_forecaster(
     path: str | Path,
     dataset: SpatioTemporalDataset,
     split: SpaceSplit,
-    train_steps: np.ndarray | None = None,
 ) -> STSMForecaster:
     """Load a saved forecaster and re-attach its data context.
 
@@ -74,9 +80,6 @@ def load_forecaster(
         The data context to predict against (normally the ones used at
         training time; a different dataset with the same geometry also
         works because the network is inductive).
-    train_steps:
-        Time steps considered historical when rebuilding the test-time
-        DTW adjacency; defaults to all steps.
     """
     archive = np.load(Path(path), allow_pickle=False)
     if _HEADER_KEY not in archive:
@@ -123,21 +126,23 @@ def load_forecaster(
 
 
 def _config_from_header(fields: dict) -> STSMConfig:
-    """Rebuild a saved config, dropping the retired backend/device/dtype keys.
+    """Rebuild a saved config, dropping the retired keys.
 
     A saved ``backend`` name drops whatever its value: checkpoint state
     is host float64 numpy, so a model saved under any backend loads and
     predicts under the one that exists.  A device/dtype value the numpy
     backend accepted drops silently; any other never ran on numpy
-    either, so it is refused rather than ignored.
+    either, so it is refused rather than ignored.  Likewise a model
+    trained at a constant rate (``lr_schedule`` ``None`` or ``"none"``)
+    drops its unused step size and gamma, and one trained under a
+    schedule, which this version cannot refit, is refused.
     """
     fields = dict(fields)
-    fields.pop("backend", None)
     for key, accepted in _RETIRED_CONFIG_KEYS.items():
         value = fields.pop(key, None)
-        if value not in accepted:
+        if accepted is not None and value not in accepted:
             raise ValueError(
-                f"saved config has {key}={value!r}; this version computes "
-                f"on the cpu in float64 only"
+                f"saved config has {key}={value!r}; this version loads "
+                f"{key} only as one of {accepted}"
             )
     return STSMConfig(**fields)

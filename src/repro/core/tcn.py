@@ -69,17 +69,14 @@ class TransformerTemporal(Module):
         self,
         channels: int,
         num_heads: int = 4,
-        num_layers: int = 1,
         dropout: float = 0.1,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
         self.channels = channels
+        # One encoder layer, kept in a list for its ``layers.0.*`` state keys.
         self.layers = ModuleList(
-            [
-                TransformerEncoderLayer(channels, num_heads, dropout=dropout, rng=rng)
-                for _ in range(num_layers)
-            ]
+            [TransformerEncoderLayer(channels, num_heads, dropout=dropout, rng=rng)]
         )
 
     def forward(self, features: Tensor) -> Tensor:

@@ -78,14 +78,14 @@ def block_missing_mask(
     return mask
 
 
-def apply_missing(values: np.ndarray, mask: np.ndarray, fill: float = np.nan) -> np.ndarray:
-    """Return a copy of ``values`` with masked cells replaced by ``fill``."""
+def apply_missing(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Return a copy of ``values`` with masked cells set to NaN."""
     values = np.asarray(values, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape:
         raise ValueError(f"mask shape {mask.shape} does not match values {values.shape}")
     out = values.copy()
-    out[mask] = fill
+    out[mask] = np.nan
     return out
 
 

@@ -99,11 +99,7 @@ def space_split(
     return SpaceSplit(train=train, validation=validation, test=test, name=kind)
 
 
-def scattered_split(
-    coords: np.ndarray,
-    fractions: tuple[float, float, float] = _DEFAULT_FRACTIONS,
-    rng: np.random.Generator | None = None,
-) -> SpaceSplit:
+def scattered_split(coords: np.ndarray, rng: np.random.Generator | None = None) -> SpaceSplit:
     """Split with *scattered* unobserved locations (classic kriging, Fig. 1b).
 
     Unlike :func:`space_split`, the test locations are drawn uniformly at
@@ -116,11 +112,9 @@ def scattered_split(
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError(f"coords must be (N, 2), got {coords.shape}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
     rng = rng if rng is not None else np.random.default_rng(0)
     order = rng.permutation(len(coords))
-    train, validation, test = _partition(order, fractions)
+    train, validation, test = _partition(order, _DEFAULT_FRACTIONS)
     return SpaceSplit(train=train, validation=validation, test=test, name="scattered")
 
 
@@ -146,7 +140,6 @@ def progressive_splits(
     base_fraction: float = 0.5,
     core_fraction: float = 0.25,
     stages: tuple[float, ...] = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0),
-    validation_fraction: float = 0.2,
 ) -> tuple[list[SpaceSplit], np.ndarray]:
     """Splits simulating progressive sensor deployment (paper §1, case 1).
 
@@ -160,11 +153,10 @@ def progressive_splits(
 
     One :class:`SpaceSplit` is returned per stage fraction: at stage ``f``
     the base plus the first ``f`` of the corridor are observed (split
-    ``1 − validation_fraction : validation_fraction`` into train and
-    validation along the sweep), and everything else is unobserved.  The
-    core indices are returned separately so the caller can score every
-    stage on the *same* target set — errors stay comparable as deployment
-    advances.
+    4:1 into train and validation along the sweep), and everything else
+    is unobserved.  The core indices are returned separately so the
+    caller can score every stage on the *same* target set — errors stay
+    comparable as deployment advances.
 
     Returns
     -------
@@ -194,7 +186,7 @@ def progressive_splits(
     for stage in stages:
         deployed = corridor[: int(round(stage * len(corridor)))]
         observed_order = np.concatenate([order[:n_base], deployed])
-        n_val = max(1, int(round(validation_fraction * len(observed_order))))
+        n_val = max(1, int(round(0.2 * len(observed_order))))
         train = np.sort(observed_order[:-n_val])
         validation = np.sort(observed_order[-n_val:])
         test = np.sort(np.concatenate([corridor[len(deployed):], core]))

@@ -150,7 +150,6 @@ class PairwiseDTWCache:
         self,
         series: np.ndarray,
         others: np.ndarray | None = None,
-        band: int | None = None,
     ) -> np.ndarray:
         """Memoised drop-in for :func:`repro.temporal.dtw.dtw_distance_matrix`."""
         series = np.atleast_2d(np.asarray(series, dtype=float))
@@ -167,8 +166,8 @@ class PairwiseDTWCache:
             pair_i, pair_j = grid_i.ravel(), grid_j.ravel()
             left, right = series, others
 
-        left_keys = [array_key(row, band) for row in left]
-        right_keys = left_keys if others is None else [array_key(row, band) for row in right]
+        left_keys = [array_key(row) for row in left]
+        right_keys = left_keys if others is None else [array_key(row) for row in right]
 
         flat = np.empty(len(pair_i))
         missing: list[int] = []
@@ -185,7 +184,7 @@ class PairwiseDTWCache:
             # every one of the N(N-1)/2 pairs at once, which is exactly
             # the all-pairs memory spike the chunking bounds.
             computed = _dtw_batch_chunked(
-                left, right, pair_i[rows], pair_j[rows], band, DEFAULT_CHUNK_PAIRS
+                left, right, pair_i[rows], pair_j[rows], DEFAULT_CHUNK_PAIRS
             )
             flat[rows] = computed
             for pos, value in zip(missing, computed):

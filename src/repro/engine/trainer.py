@@ -4,10 +4,9 @@ Before this engine existed, STSM and the four learned baselines each
 hand-rolled an epoch/batch loop with subtly different validation and
 checkpointing behaviour.  The :class:`Trainer` consolidates that
 machinery — seeded epoch iteration, per-batch gradient steps with
-clipping, LR-scheduler hooks, loss history, early stopping with
-best-weight restore — behind one loop, while each model contributes only
-the parts that are genuinely model-specific through a
-:class:`TrainingProgram`.
+clipping, loss history, early stopping with best-weight restore —
+behind one loop, while each model contributes only the parts that are
+genuinely model-specific through a :class:`TrainingProgram`.
 
 Determinism contract: the Trainer threads a single ``numpy`` Generator
 through the program hooks in a fixed order (``on_epoch_start`` →
@@ -40,7 +39,7 @@ from __future__ import annotations
 import time
 import warnings
 import zipfile
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -152,9 +151,6 @@ class Trainer:
         Optional :class:`EarlyStopping`; consulted only on epochs whose
         ``validation_score`` is not ``None``, and its best snapshot is
         restored once training ends.
-    schedulers:
-        LR schedulers whose ``step()`` advances once per completed epoch
-        (after the epoch's gradient steps, before the next epoch).
     store:
         Optional shared :class:`~repro.engine.store.ArtifactStore` the
         program's caches draw from; the trainer persists its dirty
@@ -170,7 +166,6 @@ class Trainer:
         max_epochs: int,
         rng: np.random.Generator | None = None,
         early_stopping: EarlyStopping | None = None,
-        schedulers: Iterable | None = None,
         store=None,
     ) -> None:
         if max_epochs < 0:
@@ -179,7 +174,6 @@ class Trainer:
         self.max_epochs = max_epochs
         self.rng = rng
         self.early_stopping = early_stopping
-        self.schedulers = list(schedulers) if schedulers is not None else []
         self.store = store
         self.history = History()
         #: Per-epoch/per-phase timing profile of the most recent
@@ -274,8 +268,6 @@ class Trainer:
                 record_span("train.run_epoch", epoch_ctx, t1, t2)
                 record_span("train.validate", epoch_ctx, t2, t3)
             self.history.record(train_loss, score)
-            for scheduler in self.schedulers:
-                scheduler.step()
             if self.early_stopping is not None and score is not None:
                 self.early_stopping.update(score, program.state_dict)
                 if self.early_stopping.should_stop:
@@ -286,23 +278,11 @@ class Trainer:
             self.store.persist()
         return self.history
 
-    def restore(self, checkpoint_dir=None) -> bool:
-        """Reload best-epoch weights into the program.
-
-        An explicitly passed ``checkpoint_dir`` always loads from disk
-        (warm-starting from another run's checkpoint).  Without one, the
-        in-memory snapshot held by this trainer's :class:`EarlyStopping`
-        is preferred, falling back to the early stopper's own
-        ``checkpoint_dir`` — the restart-recovery path.  Returns True
-        when weights were loaded.
+    def restore(self, checkpoint_dir) -> bool:
+        """Load the best-epoch weights saved in ``checkpoint_dir`` into the
+        program (warm-starting from another run's checkpoint).  Returns
+        True when weights were loaded.
         """
-        if checkpoint_dir is None:
-            if self.early_stopping is not None and self.early_stopping.best_state is not None:
-                return self.early_stopping.restore(self.program.load_state_dict)
-            if self.early_stopping is not None:
-                checkpoint_dir = self.early_stopping.checkpoint_dir
-        if checkpoint_dir is None:
-            return False
         try:
             state, _metadata = EarlyStopping.load_checkpoint(checkpoint_dir)
         except FileNotFoundError:
@@ -310,7 +290,7 @@ class Trainer:
         except (ValueError, OSError, zipfile.BadZipFile) as error:
             # A corrupt archive (e.g. from a pre-atomic-write version or a
             # damaged disk) should degrade to "nothing to restore", not
-            # crash the restart-recovery path.
+            # crash the warm start.
             warnings.warn(f"ignoring unreadable checkpoint in {checkpoint_dir}: {error}")
             return False
         self.program.load_state_dict(state)

@@ -40,18 +40,15 @@ class EvaluationResult:
 def forecast_window_starts(
     dataset: SpatioTemporalDataset,
     spec: WindowSpec,
-    train_fraction: float = 0.7,
-    stride: int | None = None,
     max_windows: int | None = None,
 ) -> np.ndarray:
     """Window starts lying fully inside the test (last 30%) period."""
-    _train_ix, test_ix = temporal_split(dataset.num_steps, train_fraction)
+    _train_ix, test_ix = temporal_split(dataset.num_steps)
     first = int(test_ix[0])
     usable = dataset.num_steps - spec.total
     if usable < first:
         raise ValueError("test period is shorter than one window")
-    stride = stride if stride is not None else 1
-    starts = np.arange(first, usable + 1, stride)
+    starts = np.arange(first, usable + 1)
     if max_windows is not None and len(starts) > max_windows:
         pick = np.linspace(0, len(starts) - 1, max_windows).round().astype(int)
         starts = starts[np.unique(pick)]
@@ -63,23 +60,20 @@ def evaluate_forecaster(
     dataset: SpatioTemporalDataset,
     split: SpaceSplit,
     spec: WindowSpec,
-    train_fraction: float = 0.7,
-    test_stride: int | None = None,
     max_test_windows: int | None = 64,
 ) -> EvaluationResult:
-    """Fit and evaluate one model on one dataset/split.
+    """Fit and evaluate one model on one dataset/split, training on the
+    first 70% of the steps.
 
     ``max_test_windows`` caps the number of evaluated windows (spread
     evenly over the test period) so reduced-scale benchmark runs stay
     fast; pass ``None`` to use every window.
     """
     split.validate(dataset.num_locations)
-    train_ix, _test_ix = temporal_split(dataset.num_steps, train_fraction)
+    train_ix, _test_ix = temporal_split(dataset.num_steps)
     fit_report = forecaster.fit(dataset, split, spec, train_ix)
 
-    starts = forecast_window_starts(
-        dataset, spec, train_fraction, stride=test_stride, max_windows=max_test_windows
-    )
+    starts = forecast_window_starts(dataset, spec, max_windows=max_test_windows)
     began = time.perf_counter()
     predictions = forecaster.predict(starts)
     test_seconds = time.perf_counter() - began

@@ -42,7 +42,7 @@ from .runners import build_dataset
 __all__ = ["run"]
 
 
-def _stsm_factory(dataset_key, scale, num_observed, variant="STSM"):
+def _stsm_factory(dataset_key, scale, num_observed):
     """STSM constructor bound to the scale's budgets (mirrors build_model)."""
 
     def make(seed: int):
@@ -53,7 +53,7 @@ def _stsm_factory(dataset_key, scale, num_observed, variant="STSM"):
             config = config.replace(top_k=max(2, num_observed // 2))
         if config.dropout <= 0.0:
             config = config.replace(dropout=0.1)
-        return STSM_VARIANTS[variant](config=config)
+        return STSM_VARIANTS["STSM"](config=config)
 
     return make
 

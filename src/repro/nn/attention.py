@@ -87,24 +87,23 @@ class MultiHeadAttention(Module):
 
 
 class TransformerEncoderLayer(Module):
-    """Pre-norm transformer encoder block: MHA + position-wise FFN."""
+    """Pre-norm transformer encoder block: MHA + a position-wise FFN of
+    width ``2 * dim``."""
 
     def __init__(
         self,
         dim: int,
         num_heads: int,
-        ffn_dim: int | None = None,
         dropout: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
         rng = rng if rng is not None else init.default_rng()
-        ffn_dim = ffn_dim if ffn_dim is not None else 2 * dim
         self.attention = MultiHeadAttention(dim, num_heads, dropout=dropout, rng=rng)
         self.norm1 = LayerNorm(dim)
         self.norm2 = LayerNorm(dim)
-        self.ffn_in = Linear(dim, ffn_dim, rng=rng)
-        self.ffn_out = Linear(ffn_dim, dim, rng=rng)
+        self.ffn_in = Linear(dim, 2 * dim, rng=rng)
+        self.ffn_out = Linear(2 * dim, dim, rng=rng)
         self.dropout = Dropout(dropout, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -27,6 +27,8 @@ __all__ = ["GraphAttention"]
 
 #: Logit offset that zeroes non-edge attention after the softmax.
 _MASK_OFFSET = -1e9
+#: LeakyReLU slope on the attention logits (0.2 in the GAT paper).
+_NEGATIVE_SLOPE = 0.2
 
 
 class GraphAttention(Module):
@@ -40,13 +42,11 @@ class GraphAttention(Module):
         Output width (total across heads; must divide by ``num_heads``).
     num_heads:
         Independent attention heads, concatenated.
-    negative_slope:
-        LeakyReLU slope on the attention logits (0.2 in the GAT paper).
-    include_self:
-        Add self-loops to the mask so every node can attend to itself even
-        when the adjacency has an empty row (an isolated sensor); without
-        this, softmax over an all-masked row returns uniform weights over
-        *all* nodes — exactly the leak the mask is meant to prevent.
+
+    The mask always carries self-loops, so every node can attend to
+    itself even when the adjacency has an empty row (an isolated sensor);
+    without them, softmax over an all-masked row returns uniform weights
+    over *all* nodes — exactly the leak the mask is meant to prevent.
     """
 
     def __init__(
@@ -54,8 +54,6 @@ class GraphAttention(Module):
         in_dim: int,
         out_dim: int,
         num_heads: int = 2,
-        negative_slope: float = 0.2,
-        include_self: bool = True,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -68,8 +66,6 @@ class GraphAttention(Module):
         self.out_dim = out_dim
         self.num_heads = num_heads
         self.head_dim = out_dim // num_heads
-        self.negative_slope = negative_slope
-        self.include_self = include_self
         self.weight = Parameter(
             init.xavier_uniform((num_heads, in_dim, self.head_dim), rng), name="weight"
         )
@@ -85,8 +81,7 @@ class GraphAttention(Module):
         """``(N, N)`` additive logit offsets: 0 on edges, -1e9 elsewhere."""
         b = get_backend()
         mask = b.greater(b.asarray(adjacency), 0)
-        if self.include_self:
-            mask = b.logical_or(mask, b.eye(mask.shape[0], dtype=bool))
+        mask = b.logical_or(mask, b.eye(mask.shape[0], dtype=bool))
         return b.where(mask, 0.0, _MASK_OFFSET)
 
     def forward(self, adjacency: Tensor | np.ndarray, features: Tensor) -> Tensor:
@@ -116,7 +111,7 @@ class GraphAttention(Module):
             dst = projected @ self.attn_dst[head]  # (..., N, 1)
             # e[..., i, j] = src_i + dst_j  -> transpose dst's last two axes.
             axes = tuple(range(lead)) + (lead + 1, lead)
-            logits = leaky_relu(src + dst.transpose(*axes), self.negative_slope)
+            logits = leaky_relu(src + dst.transpose(*axes), _NEGATIVE_SLOPE)
             weights = softmax(logits + offsets, axis=-1)  # (..., N, N)
             head_outputs.append(weights @ projected)
         if self.num_heads == 1:

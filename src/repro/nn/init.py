@@ -31,10 +31,10 @@ def _fan(shape: tuple[int, ...]) -> tuple[int, int]:
     receptive = int(math.prod(shape[2:]))
     return shape[1] * receptive, shape[0] * receptive
 
-def xavier_uniform(shape: tuple[int, ...], rng, gain: float = 1.0):
-    """Glorot uniform: U(-a, a) with a = gain * sqrt(6 / (fan_in + fan_out))."""
+def xavier_uniform(shape: tuple[int, ...], rng):
+    """Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
     fan_in, fan_out = _fan(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return get_backend().uniform(rng, -bound, bound, shape)
 
 

@@ -64,7 +64,6 @@ class Conv1d(Module):
         kernel_size: int,
         dilation: int = 1,
         padding: int | str = 0,
-        bias: bool = True,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -82,7 +81,7 @@ class Conv1d(Module):
         self.weight = Parameter(
             init.xavier_uniform((out_channels, in_channels, kernel_size), rng), name="weight"
         )
-        self.bias = Parameter(init.zeros((out_channels,)), name="bias") if bias else None
+        self.bias = Parameter(init.zeros((out_channels,)), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
         return conv1d(x, self.weight, self.bias, dilation=self.dilation, padding=self.padding)

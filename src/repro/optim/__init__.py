@@ -1,14 +1,11 @@
-"""Gradient-based optimisers (Adam per the paper, plus SGD and schedulers)."""
+"""Gradient-based optimisers: Adam, which the paper trains with at a constant
+rate, and SGD."""
 
 from .optimizers import SGD, Adam, Optimizer, clip_grad_norm
-from .schedulers import CosineAnnealingLR, StepLR, build_scheduler
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
     "clip_grad_norm",
-    "StepLR",
-    "CosineAnnealingLR",
-    "build_scheduler",
 ]

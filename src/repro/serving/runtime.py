@@ -106,7 +106,6 @@ class ServingRuntime:
         forecaster: Forecaster | ForecastService,
         *,
         replace: bool = False,
-        drain_timeout: float | None = None,
         **overrides,
     ) -> MicroBatchScheduler:
         """Host ``forecaster`` (fitted) under ``key``; returns its scheduler.
@@ -154,7 +153,7 @@ class ServingRuntime:
             self._schedulers[key] = scheduler
         if old is not None:
             drain_started = time.monotonic()
-            old.shutdown(drain=True, timeout=drain_timeout)
+            old.shutdown(drain=True)
             drain_seconds = time.monotonic() - drain_started
             swaps = self._swaps.labels(model=key)
             with self._lock:
@@ -192,11 +191,9 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
-    def submit(
-        self, key: str, start: int, trace: TraceContext | None = None
-    ) -> AsyncForecast:
+    def submit(self, key: str, start: int) -> AsyncForecast:
         """Route one window-start request (see :meth:`submit_many`)."""
-        return self.submit_many(key, [start], trace)[0]
+        return self.submit_many(key, [start])[0]
 
     def submit_many(
         self, key: str, starts, trace: TraceContext | None = None

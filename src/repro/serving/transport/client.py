@@ -301,7 +301,7 @@ class ForecastClient:
         _status, payload = self._get_json("/healthz", retry=False)
         return payload
 
-    def wait_ready(self, timeout: float = 30.0, poll_s: float = 0.05) -> bool:
+    def wait_ready(self, timeout: float = 30.0) -> bool:
         """Poll ``/healthz`` until the worker reports ready (or timeout)."""
         deadline = time.monotonic() + timeout
         while True:
@@ -313,4 +313,4 @@ class ForecastClient:
                 self.close()
             if time.monotonic() >= deadline:
                 return False
-            time.sleep(poll_s)
+            time.sleep(0.05)

@@ -369,11 +369,8 @@ class ForecastHTTPServer:
     def ready(self) -> bool:
         return self._ready.is_set()
 
-    def set_ready(self, ready: bool = True) -> None:
-        if ready:
-            self._ready.set()
-        else:
-            self._ready.clear()
+    def set_ready(self) -> None:
+        self._ready.set()
 
     # ------------------------------------------------------------------
     def start(self) -> "ForecastHTTPServer":

@@ -61,12 +61,6 @@ class LiveSwapBridge:
     log_batches:
         Enable each service's batch-composition log (parity replay
         certification in ``bench_streaming``).
-    drain_timeout:
-        Bound on the outgoing scheduler's drain during a swap.
-    service_options / register_options:
-        Extra keyword arguments forwarded to every
-        :class:`~repro.serving.ForecastService` build and
-        :meth:`~repro.serving.ServingRuntime.register` call.
     """
 
     def __init__(
@@ -76,17 +70,11 @@ class LiveSwapBridge:
         *,
         store=None,
         log_batches: bool = False,
-        drain_timeout: float | None = None,
-        service_options: dict | None = None,
-        register_options: dict | None = None,
     ) -> None:
         self.runtime = runtime
         self.key = str(key)
         self.store = store
         self.log_batches = log_batches
-        self.drain_timeout = drain_timeout
-        self.service_options = dict(service_options or {})
-        self.register_options = dict(register_options or {})
         self.deploys: list[dict] = []
         self.service: ForecastService | None = None
         metrics = runtime.metrics
@@ -110,12 +98,7 @@ class LiveSwapBridge:
 
     def build_service(self, forecaster) -> ForecastService:
         """Wrap a fitted forecaster the way :meth:`deploy` serves it."""
-        options = dict(self.service_options)
-        if self.store is not None:
-            options.setdefault("store", self.store)
-        return ForecastService(
-            forecaster, log_batches=self.log_batches, **options
-        )
+        return ForecastService(forecaster, log_batches=self.log_batches, store=self.store)
 
     def deploy(
         self, forecaster, record: RefitRecord | None = None
@@ -131,13 +114,7 @@ class LiveSwapBridge:
         service = self.build_service(forecaster)
         swap = self.key in self.runtime
         swap_started = time.monotonic()
-        self.runtime.register(
-            self.key,
-            service,
-            replace=swap,
-            drain_timeout=self.drain_timeout,
-            **self.register_options,
-        )
+        self.runtime.register(self.key, service, replace=swap)
         live_at = time.monotonic()
         # Close the refit trace: the swap span parents under the refit
         # root whose ids the scheduler left on the record.

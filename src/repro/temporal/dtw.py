@@ -2,9 +2,8 @@
 
 STSM follows STFGNN (Li & Zhu, AAAI 2021) in using DTW distances between
 sensor time series to build a temporal-similarity adjacency matrix.  We
-implement the exact O(T^2) dynamic program with an optional Sakoe-Chiba
-band, plus the daily-profile downsampling used in practice to keep the
-pairwise computation tractable.
+implement the exact O(T^2) dynamic program, plus the daily-profile
+downsampling used in practice to keep the pairwise computation tractable.
 """
 
 from __future__ import annotations
@@ -19,52 +18,35 @@ __all__ = [
     "downsample_profile",
 ]
 
-#: Default pair-chunk size for :func:`dtw_distance_matrix`.  The batched
-#: dynamic program keeps two ``(P, m + 1)`` float rows plus the gathered
-#: ``(P, n)`` / ``(P, m)`` series copies alive at once, so bounding P
-#: bounds peak memory: at 4096 pairs and 96-point daily profiles that is
-#: a few MB, regardless of how large N(N-1)/2 grows.
+#: Pair-chunk size of :func:`dtw_distance_matrix` and the pair cache.
+#: The batched dynamic program keeps two ``(P, m + 1)`` float rows plus
+#: the gathered ``(P, n)`` / ``(P, m)`` series copies alive at once, so
+#: bounding P bounds peak memory: at 4096 pairs and 96-point daily
+#: profiles that is a few MB, regardless of how large N(N-1)/2 grows.
 DEFAULT_CHUNK_PAIRS = 4096
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray, band: int | None = None) -> float:
-    """DTW distance between two 1-D series under absolute-difference cost.
-
-    Parameters
-    ----------
-    a, b:
-        1-D arrays (lengths may differ).
-    band:
-        Optional Sakoe-Chiba band half-width: cells with ``|i - j| > band``
-        are excluded, bounding the warp and the runtime.
-    """
+def dtw_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """DTW distance between two 1-D series (lengths may differ) under
+    absolute-difference cost."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         raise ValueError("dtw_distance requires non-empty series")
-    if band is not None and band < abs(n - m):
-        raise ValueError(
-            f"band {band} is narrower than the length difference {abs(n - m)}; no path exists"
-        )
     cost = np.full((n + 1, m + 1), np.inf)
     cost[0, 0] = 0.0
     for i in range(1, n + 1):
-        if band is None:
-            j_low, j_high = 1, m
-        else:
-            j_low = max(1, i - band)
-            j_high = min(m, i + band)
         ai = a[i - 1]
         row = cost[i]
         prev = cost[i - 1]
-        for j in range(j_low, j_high + 1):
+        for j in range(1, m + 1):
             step = abs(ai - b[j - 1])
             row[j] = step + min(prev[j], row[j - 1], prev[j - 1])
     return float(cost[n, m])
 
 
-def _dtw_batch(left: np.ndarray, right: np.ndarray, band: int | None) -> np.ndarray:
+def _dtw_batch(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """DTW distances for P aligned series pairs, vectorised across pairs.
 
     ``left`` is ``(P, n)`` and ``right`` is ``(P, m)``; returns ``(P,)``.
@@ -79,12 +61,7 @@ def _dtw_batch(left: np.ndarray, right: np.ndarray, band: int | None) -> np.ndar
     for i in range(1, n + 1):
         row = np.full((pairs, m + 1), np.inf)
         cost_row = np.abs(left[:, i - 1 : i] - right)  # (P, m)
-        if band is None:
-            j_low, j_high = 1, m
-        else:
-            j_low = max(1, i - band)
-            j_high = min(m, i + band)
-        for j in range(j_low, j_high + 1):
+        for j in range(1, m + 1):
             best = np.minimum(np.minimum(prev[:, j], row[:, j - 1]), prev[:, j - 1])
             row[:, j] = cost_row[:, j - 1] + best
         prev = row
@@ -96,8 +73,7 @@ def _dtw_batch_chunked(
     right: np.ndarray,
     pair_i: np.ndarray,
     pair_j: np.ndarray,
-    band: int | None,
-    chunk_pairs: int | None,
+    chunk_pairs: int,
 ) -> np.ndarray:
     """Gather-and-batch DTW over index pairs, ``chunk_pairs`` at a time.
 
@@ -108,23 +84,16 @@ def _dtw_batch_chunked(
     instead of the full pair count.
     """
     total = len(pair_i)
-    if chunk_pairs is None or chunk_pairs <= 0 or chunk_pairs >= total:
-        return _dtw_batch(left[pair_i], right[pair_j], band)
+    if chunk_pairs >= total:
+        return _dtw_batch(left[pair_i], right[pair_j])
     flat = np.empty(total)
     for low in range(0, total, chunk_pairs):
         high = min(low + chunk_pairs, total)
-        flat[low:high] = _dtw_batch(
-            left[pair_i[low:high]], right[pair_j[low:high]], band
-        )
+        flat[low:high] = _dtw_batch(left[pair_i[low:high]], right[pair_j[low:high]])
     return flat
 
 
-def dtw_distance_matrix(
-    series: np.ndarray,
-    others: np.ndarray | None = None,
-    band: int | None = None,
-    chunk_pairs: int | None = DEFAULT_CHUNK_PAIRS,
-) -> np.ndarray:
+def dtw_distance_matrix(series: np.ndarray, others: np.ndarray | None = None) -> np.ndarray:
     """Pairwise DTW distances.
 
     Parameters
@@ -134,13 +103,10 @@ def dtw_distance_matrix(
     others:
         Optional ``(M, T')`` second set; when given, returns the ``(N, M)``
         cross matrix, otherwise the symmetric ``(N, N)`` self matrix.
-    band:
-        Sakoe-Chiba half-width applied to every pair.
-    chunk_pairs:
-        Evaluate at most this many pairs per batched dynamic program so
-        the N(N-1)/2 self-pair (or N*M cross) grid never materialises at
-        once — bit-identical outputs, bounded peak RSS.  ``None`` or a
-        non-positive value disables chunking.
+
+    At most :data:`DEFAULT_CHUNK_PAIRS` pairs go through each batched
+    dynamic program, so the N(N-1)/2 self-pair (or N*M cross) grid never
+    materialises at once: bit-identical outputs, bounded peak RSS.
     """
     series = np.atleast_2d(np.asarray(series, dtype=float))
     if others is None:
@@ -148,7 +114,7 @@ def dtw_distance_matrix(
         if n < 2:
             return np.zeros((n, n))
         upper_i, upper_j = np.triu_indices(n, k=1)
-        flat = _dtw_batch_chunked(series, series, upper_i, upper_j, band, chunk_pairs)
+        flat = _dtw_batch_chunked(series, series, upper_i, upper_j, DEFAULT_CHUNK_PAIRS)
         out = np.zeros((n, n))
         out[upper_i, upper_j] = flat
         out[upper_j, upper_i] = flat
@@ -157,7 +123,7 @@ def dtw_distance_matrix(
     n, m = len(series), len(others)
     grid_i, grid_j = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
     flat = _dtw_batch_chunked(
-        series, others, grid_i.ravel(), grid_j.ravel(), band, chunk_pairs
+        series, others, grid_i.ravel(), grid_j.ravel(), DEFAULT_CHUNK_PAIRS
     )
     return flat.reshape(n, m)
 

@@ -98,7 +98,6 @@ def build_dtw_adjacency(
     num_nodes: int,
     q_kk: int = 1,
     q_ku: int = 1,
-    band: int | None = None,
     resolution: int | None = 24,
     distance_fn=None,
 ) -> np.ndarray:
@@ -111,7 +110,7 @@ def build_dtw_adjacency(
     ``resolution`` points to bound the pairwise cost on 5-minute datasets.
 
     ``distance_fn`` swaps the pairwise DTW implementation; it must accept
-    ``(series, others=None, band=None)`` like :func:`dtw_distance_matrix`.
+    ``(series, others=None)`` like :func:`dtw_distance_matrix`.
     The training engine passes a
     :meth:`repro.engine.PairwiseDTWCache.distance_matrix` bound method here
     so per-epoch adjacency rebuilds skip the pairs whose profiles did not
@@ -124,11 +123,11 @@ def build_dtw_adjacency(
     if resolution is not None:
         profiles = downsample_profile(profiles, resolution)
     obs_profiles = profiles[observed_index]
-    observed_distances = distance_fn(obs_profiles, band=band)
+    observed_distances = distance_fn(obs_profiles)
     cross = None
     if target_index is not None and len(target_index):
         target_profiles = profiles[np.asarray(target_index, dtype=int)]
-        cross = distance_fn(obs_profiles, target_profiles, band=band)
+        cross = distance_fn(obs_profiles, target_profiles)
     return temporal_adjacency(
         observed_distances,
         cross,

@@ -5,7 +5,8 @@ The ``twin_backend`` fixture's renamed ``numpy_ref`` is the second
 backend.  The contract under test: checkpoints are backend-neutral (host
 numpy), a model saved under one backend restores under another, and a
 checkpoint saved with any ``backend`` config value, or with the retired
-``device``/``dtype`` config keys, loads with no argument.
+``device``/``dtype`` or learning-rate schedule config keys, loads with no
+argument.
 """
 
 from __future__ import annotations
@@ -162,6 +163,21 @@ def test_parent_format_header_loads_and_predicts_bitwise(
     _assert_old_header_loads_bitwise(tmp_path, fitted_context, device=device, dtype=dtype)
 
 
+@pytest.mark.parametrize(
+    "schedule, step_size, gamma",
+    [(None, 10, 0.5), ("none", 3, 0.1)],  # the first is what older versions saved by default
+)
+def test_constant_rate_header_loads_and_predicts_bitwise(
+    tmp_path, fitted_context, schedule, step_size, gamma
+):
+    # With no schedule, the step size and gamma never ran and drop
+    # whatever their value.
+    _assert_old_header_loads_bitwise(
+        tmp_path, fitted_context,
+        lr_schedule=schedule, lr_step_size=step_size, lr_gamma=gamma,
+    )
+
+
 @pytest.mark.parametrize("saved", [None, "numpy_ref", "numpy_fused", "torch"])
 def test_saved_backend_name_loads_without_override(tmp_path, fitted_context, saved):
     # Checkpoint state is host float64 numpy, so a saved backend name
@@ -174,10 +190,14 @@ def test_saved_backend_name_loads_without_override(tmp_path, fitted_context, sav
 
 def test_config_rejects_bad_dtype_and_device(tmp_path, fitted_context):
     # A saved device/dtype that numpy refused never loaded; it still
-    # does not, and the error names the field.
+    # does not.  A model trained under an LR schedule is refused too.
+    # The error names the field and its value.
     model, dataset, split, _starts = fitted_context
-    for key, value in (("dtype", "float32"), ("device", "cuda")):
+    for key, value in (
+        ("dtype", "float32"), ("device", "cuda"),
+        ("lr_schedule", "step"), ("lr_schedule", "cosine"),
+    ):
         path = save_forecaster(model, tmp_path / f"{key}.npz")
         _add_config_keys(path, **{key: value})
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=f"{key}='{value}'"):
             load_forecaster(path, dataset, split)

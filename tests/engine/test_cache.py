@@ -122,22 +122,6 @@ class TestPairwiseDTWCache:
             cache.distance_matrix(obs, tgt), dtw_distance_matrix(obs, tgt)
         )
 
-    def test_band_matches_uncached(self):
-        profiles = self._profiles()
-        cache = PairwiseDTWCache(ArtifactStore())
-        assert np.array_equal(
-            cache.distance_matrix(profiles, band=4),
-            dtw_distance_matrix(profiles, band=4),
-        )
-
-    def test_band_is_part_of_the_key(self):
-        profiles = self._profiles()
-        cache = PairwiseDTWCache(ArtifactStore())
-        wide = cache.distance_matrix(profiles)
-        narrow = cache.distance_matrix(profiles, band=2)
-        assert np.array_equal(wide, dtw_distance_matrix(profiles))
-        assert np.array_equal(narrow, dtw_distance_matrix(profiles, band=2))
-
     def test_unchanged_pairs_hit_cache(self):
         profiles = self._profiles(n=8)
         cache = PairwiseDTWCache(ArtifactStore())
@@ -175,11 +159,10 @@ class TestPairwiseDTWCache:
     n=st.integers(1, 6),
     m=st.one_of(st.none(), st.integers(1, 4)),
     length=st.integers(2, 10),
-    band=st.one_of(st.none(), st.integers(0, 4)),
     seed=st.integers(0, 2**16),
     repeats=st.integers(1, 3),
 )
-def test_memo_under_eviction_matches_uncached(capacity, n, m, length, band, seed, repeats):
+def test_memo_under_eviction_matches_uncached(capacity, n, m, length, seed, repeats):
     """A DTW memo smaller than one call's pair count evicts entries
     mid-call, yet every result stays bitwise the uncached matrix."""
     rng = np.random.default_rng(seed)
@@ -189,7 +172,7 @@ def test_memo_under_eviction_matches_uncached(capacity, n, m, length, band, seed
     if others is not None and rng.random() < 0.5:
         others[0] = series[0]  # one profile on both sides of the cross matrix
     cache = PairwiseDTWCache(ArtifactStore(maxsize={"dtw_pair": capacity}))
-    expected = dtw_distance_matrix(series, others, band=band)
+    expected = dtw_distance_matrix(series, others)
     for _ in range(repeats):
-        out = cache.distance_matrix(series, others, band=band)
+        out = cache.distance_matrix(series, others)
         assert out.tobytes() == expected.tobytes()

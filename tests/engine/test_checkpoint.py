@@ -79,23 +79,14 @@ class TestCheckpointPersistence:
 
         # A fresh process/program: restore pulls the weights back off disk.
         fresh = _RegressionProgram(seed=123)
-        early = EarlyStopping(patience=2, checkpoint_dir=tmp_path / "ckpt")
-        trainer = Trainer(fresh, max_epochs=0, rng=None, early_stopping=early)
-        assert trainer.restore()
+        trainer = Trainer(fresh, max_epochs=0, rng=None)
+        assert trainer.restore(tmp_path / "ckpt")
         for name, values in fresh.network.state_dict().items():
             np.testing.assert_array_equal(values, best[name])
-
-    def test_restore_prefers_in_memory_snapshot(self, tmp_path):
-        program = _RegressionProgram()
-        program.val_schedule = [5.0, 3.0, 4.0, 4.0, 4.0, 4.0]
-        trainer, early = _fit(program, tmp_path / "ckpt")
-        assert early.best_state is not None
-        assert trainer.restore()
 
     def test_restore_without_checkpoint_returns_false(self, tmp_path):
         program = _RegressionProgram()
         trainer = Trainer(program, max_epochs=0, rng=None)
-        assert not trainer.restore()
         assert not trainer.restore(tmp_path / "missing")
 
     def test_no_checkpoint_dir_keeps_memory_only_behaviour(self, tmp_path):

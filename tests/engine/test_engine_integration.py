@@ -75,8 +75,3 @@ class TestBitDeterminism:
         assert model._dtw_cache._cache._store is not shared
         assert shared.stats["namespaces"] == {}  # nothing leaked into it
         assert model._dtw_cache.stats["misses"] > 0
-
-    def test_lr_schedule_changes_training(self, setting):
-        _model_const, report_const = _fit(setting)
-        _model_sched, report_sched = _fit(setting, lr_schedule="step", lr_step_size=1, lr_gamma=0.1)
-        assert report_const.history != report_sched.history

@@ -8,7 +8,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.engine import EarlyStopping, History, Trainer, TrainingProgram
 from repro.nn import Linear, init, mse_loss
-from repro.optim import SGD, StepLR
+from repro.optim import SGD
 
 
 class _RegressionProgram(TrainingProgram):
@@ -134,17 +134,6 @@ class TestEarlyStopping:
             program, max_epochs=4, rng=np.random.default_rng(0), early_stopping=early
         ).fit()
         assert history.epochs == 4
-
-
-class TestSchedulerHook:
-    def test_scheduler_steps_once_per_epoch(self):
-        program = _RegressionProgram(lr=0.4)
-        scheduler = StepLR(program.optimiser, step_size=2, gamma=0.5)
-        Trainer(
-            program, max_epochs=4, rng=np.random.default_rng(0), schedulers=[scheduler]
-        ).fit()
-        assert scheduler.epoch == 4
-        assert program.optimiser.lr == pytest.approx(0.4 * 0.5 ** 2)
 
 
 class TestHistory:

@@ -13,6 +13,7 @@ from repro.temporal import (
     dtw_distance,
     dtw_distance_matrix,
 )
+from repro.temporal.dtw import _dtw_batch, _dtw_batch_chunked
 
 
 class TestDTWDistance:
@@ -43,17 +44,6 @@ class TestDTWDistance:
 
     def test_different_lengths(self):
         assert dtw_distance([0.0, 1.0], [0.0, 0.5, 1.0]) == pytest.approx(0.5)
-
-    def test_band_restricts_warp(self):
-        a = np.array([0.0, 0.0, 0.0, 1.0])
-        b = np.array([1.0, 0.0, 0.0, 0.0])
-        unbounded = dtw_distance(a, b)
-        banded = dtw_distance(a, b, band=1)
-        assert banded >= unbounded
-
-    def test_band_narrower_than_length_gap_rejected(self):
-        with pytest.raises(ValueError):
-            dtw_distance(np.zeros(3), np.zeros(8), band=2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -86,14 +76,6 @@ class TestDTWMatrix:
         assert matrix.shape == (3, 4)
         assert matrix[1, 2] == pytest.approx(dtw_distance(left[1], right[2]))
 
-    def test_banded_matrix_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        series = rng.normal(size=(4, 7))
-        matrix = dtw_distance_matrix(series, band=2)
-        for i in range(4):
-            for j in range(4):
-                assert matrix[i, j] == pytest.approx(dtw_distance(series[i], series[j], band=2))
-
     def test_single_series(self):
         assert dtw_distance_matrix(np.ones((1, 5))).shape == (1, 1)
 
@@ -103,34 +85,23 @@ class TestPairChunking:
 
     def test_chunked_self_matrix_bitwise_equal(self):
         rng = np.random.default_rng(11)
-        series = rng.normal(size=(9, 12))  # 36 self pairs
-        full = dtw_distance_matrix(series, chunk_pairs=None)
+        series = rng.normal(size=(9, 12))
+        pair_i, pair_j = np.triu_indices(9, k=1)  # 36 self pairs
+        full = _dtw_batch(series[pair_i], series[pair_j])
         for chunk in (1, 5, 36, 1000):
-            chunked = dtw_distance_matrix(series, chunk_pairs=chunk)
+            chunked = _dtw_batch_chunked(series, series, pair_i, pair_j, chunk)
             np.testing.assert_array_equal(chunked, full)
 
     def test_chunked_cross_matrix_bitwise_equal(self):
         rng = np.random.default_rng(12)
         left = rng.normal(size=(5, 10))
-        right = rng.normal(size=(7, 10))  # 35 cross pairs
-        full = dtw_distance_matrix(left, right, chunk_pairs=None)
+        right = rng.normal(size=(7, 10))
+        grid_i, grid_j = np.meshgrid(np.arange(5), np.arange(7), indexing="ij")
+        pair_i, pair_j = grid_i.ravel(), grid_j.ravel()  # 35 cross pairs
+        full = _dtw_batch(left[pair_i], right[pair_j])
         for chunk in (1, 8, 35):
-            chunked = dtw_distance_matrix(left, right, chunk_pairs=chunk)
+            chunked = _dtw_batch_chunked(left, right, pair_i, pair_j, chunk)
             np.testing.assert_array_equal(chunked, full)
-
-    def test_chunked_banded_bitwise_equal(self):
-        rng = np.random.default_rng(13)
-        series = rng.normal(size=(6, 9))
-        full = dtw_distance_matrix(series, band=3, chunk_pairs=None)
-        chunked = dtw_distance_matrix(series, band=3, chunk_pairs=4)
-        np.testing.assert_array_equal(chunked, full)
-
-    def test_nonpositive_chunk_disables_chunking(self):
-        rng = np.random.default_rng(14)
-        series = rng.normal(size=(4, 6))
-        full = dtw_distance_matrix(series, chunk_pairs=None)
-        np.testing.assert_array_equal(dtw_distance_matrix(series, chunk_pairs=0), full)
-        np.testing.assert_array_equal(dtw_distance_matrix(series, chunk_pairs=-3), full)
 
     def test_default_chunk_is_bounded(self):
         from repro.temporal.dtw import DEFAULT_CHUNK_PAIRS
