@@ -95,6 +95,15 @@ class TestTemporalModules:
         out = trans(Tensor(rng.normal(size=(2, 6, 3, 8))))
         assert out.shape == (2, 6, 3, 8)
 
+    def test_transformer_is_one_encoder_layer(self):
+        # Checkpoints name its weights ``layers.0.*``; the FFN is 2x wide.
+        trans = TransformerTemporal(channels=8, num_heads=2)
+        names = [name for name, _p in trans.named_parameters()]
+        assert names and all(name.startswith("layers.0.") for name in names)
+        layer = trans.layers[0]
+        assert layer.ffn_in.weight.data.shape == (8, 16)
+        assert layer.ffn_out.weight.data.shape == (16, 8)
+
     def test_tcn_is_per_node(self, rng):
         """Temporal module must not mix information across nodes."""
         tcn = DilatedTCN(channels=4, levels=2, dropout=0.0)

@@ -103,6 +103,25 @@ class TestPairChunking:
             chunked = _dtw_batch_chunked(left, right, pair_i, pair_j, chunk)
             np.testing.assert_array_equal(chunked, full)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 6),
+        length=st.integers(1, 8),
+        chunk=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_chunk_and_pair_order_bitwise_equal(self, n, m, length, chunk, seed):
+        # Pairs in any order, repeats included, as the pair cache gathers
+        # only its misses.
+        rng = np.random.default_rng(seed)
+        left, right = rng.normal(size=(n, length)), rng.normal(size=(m, length))
+        count = int(rng.integers(1, 2 * n * m + 1))
+        pair_i, pair_j = rng.integers(0, n, count), rng.integers(0, m, count)
+        full = _dtw_batch(left[pair_i], right[pair_j])
+        chunked = _dtw_batch_chunked(left, right, pair_i, pair_j, chunk)
+        assert chunked.tobytes() == full.tobytes()
+
     def test_default_chunk_is_bounded(self):
         from repro.temporal.dtw import DEFAULT_CHUNK_PAIRS
 

@@ -29,7 +29,10 @@ from __future__ import annotations
 
 import ast
 import functools
+import textwrap
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -211,16 +214,15 @@ def _name_of(node: ast.AST) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def _run_path_calls() -> tuple[dict[str, list], dict[str, set], set[str]]:
-    """``(calls, bound, named)`` over the run paths: per callee name, the
+def _call_index(trees) -> tuple[dict[str, list], dict[str, set], set[str]]:
+    """``(calls, bound, named)`` over ``trees``: per callee name, the
     ``(positional count, keywords)`` of each call of it, ``None`` for a
     call with ``*``/``**``; per function name, the names it is bound to;
     and the names used other than as a callee or a bound value."""
     calls: dict[str, list] = {}
     bound: dict[str, set] = {}
     named: set[str] = set()
-    for path in _run_path_files():
-        tree = _parse(path)
+    for tree in trees:
         skip = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -276,12 +278,13 @@ def _defaulted(node: ast.FunctionDef, implicit: int):
             yield arg, None
 
 
-def _unpassed_parameters() -> dict[str, str]:
-    """``dotted(param)`` -> ``path:line`` of each defaulted parameter that
-    no run path passes."""
-    calls, bound, named = _run_path_calls()
+def _unpassed_in(modules, index) -> dict[str, str]:
+    """``dotted(param)`` -> ``path:line`` of each defaulted parameter of
+    ``modules`` (``(path, dotted module, tree)`` triples) that no call in
+    ``index`` (a :func:`_call_index`) passes."""
+    calls, bound, named = index
     unpassed = {}
-    for path, module, tree in _package_modules():
+    for path, module, tree in modules:
         for dotted, callee, node, implicit in _callables(tree, module):
             if callee in named:
                 continue
@@ -299,6 +302,13 @@ def _unpassed_parameters() -> dict[str, str]:
     return unpassed
 
 
+def _unpassed_parameters() -> dict[str, str]:
+    """``dotted(param)`` -> ``path:line`` of each defaulted parameter under
+    ``src/`` that no run path passes."""
+    index = _call_index(_parse(path) for path in _run_path_files())
+    return _unpassed_in(_package_modules(), index)
+
+
 def test_every_defaulted_parameter_is_passed_on_a_run_path():
     unpassed = _unpassed_parameters()
     missing = unpassed.keys() - KEEP_PARAMS.keys()
@@ -312,6 +322,62 @@ def test_every_defaulted_parameter_is_passed_on_a_run_path():
 def test_keep_params_names_only_unpassed_parameters():
     stale = sorted(KEEP_PARAMS.keys() - _unpassed_parameters().keys())
     assert not stale, f"these KEEP_PARAMS entries are passed or gone; drop them: {stale}"
+
+
+def _unpassed_in_sources(library: str, run_path: str) -> dict[str, str]:
+    """The parameter scan on one ``library`` module, called only from
+    ``run_path``; names are dotted under the module ``case``."""
+    path = PACKAGE / "case.py"
+    module = (path, "case", ast.parse(textwrap.dedent(library)))
+    index = _call_index([ast.parse(textwrap.dedent(run_path))])
+    return {name.removeprefix("case."): where for name, where in _unpassed_in([module], index).items()}
+
+
+_RULE_CASES = {
+    # id: (library, run path, the parameters left unpassed)
+    "keyword": ("def f(x, k=1): pass", "f(0, k=2)", set()),
+    "positional": ("def f(x, k=1): pass", "f(0, 2)", set()),
+    "default-only": ("def f(x, k=1): pass", "f(0)", {"f(k)"}),
+    "positional-short-of-slot": ("def f(x, a=1, b=2): pass", "f(0, 1)", {"f(b)"}),
+    "keyword-only-not-filled-by-position": ("def f(a=0, *, k=1): pass", "f(0, 1)", {"f(k)"}),
+    "method-self-is-implicit": (
+        "class C:\n    def m(self, k=1): pass", "obj.m(2)", set(),
+    ),
+    "staticmethod-has-no-self": (
+        "class C:\n    @staticmethod\n    def m(a, k=1): pass", "C.m(0)", {"C.m(k)"},
+    ),
+    "init-called-by-class-name": (
+        "class C:\n    def __init__(self, a, k=1): pass", "C(0, 1)", set(),
+    ),
+    "init-default-only": (
+        "class C:\n    def __init__(self, a, k=1): pass", "C(0)", {"C(k)"},
+    ),
+    "other-dunders-left-out": ("class C:\n    def __call__(self, k=1): pass", "", set()),
+    "star-args-pass-all": ("def f(a=0, k=1): pass", "f(*args)", set()),
+    "star-kwargs-pass-all": ("def f(a=0, k=1): pass", "f(**options)", set()),
+    "named-as-value-passes-all": ("def f(k=1): pass", "REGISTRY = {'f': f}", set()),
+    "alias-takes-its-calls": ("def f(k=1): pass", "g = f\ng(k=2)", set()),
+    "alias-is-not-a-use": ("def f(k=1): pass", "g = f\ng()", {"f(k)"}),
+    "keyword-binding-takes-its-calls": (
+        "def f(x, k=1): pass", "run(fn=f)\nfn(0, 1)", set(),
+    ),
+    "keyword-binding-is-not-a-use": ("def f(x, k=1): pass", "run(fn=f)", {"f(k)"}),
+}
+
+
+@pytest.mark.parametrize("library, run_path, expected", _RULE_CASES.values(), ids=_RULE_CASES)
+def test_parameter_scan_rule(library, run_path, expected):
+    assert set(_unpassed_in_sources(library, run_path)) == expected
+
+
+def test_parameter_scan_locates_each_offender():
+    library = """
+        def dtw_distance(a, b,
+                         band=None):
+            pass
+    """
+    unpassed = _unpassed_in_sources(library, "dtw_distance(x, y)")
+    assert unpassed == {"dtw_distance(band)": "src/repro/case.py:3"}
 
 
 def _unread_imports(path: Path) -> list[str]:
