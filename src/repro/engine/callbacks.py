@@ -3,7 +3,7 @@
 The :class:`Trainer` drives these; they carry no model-specific logic.
 ``EarlyStopping`` reproduces the monitoring rule STSM used inline before
 the engine refactor: an epoch "improves" only when the monitored score
-drops below the best score by more than ``min_delta`` (a NaN score never
+drops below the best score by more than ``MIN_DELTA`` (a NaN score never
 improves, so models without a validation signal simply exhaust their
 patience), and the best epoch's weights are snapshotted so they can be
 restored when training stops.
@@ -66,8 +66,6 @@ class EarlyStopping:
     patience:
         Number of consecutive non-improving epochs tolerated before
         :attr:`should_stop` turns True.
-    min_delta:
-        Required improvement margin: ``score < best - min_delta``.
     checkpoint_dir:
         Optional directory; when set, every improvement also persists the
         best state dict to ``<dir>/best.npz`` (plus a ``best.json``
@@ -80,6 +78,8 @@ class EarlyStopping:
     validation epoch rather than its last.
     """
 
+    #: Required improvement margin: ``score < best - MIN_DELTA``.
+    MIN_DELTA = 1e-9
     #: File names used inside ``checkpoint_dir``.
     CHECKPOINT_FILE = "best.npz"
     METADATA_FILE = "best.json"
@@ -87,13 +87,11 @@ class EarlyStopping:
     def __init__(
         self,
         patience: int,
-        min_delta: float = 1e-9,
         checkpoint_dir: str | Path | None = None,
     ) -> None:
         if patience < 1:
             raise ValueError(f"patience must be >= 1, got {patience}")
         self.patience = patience
-        self.min_delta = min_delta
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.best_score = float("inf")
         self.best_epoch: int | None = None
@@ -110,7 +108,7 @@ class EarlyStopping:
         """
         epoch = self._epochs_seen
         self._epochs_seen += 1
-        if score < self.best_score - self.min_delta:
+        if score < self.best_score - self.MIN_DELTA:
             self.best_score = float(score)
             self.best_epoch = epoch
             self.best_state = snapshot()

@@ -57,19 +57,16 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
+    """Adam (Kingma & Ba, 2015) with bias correction, at that paper's
+    moment decays ``(0.9, 0.999)`` and ``eps = 1e-8``."""
 
     def __init__(
         self,
         parameters: Iterable[Parameter],
         lr: float = 1e-2,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(parameters, lr)
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         backend = get_backend()
@@ -78,7 +75,7 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         backend = get_backend()
-        beta1, beta2 = self.betas
+        beta1, beta2 = 0.9, 0.999
         self._step_count += 1
         correction1 = 1.0 - beta1 ** self._step_count
         correction2 = 1.0 - beta2 ** self._step_count
@@ -93,7 +90,7 @@ class Adam(Optimizer):
                 self.lr,
                 beta1,
                 beta2,
-                self.eps,
+                1e-8,
                 correction1,
                 correction2,
                 self.weight_decay,

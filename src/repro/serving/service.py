@@ -81,14 +81,6 @@ class ForecastService:
     max_batch_size:
         Upper bound on the number of windows per ``predict`` call; large
         requests are chunked to keep peak memory flat.
-    stateless_predict:
-        Declare that the model's ``predict`` output for a window does not
-        depend on which other windows share the batch.  Defaults to the
-        forecaster's own ``stateless_predict`` attribute (True for every
-        model in this repository except GE-GAN, whose per-call noise
-        reseed couples outputs to batch position); when False the service
-        still caches but issues one single-window ``predict`` per miss so
-        cached results always equal the per-window ground truth.
     store:
         Optionally draw the result cache from a shared
         :class:`~repro.engine.ArtifactStore` (namespace
@@ -117,7 +109,6 @@ class ForecastService:
         forecaster: Forecaster,
         cache_size: int = 256,
         max_batch_size: int = 64,
-        stateless_predict: bool | None = None,
         log_batches: bool = False,
         store=None,
         store_scope: bytes | None = None,
@@ -129,9 +120,13 @@ class ForecastService:
             raise RuntimeError("ForecastService requires a fitted forecaster")
         self.forecaster = forecaster
         self.max_batch_size = max_batch_size
-        if stateless_predict is None:
-            stateless_predict = getattr(forecaster, "stateless_predict", True)
-        self.stateless_predict = stateless_predict
+        # The forecaster's ``stateless_predict`` declares that a window's
+        # output does not depend on which other windows share the batch
+        # (True for every model here except GE-GAN, whose per-call noise
+        # reseed couples outputs to batch position).  When False the
+        # service still caches but issues one single-window ``predict``
+        # per miss, so cached results always equal the per-window truth.
+        self.stateless_predict = getattr(forecaster, "stateless_predict", True)
         if store is not None and store_scope is None:
             store_scope = default_store_scope(forecaster)
             if store_scope is None:

@@ -1,9 +1,12 @@
 """Blocking wire client for the forecast HTTP transport.
 
-:class:`ForecastClient` speaks the frame codec over a persistent
-``http.client.HTTPConnection`` (HTTP/1.1 keep-alive, so a client pays
-the TCP handshake once, not per request).  Failure handling mirrors the
-serving taxonomy:
+:class:`ForecastClient` speaks the frame codec over one persistent
+socket (HTTP/1.1 keep-alive, so a client pays the TCP handshake once,
+not per request).  HTTP is framed by hand: each request leaves in one
+``sendall``; a reply's status line and ``Content-Length`` are parsed
+from a buffered reader and exactly that many body bytes are read.  A
+reply that says ``Connection: close`` drops the socket, so the next
+call dials again.  Failure handling mirrors the serving taxonomy:
 
 * 503 frames (``queue_full``, ``not_ready``) are **retried** with
   linear backoff up to ``retries`` times, then raised as the mapped
@@ -14,7 +17,10 @@ serving taxonomy:
   :class:`~repro.serving.errors.InvalidRequest`, ...);
 * a dropped keep-alive connection is re-dialed once per request —
   stale-connection races are indistinguishable from a server restart,
-  and both are safe to retry because forecasts are idempotent.
+  and both are safe to retry because forecasts are idempotent;
+* a reply that breaks HTTP framing (a garbage status line, a body cut
+  short) counts as a lost connection: it is re-dialed and retried, then
+  raised as :class:`~repro.serving.errors.ServingError`.
 
 One instance owns one connection and is **not** thread-safe; give each
 thread its own client.
@@ -22,7 +28,6 @@ thread its own client.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import time
@@ -39,6 +44,15 @@ __all__ = ["ForecastClient"]
 #: Statuses carrying retryable error frames (admission shed / warm-up),
 #: derived from the codec's single source of truth.
 _RETRYABLE_STATUSES = codec.retryable_statuses()
+
+#: Bounds on a reply's status line and header lines (bytes), and on its
+#: header count, past which the reply is treated as garbage.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _BadReply(ConnectionError):
+    """The reply broke HTTP framing; the connection cannot be reused."""
 
 
 class ForecastClient:
@@ -85,7 +99,8 @@ class ForecastClient:
         self.trace = trace
         #: Trace id of the most recent traced forecast call (or None).
         self.last_trace_id: str | None = None
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._reader = None
 
     def _mint_trace(self) -> dict | None:
         """Wire trace header for one forecast call, or ``None``."""
@@ -100,25 +115,21 @@ class ForecastClient:
     # ------------------------------------------------------------------
     # Connection plumbing
     # ------------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            conn.connect()
-            # Request line/headers and the frame body are separate
-            # writes; without TCP_NODELAY the body can stall behind the
-            # server's delayed ACK (~40 ms), which would dominate every
-            # round trip on an otherwise sub-millisecond path.
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conn = conn
-        return self._conn
+    def _connect(self) -> socket.socket:
+        if self._sock is None:
+            sock = socket.create_connection((self.host, self.port), self.timeout)
+            # Latency-bound request/response: send each request at once
+            # rather than waiting out the server's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._reader = sock, sock.makefile("rb")
+        return self._sock
 
     def close(self) -> None:
         """Drop the persistent connection (re-dialed on next use)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ForecastClient":
         return self
@@ -134,22 +145,59 @@ class ForecastClient:
         reaper) surfaces as a send/recv error on a *previously working*
         socket; re-dial once before counting it as a retryable failure.
         """
-        headers = {}
+        head = f"{method} {path} HTTP/1.1\r\nHost: {self.host}:{self.port}\r\n"
         if content_type is not None:
-            headers["Content-Type"] = content_type
+            head += f"Content-Type: {content_type}\r\n"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        request = (head + "\r\n").encode("latin-1") + (body or b"")
         for attempt in (0, 1):
             try:
-                conn = self._connection()
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                payload = response.read()
-                return response.status, payload
-            except (http.client.HTTPException, ConnectionError,
-                    socket.timeout, OSError):
+                self._connect().sendall(request)
+                return self._read_reply()
+            except OSError:
                 self.close()
                 if attempt:
                     raise
         raise AssertionError("unreachable")
+
+    def _read_reply(self) -> tuple[int, bytes]:
+        """Parse one reply off the reader: ``(status, body)``."""
+        reader = self._reader
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionError("connection closed before a reply")
+        words = line.split(None, 2)
+        if (len(line) > _MAX_LINE or len(words) < 2
+                or words[0] not in (b"HTTP/1.1", b"HTTP/1.0")
+                or len(words[1]) != 3 or not words[1].isdigit()):
+            raise _BadReply(f"bad status line {line[:80]!r}")
+        close = words[0] == b"HTTP/1.0"
+        length = None
+        for _ in range(_MAX_HEADERS + 1):
+            line = reader.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line or len(line) > _MAX_LINE:
+                raise _BadReply("reply headers cut short or too long")
+            name, _, value = line.partition(b":")
+            name, value = name.strip().lower(), value.strip()
+            if name == b"content-length":
+                if not value.isdigit() or len(value) > 18:
+                    raise _BadReply(f"bad Content-Length {value[:40]!r}")
+                length = int(value)
+            elif name == b"connection":
+                close = value.lower() == b"close"
+        else:
+            raise _BadReply(f"more than {_MAX_HEADERS} reply headers")
+        if length is None:
+            raise _BadReply("reply has no Content-Length")
+        payload = reader.read(length)
+        if len(payload) < length:
+            raise _BadReply(f"reply body ended after {len(payload)} of {length} bytes")
+        if close:
+            self.close()
+        return int(words[1]), payload
 
     def _request(self, method: str, path: str, body: bytes | None = None,
                  content_type: str | None = None) -> tuple[int, bytes]:
@@ -160,8 +208,7 @@ class ForecastClient:
                 time.sleep(self.backoff_s * attempt)
             try:
                 status, payload = self._roundtrip(method, path, body, content_type)
-            except (http.client.HTTPException, ConnectionError,
-                    socket.timeout, OSError) as exc:
+            except OSError as exc:
                 last_error = exc
                 continue
             if status in _RETRYABLE_STATUSES and attempt < self.retries:
@@ -308,8 +355,7 @@ class ForecastClient:
             try:
                 if self.health().get("ready"):
                     return True
-            except (ConnectionError, http.client.HTTPException, OSError,
-                    ServingError):
+            except (OSError, ServingError):
                 self.close()
             if time.monotonic() >= deadline:
                 return False

@@ -23,8 +23,20 @@ with the HTTP status from :data:`~repro.serving.transport.codec.ERROR_CODES`
 so a wire client raises exactly the exception an in-process caller
 would.
 
-Concurrency model: ``http.server.ThreadingHTTPServer`` — one daemon
-thread per connection (HTTP/1.1 keep-alive makes that one thread per
+Framing: HTTP/1.1 is read and written by hand.  The request line and
+headers are decoded as latin-1, header names match without regard to
+case, and a request whose framing cannot be trusted is refused and its
+connection closed: a ``Content-Length`` that is not all digits or is
+given twice with different values, or a POST without one (400
+``invalid_request`` frame); any ``Transfer-Encoding`` or a method other
+than GET/POST (JSON 501); a request line over 64 KiB (JSON 414); more
+than 100 headers or a header line over 64 KiB (JSON 431).  A GET body
+is read and discarded, ``Expect: 100-continue`` is answered just
+before a body is read, and every response (status line, headers, body)
+leaves in one send.
+
+Concurrency model: ``socketserver.ThreadingMixIn`` — one daemon thread
+per connection (HTTP/1.1 keep-alive makes that one thread per
 *client*), all submitting into the runtime's per-model micro-batch
 schedulers, so concurrent wire requests batch with each other exactly
 like in-process threads do.  ``reuse_port=True`` sets ``SO_REUSEPORT``
@@ -34,11 +46,14 @@ kernel load balancing (the multi-worker launcher's scale-out path).
 
 from __future__ import annotations
 
+import functools
 import json
 import socket
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from urllib.parse import parse_qs, unquote
 
 import numpy as np
@@ -71,14 +86,37 @@ _COUNTERS = {
 }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive: clients reuse connections
-    server_version = "repro-serving/1"
+#: Bounds on what one request may make the server buffer before it is
+#: refused: request line and each header line (bytes), header count.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_STATUS_LINES = {
+    status.value: f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+    for status in HTTPStatus
+}
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value, formatted once per second."""
+    return formatdate(second, usegmt=True)
+
+
+class _Refused(Exception):
+    """Internal: the request's framing cannot be trusted; reply and close."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Handler(socketserver.StreamRequestHandler):
     #: Socket timeout so a dead keep-alive connection releases its thread.
     timeout = 60.0
-    # Response headers and frame body are separate writes; with Nagle on
-    # the body can sit behind the peer's delayed ACK (~40 ms per request
-    # on loopback).  Serving is latency-bound: send segments immediately.
+    # Serving is latency-bound: send each response segment at once
+    # rather than waiting out the peer's delayed ACK.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
@@ -88,16 +126,109 @@ class _Handler(BaseHTTPRequestHandler):
     def app(self) -> "ForecastHTTPServer":
         return self.server.app  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # per-request stderr lines would swamp benchmark output
+    def handle(self) -> None:
+        """Serve the connection's requests in order until one closes it.
+
+        A socket error or timeout ends the connection silently: once
+        response bytes may have left, a second reply would corrupt the
+        keep-alive stream.
+        """
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                try:
+                    if not self._parse_request():
+                        return
+                except _Refused as refusal:
+                    self.close_connection = True
+                    if refusal.status == 400:
+                        self._send(400, codec.CONTENT_TYPE,
+                                   codec.encode_error("invalid_request", str(refusal)))
+                    else:
+                        self._send_json(refusal.status, {"error": str(refusal)})
+                    return
+                if self.command == "POST":
+                    self.do_POST()
+                    continue
+                if self.content_length:  # a GET body: read and dropped
+                    if self.content_length > self.app.max_body_bytes:
+                        self.close_connection = True
+                    else:
+                        self._read(self.content_length)
+                self.do_GET()
+        except OSError:
+            pass
+
+    def _parse_request(self) -> bool:
+        """Read one request line and its headers; ``False`` at a clean
+        end of the connection.  Sets ``command``, ``path``, ``headers``
+        (lower-cased names), ``content_length`` and ``close_connection``."""
+        raw = self.rfile.readline(_MAX_LINE + 1)
+        if len(raw) > _MAX_LINE:
+            raise _Refused(414, "request line too long")
+        words = raw.decode("latin-1").split()
+        if not words:
+            return False
+        if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            raise _Refused(400, f"bad request line {raw[:80]!r}")
+        self.command, self.path, version = words
+        headers = self.headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise _Refused(431, "header line too long")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            name, value = name.lower(), value.strip()
+            if not colon or not name or name != name.strip():
+                raise _Refused(400, f"bad header line {line[:80]!r}")
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _Refused(400, "conflicting Content-Length headers")
+            headers[name] = value
+        else:
+            raise _Refused(431, f"more than {_MAX_HEADERS} headers")
+        if not line:
+            return False  # the peer left mid-request
+        if self.command not in ("GET", "POST"):
+            raise _Refused(501, f"unsupported method {self.command!r}")
+        if "transfer-encoding" in headers:
+            raise _Refused(501, "Transfer-Encoding is not supported")
+        length = headers.get("content-length")
+        if length is not None and not (length.isascii() and length.isdigit()
+                                       and len(length) <= 18):
+            raise _Refused(400, f"bad Content-Length {length[:40]!r}")
+        self.content_length = None if length is None else int(length)
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version == "HTTP/1.0" and connection != "keep-alive"
+        )
+        self._expect_continue = (
+            version == "HTTP/1.1"
+            and headers.get("expect", "").lower() == "100-continue"
+        )
+        return True
+
+    def _read(self, length: int) -> bytes:
+        """Up to ``length`` body bytes; fewer close the connection, as a
+        short body leaves no request boundary to resume at."""
+        if self._expect_continue:
+            self.wfile.write(_CONTINUE)
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self.close_connection = True
+        return body
 
     def _send(self, status: int, content_type: str, body: bytes,
               *, bytes_in: int = 0) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        """Write one response (status line, headers, body) in one send."""
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (
+            f"{_STATUS_LINES[status]}Server: repro-serving/1\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\nContent-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n{close}\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
         counters = self.app._counters
         counters["requests"].inc()
         if status >= 400:
@@ -108,20 +239,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: dict) -> None:
         self._send(status, "application/json", json.dumps(payload).encode("utf-8"))
 
-    def _send_frame(self, status: int, payload: bytes, *, bytes_in: int) -> None:
-        """Write one frame response; a failed write (stalled or vanished
-        client) must only drop the connection — emitting a second
-        response after partial output would corrupt the keep-alive
-        stream."""
-        try:
-            self._send(status, codec.CONTENT_TYPE, payload, bytes_in=bytes_in)
-        except OSError:  # BrokenPipe/ConnectionReset/socket timeout
-            self.close_connection = True
-
     # ------------------------------------------------------------------
     # GET routes
     # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
+    def do_GET(self) -> None:  # noqa: N802 — named like http.server's hooks
         path = self.path.split("?", 1)[0]
         app = self.app
         if path == "/healthz":
@@ -171,7 +292,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # POST routes (frame bodies)
     # ------------------------------------------------------------------
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
+    def do_POST(self) -> None:  # noqa: N802 — named like http.server's hooks
         path = self.path.split("?", 1)[0]
         if path.startswith("/v1/forecast_many/"):
             self._forecast(unquote(path[len("/v1/forecast_many/"):]), single=False)
@@ -183,18 +304,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown path {path!r}"})
 
     def _read_body(self) -> bytes:
-        length = self.headers.get("Content-Length")
+        length = self.content_length
         if length is None:
             # Without a length the stream position after this request is
             # unknowable — an error reply must also drop the connection,
             # or the next keep-alive request would parse from stale bytes.
             self.close_connection = True
             raise InvalidRequest("request needs a Content-Length header")
-        try:
-            length = int(length)
-        except ValueError:
-            self.close_connection = True
-            raise InvalidRequest(f"bad Content-Length {length!r}") from None
         if length > self.app.max_body_bytes:
             # The body is never read; drop the connection after replying
             # rather than parsing a request that might not all arrive.
@@ -206,8 +322,10 @@ class _Handler(BaseHTTPRequestHandler):
         # Consume the body *before* any content-type validation can
         # raise, so an error reply leaves the connection aligned on the
         # next request boundary (keep-alive stays usable).
-        body = self.rfile.read(length)
-        content_type = self.headers.get("Content-Type")
+        body = self._read(length)
+        if len(body) < length:
+            raise InvalidRequest(f"request body ended after {len(body)} of {length} bytes")
+        content_type = self.headers.get("content-type")
         if content_type is not None:
             base = content_type.split(";", 1)[0].strip()
             if base != "application/x-repro-frame":
@@ -276,7 +394,7 @@ class _Handler(BaseHTTPRequestHandler):
         except BaseException as exc:  # noqa: BLE001 — becomes an error frame
             code, status = codec.exception_to_error(exc)
             payload = codec.encode_error(code, str(exc))
-        self._send_frame(status, payload, bytes_in=len(body))
+        self._send(status, codec.CONTENT_TYPE, payload, bytes_in=len(body))
 
 
 class _BodyTooLarge(InvalidRequest):
@@ -287,7 +405,8 @@ class _NotReady(ServingError):
     """Internal: forecast arrived before warm-up finished (HTTP 503)."""
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     #: Listen backlog.  socketserver's default of 5 drops SYNs when a
     #: high-fan-in client pool (load generators run 8-96 threads)

@@ -26,8 +26,8 @@ On ``SIGTERM``/``SIGINT`` a worker drains gracefully: stop accepting,
 barrier on every accepted request, then shut the runtime down.
 
 Platforms without ``SO_REUSEPORT`` fall back to one process whose
-``ThreadingHTTPServer`` already serves N concurrent connections on N
-threads.
+thread-per-connection server already serves N concurrent connections
+on N threads.
 """
 
 from __future__ import annotations

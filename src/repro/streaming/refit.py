@@ -8,8 +8,7 @@ window.  Two mechanisms keep a refit much cheaper than the original fit
 without changing a single served byte:
 
 * **Warm starts** — refit ``k`` seeds its optimisation from refit
-  ``k-1``'s best-epoch checkpoint (refit 0 from an optional external
-  checkpoint, e.g. the originally served model's) via
+  ``k-1``'s best-epoch checkpoint (refit 0 is a cold fit) via
   :meth:`~repro.engine.Trainer.restore`, and runs only
   ``refit_epochs`` epochs instead of a full training budget.
 * **Store reuse** — with an :class:`~repro.engine.ArtifactStore`
@@ -155,10 +154,6 @@ class RefitScheduler:
     checkpoint_root:
         Directory receiving one ``window-<k>`` best-epoch checkpoint
         per refit; refit ``k+1`` warm-starts from refit ``k``'s.
-    warm_start_dir:
-        Optional external checkpoint seeding refit 0 (typically the
-        originally served model's training checkpoint).  ``None`` makes
-        refit 0 a cold fit.
     store:
         Optional :class:`~repro.engine.ArtifactStore` installed as the
         process store for the refits (DTW pairs, masked adjacencies and
@@ -175,7 +170,6 @@ class RefitScheduler:
         policy: RefitPolicy,
         checkpoint_root: str | Path,
         *,
-        warm_start_dir: str | Path | None = None,
         store: ArtifactStore | None = None,
     ) -> None:
         if spec.total >= policy.window_steps:
@@ -189,9 +183,6 @@ class RefitScheduler:
         self.spec = spec
         self.policy = policy
         self.checkpoint_root = Path(checkpoint_root)
-        self.initial_warm_start_dir = (
-            Path(warm_start_dir) if warm_start_dir is not None else None
-        )
         self.store = store
         if store is not None:
             open_store(store=store)
@@ -221,10 +212,9 @@ class RefitScheduler:
         return self.checkpoint_root / f"window-{index}"
 
     def warm_source(self, index: int) -> Path | None:
-        """Checkpoint directory refit ``index`` warm-starts from."""
-        if index == 0:
-            return self.initial_warm_start_dir
-        return self.checkpoint_dir(index - 1)
+        """Checkpoint directory refit ``index`` warm-starts from (refit 0
+        fits cold)."""
+        return None if index == 0 else self.checkpoint_dir(index - 1)
 
     # ------------------------------------------------------------------
     # Refitting

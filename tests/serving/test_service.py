@@ -219,10 +219,8 @@ def test_forecast_properties(starts, warm_len, cache_size, max_batch_size, state
     in chunks of at most the batch bound, and serves the model's rows
     in request order — whatever the cache evicts along the way."""
     model = _CountingForecaster()
-    service = ForecastService(
-        model, cache_size=cache_size, max_batch_size=max_batch_size,
-        stateless_predict=stateless,
-    )
+    model.stateless_predict = stateless  # the service reads the model's declaration
+    service = ForecastService(model, cache_size=cache_size, max_batch_size=max_batch_size)
     if warm_len:
         service.forecast(starts[:warm_len])
     cached = {s for s in set(starts) if s in service._results}

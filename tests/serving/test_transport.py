@@ -99,9 +99,11 @@ class TestForecastRoutes:
     def test_connection_reuse(self, served):
         """Many requests through one client ride one kept-alive socket."""
         _runtime, _server, client = served
-        for start in range(20):
+        client.forecast_one("toy/a", 0)
+        sock = client._sock
+        for start in range(1, 20):
             client.forecast_one("toy/a", start)
-        assert client._conn is not None  # still the persistent connection
+        assert client._sock is sock  # still the persistent connection
 
     def test_single_endpoint_rejects_batches(self, served):
         _runtime, server, _client = served

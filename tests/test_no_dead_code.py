@@ -13,10 +13,13 @@ A second scan holds each defaulted parameter of a function or method
 (a class's ``__init__`` counts as the class) to a run path that passes
 it, by keyword or by position, to a call of that name.  A function
 bound to a name, by ``name = f`` or by ``name=f`` in a call (the
-``distance_fn=`` bound method), also takes the calls of that name.  A
+``distance_fn=`` bound method), also takes the calls of that name, and
+a class takes the ``super().__init__(...)`` calls of its subclasses.  A
 function a run path names any other way than as a callee (a registry
 entry, a positional callback) or calls with ``*``/``**`` passes every
-parameter, since its call sites are out of sight.
+parameter, since its call sites are out of sight.  A class named as a
+value does not: a base class, an ``isinstance`` check or a patch target
+says nothing about the arguments it is built with.
 
 A third scan holds each non-``__init__`` module under ``src/`` to the
 names it imports: each must be read there, as a ``Name`` or as a whole
@@ -46,9 +49,6 @@ KEEP = {
     "repro.optim.optimizers.SGD": "the optimiser of the trainer and checkpoint test fixtures",
     "repro.data.missing.impute_linear": "kept for the missing-observations roadmap item",
     "repro.backend.registry.use_backend": "test seam: scopes a counting or twin backend in the backend tests",
-    "repro.serving.transport.http_server._Handler.do_GET": "called by http.server",
-    "repro.serving.transport.http_server._Handler.do_POST": "called by http.server",
-    "repro.serving.transport.http_server._Handler.log_message": "called by http.server",
 }
 
 
@@ -111,6 +111,14 @@ KEEP_PARAMS = {
     "repro.engine.store.ArtifactStore.gc(target_bytes)": "deployment setting: the disk budget gc trims to",
     "repro.serving.transport.http_server.ForecastHTTPServer(result_timeout_s)":
         "deployment setting: a request's result timeout",
+    "repro.serving.transport.client.ForecastClient(timeout)": "deployment setting: a request's socket timeout",
+    "repro.obs.trace.TraceRecorder(maxlen)": "the trace tests shrink the span buffer to see eviction",
+    "repro.nn.layers.Linear(bias)": "test seam: the layer tests build a bias-free Linear",
+    "repro.optim.optimizers.Adam(weight_decay)": "L2 penalty the optimiser tests exercise",
+    **dict.fromkeys([
+        "repro.obs.metrics.Histogram(labelnames)",
+        "repro.obs.metrics.Histogram(buckets)",
+    ], "passed through cls(...) in MetricsRegistry._family"),
 }
 
 
@@ -214,6 +222,20 @@ def _name_of(node: ast.AST) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
+def _site(call: ast.Call) -> tuple[int, set] | None:
+    """``(positional count, keywords)`` of a call, ``None`` with ``*``/``**``."""
+    keywords = {keyword.arg for keyword in call.keywords}
+    if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    return len(call.args), keywords
+
+
+def _is_super_init(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__init__" and isinstance(node.func.value, ast.Call)
+            and _name_of(node.func.value.func) == "super")
+
+
 def _call_index(trees) -> tuple[dict[str, list], dict[str, set], set[str]]:
     """``(calls, bound, named)`` over ``trees``: per callee name, the
     ``(positional count, keywords)`` of each call of it, ``None`` for a
@@ -225,12 +247,13 @@ def _call_index(trees) -> tuple[dict[str, list], dict[str, set], set[str]]:
     for tree in trees:
         skip = set()
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for call in ast.walk(node):
+                    if _is_super_init(call):
+                        for base in node.bases:
+                            calls.setdefault(_name_of(base), []).append(_site(call))
             if isinstance(node, ast.Call):
-                keywords = {keyword.arg for keyword in node.keywords}
-                starred = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
-                calls.setdefault(_name_of(node.func), []).append(
-                    None if starred else (len(node.args), keywords)
-                )
+                calls.setdefault(_name_of(node.func), []).append(_site(node))
                 skip.add(id(node.func))
                 bindings = [(k.arg, k.value) for k in node.keywords if k.arg]
             elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
@@ -286,7 +309,7 @@ def _unpassed_in(modules, index) -> dict[str, str]:
     unpassed = {}
     for path, module, tree in modules:
         for dotted, callee, node, implicit in _callables(tree, module):
-            if callee in named:
+            if callee in named and node.name != "__init__":
                 continue
             sites = [
                 site
@@ -356,6 +379,17 @@ _RULE_CASES = {
     "star-args-pass-all": ("def f(a=0, k=1): pass", "f(*args)", set()),
     "star-kwargs-pass-all": ("def f(a=0, k=1): pass", "f(**options)", set()),
     "named-as-value-passes-all": ("def f(k=1): pass", "REGISTRY = {'f': f}", set()),
+    "class-named-as-value-is-still-checked": (
+        "class C:\n    def __init__(self, k=1): pass", "isinstance(x, C)\nC()", {"C(k)"},
+    ),
+    "super-init-calls-the-base": (
+        "class B:\n    def __init__(self, k=1): pass",
+        "class D(B):\n    def __init__(self):\n        super().__init__(k=2)", set(),
+    ),
+    "super-init-default-only": (
+        "class B:\n    def __init__(self, k=1): pass",
+        "class D(B):\n    def __init__(self):\n        super().__init__()", {"B(k)"},
+    ),
     "alias-takes-its-calls": ("def f(k=1): pass", "g = f\ng(k=2)", set()),
     "alias-is-not-a-use": ("def f(k=1): pass", "g = f\ng()", {"f(k)"}),
     "keyword-binding-takes-its-calls": (
