@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines import IGNNKForecaster, INCREASEForecaster
+from repro.baselines import GEGANForecaster, IGNNKForecaster, INCREASEForecaster
 from repro.core import STSMConfig, STSMForecaster
 from repro.data import WindowSpec, space_split, temporal_split
 from repro.data.synthetic import make_pems_bay
@@ -28,6 +28,9 @@ STSM_STATE_SHA256 = "8933e4a0eac3d24482b59515809fa4dc0dc0c2efa95a7f7d34882e0b8dd
 STSM_PRED_SHA256 = "7be1dce90d3ca1f6d2a5c1b7dfe863dce5952ec3cf58d1f67a9b799f753e9b53"
 IGNNK_PRED_SHA256 = "eab4cd74ae5d74ba36b89b78e3f3f18e46f9a4c39257ce433c1f2e8e893ef976"
 INCREASE_PRED_SHA256 = "1863580bf5e2f67f07b421c8a098db409122c99189ce723870f76204e92a828a"
+# Captured later than the three above, while each model still sliced its
+# windows one by one.
+GEGAN_PRED_SHA256 = "e0638077f2de651d91aa0a72a38b76a6e603ebbbdcd2443888c22355a8a19214"
 
 
 def _sha(array: np.ndarray) -> str:
@@ -65,8 +68,12 @@ def test_stsm_fixed_seed_fit_bit_identical_to_prerefactor(golden_setup):
 
 @pytest.mark.parametrize(
     "cls, expected",
-    [(IGNNKForecaster, IGNNK_PRED_SHA256), (INCREASEForecaster, INCREASE_PRED_SHA256)],
-    ids=["ignnk", "increase"],
+    [
+        (IGNNKForecaster, IGNNK_PRED_SHA256),
+        (INCREASEForecaster, INCREASE_PRED_SHA256),
+        (GEGANForecaster, GEGAN_PRED_SHA256),
+    ],
+    ids=["ignnk", "increase", "gegan"],
 )
 def test_baseline_fixed_seed_fits_bit_identical_to_prerefactor(golden_setup, cls, expected):
     dataset, split, spec, train_ix, starts = golden_setup
