@@ -322,17 +322,15 @@ class ServingRuntime:
         with self._lock:
             self._stats_sources[name] = provider
 
-    def stats(self, key: str | None = None) -> dict:
-        """Serving telemetry for one model, or all models plus totals.
+    def stats(self) -> dict:
+        """Serving telemetry for all models plus totals.
 
-        The full (keyless) form carries optional sections beyond
-        ``models``/``totals``: ``swaps`` (blue/green swap counts and
-        history) once a replace has happened,
-        ``store`` when an artifact store is attached, plus one section
-        per :meth:`add_stats_source` provider.
+        One model's part is ``scheduler(key).stats``.  Optional sections
+        beyond ``models``/``totals``: ``swaps`` (blue/green swap counts
+        and history) once a replace has happened, ``store`` when an
+        artifact store is attached, plus one section per
+        :meth:`add_stats_source` provider.
         """
-        if key is not None:
-            return self.scheduler(key).stats
         with self._lock:
             per_model = {k: s.stats for k, s in self._schedulers.items()}
         totals = {

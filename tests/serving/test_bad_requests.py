@@ -84,7 +84,7 @@ def test_mixed_batches_fail_only_their_bad_starts(gappy, data):
                         handle.result(timeout=10)
                 else:
                     assert handle.result(timeout=10).tobytes() == _direct(model, start)
-        stats = runtime.stats("idw")
+        stats = runtime.scheduler("idw").stats
         total = sum(len(call) for call in calls)
         assert stats["submitted"] == total
         assert stats["completed"] + stats["failed"] == total

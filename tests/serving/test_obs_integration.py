@@ -175,7 +175,7 @@ class TestMetricsSurfaces:
         runtime, _server, client, _recorder = traced_server
         for start in range(8):
             client.forecast_one("toy", start)
-        latency = runtime.stats("toy")["latency"]
+        latency = runtime.scheduler("toy").stats["latency"]
         assert latency["count"] == 8
         assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
         assert latency["max_ms"] >= latency["p99_ms"] * 0.99

@@ -120,7 +120,7 @@ class TestLifecycle:
             cached = runtime.warm_up("bay", np.arange(6))
             assert cached == 6
             runtime.forecast("bay", np.arange(6))  # all warm now
-            stats = runtime.stats("bay")
+            stats = runtime.scheduler("bay").stats
             assert stats["service"]["cache_hits"] >= 6
 
     def test_warm_up_counts_only_windows_still_cached(self):
@@ -289,7 +289,7 @@ class TestStats:
     def test_empty_scheduler_latency_summary(self):
         with ServingRuntime() as runtime:
             runtime.register("a", _KeyedForecaster(1.0))
-            stats = runtime.stats("a")
+            stats = runtime.scheduler("a").stats
         assert stats["latency"]["count"] == 0
         assert stats["latency"]["p50_ms"] is None
         assert stats["throughput_rps"] is None

@@ -228,7 +228,7 @@ class TestBundleCache:
         with runtime:
             key = "stsm/pems-bay"
             runtime.warm_up(key, np.asarray(warmups[key], dtype=int))
-            stats = runtime.stats(key)["service"]
+            stats = runtime.scheduler(key).stats["service"]
             assert stats["windows_computed"] == 0
             assert stats["cache_hits"] == len(warmups[key])
             served = runtime.forecast(key, np.asarray(starts[:2], dtype=int))
@@ -245,7 +245,7 @@ class TestBundleCache:
         with runtime:
             key = "stsm/pems-bay"
             runtime.warm_up(key, np.asarray(warmups[key], dtype=int))
-            assert runtime.stats(key)["service"]["windows_computed"] == len(warmups[key])
+            assert runtime.scheduler(key).stats["service"]["windows_computed"] == len(warmups[key])
 
     def test_scopeless_model_in_cached_bundle_boots_cold(self, fitted, warm_bundle_dir, monkeypatch):
         """A bundle model with no derivable content scope must still
@@ -262,4 +262,4 @@ class TestBundleCache:
             key = "stsm/pems-bay"
             runtime.warm_up(key, np.asarray(warmups[key], dtype=int))
             # Cold: recomputed, because the store could not be scoped.
-            assert runtime.stats(key)["service"]["windows_computed"] == len(warmups[key])
+            assert runtime.scheduler(key).stats["service"]["windows_computed"] == len(warmups[key])

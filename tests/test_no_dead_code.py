@@ -12,14 +12,18 @@ definition of it.
 A second scan holds each defaulted parameter of a function or method
 (a class's ``__init__`` counts as the class) to a run path that passes
 it, by keyword or by position, to a call of that name.  A function
-bound to a name, by ``name = f`` or by ``name=f`` in a call (the
-``distance_fn=`` bound method), also takes the calls of that name, and
+bound to a name, by ``name = f`` (or ``name = f if c else g``) or by
+``name=f`` in a call (the ``distance_fn=`` bound method), also takes the
+calls of that name, and
 a class takes the ``super().__init__(...)`` calls of its subclasses.  A
 function a run path names any other way than as a callee (a registry
 entry, a positional callback) or calls with ``*``/``**`` passes every
-parameter, since its call sites are out of sight.  A class named as a
-value does not: a base class, an ``isinstance`` check or a patch target
-says nothing about the arguments it is built with.
+parameter, since its call sites are out of sight.  A method counts as
+named only on its own class: as ``Cls.m``, as ``getattr(Cls, "m")``, or
+as ``self.m``/``cls.m`` inside the class; a bare ``m`` or another
+receiver's ``x.m`` says nothing about which class's ``m`` it is.  A
+class named as a value does not: a base class, an ``isinstance`` check
+or a patch target says nothing about the arguments it is built with.
 
 A third scan holds each non-``__init__`` module under ``src/`` to the
 names it imports: each must be read there, as a ``Name`` or as a whole
@@ -114,6 +118,8 @@ KEEP_PARAMS = {
     "repro.serving.transport.client.ForecastClient(timeout)": "deployment setting: a request's socket timeout",
     "repro.obs.trace.TraceRecorder(maxlen)": "the trace tests shrink the span buffer to see eviction",
     "repro.nn.layers.Linear(bias)": "test seam: the layer tests build a bias-free Linear",
+    "repro.autograd.tensor.Tensor.backward(grad)":
+        "seed gradient of a non-scalar root, which the autograd and backend tests take",
     "repro.optim.optimizers.Adam(weight_decay)": "L2 penalty the optimiser tests exercise",
     **dict.fromkeys([
         "repro.obs.metrics.Histogram(labelnames)",
@@ -236,14 +242,38 @@ def _is_super_init(node: ast.AST) -> bool:
             and _name_of(node.func.value.func) == "super")
 
 
-def _call_index(trees) -> tuple[dict[str, list], dict[str, set], set[str]]:
-    """``(calls, bound, named)`` over ``trees``: per callee name, the
-    ``(positional count, keywords)`` of each call of it, ``None`` for a
-    call with ``*``/``**``; per function name, the names it is bound to;
-    and the names used other than as a callee or a bound value."""
+def _owned_names(tree: ast.AST, skip: frozenset[int]) -> set[tuple[str, str]]:
+    """``(class, attribute)`` of each ``Cls.attr`` or ``getattr(Cls,
+    "attr")`` in ``tree``, and of each ``self.attr``/``cls.attr`` inside
+    a class ``Cls``, leaving out the nodes whose ``id`` is in ``skip``."""
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owned |= {
+                (node.name, attr) for owner, attr in _owned_names(ast.Module(node.body, []), skip)
+                if owner in ("self", "cls")
+            }
+        elif id(node) in skip:
+            continue
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owned.add((node.value.id, node.attr))
+        elif (isinstance(node, ast.Call) and _name_of(node.func) == "getattr"
+              and len(node.args) >= 2 and isinstance(node.args[0], ast.Name)
+              and isinstance(node.args[1], ast.Constant)):
+            owned.add((node.args[0].id, node.args[1].value))
+    return owned
+
+
+def _call_index(trees) -> tuple[dict[str, list], dict[str, set], set[str], set[tuple]]:
+    """``(calls, bound, named, owned)`` over ``trees``: per callee name,
+    the ``(positional count, keywords)`` of each call of it, ``None`` for
+    a call with ``*``/``**``; per function name, the names it is bound
+    to; the names used other than as a callee or a bound value; and the
+    ``(class, attribute)`` pairs of :func:`_owned_names` among those uses."""
     calls: dict[str, list] = {}
     bound: dict[str, set] = {}
     named: set[str] = set()
+    owned: set[tuple[str, str]] = set()
     for tree in trees:
         skip = set()
         for node in ast.walk(tree):
@@ -257,7 +287,9 @@ def _call_index(trees) -> tuple[dict[str, list], dict[str, set], set[str]]:
                 skip.add(id(node.func))
                 bindings = [(k.arg, k.value) for k in node.keywords if k.arg]
             elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-                bindings = [(node.targets[0].id, node.value)]
+                value = node.value
+                branches = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+                bindings = [(node.targets[0].id, branch) for branch in branches]
             else:
                 continue
             for alias, value in bindings:
@@ -266,27 +298,30 @@ def _call_index(trees) -> tuple[dict[str, list], dict[str, set], set[str]]:
                     bound.setdefault(name, set()).add(alias)
                     skip.add(id(value))
         named |= _used_names(tree, frozenset(skip))
-    return calls, bound, named
+        owned |= _owned_names(tree, frozenset(skip))
+    return calls, bound, named, owned
 
 
 def _callables(tree: ast.Module, module: str):
-    """``(dotted name, callee name, node, implicit)`` of each function and
-    method, where ``implicit`` counts the leading parameters a call does
-    not fill (``self``/``cls``).  ``__init__`` is called by its class's
-    name; other dunders are called by the language, so they are left out."""
+    """``(dotted name, callee name, node, implicit, class)`` of each
+    function and method, where ``implicit`` counts the leading parameters
+    a call does not fill (``self``/``cls``) and ``class`` is a method's
+    class name, ``None`` for a function.  ``__init__`` is called by its
+    class's name; other dunders are called by the language, so they are
+    left out."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, kinds) and not _is_dunder(node.name):
-            yield f"{module}.{node.name}", node.name, node, 0
+            yield f"{module}.{node.name}", node.name, node, 0, None
         elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if not isinstance(sub, kinds):
                     continue
                 if sub.name == "__init__":
-                    yield f"{module}.{node.name}", node.name, sub, 1
+                    yield f"{module}.{node.name}", node.name, sub, 1, node.name
                 elif not _is_dunder(sub.name):
                     static = any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
-                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub, int(not static)
+                    yield f"{module}.{node.name}.{sub.name}", sub.name, sub, int(not static), node.name
 
 
 def _defaulted(node: ast.FunctionDef, implicit: int):
@@ -305,11 +340,12 @@ def _unpassed_in(modules, index) -> dict[str, str]:
     """``dotted(param)`` -> ``path:line`` of each defaulted parameter of
     ``modules`` (``(path, dotted module, tree)`` triples) that no call in
     ``index`` (a :func:`_call_index`) passes."""
-    calls, bound, named = index
+    calls, bound, named, owned = index
     unpassed = {}
     for path, module, tree in modules:
-        for dotted, callee, node, implicit in _callables(tree, module):
-            if callee in named and node.name != "__init__":
+        for dotted, callee, node, implicit, owner in _callables(tree, module):
+            value_named = (owner, callee) in owned if owner else callee in named
+            if value_named and node.name != "__init__":
                 continue
             sites = [
                 site
@@ -379,6 +415,23 @@ _RULE_CASES = {
     "star-args-pass-all": ("def f(a=0, k=1): pass", "f(*args)", set()),
     "star-kwargs-pass-all": ("def f(a=0, k=1): pass", "f(**options)", set()),
     "named-as-value-passes-all": ("def f(k=1): pass", "REGISTRY = {'f': f}", set()),
+    "bare-name-is-not-a-method": (
+        "class C:\n    def fit(self, k=1): pass", "fit = model.fit\nobj.fit()", {"C.fit(k)"},
+    ),
+    "method-named-on-its-class-passes-all": (
+        "class C:\n    def m(self, k=1): pass", "patch(C, C.m)", set(),
+    ),
+    "method-named-by-getattr-on-its-class-passes-all": (
+        "class C:\n    def m(self, k=1): pass", "wrap(getattr(C, 'm'))", set(),
+    ),
+    "method-named-on-self-in-its-class-passes-all": (
+        "class C:\n    def m(self, k=1): pass",
+        "class C:\n    def run(self): pool.submit(self.m)", set(),
+    ),
+    "method-named-on-another-class-is-still-checked": (
+        "class C:\n    def m(self, k=1): pass",
+        "class D:\n    def run(self): pool.submit(self.m)\nwrap(D.m, other.m)", {"C.m(k)"},
+    ),
     "class-named-as-value-is-still-checked": (
         "class C:\n    def __init__(self, k=1): pass", "isinstance(x, C)\nC()", {"C(k)"},
     ),
@@ -392,6 +445,9 @@ _RULE_CASES = {
     ),
     "alias-takes-its-calls": ("def f(k=1): pass", "g = f\ng(k=2)", set()),
     "alias-is-not-a-use": ("def f(k=1): pass", "g = f\ng()", {"f(k)"}),
+    "conditional-alias-takes-its-calls": (
+        "def f(k=1): pass\ndef g(k=1): pass", "h = f if c else g\nh(k=2)", set(),
+    ),
     "keyword-binding-takes-its-calls": (
         "def f(x, k=1): pass", "run(fn=f)\nfn(0, 1)", set(),
     ),
