@@ -70,6 +70,14 @@ CONTENT_TYPE = f"application/x-repro-frame; version={CODEC_VERSION}"
 #: Prelude: magic, version, header length, payload length (little-endian).
 _PRELUDE = struct.Struct("<4sHII")
 
+#: The dtype strings :func:`encode_array` emits for numeric arrays: every
+#: bool, integer, float and complex type code, little-endian.  A decoder
+#: matches the wire string against these before numpy parses it.
+WIRE_DTYPES = frozenset(
+    np.dtype(code).newbyteorder("<").str
+    for code in "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]
+)
+
 #: Upper bound on the JSON header alone (the transport separately bounds
 #: whole request bodies); a frame claiming more is corrupt or hostile.
 MAX_HEADER_BYTES = 1 << 20
@@ -150,15 +158,16 @@ def decode_array(body: bytes) -> np.ndarray:
         raise decode_error(header)
     if header["kind"] != "array":
         raise CodecError(f"expected an array frame, got kind {header['kind']!r}")
+    wire_dtype = header.get("dtype")
+    # Matched as a string, never parsed: numpy's dtype parser warns on
+    # deprecated aliases and evaluates comma strings.
+    if not isinstance(wire_dtype, str) or wire_dtype not in WIRE_DTYPES:
+        raise CodecError(f"malformed array header: dtype {wire_dtype!r} is not numeric")
+    dtype = np.dtype(wire_dtype)
     try:
-        dtype = np.dtype(header["dtype"])
         shape = tuple(header["shape"])
-    # numpy parses a comma-string dtype ("<i1,1") with ast.literal_eval,
-    # so a corrupted one can raise SyntaxError.
-    except (KeyError, TypeError, ValueError, SyntaxError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CodecError(f"malformed array header: {exc}") from None
-    if dtype.kind not in "biufc":
-        raise CodecError(f"array dtype {dtype.str!r} is not numeric")
     if not all(type(n) is int and n >= 0 for n in shape):
         raise CodecError(f"array shape {list(shape)} needs non-negative integer dims")
     expected = math.prod(shape) * dtype.itemsize

@@ -143,6 +143,15 @@ class TestArrayFrames:
         with pytest.raises(CodecError, match=match):
             codec.decode_array(body)
 
+    # A deprecated alias, a comma string, an object, a void and a datetime
+    # dtype: each is refused before numpy parses it, so none warns.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", ["a", "<i1,1", "O", "V8", "<M8[s]", 8, None])
+    def test_dtype_outside_the_wire_set_is_codec_error(self, dtype):
+        body = codec.encode_frame({"kind": "array", "dtype": dtype, "shape": [1]}, b"\x00" * 8)
+        with pytest.raises(CodecError, match="is not numeric"):
+            codec.decode_array(body)
+
 
 class TestRequestFrames:
     @pytest.mark.parametrize("starts", [[0], [5, 2, 5], list(range(100)), [-3]])
