@@ -6,7 +6,7 @@ exact ordering (Euclidean best) does not transfer to this substrate: the
 synthetic congestion field propagates along the corridor graph by
 construction, which makes road-network distance genuinely informative
 here, while the real PEMS data rewards Euclidean interpolation.  See
-EXPERIMENTS.md (Table 11 notes).
+DESIGN.md §3 (synthetic data substitution).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ def test_table4_overall(benchmark, bench_scale):
 
     # The synthetic urban grid is more spatially homogeneous than real
     # Melbourne streets, which flatters INCREASE's neighbour aggregation;
-    # see EXPERIMENTS.md (Table 4 notes) for the calibration discussion.
+    # see DESIGN.md §3 (synthetic data substitution).
     increase_band = {"melbourne": 1.30}
     stsm_wins_over_increase = 0
     for dataset, matrix in result["matrices"].items():

@@ -36,6 +36,7 @@ import numpy as np
 from ..autograd import Tensor, concatenate, no_grad
 from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
+from ..data.windows import gather_windows
 from ..engine import Trainer, TrainingProgram
 from ..graph.adjacency import gaussian_kernel_adjacency
 from ..graph.distances import euclidean_distance_matrix
@@ -112,17 +113,9 @@ class _GEGANProgram(TrainingProgram):
         observed = forecaster.split.observed
         targets = rng.choice(observed, size=forecaster.batch_size, replace=True)
         starts = rng.integers(0, self.usable + 1, size=forecaster.batch_size)
-        conditions, futures = [], []
-        for target, s in zip(targets, starts):
-            begin = int(self.train_steps[0]) + int(s)
-            sims = forecaster._similar[int(target)]
-            window = forecaster._scaled[begin : begin + spec.input_length][:, sims]
-            conditions.append(window.T.ravel())
-            futures.append(
-                forecaster._scaled[begin + spec.input_length : begin + spec.total, int(target)]
-            )
-        condition = Tensor(np.stack(conditions, axis=0))
-        real = Tensor(np.stack(futures, axis=0))
+        windows = gather_windows(forecaster._scaled, int(self.train_steps[0]) + starts, spec.total)
+        condition = Tensor(forecaster._conditions(windows[:, : spec.input_length], targets))
+        real = Tensor(windows[np.arange(len(targets)), spec.input_length :, targets])
         noise = Tensor(rng.normal(size=(forecaster.batch_size, forecaster.noise_dim)))
         yield condition, real, noise
 
@@ -240,6 +233,13 @@ class GEGANForecaster(Forecaster):
             history=list(history.train_losses),
         )
 
+    def _conditions(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Generator conditions ``(B, num_similar * T)``: for each input
+        window ``(B, T, N)``, its target's similar locations, node-major."""
+        sims = np.stack([self._similar[int(target)] for target in targets])
+        rows = np.arange(len(inputs))[:, None]
+        return inputs[rows, :, sims].reshape(len(inputs), -1)
+
     def predict(self, window_starts: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("predict() called before fit()")
@@ -249,14 +249,11 @@ class GEGANForecaster(Forecaster):
         rng = np.random.default_rng(self.seed + 1)
         window_starts = np.asarray(window_starts, dtype=int)
         out = np.empty((len(window_starts), spec.horizon, len(unobserved)))
+        inputs = gather_windows(self._scaled, window_starts, spec.input_length)
         with no_grad():
-            for row, s in enumerate(window_starts):
-                conditions = []
-                for target in unobserved:
-                    sims = self._similar[int(target)]
-                    window = self._scaled[s : s + spec.input_length][:, sims]
-                    conditions.append(window.T.ravel())
-                condition = Tensor(np.stack(conditions, axis=0))
+            for row, window in enumerate(inputs):
+                windows = np.broadcast_to(window, (len(unobserved),) + window.shape)
+                condition = Tensor(self._conditions(windows, unobserved))
                 noise = Tensor(rng.normal(size=(len(unobserved), self.noise_dim)))
                 generated = self.generator(noise, condition).numpy()  # (N_u, T')
                 out[row] = self.scaler.inverse_transform(generated.T)

@@ -26,6 +26,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
+from ..data.windows import gather_windows
 from ..engine import Trainer, TrainingProgram
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
@@ -132,22 +133,16 @@ class _IGNNKProgram(TrainingProgram):
         masked_local = rng.choice(self.sample_nodes, size=num_masked, replace=False)
 
         starts = rng.integers(0, self.usable + 1, size=forecaster.batch_windows)
-        xs, ys = [], []
-        for s in starts:
-            begin = int(self.train_steps[0]) + int(s)
-            window = forecaster._scaled[begin : begin + spec.input_length][:, observed[node_subset]]
-            target = forecaster._scaled[
-                begin + spec.input_length : begin + spec.total
-            ][:, observed[node_subset]]
-            window = window.copy()
-            window[:, masked_local] = 0.0
-            xs.append(window.T)  # (nodes, T)
-            ys.append(target.T)  # (nodes, T')
+        windows = gather_windows(
+            forecaster._scaled, int(self.train_steps[0]) + starts, spec.total
+        )[:, :, observed[node_subset]]
+        x = windows[:, : spec.input_length]
+        x[:, :, masked_local] = 0.0
         yield (
             Tensor(forward_np),
             Tensor(backward_np),
-            Tensor(np.stack(xs, axis=0)),
-            Tensor(np.stack(ys, axis=0)),
+            Tensor(np.ascontiguousarray(x.transpose(0, 2, 1))),  # (B, nodes, T)
+            Tensor(np.ascontiguousarray(windows[:, spec.input_length :].transpose(0, 2, 1))),
         )
 
     def compute_loss(self, batch, rng: np.random.Generator | None):
@@ -257,13 +252,10 @@ class IGNNKForecaster(Forecaster):
         outputs = []
         with no_grad():
             for begin in range(0, len(window_starts), 16):
-                batch = np.asarray(window_starts, dtype=int)[begin : begin + 16]
-                xs = []
-                for s in batch:
-                    window = self._scaled[s : s + spec.input_length].copy()
-                    window[:, unobserved] = 0.0
-                    xs.append(window.T)
-                x = Tensor(np.stack(xs, axis=0))
+                batch = window_starts[begin : begin + 16]
+                x = gather_windows(self._scaled, batch, spec.input_length)
+                x[:, :, unobserved] = 0.0
+                x = Tensor(np.ascontiguousarray(x.transpose(0, 2, 1)))  # (B, N, T)
                 prediction = self.network(self._forward_full, self._backward_full, x)
                 block = prediction.numpy()[:, unobserved, :].transpose(0, 2, 1)
                 outputs.append(self.scaler.inverse_transform(block))

@@ -26,6 +26,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad, softmax, stack
 from ..data.missing import FiniteInputCheck, check_finite_observations
 from ..data.scalers import StandardScaler
+from ..data.windows import gather_windows
 from ..engine import Trainer, TrainingProgram
 from ..graph.distances import euclidean_distance_matrix
 from ..interfaces import FitReport, Forecaster
@@ -100,21 +101,16 @@ class _INCREASEProgram(TrainingProgram):
         observed = forecaster.split.observed
         targets = rng.choice(observed, size=forecaster.batch_size, replace=True)
         starts = rng.integers(0, self.usable + 1, size=forecaster.batch_size)
+        windows = gather_windows(forecaster._scaled, int(self.train_steps[0]) + starts, spec.total)
         relation_batches: list[list[np.ndarray]] = [[] for _ in forecaster._scores]
-        labels = []
-        for target, s in zip(targets, starts):
-            begin = int(self.train_steps[0]) + int(s)
-            window = forecaster._scaled[begin : begin + spec.input_length]
+        for target, window in zip(targets, windows[:, : spec.input_length]):
             sources = observed[observed != target]
             for r, series in enumerate(forecaster._aggregate(window, int(target), sources)):
                 relation_batches[r].append(series)
-            labels.append(
-                forecaster._scaled[begin + spec.input_length : begin + spec.total, int(target)]
-            )
         inputs = [
             Tensor(np.stack(batch, axis=0)[..., None]) for batch in relation_batches
         ]
-        yield inputs, Tensor(np.stack(labels, axis=0))
+        yield inputs, Tensor(windows[np.arange(len(targets)), spec.input_length :, targets])
 
     def compute_loss(self, batch, rng: np.random.Generator | None):
         inputs, y = batch
@@ -227,10 +223,10 @@ class INCREASEForecaster(Forecaster):
         out = np.empty((len(window_starts), spec.horizon, len(unobserved)))
         with no_grad():
             for w_begin in range(0, len(window_starts), 8):
-                chunk = window_starts[w_begin : w_begin + 8]
+                starts = window_starts[w_begin : w_begin + 8]
+                chunk = gather_windows(self._scaled, starts, spec.input_length)
                 relation_batches: list[list[np.ndarray]] = [[] for _ in self._scores]
-                for s in chunk:
-                    window = self._scaled[s : s + spec.input_length]
+                for window in chunk:
                     for target in unobserved:
                         for r, series in enumerate(
                             self._aggregate(window, int(target), observed)

@@ -41,7 +41,7 @@ from ..data.dataset import SpatioTemporalDataset
 from ..data.missing import check_finite_observations
 from ..data.scalers import StandardScaler
 from ..data.splits import SpaceSplit
-from ..data.windows import WindowSpec, check_window_starts, iterate_batches
+from ..data.windows import WindowSpec, check_window_starts, gather_windows, iterate_batches
 from ..engine import (
     ArtifactStore,
     EarlyStopping,
@@ -163,26 +163,11 @@ class _STSMProgram(TrainingProgram):
         )
         a_dtw_norm = self.forecaster._mask_cache.get_or_compute(
             array_key(mask_local),
-            lambda: self._masked_adjacency(mask_local, source_local),
+            lambda: self.forecaster._dtw_adjacency(
+                self.filled[self.train_steps], source_local, mask_local
+            ),
         )
         self.a_dtw_train_t = Tensor(a_dtw_norm)
-
-    def _masked_adjacency(self, mask_local: np.ndarray, source_local: np.ndarray) -> np.ndarray:
-        """Normalised ``A_dtw^train`` for one drawn mask."""
-        forecaster = self.forecaster
-        cfg = self.cfg
-        a_dtw_train = build_dtw_adjacency(
-            self.filled[self.train_steps],
-            observed_index=source_local,
-            target_index=mask_local,
-            steps_per_day=forecaster.dataset.steps_per_day,
-            num_nodes=self.scaled_obs.shape[1],
-            q_kk=cfg.q_kk,
-            q_ku=cfg.q_ku,
-            resolution=cfg.dtw_resolution,
-            distance_fn=forecaster._dtw_cache.distance_matrix,
-        )
-        return gcn_normalise(a_dtw_train)
 
     def batches(self, epoch: int, rng: np.random.Generator | None):
         return iterate_batches(
@@ -192,13 +177,15 @@ class _STSMProgram(TrainingProgram):
     def compute_loss(self, batch: np.ndarray, rng: np.random.Generator | None):
         forecaster = self.forecaster
         cfg = self.cfg
-        x_masked, te, y = forecaster._make_batch(
-            self.filled, self.scaled_obs, batch, self.train_steps
-        )
+        spec = forecaster.spec
+        # The full-length arrays' rows are time steps.
+        steps = batch + int(self.train_steps[0])
+        x_masked, te = forecaster._inputs(self.filled, steps, 0)
+        y = gather_windows(self.scaled_obs, steps + spec.input_length, spec.horizon)
         predictions, z_masked = self.network(x_masked, te, self.a_s_train_t, self.a_dtw_train_t)
-        loss = mse_loss(predictions, y)
+        loss = mse_loss(predictions, Tensor(y[..., None]))
         if cfg.contrastive and len(batch) >= 2:
-            x_orig = forecaster._window_tensor(self.scaled_obs, batch, self.train_steps)
+            x_orig, _ = forecaster._inputs(self.scaled_obs, steps, 0)
             _, z_orig = self.network(x_orig, te, self.a_s_train_t, self.a_dtw_orig_t)
             loss = loss + cfg.contrastive_weight * nt_xent_loss(
                 z_orig, z_masked, temperature=cfg.temperature
@@ -206,14 +193,22 @@ class _STSMProgram(TrainingProgram):
         return loss
 
     def validation_score(self, epoch: int) -> float:
-        return self.forecaster._validation_rmse(
-            self.val_filled,
-            self.val_starts,
-            self.val_local,
-            self.a_s_train_t,
-            self.a_dtw_val_t,
-            self.train_steps,
+        """RMSE on the validation locations, forecast as if unobserved."""
+        if len(self.val_local) == 0 or len(self.val_starts) == 0:
+            return float("nan")
+        forecaster = self.forecaster
+        spec = forecaster.spec
+        first = int(self.train_steps[0])
+        self.network.eval()
+        # val_filled is already restricted to the training steps.
+        pred = forecaster._forecast(
+            self.val_filled, self.val_starts, first,
+            self.a_s_train_t, self.a_dtw_val_t, self.val_local,
         )
+        truth = gather_windows(
+            forecaster._scaled_full, first + self.val_starts + spec.input_length, spec.horizon
+        )[:, :, forecaster.split.observed[self.val_local]]
+        return float(np.sqrt(((pred - truth) ** 2).ravel().mean()))
 
 
 class STSMForecaster(Forecaster):
@@ -343,18 +338,7 @@ class STSMForecaster(Forecaster):
 
         # --- static adjacency for the original (complete) view -----------------
         a_s_train_t = Tensor(gcn_normalise(a_s_train))
-        a_dtw_orig = build_dtw_adjacency(
-            scaled_obs_train,
-            observed_index=np.arange(n_obs),
-            target_index=None,
-            steps_per_day=dataset.steps_per_day,
-            num_nodes=n_obs,
-            q_kk=cfg.q_kk,
-            q_ku=cfg.q_ku,
-            resolution=cfg.dtw_resolution,
-            distance_fn=self._dtw_cache.distance_matrix,
-        )
-        a_dtw_orig_t = Tensor(gcn_normalise(a_dtw_orig))
+        a_dtw_orig_t = Tensor(self._dtw_adjacency(scaled_obs_train, np.arange(n_obs), None))
 
         # --- training windows ---------------------------------------------------
         usable = len(train_steps) - spec.total
@@ -364,7 +348,6 @@ class STSMForecaster(Forecaster):
                 f"{spec.total}-step window"
             )
         starts = np.arange(0, usable + 1, cfg.window_stride)
-        steps_per_day = dataset.steps_per_day
 
         # --- validation setup: mask the validation locations -------------------
         val_local = np.searchsorted(observed, split.validation)
@@ -376,18 +359,7 @@ class STSMForecaster(Forecaster):
             source_index=train_local,
             k=cfg.pseudo_k,
         )
-        a_dtw_val = build_dtw_adjacency(
-            val_filled,
-            observed_index=train_local,
-            target_index=val_local,
-            steps_per_day=steps_per_day,
-            num_nodes=n_obs,
-            q_kk=cfg.q_kk,
-            q_ku=cfg.q_ku,
-            resolution=cfg.dtw_resolution,
-            distance_fn=self._dtw_cache.distance_matrix,
-        )
-        a_dtw_val_t = Tensor(gcn_normalise(a_dtw_val))
+        a_dtw_val_t = Tensor(self._dtw_adjacency(val_filled, train_local, val_local))
         val_stride = max(1, (usable + 1) // 16)
         val_starts = np.arange(0, usable + 1, val_stride)
 
@@ -437,89 +409,58 @@ class STSMForecaster(Forecaster):
         )
 
     # ------------------------------------------------------------------
-    # Batch helpers
+    # Shared by training, validation and testing
     # ------------------------------------------------------------------
-    def _window_tensor(
-        self, values: np.ndarray, batch_starts: np.ndarray, base_steps: np.ndarray | None
-    ) -> Tensor:
-        spec = self.spec
-        offset = int(base_steps[0]) if base_steps is not None else 0
-        windows = [values[offset + s : offset + s + spec.input_length] for s in batch_starts]
-        return Tensor(np.stack(windows, axis=0)[..., None])
+    def _dtw_adjacency(
+        self, values: np.ndarray, observed_index: np.ndarray, target_index: np.ndarray | None
+    ) -> np.ndarray:
+        """Normalised ``A_dtw`` over the columns of ``values`` (§3.4.1)."""
+        cfg = self.config
+        adjacency = build_dtw_adjacency(
+            values,
+            observed_index=observed_index,
+            target_index=target_index,
+            steps_per_day=self.dataset.steps_per_day,
+            num_nodes=values.shape[1],
+            q_kk=cfg.q_kk,
+            q_ku=cfg.q_ku,
+            resolution=cfg.dtw_resolution,
+            distance_fn=self._dtw_cache.distance_matrix,
+        )
+        return gcn_normalise(adjacency)
 
-    def _make_batch(
-        self,
-        input_values: np.ndarray,
-        target_values: np.ndarray,
-        batch_starts: np.ndarray,
-        base_steps: np.ndarray | None,
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        spec = self.spec
+    def _inputs(
+        self, values: np.ndarray, starts: np.ndarray, first_step: int
+    ) -> tuple[Tensor, Tensor]:
+        """Network inputs ``(x, te)`` for the windows of ``values`` (whose
+        row 0 is time step ``first_step``) that begin at rows ``starts``."""
         steps_per_day = self.dataset.steps_per_day
-        offset = int(base_steps[0]) if base_steps is not None else 0
-        xs, tes, ys = [], [], []
-        for s in batch_starts:
-            begin = offset + int(s)
-            mid = begin + spec.input_length
-            end = mid + spec.horizon
-            xs.append(input_values[begin:mid])
-            ys.append(target_values[mid:end])
-            ids = (begin + np.arange(spec.input_length)) % steps_per_day
-            tes.append(normalised_time_encoding(ids, steps_per_day))
-        x = Tensor(np.stack(xs, axis=0)[..., None])
-        te = Tensor(np.stack(tes, axis=0)[..., None])
-        y = Tensor(np.stack(ys, axis=0)[..., None])
-        return x, te, y
+        length = self.spec.input_length
+        starts = np.asarray(starts, dtype=int)
+        ids = (first_step + starts[:, None] + np.arange(length)) % steps_per_day
+        x = Tensor(gather_windows(values, starts, length)[..., None])
+        te = Tensor(normalised_time_encoding(ids, steps_per_day)[..., None])
+        return x, te
 
-    def _validation_rmse(
+    def _forecast(
         self,
-        val_filled: np.ndarray,
-        val_starts: np.ndarray,
-        val_local: np.ndarray,
+        values: np.ndarray,
+        starts: np.ndarray,
+        first_step: int,
         a_s: Tensor,
         a_dtw: Tensor,
-        train_steps: np.ndarray,
-    ) -> float:
-        if len(val_local) == 0 or len(val_starts) == 0:
-            return float("nan")
-        spec = self.spec
-        observed = self.split.observed
-        self.network.eval()
-        errors: list[np.ndarray] = []
+        columns: np.ndarray,
+    ) -> np.ndarray:
+        """Scaled forecasts ``(windows, T', len(columns))`` of ``columns``,
+        one no-grad forward per batch of starts (see :meth:`_inputs`)."""
+        batch_size = self.config.batch_size
+        outputs = []
         with no_grad():
-            for begin in range(0, len(val_starts), self.config.batch_size):
-                batch = val_starts[begin : begin + self.config.batch_size]
-                # val_filled is already restricted to train_steps rows.
-                x, te, _y = self._make_batch_from_local(val_filled, batch, train_steps)
+            for begin in range(0, len(starts), batch_size):
+                x, te = self._inputs(values, starts[begin : begin + batch_size], first_step)
                 predictions, _z = self.network(x, te, a_s, a_dtw)
-                pred = predictions.numpy()[..., 0][:, :, val_local]
-                truth = np.stack(
-                    [
-                        self._scaled_full[
-                            int(train_steps[0]) + s + spec.input_length :
-                            int(train_steps[0]) + s + spec.total
-                        ][:, observed[val_local]]
-                        for s in batch
-                    ]
-                )
-                errors.append((pred - truth) ** 2)
-        return float(np.sqrt(np.concatenate([e.ravel() for e in errors]).mean()))
-
-    def _make_batch_from_local(
-        self, local_values: np.ndarray, batch_starts: np.ndarray, base_steps: np.ndarray
-    ) -> tuple[Tensor, Tensor, Tensor]:
-        """Batch from values indexed locally (row 0 == base_steps[0])."""
-        spec = self.spec
-        steps_per_day = self.dataset.steps_per_day
-        xs, tes = [], []
-        for s in batch_starts:
-            begin = int(s)
-            xs.append(local_values[begin : begin + spec.input_length])
-            ids = (int(base_steps[0]) + begin + np.arange(spec.input_length)) % steps_per_day
-            tes.append(normalised_time_encoding(ids, steps_per_day))
-        x = Tensor(np.stack(xs, axis=0)[..., None])
-        te = Tensor(np.stack(tes, axis=0)[..., None])
-        return x, te, None
+                outputs.append(predictions.numpy()[..., 0][:, :, columns])
+        return np.concatenate(outputs, axis=0)
 
     # ------------------------------------------------------------------
     # Testing (§3.5)
@@ -530,7 +471,6 @@ class STSMForecaster(Forecaster):
         dataset = self.dataset
         observed = self.split.observed
         unobserved = self.split.unobserved
-        n = dataset.num_locations
         # The fill and the test DTW read every observed step, so one
         # non-finite reading, even outside the training steps fit checks,
         # would make every forecast NaN: predict() refuses instead.
@@ -547,19 +487,8 @@ class STSMForecaster(Forecaster):
             # Checkpoint-restore path (no fit): a shared store lets a
             # warmed disk tier skip the test-graph dynamic programs.
             self._dtw_cache = PairwiseDTWCache(_cache_store(active_store(cfg.cache_store)))
-        a_dtw_test = build_dtw_adjacency(
-            filled,
-            observed_index=observed,
-            target_index=unobserved,
-            steps_per_day=dataset.steps_per_day,
-            num_nodes=n,
-            q_kk=cfg.q_kk,
-            q_ku=cfg.q_ku,
-            resolution=cfg.dtw_resolution,
-            distance_fn=self._dtw_cache.distance_matrix,
-        )
         self._a_s_test_t = Tensor(gcn_normalise(self._a_s_full))
-        self._a_dtw_test_t = Tensor(gcn_normalise(a_dtw_test))
+        self._a_dtw_test_t = Tensor(self._dtw_adjacency(filled, observed, unobserved))
 
     def predict(self, window_starts: np.ndarray, stochastic: bool = False) -> np.ndarray:
         """Forecast the unobserved region (§3.5 testing procedure).
@@ -574,25 +503,12 @@ class STSMForecaster(Forecaster):
         if not self._history_finite:
             observed = self.split.observed
             check_finite_observations(self.dataset.values[:, observed], observed, "history")
-        spec = self.spec
-        cfg = self.config
         unobserved = self.split.unobserved
         if len(window_starts) == 0:
-            return np.empty((0, spec.horizon, len(unobserved)))
-        steps_per_day = self.dataset.steps_per_day
+            return np.empty((0, self.spec.horizon, len(unobserved)))
         self.network.train(stochastic)
-        outputs = []
-        with no_grad():
-            for begin in range(0, len(window_starts), cfg.batch_size):
-                batch = np.asarray(window_starts)[begin : begin + cfg.batch_size]
-                xs, tes = [], []
-                for s in batch:
-                    xs.append(self._filled_full[int(s) : int(s) + spec.input_length])
-                    ids = (int(s) + np.arange(spec.input_length)) % steps_per_day
-                    tes.append(normalised_time_encoding(ids, steps_per_day))
-                x = Tensor(np.stack(xs, axis=0)[..., None])
-                te = Tensor(np.stack(tes, axis=0)[..., None])
-                predictions, _z = self.network(x, te, self._a_s_test_t, self._a_dtw_test_t)
-                scaled = predictions.numpy()[..., 0][:, :, unobserved]
-                outputs.append(self.scaler.inverse_transform(scaled))
-        return np.concatenate(outputs, axis=0)
+        scaled = self._forecast(
+            self._filled_full, np.asarray(window_starts), 0,
+            self._a_s_test_t, self._a_dtw_test_t, unobserved,
+        )
+        return self.scaler.inverse_transform(scaled)

@@ -1,8 +1,8 @@
 """Sliding-window sampling for sequence-to-sequence forecasting.
 
 A window pairs ``T`` input steps with the following ``T'`` target steps
-(paper Eq. 1).  The samplers yield start indices so models can slice both
-values and time-of-day features consistently.
+(paper Eq. 1).  The samplers yield start indices, and every model turns
+a batch of starts into windows with one :func:`gather_windows` call.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["WindowSpec", "WindowStartError", "check_window_starts", "window_starts", "iterate_batches"]
+__all__ = ["WindowSpec", "WindowStartError", "check_window_starts", "gather_windows",
+           "window_starts", "iterate_batches"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,35 @@ def check_window_starts(starts, num_steps: int, spec: WindowSpec) -> None:
             f"window start {starts[np.argmax(bad)]} is outside the valid range "
             f"[0, {last}] (input length {spec.input_length}, {num_steps} steps)"
         )
+
+
+def gather_windows(values: np.ndarray, starts, length: int) -> np.ndarray:
+    """``np.stack([values[s : s + length] for s in starts])`` from one gather.
+
+    The result has the stack's shape ``(len(starts), length, ...)``, bytes
+    and strides.  ``np.stack`` lays each window out in the memory order of
+    ``values``, so a C-ordered ``values`` gives a C-ordered result; any
+    other order is copied into the same layout, because a network's float
+    results can depend on the layout of its input.  Starts may repeat and
+    come in any order, but each window must lie inside ``values``.
+    """
+    values = np.asarray(values)
+    starts = np.asarray(starts, dtype=int).reshape(-1)
+    outside = (starts < 0) | (starts + length > len(values))
+    if outside.any():
+        raise IndexError(
+            f"the {length}-step window from start {starts[np.argmax(outside)]} "
+            f"runs outside {len(values)} steps"
+        )
+    # A one-window stack shows the layout: its axes sorted slowest first,
+    # a size-1 axis after the axis it shares a stride with.
+    strides = np.stack([values[:length]]).strides
+    shape = (len(starts), length, *values.shape[1:])
+    order = sorted(range(len(shape)), key=lambda a: (a > 0, -strides[a], shape[a] == 1))
+    out = np.empty([shape[a] for a in order], values.dtype).transpose(np.argsort(order))
+    # The bounds are checked above, so "clip" never clips; it spares
+    # ``out`` the buffered copy "raise" makes.
+    return np.take(values, starts[:, None] + np.arange(length), axis=0, out=out, mode="clip")
 
 
 def window_starts(num_steps: int, spec: WindowSpec, stride: int = 1) -> np.ndarray:

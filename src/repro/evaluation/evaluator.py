@@ -18,6 +18,7 @@ from ..data.dataset import SpatioTemporalDataset
 from ..data.splits import SpaceSplit, temporal_split
 from ..data.windows import WindowSpec
 from ..interfaces import FitReport, Forecaster
+from .horizon import stack_truth
 from .metrics import Metrics, compute_metrics
 
 __all__ = ["EvaluationResult", "evaluate_forecaster", "average_metrics"]
@@ -78,12 +79,7 @@ def evaluate_forecaster(
     predictions = forecaster.predict(starts)
     test_seconds = time.perf_counter() - began
 
-    truth = np.stack(
-        [
-            dataset.values[s + spec.input_length : s + spec.total][:, split.unobserved]
-            for s in starts
-        ]
-    )
+    truth = stack_truth(dataset, split, spec, starts)
     if predictions.shape != truth.shape:
         raise ValueError(
             f"{forecaster.name} returned predictions of shape {predictions.shape}, "

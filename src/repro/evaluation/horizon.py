@@ -11,7 +11,7 @@ import numpy as np
 
 from ..data.dataset import SpatioTemporalDataset
 from ..data.splits import SpaceSplit
-from ..data.windows import WindowSpec
+from ..data.windows import WindowSpec, gather_windows
 from ..interfaces import Forecaster
 from .metrics import Metrics, compute_metrics
 
@@ -25,12 +25,8 @@ def stack_truth(
     window_starts: np.ndarray,
 ) -> np.ndarray:
     """Ground-truth tensor ``(windows, T', N_u)`` for the given starts."""
-    return np.stack(
-        [
-            dataset.values[s + spec.input_length : s + spec.total][:, split.unobserved]
-            for s in np.asarray(window_starts, dtype=int)
-        ]
-    )
+    starts = np.asarray(window_starts, dtype=int) + spec.input_length
+    return gather_windows(dataset.values, starts, spec.horizon)[:, :, split.unobserved]
 
 
 def horizon_profile(

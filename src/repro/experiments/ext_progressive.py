@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.splits import progressive_splits
+from ..data.windows import gather_windows
 from ..evaluation import compute_metrics, forecast_window_starts
 from .configs import get_scale
 from .reporting import format_table
@@ -54,12 +55,9 @@ def run(
     spec = scale.window_spec(dataset_key)
     splits, core = progressive_splits(dataset.coords, "horizontal", stages=stages)
     starts = forecast_window_starts(dataset, spec, max_windows=scale.max_test_windows)
-    core_truth = np.stack(
-        [
-            dataset.values[s + spec.input_length : s + spec.total][:, core]
-            for s in starts
-        ]
-    )
+    core_truth = gather_windows(
+        dataset.values, starts + spec.input_length, spec.horizon
+    )[:, :, core]
     train_ix = np.arange(int(round(dataset.num_steps * 0.7)))
 
     rows = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.data import (
     StandardScaler,
@@ -13,7 +14,7 @@ from repro.data import (
     iterate_batches,
     window_starts,
 )
-from repro.data.windows import check_window_starts
+from repro.data.windows import check_window_starts, gather_windows
 
 
 class TestStandardScaler:
@@ -99,3 +100,50 @@ class TestWindows:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             list(iterate_batches(np.arange(4), 0))
+
+
+#: Views of a C-ordered array in other memory orders: the gather must
+#: copy each into the layout ``np.stack`` gives it.
+LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "time-fastest": lambda a: np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0),
+    "reversed-columns": lambda a: a[..., ::-1],
+    "reversed-rows": lambda a: np.ascontiguousarray(a[::-1])[::-1],
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+}
+
+
+@st.composite
+def windowed_values(draw):
+    """``(values, starts, length)``: values of any memory order and 1-3
+    dims, and unsorted, possibly repeated starts of full windows."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
+    dtype = draw(st.sampled_from([np.float64, np.int32]))
+    values = draw(hnp.arrays(dtype, shape, elements={"allow_nan": False} if dtype is np.float64 else None))
+    values = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](values)
+    length = draw(st.integers(1, shape[0]))
+    starts = draw(st.lists(st.integers(0, shape[0] - length), min_size=1, max_size=8))
+    return values, starts, length
+
+
+class TestGatherWindows:
+    @settings(max_examples=300, deadline=None)
+    @given(case=windowed_values())
+    def test_equals_np_stack_of_slices(self, case):
+        values, starts, length = case
+        stacked = np.stack([values[s : s + length] for s in starts])
+        gathered = gather_windows(values, np.array(starts), length)
+        assert gathered.shape == stacked.shape
+        assert gathered.strides == stacked.strides
+        assert gathered.dtype == stacked.dtype
+        assert gathered.tobytes() == stacked.tobytes()
+
+    def test_no_starts_gather_no_windows(self):
+        assert gather_windows(np.zeros((5, 3)), [], 2).shape == (0, 2, 3)
+
+    @pytest.mark.parametrize("start", [-1, 4])
+    def test_window_outside_values_is_refused(self, start):
+        # A negative start would otherwise wrap round to the last rows.
+        with pytest.raises(IndexError, match="runs outside 5 steps"):
+            gather_windows(np.zeros((5, 3)), [0, start], 2)
