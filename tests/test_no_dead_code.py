@@ -14,16 +14,16 @@ A second scan holds each defaulted parameter of a function or method
 it, by keyword or by position, to a call of that name.  A function
 bound to a name, by ``name = f`` (or ``name = f if c else g``) or by
 ``name=f`` in a call (the ``distance_fn=`` bound method), also takes the
-calls of that name, and
-a class takes the ``super().__init__(...)`` calls of its subclasses.  A
-function a run path names any other way than as a callee (a registry
-entry, a positional callback) or calls with ``*``/``**`` passes every
-parameter, since its call sites are out of sight.  A method counts as
-named only on its own class: as ``Cls.m``, as ``getattr(Cls, "m")``, or
-as ``self.m``/``cls.m`` inside the class; a bare ``m`` or another
-receiver's ``x.m`` says nothing about which class's ``m`` it is.  A
-class named as a value does not: a base class, an ``isinstance`` check
-or a patch target says nothing about the arguments it is built with.
+calls of that name, and a class takes the ``super().__init__(...)``
+calls of its subclasses.  A function a run path names any other way
+than as a callee (a registry entry, a positional callback) or calls
+with ``*``/``**`` passes every parameter, since its call sites are out
+of sight.  A class named as a value does not: a base class, an
+``isinstance`` check or a patch target says nothing about the arguments
+it is built with.  A method counts as named only on its own class: as
+``Cls.m``, as ``getattr(Cls, "m")``, or as ``self.m``/``cls.m`` inside
+the class; a bare ``m`` or another receiver's ``x.m`` says nothing
+about which class's ``m`` it is.
 
 A third scan holds each non-``__init__`` module under ``src/`` to the
 names it imports: each must be read there, as a ``Name`` or as a whole
